@@ -19,7 +19,7 @@ BENCH_ARGS := -run '^$$' -bench '$(BENCH_SET)' -benchtime 10x -count 3 -benchmem
 # and 4 by bench-multicore, so scaling is measured rather than assumed.
 MULTICORE_SET := LargeScanParallel|ShardedScan|ShardedWriters|ShardedMixedWorkload|ConcurrentScanners
 
-.PHONY: build test race lint fuzz-smoke bench-ci bench-check bench-baseline bench-multicore ci
+.PHONY: build test race lint fuzz-smoke bench-module bench-ci bench-check bench-baseline bench-multicore ci
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,12 @@ fuzz-smoke:
 	$(GO) test ./internal/sql/ -run '^$$' -fuzz FuzzParseStmt -fuzztime 30s
 	$(GO) test ./internal/sql/ -run '^$$' -fuzz FuzzNormalize -fuzztime 30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
+
+# bench-module compiles, vets and tests benchmark/ — its own Go module,
+# which the root ./... patterns never reach — so an internal signature
+# change that breaks the end-to-end benchmark fails here first.
+bench-module:
+	cd benchmark && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # bench-ci runs the smoke benchmarks and emits BENCH_ci.json. The raw
 # stream is staged in a file (not piped) so benchdiff's compile and run
@@ -75,4 +81,4 @@ bench-baseline:
 	$(GO) test $(BENCH_ARGS) -json $(BENCH_PKGS) > /tmp/bench_raw.jsonl
 	/tmp/benchdiff -parse -out BENCH_baseline.json < /tmp/bench_raw.jsonl
 
-ci: build lint test race bench-check
+ci: build lint test race bench-module bench-check

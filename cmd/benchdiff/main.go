@@ -16,19 +16,17 @@
 // geometric-mean slowdown of the benchmarks present in both exceeds the
 // threshold, or when the geometric-mean allocs/op growth exceeds the
 // alloc threshold (the alloc gate only engages for benchmarks whose
-// baseline AND current runs both carry -benchmem data, so an old-format
-// baseline never trips it):
+// baseline AND current runs both carry -benchmem data, so a baseline
+// taken without it never trips it):
 //
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 0.25
 //
 // The geomean over the whole suite absorbs per-benchmark noise (a single
 // noisy 30% outlier does not trip the gate) while a broad real
 // regression does; benchmarks present in only one file are reported but
-// never fail the gate. Baseline files in the pre-memstat format (name →
-// bare ns/op number) still load — CI compares against the merge-base's
-// checked-in baseline, which may predate this schema. The checked-in
-// BENCH_baseline.json is regenerated with `make bench-baseline` whenever
-// an intentional performance change shifts the suite.
+// never fail the gate. The checked-in BENCH_baseline.json is
+// regenerated with `make bench-baseline` whenever an intentional
+// performance change shifts the suite.
 package main
 
 import (
@@ -50,18 +48,6 @@ type Bench struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-}
-
-// UnmarshalJSON accepts both the current object form and the legacy
-// bare-number form (name → ns/op) of older baseline files.
-func (b *Bench) UnmarshalJSON(data []byte) error {
-	trimmed := strings.TrimSpace(string(data))
-	if len(trimmed) > 0 && trimmed[0] != '{' {
-		b.BytesPerOp, b.AllocsPerOp = nil, nil
-		return json.Unmarshal(data, &b.NsPerOp)
-	}
-	type alias Bench
-	return json.Unmarshal(data, (*alias)(b))
 }
 
 // Result is the JSON schema of a parsed benchmark run.

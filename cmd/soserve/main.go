@@ -8,17 +8,18 @@
 //	$ curl -d 'SELECT COUNT(*) FROM P WHERE v BETWEEN 1000 AND 2000' localhost:8080/sql
 //	$ curl -d 'SELECT SUM(v) FROM P WHERE v BETWEEN 1000 AND 2000' 'localhost:8080/sql?tenant=alice'
 //	$ curl localhost:8080/metrics              # plancache_hits_total, sql_inflight, ...
-//	$ curl localhost:8080/query?lo=1000&hi=2000  # legacy range endpoint
-//	$ curl -X POST 'localhost:8080/write?op=insert&v=1234'
+//	$ curl -d 'INSERT INTO P VALUES (1234)' localhost:8080/sql
 //	$ curl localhost:8080/debug/queries | jq .
 //
-// Statements compile through the full parse → MAL codegen → tactical
-// optimization pipeline exactly once per query shape: constants are
-// lifted into bind values, the canonical fingerprint keys a sharded LRU
-// of compiled plans, and a warm request costs one lex pass plus a cache
-// hit before it touches the column. Requests beyond the admission
-// gate's workers+backlog budget are shed with 429 and a Retry-After
-// hint.
+// POST /sql is the one way in. Every statement takes one path —
+// normalize → plan cache → parse → bind → run: constants are lifted
+// into bind values, the canonical fingerprint keys a sharded LRU of
+// bound physical plans (SELECT shapes on the served table; the cached
+// plan is the operator that executes), and a warm request costs one lex
+// pass plus a cache hit before it touches the column. The paper's MAL
+// plan for a statement is shown by ?explain=1 and executes only for
+// CREATE TABLE-d tables. Requests beyond the admission gate's
+// workers+backlog budget are shed with 429 and a Retry-After hint.
 //
 // The optional built-in workload driver (-qps) issues random range
 // queries against the default tenant so the self-organizing loop — and

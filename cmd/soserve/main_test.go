@@ -186,13 +186,14 @@ func TestTenantIsolationOverHTTP(t *testing.T) {
 	before := post("alice")
 	// Write into alice only.
 	for i := 0; i < 5; i++ {
-		resp, err := http.Post(ts.URL+"/write?tenant=alice&op=insert&v=777", "", nil)
+		resp, err := http.Post(ts.URL+"/sql?tenant=alice", "text/plain",
+			strings.NewReader("INSERT INTO P VALUES (777)"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/write status %d", resp.StatusCode)
+			t.Fatalf("INSERT status %d", resp.StatusCode)
 		}
 	}
 	after := post("alice")
@@ -244,29 +245,5 @@ func TestMetricsCacheCounters(t *testing.T) {
 	}
 	if sz := scrape("plancache_size"); sz != 1 {
 		t.Errorf("plancache_size = %d, want 1", sz)
-	}
-}
-
-// TestLegacyQueryEndpoint keeps the PR 6 contract: /query?lo=&hi=
-// answers with count, stats and totals.
-func TestLegacyQueryEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, nil)
-	resp, err := http.Get(ts.URL + "/query?lo=100&hi=200&op=count")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/query status %d", resp.StatusCode)
-	}
-	var out struct {
-		Count    int64 `json:"count"`
-		Segments int   `json:"segments"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Count == 0 || out.Segments == 0 {
-		t.Errorf("legacy /query = %+v", out)
 	}
 }

@@ -92,6 +92,7 @@ func (s *QueryStats) Add(other QueryStats) {
 type Strategy interface {
 	// Select answers the range query and piggy-backs reorganization on it.
 	Select(q domain.Range) ([]domain.Value, QueryStats)
+	RopeSelector
 	// Count answers `count(*) where v between q.Lo and q.Hi` without
 	// materializing the qualifying values, while still piggy-backing the
 	// same reorganization (and compression) decisions a Select would.
@@ -174,6 +175,7 @@ type DeltaStrategy interface {
 type PinnedView interface {
 	// Select returns the values in q as of the pin (order unspecified).
 	Select(q domain.Range) []domain.Value
+	RopeView
 	// Count returns the cardinality of q as of the pin.
 	Count(q domain.Range) int64
 	// Watermark returns the pinned MVCC version: writes stamped above
@@ -181,20 +183,20 @@ type PinnedView interface {
 	Watermark() int64
 }
 
-// RopeSelector is the optional zero-copy read capability: strategies
-// that assemble their result as a rope of per-segment chunks
-// (internal/result) expose it here, so the shard router, the facade and
-// the server can splice and stream sub-results instead of flattening at
-// every layer. SelectRope must be value- and order-identical to Select;
-// Select is exactly SelectRope().Flatten().
+// RopeSelector is the zero-copy read half of Strategy: every strategy
+// assembles its result as a rope of per-segment chunks
+// (internal/result), so the shard router, the facade and the server
+// splice and stream sub-results instead of flattening at every layer.
+// SelectRope must be value- and order-identical to Select; Select is
+// exactly SelectRope().Flatten().
 type RopeSelector interface {
 	// SelectRope answers the range query as a rope of result chunks,
 	// piggy-backing the same reorganization a Select would.
 	SelectRope(q domain.Range) (*result.Rope, QueryStats)
 }
 
-// RopeView is the rope-returning counterpart of PinnedView.Select, for
-// pinned MVCC views that can hand back per-segment chunks.
+// RopeView is the rope-returning half of PinnedView: Select with the
+// result left as per-segment chunks.
 type RopeView interface {
 	// SelectRope returns the values in q as of the pin, as a rope.
 	SelectRope(q domain.Range) *result.Rope

@@ -701,7 +701,7 @@ func (r *Replicator) applyDeltaLocked(ins, del []domain.Value) (*node, QueryStat
 				// encoding supports it and the codec's policy keeps it.
 				// The result is identical to re-encoding the decoded
 				// values plus the inserts.
-				if len(del) == 0 && seg.Enc != nil && !encodedSpliceDisabled {
+				if len(del) == 0 && seg.Enc != nil && !r.noEncodedSplice {
 					if enc, ok := compress.ExtendEncoded(seg.Enc, ins); ok && codec.Allows(enc.Encoding()) {
 						repl = seg.FilledEncoded(enc)
 						recoded = true

@@ -13,7 +13,7 @@ import (
 // scans triggering replica materialization, inserts and deletes
 // triggering merge-backs) over two compressed Replicators — one with the
 // encoded-splice fast paths, one forced onto the decode → re-encode
-// path via the package knob — and asserts identical results and layout.
+// path via its in-package knob — and asserts identical results and layout.
 // The splice paths are pure plumbing: they may only change how a
 // replica's bytes are produced, never which values or runs exist.
 func TestEncodedSpliceEquivalence(t *testing.T) {
@@ -21,9 +21,8 @@ func TestEncodedSpliceEquivalence(t *testing.T) {
 	vals := compressColumn(4000)
 	for _, mode := range []compress.Mode{compress.Auto, compress.ForceRLE} {
 		run := func(disable bool) ([]domain.Value, string) {
-			encodedSpliceDisabled = disable
-			defer func() { encodedSpliceDisabled = false }()
 			r := NewReplicator(extent, append([]domain.Value(nil), vals...), 4, model.NewAPM(256, 2048), nil)
+			r.noEncodedSplice = disable
 			r.SetCompression(mode)
 			r.SetDeltaPolicy(512, -1) // small budget: merge-backs fire often
 			qrng := rand.New(rand.NewSource(99))

@@ -32,10 +32,10 @@ func benchServer(b *testing.B) *Server {
 }
 
 // BenchmarkSQLColdVsWarmPlan measures what the plan cache buys: Cold
-// flushes the cache before every statement (full parse → MAL codegen →
-// optimize every time), Warm replays one shape with varying constants
-// (one lex pass + cache hit). The execution against the column is
-// identical in both arms, so the difference is pure compilation cost.
+// flushes the cache before every statement (parse → bind → publish every
+// time), Warm replays one shape with varying constants (one lex pass +
+// cache hit). The execution against the column is identical in both
+// arms, so the difference is pure front-end cost.
 func BenchmarkSQLColdVsWarmPlan(b *testing.B) {
 	// A fixed 16-range working set: the column converges after the first
 	// pass, so steady-state iterations isolate the per-statement front-end

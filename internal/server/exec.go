@@ -1,54 +1,51 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"selforg"
-	"selforg/internal/opt"
 	"selforg/internal/sql"
 )
 
-// opKind is the executable shape a compiled statement binds to.
-type opKind int
+// opKind names the physical operator a statement binds to; it is also
+// the wire's "op" field.
+type opKind string
 
 const (
-	opSelect opKind = iota
-	opCount
-	opSum
+	opSelect opKind = "select"
+	opCount  opKind = "count"
+	opSum    opKind = "sum"
+	opInsert opKind = "insert"
+	opUpdate opKind = "update"
+	opDelete opKind = "delete"
+	opCreate opKind = "create"
 )
 
-func (k opKind) String() string {
-	switch k {
-	case opCount:
-		return "count"
-	case opSum:
-		return "sum"
-	default:
-		return "select"
-	}
-}
-
-// plan is one cached compilation: the executable shape plus the
-// optimized MAL text for explain output. Plans carry no constants (the
-// fingerprint's binds substitute at execution) and no tenant state, so
+// plan is one bound statement: the operator that runs and where. A
+// served plan reads every constant from the fingerprint's bind slots, so
 // one plan serves every tenant and every constant instantiation of its
-// shape.
+// shape — what the cache holds is what executes. A tenant-table plan
+// keeps the parsed statement: its executor lowers it to MAL per call.
 type plan struct {
-	fingerprint string
-	kind        opKind
-	mal         string
+	op     opKind
+	served bool
+	stmt   sql.Stmt
 }
 
-// CompileError wraps a compile-side failure that is not a syntax error
-// — an unknown table or column, an unsupported shape. The HTTP layer
-// maps it (like *sql.SyntaxError) to 400.
+// CompileError wraps a bind-side failure that is not a syntax error —
+// an unknown table or column, an arity mismatch, a non-integer literal.
+// The HTTP layer maps it (like *sql.SyntaxError) to 400.
 type CompileError struct{ Err error }
 
 func (e *CompileError) Error() string { return e.Err.Error() }
 func (e *CompileError) Unwrap() error { return e.Err }
+
+func compileErrorf(format string, args ...any) error {
+	return &CompileError{Err: fmt.Errorf(format, args...)}
+}
 
 // Result is one executed statement's answer. For writes (op insert,
 // update, delete, create) Count is the number of rows affected.
@@ -71,122 +68,147 @@ type Result struct {
 	Cached      bool          `json:"cached"`
 	Fingerprint string        `json:"fingerprint"`
 	Tenant      string        `json:"tenant"`
-	Plan        string        `json:"-"`
 }
 
-// compile resolves src to a plan and its bind values. The warm path is
-// a lex pass (Normalize) plus a cache hit — no parse, no codegen, no
-// optimizer. The cold path runs the full §2 front half and publishes
-// the plan under the fingerprint, stamped with the epoch captured
-// before compilation so a racing InvalidatePlans refuses it.
-func (s *Server) compile(src string) (*plan, []float64, bool, error) {
+// Exec runs one statement for the named tenant — the single statement
+// path: normalize (one lex pass: fingerprint + binds) → plan cache → on
+// a miss parse and bind once → run. It is the admission-free core: the
+// HTTP layer adds the gate, Exec is what benchmarks and in-process
+// callers use. Only SELECT shapes consult the cache; a write's
+// constants are the write, so writes compile per call and their
+// fingerprints exist for observability.
+func (s *Server) Exec(tenant, src string) (*Result, error) {
 	n, err := sql.Normalize(src)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	if v, ok := s.cache.Get(n.Fingerprint); ok {
-		return v.(*plan), n.Binds, true, nil
-	}
-	epoch := s.cache.Epoch()
-	q, err := sql.Parse(src)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if q.Schema != s.cfg.Schema || q.Table != s.cfg.Table {
-		// Not the shared served table: resolve against the tenant's
-		// private catalog instead (uncached — tenant catalogs diverge,
-		// so one fingerprint would not mean one plan).
-		return nil, nil, false, &tenantTableError{q: q}
-	}
-	prog, err := sql.Generate(q, s.cat)
-	if err != nil {
-		return nil, nil, false, &CompileError{Err: err}
-	}
-	// Tactical optimization with UnrollThreshold 0: the iterator form is
-	// layout-independent, so cached plans never go stale as the column
-	// self-organizes — only catalog epoch changes invalidate.
-	if err := opt.Default().Optimize(prog, &opt.Context{Catalog: s.cat}); err != nil {
-		return nil, nil, false, &CompileError{Err: err}
-	}
-	p := &plan{fingerprint: n.Fingerprint, mal: prog.String()}
-	switch q.Aggregate {
-	case "count":
-		p.kind = opCount
-	case "sum":
-		p.kind = opSum
-	default:
-		p.kind = opSelect
-	}
-	s.cache.Put(n.Fingerprint, p, epoch)
-	return p, n.Binds, false, nil
-}
-
-// tenantTableError is compile's internal signal that a SELECT names a
-// table outside the shared served catalog and must resolve against the
-// tenant's private catalog. Never surfaces to clients.
-type tenantTableError struct{ q *sql.Query }
-
-func (e *tenantTableError) Error() string {
-	return fmt.Sprintf("table %s.%s is tenant-private", e.q.Schema, e.q.Table)
-}
-
-// Exec compiles (or cache-hits) src and runs it against the named
-// tenant. It is the admission-free core: the HTTP layer adds the gate,
-// Exec is what benchmarks and in-process callers use. Write statements
-// (CREATE TABLE / INSERT / UPDATE / DELETE) route around the plan cache
-// entirely: they parse per call and execute against the tenant's facade
-// column (the served table — riding the group committer when durability
-// is on) or the tenant's private catalog (created tables).
-func (s *Server) Exec(tenant, src string) (*Result, error) {
-	switch sql.LeadingKeyword(src) {
-	case "CREATE", "INSERT", "UPDATE", "DELETE":
-		return s.execWrite(tenant, src)
-	}
-	p, binds, cached, err := s.compile(src)
-	if err != nil {
-		var tt *tenantTableError
-		if errors.As(err, &tt) {
-			return s.execTenantSelect(tenant, tt.q, src)
+	var (
+		p      plan
+		cached bool
+	)
+	if strings.HasPrefix(n.Fingerprint, "SELECT ") {
+		var v any
+		if v, cached = s.cache.Get(n.Fingerprint); cached {
+			p = v.(plan)
 		}
-		return nil, err
 	}
-	col, err := s.Tenant(tenant)
+	if !cached {
+		if p, err = s.compile(src, n.Fingerprint); err != nil {
+			return nil, err
+		}
+	}
+	t, err := s.tenantEntry(tenant)
 	if err != nil {
 		return nil, err
 	}
-	res := s.run(col, p, binds)
-	res.Cached = cached
-	if tenant == "" {
-		tenant = "default"
+	res, err := s.run(t, p, n.Binds)
+	if err != nil {
+		return nil, err
 	}
-	res.Tenant = tenant
+	res.Op, res.Cached, res.Fingerprint, res.Tenant = string(p.op), cached, n.Fingerprint, t.name
 	return res, nil
 }
 
-// run executes a compiled plan with its bind values against a column.
-// Cold and warm paths share this function, so cached execution is
-// byte-identical to uncached execution by construction.
-func (s *Server) run(col *selforg.Column, p *plan, binds []float64) *Result {
+// compile is the cold path: one parse, one bind, and — for reads of the
+// served table — publication under the fingerprint, stamped with the
+// epoch captured before compilation so a racing InvalidatePlans refuses
+// it. Tenant catalogs diverge, so one fingerprint would not mean one
+// plan there; those statements are never published.
+func (s *Server) compile(src, fingerprint string) (plan, error) {
+	epoch := s.cache.Epoch()
+	stmt, err := sql.ParseStmt(src)
+	if err != nil {
+		return plan{}, err
+	}
+	p, err := s.bind(stmt)
+	if err != nil {
+		return plan{}, err
+	}
+	if _, read := stmt.(*sql.Query); read && p.served {
+		s.cache.Put(fingerprint, p, epoch)
+	}
+	return p, nil
+}
+
+// bind resolves the statement's target and picks its operator. Against
+// the served table it validates every name and the row arity here, so a
+// served plan cannot fail on anything but its bind values; names of a
+// tenant's own table resolve under that catalog's lock when the plan
+// runs.
+func (s *Server) bind(stmt sql.Stmt) (plan, error) {
+	var (
+		op            opKind
+		schema, table string
+		cols          []string // every column the statement names
+	)
+	switch st := stmt.(type) {
+	case *sql.Query:
+		schema, table = st.Schema, st.Table
+		cols = append(append(cols, st.Projections...), st.PredCol)
+		switch st.Aggregate {
+		case "count":
+			op = opCount
+		case "sum":
+			op, cols = opSum, append(cols, st.AggrCol)
+		default:
+			op = opSelect
+		}
+	case *sql.Insert:
+		op, schema, table, cols = opInsert, st.Schema, st.Table, st.Columns
+	case *sql.Update:
+		op, schema, table, cols = opUpdate, st.Schema, st.Table, []string{st.SetCol, st.PredCol}
+	case *sql.Delete:
+		op, schema, table, cols = opDelete, st.Schema, st.Table, []string{st.PredCol}
+	case *sql.CreateTable:
+		op, schema, table = opCreate, st.Schema, st.Table
+	}
+	if schema != s.cfg.Schema || table != s.cfg.Table {
+		return plan{op: op, stmt: stmt}, nil
+	}
+	if op == opCreate {
+		return plan{}, compileErrorf("table %s.%s already exists", schema, table)
+	}
+	for _, col := range cols {
+		if col != s.cfg.Column {
+			return plan{}, compileErrorf("unknown column %s.%s.%s", schema, table, col)
+		}
+	}
+	if ins, ok := stmt.(*sql.Insert); ok && len(ins.Rows[0]) != 1 {
+		// The parser already holds every row to the first row's width.
+		return plan{}, compileErrorf("table %s.%s has 1 column, row has %d values",
+			schema, table, len(ins.Rows[0]))
+	}
+	return plan{op: op, served: true}, nil
+}
+
+// run executes a plan with the statement's bind values. Cold and warm
+// executions share this function, so cached execution is byte-identical
+// to uncached execution by construction.
+func (s *Server) run(t *tenant, p plan, binds []float64) (*Result, error) {
+	if !p.served {
+		return s.runTenant(t, p)
+	}
 	if s.cfg.SlowExec > 0 {
 		time.Sleep(s.cfg.SlowExec)
 	}
-	lo, hi := bindBounds(binds)
-	res := &Result{Op: p.kind.String(), Fingerprint: p.fingerprint, Plan: p.mal}
-	switch p.kind {
+	res := &Result{}
+	var err error
+	switch p.op {
 	case opCount:
-		res.Count, res.Stats = col.Count(lo, hi)
+		res.Count, res.Stats = t.col.Count(bindBounds(binds))
 	case opSum:
-		rows, st := col.SelectRows(lo, hi)
-		var sum int64
+		rows, st := t.col.SelectRows(bindBounds(binds))
 		rows.Chunks(func(vals []int64) bool {
+			var sum int64
 			for _, v := range vals {
 				sum += v
 			}
+			res.Sum += sum
 			return true
 		})
-		res.Sum, res.Count, res.Stats = sum, int64(rows.Len()), st
-	default:
-		rows, st := col.SelectRows(lo, hi)
+		res.Count, res.Stats = int64(rows.Len()), st
+	case opSelect:
+		rows, st := t.col.SelectRows(bindBounds(binds))
 		n := rows.Len()
 		res.Count, res.Stats = int64(n), st
 		if n > s.cfg.MaxRows {
@@ -195,31 +217,63 @@ func (s *Server) run(col *selforg.Column, p *plan, binds []float64) *Result {
 		if n > 0 {
 			res.Rows = chunkedRows(rows, n)
 		}
+	default:
+		err = s.runWrite(t.col, p.op, binds, res)
 	}
-	return res
+	return res, err
 }
 
-// bindBounds maps the fingerprint's float binds onto the facade's
-// inclusive integer interval: the integers inside [lo, hi] are
-// ceil(lo) .. floor(hi), matching the MAL plan's dbl-typed A0/A1
-// parameters evaluated over integer values.
-func bindBounds(binds []float64) (int64, int64) {
-	if len(binds) < 2 {
-		// Unreachable for parseable statements (the grammar's only
-		// literals are the two BETWEEN bounds); degrade to an empty range.
-		return 0, -1
-	}
-	lo := int64(math.Ceil(binds[0]))
-	hi := int64(math.Floor(binds[1]))
-	return lo, hi
+// bindBounds maps a read's two float binds onto the facade's inclusive
+// integer interval: the integers inside [lo, hi] are ceil(lo) ..
+// floor(hi), matching the MAL plan's dbl-typed A0/A1 parameters
+// evaluated over integer values.
+func bindBounds(binds []float64) (lo, hi int64) {
+	return saturate(math.Ceil(binds[0])), saturate(math.Floor(binds[1]))
 }
 
-// Explain compiles src (through the cache) and returns the optimized
-// MAL text of its plan.
-func (s *Server) Explain(src string) (string, error) {
-	p, _, _, err := s.compile(src)
+// saturate converts an integral float to int64, clamping to the int64
+// range: a bare conversion of an out-of-range float is
+// implementation-defined and turned `BETWEEN 0 AND 1e19` into an empty
+// interval.
+func saturate(f float64) int64 {
+	switch {
+	case f >= math.MaxInt64:
+		return math.MaxInt64
+	case f <= math.MinInt64:
+		return math.MinInt64
+	}
+	return int64(f)
+}
+
+// Explain returns the optimized MAL text the paper's pipeline compiles
+// the default tenant's SELECT src to. Nothing on the served path
+// executes or keeps this program; it is generated on request only.
+func (s *Server) Explain(src string) (string, error) { return s.explain("", src) }
+
+// explain is Explain for a named tenant (the ?explain= form of /sql).
+// Statements other than SELECT have no read plan and explain as "".
+func (s *Server) explain(tenant, src string) (string, error) {
+	stmt, err := sql.ParseStmt(src)
 	if err != nil {
 		return "", err
 	}
-	return p.mal, nil
+	q, ok := stmt.(*sql.Query)
+	if !ok {
+		return "", nil
+	}
+	cat := s.cat
+	if q.Schema != s.cfg.Schema || q.Table != s.cfg.Table {
+		t, err := s.tenantEntry(tenant)
+		if err != nil {
+			return "", err
+		}
+		t.cmu.RLock()
+		defer t.cmu.RUnlock()
+		cat = t.cat
+	}
+	prog, err := lower(q, cat)
+	if err != nil {
+		return "", err
+	}
+	return prog.String(), nil
 }

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 
-	"selforg"
 	"selforg/internal/sql"
 )
 
@@ -66,126 +64,26 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	res, err := s.Exec(r.URL.Query().Get("tenant"), string(body))
-	if err != nil {
-		status := http.StatusInternalServerError
-		if isClientError(err) {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, err)
-		return
-	}
-	if r.URL.Query().Get("explain") != "" {
-		writeJSON(w, http.StatusOK, struct {
+	q := r.URL.Query()
+	tenant, src := q.Get("tenant"), string(body)
+	res, err := s.Exec(tenant, src)
+	var out any = res
+	if err == nil && q.Get("explain") != "" {
+		var plan string
+		plan, err = s.explain(tenant, src)
+		out = struct {
 			*Result
 			Plan string `json:"plan"`
-		}{res, res.Plan})
-		return
+		}{res, plan}
 	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleQuery is the legacy GET /query?lo=&hi=[&op=count][&tenant=]
-// endpoint of PR 6, kept for dashboards scripted against it; it routes
-// through the same tenant registry but bypasses the SQL front end.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	lo, err1 := strconv.ParseInt(r.URL.Query().Get("lo"), 10, 64)
-	hi, err2 := strconv.ParseInt(r.URL.Query().Get("hi"), 10, 64)
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, errors.New("need integer lo= and hi= parameters"))
-		return
-	}
-	col, err := s.Tenant(r.URL.Query().Get("tenant"))
-	if err != nil {
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, out)
+	case isClientError(err):
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var (
-		count int64
-		st    selforg.Stats
-	)
-	if r.URL.Query().Get("op") == "count" {
-		count, st = col.Count(lo, hi)
-	} else {
-		var res []int64
-		res, st = col.Select(lo, hi)
-		count = int64(len(res))
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Count    int64         `json:"count"`
-		Stats    selforg.Stats `json:"stats"`
-		Segments int           `json:"segments"`
-		Totals   selforg.Stats `json:"totals"`
-	}{count, st, col.SegmentCount(), col.Totals()})
-}
-
-// handleWrite is POST /write?op=insert|update|delete&v=|&old=&new=
-// [&tenant=]: single-row MVCC writes against a tenant's column, the
-// over-the-wire counterpart of Column.Insert/Update/Delete. Writes
-// drive the delta store and its self-organizing merge-back exactly like
-// library calls.
-func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST writes"))
-		return
-	}
-	col, err := s.Tenant(r.URL.Query().Get("tenant"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	q := r.URL.Query()
-	parse := func(key string) (int64, error) {
-		return strconv.ParseInt(q.Get(key), 10, 64)
-	}
-	var (
-		st  selforg.Stats
-		hit = true
-	)
-	switch q.Get("op") {
-	case "insert":
-		v, err := parse("v")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, errors.New("insert needs integer v="))
-			return
-		}
-		st, err = col.Insert(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	case "update":
-		old, err1 := parse("old")
-		nv, err2 := parse("new")
-		if err1 != nil || err2 != nil {
-			writeError(w, http.StatusBadRequest, errors.New("update needs integer old= and new="))
-			return
-		}
-		hit, st, err = col.Update(old, nv)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	case "delete":
-		v, perr := parse("v")
-		if perr != nil {
-			writeError(w, http.StatusBadRequest, errors.New("delete needs integer v="))
-			return
-		}
-		hit, st, err = col.Delete(v)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
 	default:
-		writeError(w, http.StatusBadRequest, errors.New("op must be insert, update or delete"))
-		return
+		writeError(w, http.StatusInternalServerError, err)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		OK    bool          `json:"ok"`
-		Stats selforg.Stats `json:"stats"`
-	}{hit, st})
 }
 
 // handleFlush is POST /plans/flush: administrative plan-cache

@@ -1,28 +1,35 @@
 // Package server is the query service tier on top of the selforg
-// facade: SQL over the wire, compiled through the full §2 pipeline
-// (parse → MAL codegen → tactical optimization) exactly once per query
-// *shape*, then executed against a self-organizing column.
+// facade: SQL over the wire, every statement through one path (Exec in
+// exec.go) — normalize → plan cache → parse → bind → plan → run:
 //
-// The tier composes four pieces:
+//   - internal/sql.Normalize lexes the statement once, lifting its
+//     constants into bind values and producing the canonical
+//     fingerprint — the cache key and the Result's fingerprint.
+//   - internal/plancache holds bound plans in a bounded, sharded LRU
+//     stamped with the catalog epoch. A plan for the served table is the
+//     physical operator that executes (select | count | sum over bind
+//     slots), so a warm request is one lex pass plus a map hit, and what
+//     is cached is what runs. Writes and statements on a tenant's own
+//     tables compile per call.
+//   - bind resolves the target: the served column (names and arity
+//     checked against its one-column schema) or a CREATE TABLE-d table of
+//     the tenant's private catalog.
+//   - run executes the plan on one of two executors (write.go): facade
+//     calls on the tenant's column, or — for tenant tables only — the
+//     paper's SQL → MAL → optimizer → interpreter stack. The MAL plan of
+//     a served statement is generated on request (Explain, ?explain=),
+//     never on the serving path.
 //
-//   - internal/sql.Normalize lifts the constants out of each statement
-//     and produces a canonical fingerprint — the cache key — before any
-//     parse runs.
-//   - internal/plancache holds the compiled plans in a bounded, sharded
-//     LRU stamped with the catalog epoch. A warm request is one lex pass
-//     plus a map hit: no parse, no codegen, no optimizer.
-//   - An admission gate sized from the engine's Parallelism budget
-//     bounds concurrent executions; requests beyond workers+backlog are
-//     shed with 429 and a Retry-After hint instead of queueing without
-//     bound.
-//   - A tenant registry routes ?tenant= to independent facade columns
-//     (each with its own layout, model state and MVCC delta store) that
-//     share the plan cache — compiled plans are tenant-agnostic; only
-//     execution binds a column.
+// Around the path sit an admission gate sized from the engine's
+// Parallelism budget (requests beyond workers+backlog are shed with 429
+// and a Retry-After hint instead of queueing without bound) and a tenant
+// registry routing ?tenant= to independent facade columns (each with its
+// own layout, model state and MVCC delta store) that share the plan
+// cache — plans are tenant-agnostic; only execution binds a column.
 //
-// Handler mounts the tier next to the observability surface of PR 6:
-// POST /sql, the legacy GET /query, POST /write, and the observer's
-// /metrics + /debug/* endpoints.
+// Handler mounts POST /sql — the one way in for reads and writes —
+// next to POST /plans/flush and the observer's /metrics + /debug/*
+// endpoints.
 package server
 
 import (
@@ -154,9 +161,9 @@ type tenant struct {
 // first use, like every other tenant's.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// The served schema: one table, one bigint column. The catalog only
-	// feeds compile-time validation and plan shape — execution binds the
-	// tenant's facade column, never these (empty) base bats.
+	// The served schema as a MAL catalog: one table, one bigint column
+	// over empty base bats. Only Explain reads it — execution binds the
+	// tenant's facade column.
 	cat := mal.NewMemCatalog()
 	cat.AddTable(&mal.Table{
 		Schema: cfg.Schema,
@@ -295,15 +302,11 @@ func (s *Server) Close() {
 // Handler mounts the full service surface:
 //
 //	POST /sql        SQL statement in the body, ?tenant= routing
-//	GET  /query      legacy lo=&hi=&op= range endpoint
-//	POST /write      op=insert|update|delete point writes
 //	POST /plans/flush administrative plan-cache invalidation
 //	     /metrics, /debug/*  the observer's surface (PR 6)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/sql", s.handleSQL)
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/write", s.handleWrite)
 	mux.HandleFunc("/plans/flush", s.handleFlush)
 	mux.Handle("/", s.cfg.Observer.Handler())
 	return mux

@@ -106,6 +106,20 @@ func TestExecFractionalBounds(t *testing.T) {
 	if a.Count != b.Count {
 		t.Errorf("fractional bounds count %d != integer bounds count %d", a.Count, b.Count)
 	}
+	// Bounds past the int64 range saturate instead of wrapping into an
+	// empty interval: both cover the whole column.
+	for _, src := range []string{
+		"SELECT COUNT(*) FROM P WHERE v BETWEEN 0 AND 1e19",
+		"SELECT COUNT(*) FROM P WHERE v BETWEEN -1e19 AND 1e19",
+	} {
+		res, err := s.Exec("", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != int64(s.cfg.N) {
+			t.Errorf("%s: count %d, want %d", src, res.Count, s.cfg.N)
+		}
+	}
 }
 
 func TestExecErrors(t *testing.T) {
@@ -422,13 +436,13 @@ func TestHandlerWriteAndFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/write?op=insert&v=123", "", nil)
+	resp, err := http.Post(ts.URL+"/sql", "text/plain", strings.NewReader("INSERT INTO P VALUES (123)"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/write status = %d", resp.StatusCode)
+		t.Fatalf("INSERT over /sql status = %d", resp.StatusCode)
 	}
 	after, err := s.Exec("", "SELECT COUNT(*) FROM P WHERE v BETWEEN 0 AND 9999")
 	if err != nil {

@@ -1,17 +1,20 @@
-// SQL write path: CREATE TABLE / INSERT / UPDATE / DELETE over the
-// wire. Two targets, two write paths:
+// The two executors behind the one statement path (exec.go). Every
+// statement takes the same front — normalize → cache → parse → bind —
+// and differs only in what runs its plan:
 //
 //   - The served table (Config.Schema/Table/Column) is the tenant's
-//     facade column. DML on it lowers to Column.Insert/Update/Delete —
-//     so SQL writes flow through the MVCC delta store and, when
-//     durability is on, the group committer: a 200 means the write is
-//     in the WAL and survives SIGKILL.
-//   - CREATE TABLE-d tables live in the tenant's private MemCatalog.
-//     DML on them compiles to MAL write plans (sql.GenerateDML): the
-//     predicate evaluates through the Figure-1 delta-bat merge, and the
-//     qualifying oids feed sql.updateRows/deleteRows. SELECTs on those
-//     tables execute the generated read plan against the same catalog,
-//     rejoining columns positionally with algebra.join.
+//     facade column. Reads run Column.Count/SelectRows (exec.go); DML
+//     runs Column.Insert/Update/Delete here — so SQL writes flow
+//     through the MVCC delta store and, when durability is on, the
+//     group committer: a 200 means the write is in the WAL and survives
+//     SIGKILL. No MAL is generated or executed on this side.
+//   - CREATE TABLE-d tables live in the tenant's private MemCatalog and
+//     have no other backend than the paper's stack: every statement on
+//     them is lowered (sql.Generate / sql.GenerateDML), optimized and
+//     interpreted per call under the catalog lock. Write predicates
+//     evaluate through the Figure-1 delta-bat merge and feed
+//     sql.updateRows/deleteRows; SELECTs rejoin columns positionally
+//     with algebra.join.
 //
 // Write statements are never plan-cached: constants are part of the
 // write, so one fingerprint does not mean one executable plan, and a
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"math"
 
+	"selforg"
 	"selforg/internal/bat"
 	"selforg/internal/mal"
 	"selforg/internal/opt"
@@ -30,262 +34,152 @@ import (
 )
 
 // WriteError wraps a write rejected for a client-side reason — a value
-// outside the column extent, a row/column arity mismatch, a write to a
-// missing table. The HTTP layer maps it (like *CompileError) to 400.
+// outside the column extent, a write to a missing table or column. The
+// HTTP layer maps it (like *CompileError) to 400.
 type WriteError struct{ Err error }
 
 func (e *WriteError) Error() string { return e.Err.Error() }
 func (e *WriteError) Unwrap() error { return e.Err }
 
-// execWrite parses and executes one write statement for a tenant.
-func (s *Server) execWrite(name, src string) (*Result, error) {
-	stmt, err := sql.ParseStmt(src)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.tenantEntry(name)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Tenant: t.name}
-	if n, err := sql.Normalize(src); err == nil {
-		res.Fingerprint = n.Fingerprint
-	}
-	switch st := stmt.(type) {
-	case *sql.CreateTable:
-		res.Op = "create"
-		if st.Schema == s.cfg.Schema && st.Table == s.cfg.Table {
-			return nil, &CompileError{Err: fmt.Errorf("table %s.%s already exists", st.Schema, st.Table)}
+// runWrite executes a served-table DML operator over its bind slots,
+// in source order: INSERT's row values; UPDATE's (set, predicate);
+// DELETE's predicate. Every value is checked before the first one is
+// applied, so a rejected statement changes nothing. Each row is one
+// facade write — riding the group committer when the tenant is durable.
+func (s *Server) runWrite(col *selforg.Column, op opKind, binds []float64, res *Result) error {
+	vals := make([]int64, len(binds))
+	for i, f := range binds {
+		if f != math.Trunc(f) || f < math.MinInt64 || f >= math.MaxInt64 {
+			return compileErrorf("value %g is not a bigint", f)
 		}
+		vals[i] = int64(f)
+		if op == opInsert && (vals[i] < s.cfg.Extent.Lo || vals[i] > s.cfg.Extent.Hi) {
+			return &WriteError{Err: fmt.Errorf("insert value %d outside extent [%d, %d]",
+				vals[i], s.cfg.Extent.Lo, s.cfg.Extent.Hi)}
+		}
+	}
+	var (
+		hit bool
+		err error
+	)
+	switch op {
+	case opInsert:
+		for _, v := range vals {
+			st, err := col.Insert(v)
+			if err != nil {
+				return err
+			}
+			res.Stats.Add(st)
+			res.Count++
+		}
+		return nil
+	case opUpdate:
+		// One visible occurrence, cross-shard atomic.
+		hit, res.Stats, err = col.Update(vals[1], vals[0])
+	case opDelete:
+		hit, res.Stats, err = col.Delete(vals[0])
+	}
+	if hit {
+		res.Count = 1
+	}
+	return err
+}
+
+// lower is the paper's §2 front half for one statement: SQL → MAL
+// codegen → tactical optimization against cat. It has two callers:
+// tenant table execution and Explain.
+func lower(stmt sql.Stmt, cat mal.Catalog) (prog *mal.Program, err error) {
+	if q, ok := stmt.(*sql.Query); ok {
+		prog, err = sql.Generate(q, cat)
+	} else {
+		prog, err = sql.GenerateDML(stmt, cat)
+	}
+	if err == nil {
+		err = opt.Default().Optimize(prog, &opt.Context{Catalog: cat})
+	}
+	if err != nil {
+		return nil, &CompileError{Err: err}
+	}
+	return prog, nil
+}
+
+// runTenant executes a statement on a table of the tenant's private
+// catalog: lower → interpret, per call, under the catalog lock
+// (MemCatalog is not safe for concurrent mutation: reads share it,
+// writes own it).
+func (s *Server) runTenant(t *tenant, p plan) (*Result, error) {
+	_, read := p.stmt.(*sql.Query)
+	if read {
+		t.cmu.RLock()
+		defer t.cmu.RUnlock()
+	} else {
 		t.cmu.Lock()
-		err := t.cat.CreateTable(st.Schema, st.Table, st.Columns)
-		t.cmu.Unlock()
-		if err != nil {
+		defer t.cmu.Unlock()
+	}
+	res := &Result{}
+	var args []any
+	switch st := p.stmt.(type) {
+	case *sql.CreateTable:
+		if err := t.cat.CreateTable(st.Schema, st.Table, st.Columns); err != nil {
 			return nil, &CompileError{Err: err}
 		}
 		return res, nil
-	case *sql.Insert:
-		if st.Schema == s.cfg.Schema && st.Table == s.cfg.Table {
-			return s.facadeInsert(t, st, res)
-		}
-		return s.tenantWrite(t, st, res, "insert")
-	case *sql.Update:
-		if st.Schema == s.cfg.Schema && st.Table == s.cfg.Table {
-			return s.facadeUpdate(t, st, res)
-		}
-		return s.tenantWrite(t, st, res, "update")
-	case *sql.Delete:
-		if st.Schema == s.cfg.Schema && st.Table == s.cfg.Table {
-			return s.facadeDelete(t, st, res)
-		}
-		return s.tenantWrite(t, st, res, "delete")
-	default:
-		// Unreachable: Exec routes SELECT through compile, and ParseStmt
-		// has no other statement kinds.
-		return nil, &CompileError{Err: fmt.Errorf("unsupported statement %T", stmt)}
-	}
-}
-
-// lngValue checks a SQL numeric literal is a representable bigint.
-func lngValue(f float64) (int64, error) {
-	if f != math.Trunc(f) || f < math.MinInt64 || f >= math.MaxInt64 {
-		return 0, fmt.Errorf("value %g is not a bigint", f)
-	}
-	return int64(f), nil
-}
-
-// facadeColumnRef validates a column reference against the served
-// single-column schema.
-func (s *Server) facadeColumnRef(col string) error {
-	if col != s.cfg.Column {
-		return &CompileError{Err: fmt.Errorf("unknown column %s.%s.%s",
-			s.cfg.Schema, s.cfg.Table, col)}
-	}
-	return nil
-}
-
-// facadeInsert lowers INSERT INTO <served table> onto Column.Insert,
-// one facade write per row — each rides the group committer when the
-// tenant is durable, so the 200 carries the WAL's guarantee.
-func (s *Server) facadeInsert(t *tenant, st *sql.Insert, res *Result) (*Result, error) {
-	res.Op = "insert"
-	for _, col := range st.Columns {
-		if err := s.facadeColumnRef(col); err != nil {
-			return nil, err
-		}
-	}
-	vals := make([]int64, 0, len(st.Rows))
-	for _, row := range st.Rows {
-		if len(row) != 1 {
-			return nil, &CompileError{Err: fmt.Errorf("table %s.%s has 1 column, row has %d values",
-				s.cfg.Schema, s.cfg.Table, len(row))}
-		}
-		v, err := lngValue(row[0])
-		if err != nil {
-			return nil, &CompileError{Err: err}
-		}
-		vals = append(vals, v)
-	}
-	for _, v := range vals {
-		stt, err := t.col.Insert(v)
-		if err != nil {
-			return res, &WriteError{Err: err}
-		}
-		res.Stats.Add(stt)
-		res.Count++
-	}
-	return res, nil
-}
-
-// facadeUpdate lowers UPDATE <served table> SET v = new WHERE v = old
-// onto Column.Update (one visible occurrence, cross-shard atomic).
-func (s *Server) facadeUpdate(t *tenant, st *sql.Update, res *Result) (*Result, error) {
-	res.Op = "update"
-	if err := s.facadeColumnRef(st.SetCol); err != nil {
-		return nil, err
-	}
-	if err := s.facadeColumnRef(st.PredCol); err != nil {
-		return nil, err
-	}
-	old, err := lngValue(st.PredVal)
-	if err != nil {
-		return nil, &CompileError{Err: err}
-	}
-	nv, err := lngValue(st.SetVal)
-	if err != nil {
-		return nil, &CompileError{Err: err}
-	}
-	hit, stt, err := t.col.Update(old, nv)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stt
-	if hit {
-		res.Count = 1
-	}
-	return res, nil
-}
-
-// facadeDelete lowers DELETE FROM <served table> WHERE v = x onto
-// Column.Delete.
-func (s *Server) facadeDelete(t *tenant, st *sql.Delete, res *Result) (*Result, error) {
-	res.Op = "delete"
-	if err := s.facadeColumnRef(st.PredCol); err != nil {
-		return nil, err
-	}
-	v, err := lngValue(st.PredVal)
-	if err != nil {
-		return nil, &CompileError{Err: err}
-	}
-	hit, stt, err := t.col.Delete(v)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stt
-	if hit {
-		res.Count = 1
-	}
-	return res, nil
-}
-
-// tenantWrite compiles a DML statement against the tenant's private
-// catalog and executes the MAL write plan under the catalog write lock.
-func (s *Server) tenantWrite(t *tenant, stmt sql.Stmt, res *Result, op string) (*Result, error) {
-	res.Op = op
-	t.cmu.Lock()
-	defer t.cmu.Unlock()
-	prog, err := sql.GenerateDML(stmt, t.cat)
-	if err != nil {
-		return nil, &CompileError{Err: err}
-	}
-	if err := opt.Default().Optimize(prog, &opt.Context{Catalog: t.cat}); err != nil {
-		return nil, &CompileError{Err: err}
-	}
-	in := mal.NewInterp(t.cat, nil)
-	var args []any
-	switch st := stmt.(type) {
+	case *sql.Query:
+		args = []any{st.Lo, st.Hi}
 	case *sql.Update:
 		args = []any{st.PredVal, st.SetVal}
 	case *sql.Delete:
 		args = []any{st.PredVal}
 	}
-	ctx, err := in.Run(prog, args...)
-	if err != nil {
-		// Every reachable run failure of this statement class is a
-		// schema/data mismatch (missing column in an INSERT list, type
-		// mismatch) — the client's fault.
-		return nil, &WriteError{Err: err}
-	}
-	res.Count = ctx.Affected
-	return res, nil
-}
-
-// execTenantSelect compiles and runs a SELECT against the tenant's
-// private catalog (uncached): the full §2 pipeline per call, with
-// algebra.join rejoining projected columns positionally.
-func (s *Server) execTenantSelect(name string, q *sql.Query, src string) (*Result, error) {
-	t, err := s.tenantEntry(name)
+	prog, err := lower(p.stmt, t.cat)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Tenant: t.name}
-	if n, err := sql.Normalize(src); err == nil {
-		res.Fingerprint = n.Fingerprint
-	}
-	t.cmu.RLock()
-	defer t.cmu.RUnlock()
-	prog, err := sql.Generate(q, t.cat)
+	ctx, err := mal.NewInterp(t.cat, nil).Run(prog, args...)
 	if err != nil {
-		return nil, &CompileError{Err: err}
-	}
-	if err := opt.Default().Optimize(prog, &opt.Context{Catalog: t.cat}); err != nil {
-		return nil, &CompileError{Err: err}
-	}
-	res.Plan = prog.String()
-	in := mal.NewInterp(t.cat, nil)
-	ctx, err := in.Run(prog, q.Lo, q.Hi)
-	if err != nil {
+		if !read {
+			// Every reachable run failure of a write is a schema/data
+			// mismatch (missing column in an INSERT list, type
+			// mismatch) — the client's fault.
+			err = &WriteError{Err: err}
+		}
 		return nil, err
 	}
-	switch q.Aggregate {
-	case "count":
-		res.Op = "count"
+	switch p.op {
+	case opCount:
 		res.Count = aggrValue(prog, ctx)
-	case "sum":
-		res.Op = "sum"
+	case opSum:
 		res.Sum = aggrValue(prog, ctx)
-	default:
-		res.Op = "select"
+	case opSelect:
 		if len(ctx.Results) == 0 {
 			return nil, fmt.Errorf("plan exported no result set")
 		}
 		rs := ctx.Results[len(ctx.Results)-1]
-		res.Count = int64(rs.NumRows())
-		rows := rs.NumRows()
-		if rows > s.cfg.MaxRows {
-			rows, res.Truncated = s.cfg.MaxRows, true
+		n, cols := rs.NumRows(), rs.NumCols()
+		res.Count = int64(n)
+		if n > s.cfg.MaxRows {
+			n, res.Truncated = s.cfg.MaxRows, true
 		}
-		res.Columns = make([]string, rs.NumCols())
-		for c := 0; c < rs.NumCols(); c++ {
+		res.Columns = make([]string, cols)
+		for c := range res.Columns {
 			res.Columns[c] = rs.ColumnName(c)
 		}
-		res.Tuples = make([][]int64, rows)
-		for r := 0; r < rows; r++ {
-			tuple := make([]int64, rs.NumCols())
-			for c := 0; c < rs.NumCols(); c++ {
-				tuple[c] = lngOf(rs.Column(c).Tail.Get(r))
+		res.Tuples = make([][]int64, n)
+		for r := range res.Tuples {
+			res.Tuples[r] = make([]int64, cols)
+			for c := range res.Tuples[r] {
+				res.Tuples[r][c] = lngOf(rs.Column(c).Tail.Get(r))
 			}
-			res.Tuples[r] = tuple
 		}
-		if rs.NumCols() == 1 {
-			flat := make([]int64, rows)
-			for r := 0; r < rows; r++ {
+		if cols == 1 && n > 0 {
+			flat := make([]int64, n)
+			for r := range flat {
 				flat[r] = res.Tuples[r][0]
 			}
-			if rows > 0 {
-				res.Rows = NewRows(flat)
-			}
+			res.Rows = NewRows(flat)
 		}
+	default:
+		res.Count = ctx.Affected
 	}
 	return res, nil
 }

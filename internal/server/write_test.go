@@ -20,8 +20,8 @@ import (
 )
 
 // TestSQLWriteRoundTrip drives DML against the served (facade) table
-// through Exec: SQL writes must hit the same MVCC delta store the
-// /write endpoint does, and never touch the plan cache.
+// through Exec: SQL writes must hit the column's MVCC delta store and
+// never touch the plan cache.
 func TestSQLWriteRoundTrip(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -480,5 +480,35 @@ func TestSQLCrashRecoverySIGKILL(t *testing.T) {
 			t.Errorf("writer %d: recovered %d beyond seed for %d acked (more than one in flight?)",
 				w, got.Count-seed.Count, acked[w])
 		}
+	}
+}
+
+// TestRejectedInsertAppliesNothing: a multi-row INSERT with one value
+// outside the extent is refused whole — 400 and not a row applied.
+func TestRejectedInsertAppliesNothing(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	const all = "SELECT COUNT(*) FROM P WHERE v BETWEEN 0 AND 9999"
+	before, err := s.Exec("", all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/sql", "text/plain", strings.NewReader("INSERT INTO P VALUES (1),(2),(5000000)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	after, err := s.Exec("", all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Count != before.Count {
+		t.Errorf("rejected INSERT applied %d rows", after.Count-before.Count)
 	}
 }

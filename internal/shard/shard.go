@@ -347,16 +347,6 @@ func (c *Column) SelectRope(q domain.Range) (*result.Rope, core.QueryStats) {
 	return rope, st
 }
 
-// shardSelectRope scans one shard as a rope, falling back to wrapping
-// the flat result for shard strategies without the rope capability.
-func shardSelectRope(s core.DeltaStrategy, q domain.Range) (*result.Rope, core.QueryStats) {
-	if rs, ok := s.(core.RopeSelector); ok {
-		return rs.SelectRope(q)
-	}
-	vals, st := s.Select(q)
-	return result.FromOwned(vals), st
-}
-
 // Count implements core.Strategy: the counting pass of Select with
 // per-shard counts summed in shard order.
 func (c *Column) Count(q domain.Range) (int64, core.QueryStats) {
@@ -389,7 +379,7 @@ func (c *Column) query(q domain.Range, wantVals bool) (*result.Rope, int64, core
 		var rope *result.Rope
 		var cnt int64
 		if wantVals {
-			rope, st = shardSelectRope(c.shards[lo], q)
+			rope, st = c.shards[lo].SelectRope(q)
 		} else {
 			cnt, st = c.shards[lo].Count(q)
 		}
@@ -406,7 +396,7 @@ func (c *Column) query(q domain.Range, wantVals bool) (*result.Rope, int64, core
 	run := func(i int) {
 		s := c.shards[lo+i]
 		if wantVals {
-			outs[i].rope, outs[i].st = shardSelectRope(s, q)
+			outs[i].rope, outs[i].st = s.SelectRope(q)
 		} else {
 			outs[i].cnt, outs[i].st = s.Count(q)
 		}

@@ -51,11 +51,7 @@ func (v *View) SelectRope(q domain.Range) *result.Rope {
 	rope := result.New()
 	lo, hi := spanOf(v.ranges, q)
 	for i := lo; i < hi; i++ {
-		if rv, ok := v.views[i].(core.RopeView); ok {
-			rope.Splice(rv.SelectRope(q))
-			continue
-		}
-		rope.AppendOwned(v.views[i].Select(q))
+		rope.Splice(v.views[i].SelectRope(q))
 	}
 	return rope
 }

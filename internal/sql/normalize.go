@@ -17,8 +17,10 @@ type Normalized struct {
 	// keywords uppercased, literals replaced by '?', trailing semicolon
 	// dropped.
 	Fingerprint string
-	// Binds lists the lifted numeric literals in source order. For the
-	// supported statement class these are the BETWEEN bounds [lo, hi].
+	// Binds lists the lifted numeric literals in source order — every
+	// constant of a parseable statement: a SELECT's BETWEEN bounds
+	// [lo, hi], an INSERT's row values row by row, an UPDATE's
+	// [set value, predicate value], a DELETE's [predicate value].
 	Binds []float64
 }
 

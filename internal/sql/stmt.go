@@ -149,29 +149,6 @@ func ParseStmt(src string) (Stmt, error) {
 	return p.parseQuery()
 }
 
-// LeadingKeyword returns the first bare keyword of src uppercased, or
-// "" when src does not open with one. It is a byte scan, not a lex —
-// the query tier uses it to route writes away from the plan cache
-// before paying for anything else.
-func LeadingKeyword(src string) string {
-	i := 0
-	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
-		i++
-	}
-	if i >= len(src) || !isIdentStart(src[i]) {
-		return ""
-	}
-	j := i
-	for j < len(src) && isIdentPart(src[j]) {
-		j++
-	}
-	w := strings.ToUpper(src[i:j])
-	if !isKeyword(w) {
-		return ""
-	}
-	return w
-}
-
 // tableName parses a table reference, splitting an unquoted
 // "schema.table" form (the parseQuery convention).
 func (p *parser) tableName() (schema, table string, err error) {

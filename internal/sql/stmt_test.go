@@ -122,26 +122,6 @@ func TestParseStmtCorpus(t *testing.T) {
 	}
 }
 
-func TestLeadingKeyword(t *testing.T) {
-	cases := []struct{ src, want string }{
-		{"INSERT INTO t VALUES (1)", "INSERT"},
-		{"  \t\n update t set a = 1 where b = 2", "UPDATE"},
-		{"delete from t where c = 1", "DELETE"},
-		{"Create Table t (a)", "CREATE"},
-		{"SELECT x FROM t WHERE v BETWEEN 1 AND 2", "SELECT"},
-		{`"INSERT" nonsense`, ""},
-		{"foo bar", ""},
-		{"", ""},
-		{"   ", ""},
-		{"(INSERT)", ""},
-	}
-	for _, c := range cases {
-		if got := LeadingKeyword(c.src); got != c.want {
-			t.Errorf("LeadingKeyword(%q) = %q, want %q", c.src, got, c.want)
-		}
-	}
-}
-
 // TestDMLExecution drives a created table through the whole write
 // stack: ParseStmt → GenerateDML → interpreter → catalog delta bats,
 // then reads the table back through the ordinary SELECT pipeline.

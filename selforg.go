@@ -706,15 +706,7 @@ func (c *Column) SelectRows(lo, hi int64) (*Rows, Stats) {
 	if lo > hi {
 		return &Rows{rope: result.New()}, Stats{}
 	}
-	q := domain.Range{Lo: lo, Hi: hi}
-	var rope *result.Rope
-	var qs core.QueryStats
-	if rs, ok := c.strat.(core.RopeSelector); ok {
-		rope, qs = rs.SelectRope(q)
-	} else {
-		vals, fqs := c.strat.Select(q)
-		rope, qs = result.FromOwned(vals), fqs
-	}
+	rope, qs := c.strat.SelectRope(domain.Range{Lo: lo, Hi: hi})
 	st := statsFrom(qs)
 	c.acct.query(st)
 	return &Rows{rope: rope}, st
@@ -986,11 +978,7 @@ func (v *View) SelectRows(lo, hi int64) *Rows {
 	if lo > hi {
 		return &Rows{rope: result.New()}
 	}
-	q := domain.Range{Lo: lo, Hi: hi}
-	if rv, ok := v.v.(core.RopeView); ok {
-		return &Rows{rope: rv.SelectRope(q)}
-	}
-	return &Rows{rope: result.FromOwned(v.v.Select(q))}
+	return &Rows{rope: v.v.SelectRope(domain.Range{Lo: lo, Hi: hi})}
 }
 
 // Count returns the cardinality of [lo, hi] as of the pinned view.
