@@ -19,7 +19,7 @@ BENCH_ARGS := -run '^$$' -bench '$(BENCH_SET)' -benchtime 10x -count 3 -benchmem
 # and 4 by bench-multicore, so scaling is measured rather than assumed.
 MULTICORE_SET := LargeScanParallel|ShardedScan|ShardedWriters|ShardedMixedWorkload|ConcurrentScanners
 
-.PHONY: build test race lint fuzz-smoke bench-module bench-ci bench-check bench-baseline bench-multicore ci
+.PHONY: build test race lint loc fuzz-smoke bench-module bench-ci bench-check bench-baseline bench-multicore ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,14 @@ race:
 lint:
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 	$(GO) vet ./...
+
+# loc prints the non-test Go lines per package and in total (benchmark/,
+# its own module, excluded) — the figure a simplicity PR's "net-negative
+# LOC" refers to. Run it at the parent commit and at the change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # fuzz-smoke runs the fuzz targets briefly (go's -fuzz accepts one
 # target per invocation). New crashers land under the package's

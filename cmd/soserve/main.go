@@ -28,12 +28,17 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"selforg"
@@ -121,12 +126,12 @@ func main() {
 		Backlog:       *backlog,
 		MaxRows:       *maxRows,
 	})
-	defer srv.Close()
 
 	// Build the default tenant up front so the first request doesn't pay
 	// for data generation.
 	col, err := srv.Tenant("")
 	if err != nil {
+		srv.Close()
 		log.Fatalf("soserve: %v", err)
 	}
 	log.Printf("serving sys.P.%s (%s) over %d values on %s", *column, col.Name(), *n, *addr)
@@ -143,7 +148,46 @@ func main() {
 		log.Printf("workload driver: %d qps, selectivity %.4f", *qps, *selPerc)
 	}
 
-	log.Fatal(http.ListenAndServe(*addr, srv.Handler()))
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		srv.Close()
+		log.Fatalf("soserve: %v", err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, srv, ln); err != nil {
+		log.Fatalf("soserve: %v", err)
+	}
+}
+
+// shutdownGrace bounds how long in-flight requests get to finish once a
+// stop is requested.
+const shutdownGrace = 10 * time.Second
+
+// serve answers requests on ln until ctx is cancelled (SIGINT/SIGTERM in
+// main), then stops gracefully: the listener closes, in-flight requests
+// finish (bounded by shutdownGrace), and srv.Close drains every tenant's
+// group committer and syncs and closes its shard logs — so with
+// -wal-fsync=false an acknowledged write survives not just the process's
+// death but the reboot that follows a graceful stop. srv is closed on
+// every return path.
+func serve(ctx context.Context, srv *server.Server, ln net.Listener) error {
+	defer srv.Close()
+	hs := &http.Server{Handler: srv.Handler()}
+	failed := make(chan error, 1)
+	go func() { failed <- hs.Serve(ln) }()
+	select {
+	case err := <-failed:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
+	defer cancel()
+	err := hs.Shutdown(grace)
+	if serr := <-failed; !errors.Is(serr, http.ErrServerClosed) && err == nil {
+		err = serr
+	}
+	return err
 }
 
 // drive issues random range queries at the requested rate so the column

@@ -7,10 +7,13 @@ package selforg
 //   - Options.Durability selects the log directory, fsync policy and
 //     group-commit window. The zero value keeps the purely in-memory
 //     column — the pre-durability write path, byte for byte.
-//   - With durability on, Insert/Delete/Update submit to the committer:
-//     concurrent writers ride one WAL append, one fsync, one MVCC
-//     version and one snapshot publication per shard per group, and are
-//     acknowledged only once the group is logged and applied.
+//   - With durability on, the one write body (Column.write, selforg.go)
+//     submits each delta.Op to the committer: concurrent writers ride
+//     one WAL append, one fsync, one MVCC version and one snapshot
+//     publication per shard per group, and are acknowledged only once
+//     the group is logged and applied. The committer routes ops to
+//     shard logs with shard.Router — the routing the column itself
+//     applies them with — and applies groups through durTarget.
 //   - New over a non-empty directory recovers: each shard rebuilds from
 //     its last checkpoint (or the initial load) and replays its log;
 //     Column.Recover does the same in place. Checkpoints piggy-back on
@@ -57,51 +60,6 @@ type Durability struct {
 	// publication per write — the pre-group-commit write amplification,
 	// kept as a benchmark baseline.
 	MaxBatch int
-	// Disable turns durability off even with Dir set — the equivalence
-	// escape hatch: a disabled column behaves byte-identically to one
-	// built without the Durability option at all.
-	Disable bool
-}
-
-// durRouter maps ops onto WAL shards using the facade's partitioning
-// knowledge: the same ranges shard.New builds, so an op's log shard is
-// the shard that will apply it.
-type durRouter struct {
-	extent domain.Range
-	ranges []domain.Range
-}
-
-func newDurRouter(extent domain.Range, shards int) durRouter {
-	r := durRouter{extent: extent}
-	if shards > 1 {
-		r.ranges = shard.Partition(extent, shards)
-	} else {
-		r.ranges = []domain.Range{extent}
-	}
-	return r
-}
-
-func (r durRouter) Shards() int { return len(r.ranges) }
-
-// owner returns the shard owning v; out-of-extent values go to shard 0,
-// whose replay reproduces the refusal deterministically.
-func (r durRouter) owner(v domain.Value) int {
-	if r.extent.Contains(v) {
-		for i, rng := range r.ranges {
-			if rng.Contains(v) {
-				return i
-			}
-		}
-	}
-	return 0
-}
-
-func (r durRouter) ShardOf(op delta.Op) int { return r.owner(op.V) }
-
-func (r durRouter) CrossShard(op delta.Op) bool {
-	return op.Kind == delta.OpUpdate &&
-		r.extent.Contains(op.V) && r.extent.Contains(op.New) &&
-		r.owner(op.V) != r.owner(op.New)
 }
 
 // durTarget is the committer's apply side: committed batches go through
@@ -113,7 +71,7 @@ func (t *durTarget) ApplyOps(ops []delta.Op) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.c.acct.add(statsFrom(qs))
+	t.c.acct.add(qs)
 	return res, nil
 }
 
@@ -140,7 +98,7 @@ func newDurable(rng domain.Range, values []domain.Value, o Options) (*Column, er
 	// Retained so Recover (and a reopened New) can rebuild shards that
 	// have no checkpoint yet from the original load.
 	col.initVals = append([]domain.Value(nil), values...)
-	dur, rec, err := durable.Open(durCfg(o), newDurRouter(rng, o.Shards))
+	dur, rec, err := durable.Open(durCfg(o), shard.NewRouter(rng, o.Shards))
 	if err != nil {
 		return nil, fmt.Errorf("selforg: durability: %w", err)
 	}
@@ -178,46 +136,10 @@ func (c *Column) replay(rec *durable.Recovered) error {
 		if err != nil {
 			return fmt.Errorf("selforg: recovery replay seq %d: %w", b.Seq, err)
 		}
-		c.acct.add(statsFrom(qs))
+		c.acct.add(qs)
 	}
 	c.dur.CountReplayed(len(rec.Batches))
 	return nil
-}
-
-// durInsert, durDelete and durUpdate are the durable write paths:
-// submit to the committer, block until the group commit is logged and
-// applied. Per-call Stats are zero — the batch's costs are accounted to
-// Totals by the commit, not attributed to individual writers.
-func (c *Column) durInsert(v int64) (Stats, error) {
-	ok, err := c.dur.Submit(delta.Op{Kind: delta.OpInsert, V: v})
-	if err != nil {
-		return Stats{}, fmt.Errorf("selforg: %w", err)
-	}
-	if !ok {
-		return Stats{}, fmt.Errorf("selforg: insert %d outside extent %v", v, c.extent)
-	}
-	return Stats{}, nil
-}
-
-// durDelete and durUpdate surface the committer's error directly: a
-// clean "no visible row" refusal is (false, nil), a commit-protocol
-// failure (append/fsync/apply, halted committer) is the error. The
-// committer still counts failures in WALStats.WriteErrors/LastError for
-// monitoring.
-func (c *Column) durDelete(v int64) (bool, Stats, error) {
-	ok, err := c.dur.Submit(delta.Op{Kind: delta.OpDelete, V: v})
-	if err != nil {
-		return false, Stats{}, fmt.Errorf("selforg: %w", err)
-	}
-	return ok, Stats{}, nil
-}
-
-func (c *Column) durUpdate(old, new int64) (bool, Stats, error) {
-	ok, err := c.dur.Submit(delta.Op{Kind: delta.OpUpdate, V: old, New: new})
-	if err != nil {
-		return false, Stats{}, fmt.Errorf("selforg: %w", err)
-	}
-	return ok, Stats{}, nil
 }
 
 // Checkpoint forces a full durability checkpoint: every shard's logical
@@ -246,7 +168,7 @@ func (c *Column) Recover() error {
 		stop()
 	}
 	c.stops = nil
-	dur, rec, err := durable.Open(durCfg(c.opts), newDurRouter(c.extent, c.opts.Shards))
+	dur, rec, err := durable.Open(durCfg(c.opts), shard.NewRouter(c.extent, c.opts.Shards))
 	if err != nil {
 		return fmt.Errorf("selforg: recover: %w", err)
 	}
@@ -266,34 +188,8 @@ func (c *Column) Recover() error {
 	return nil
 }
 
-// WALStats mirrors durable.Stats on the public surface: the committer's
-// lifetime counters.
-type WALStats struct {
-	// Batches counts committed groups, Records the writes inside them —
-	// Records/Batches is the achieved group-commit fan-in.
-	Batches int64
-	Records int64
-	// Appends counts per-shard log appends, Fsyncs the syncs (0 with
-	// Durability.Fsync off), Bytes the WAL bytes written.
-	Appends int64
-	Fsyncs  int64
-	Bytes   int64
-	// Checkpoints counts checkpoints taken (piggy-backed and forced);
-	// WALSize is the current total log bytes on disk.
-	Checkpoints int64
-	WALSize     int64
-	// LastSeq is the last committed group's sequence number; Replayed
-	// counts the batches recovery replayed into this column.
-	LastSeq  uint64
-	Replayed int64
-	// WriteErrors counts writes that failed inside the commit protocol
-	// (append/fsync/apply failures, halted committer) rather than being
-	// cleanly refused; LastError is the most recent such failure. Every
-	// write path also returns these failures as errors — the counters
-	// exist for monitoring, not as the only signal.
-	WriteErrors int64
-	LastError   string
-}
+// WALStats is the committer's lifetime counters (durable.Stats).
+type WALStats = durable.Stats
 
 // WALStats returns the durability counters; ok is false (and the stats
 // zero) when durability is not enabled.
@@ -301,20 +197,7 @@ func (c *Column) WALStats() (WALStats, bool) {
 	if c.dur == nil {
 		return WALStats{}, false
 	}
-	st := c.dur.Stats()
-	return WALStats{
-		Batches:     st.Batches,
-		Records:     st.Records,
-		Appends:     st.Appends,
-		Fsyncs:      st.Fsyncs,
-		Bytes:       st.Bytes,
-		Checkpoints: st.Checkpoints,
-		WALSize:     st.WALSize,
-		LastSeq:     st.LastSeq,
-		Replayed:    st.Replayed,
-		WriteErrors: st.WriteErrors,
-		LastError:   st.LastError,
-	}, true
+	return c.dur.Stats(), true
 }
 
 // Durable reports whether the column runs with durability enabled.

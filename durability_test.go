@@ -3,7 +3,6 @@ package selforg_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 
@@ -18,79 +17,6 @@ func seedVals(seed int64, n int, lo, hi int64) []int64 {
 		vals[i] = lo + rnd.Int63n(hi-lo+1)
 	}
 	return vals
-}
-
-// TestDurabilityDisabledEquivalence: with Durability.Disable set the
-// column must behave byte-identically to one built without the option —
-// same results, same stats, same layout — and must touch the directory
-// not at all.
-func TestDurabilityDisabledEquivalence(t *testing.T) {
-	const lo, hi = 0, 9_999
-	dir := t.TempDir()
-	base := selforg.Options{Model: selforg.APM, Shards: 2}
-	durOff := base
-	durOff.Durability = selforg.Durability{Dir: dir, Fsync: true, Disable: true}
-
-	plain, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(7, 4_000, lo, hi), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disabled, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(7, 4_000, lo, hi), durOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if disabled.Durable() {
-		t.Fatal("Disable did not disable durability")
-	}
-	if _, ok := disabled.WALStats(); ok {
-		t.Fatal("disabled column reports WAL stats")
-	}
-
-	rnd := rand.New(rand.NewSource(11))
-	for i := 0; i < 300; i++ {
-		switch rnd.Intn(4) {
-		case 0:
-			v := rnd.Int63n(hi + 1)
-			if _, err := plain.Insert(v); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := disabled.Insert(v); err != nil {
-				t.Fatal(err)
-			}
-		case 1:
-			v := rnd.Int63n(hi + 1)
-			okP, _, _ := plain.Delete(v)
-			okD, _, _ := disabled.Delete(v)
-			if okP != okD {
-				t.Fatalf("delete %d diverged: %v vs %v", v, okP, okD)
-			}
-		default:
-			a, b := rnd.Int63n(hi+1), rnd.Int63n(hi+1)
-			if a > b {
-				a, b = b, a
-			}
-			rp, sp := plain.Select(a, b)
-			rd, sd := disabled.Select(a, b)
-			if !intsEq(sortInts(rp), sortInts(rd)) {
-				t.Fatalf("select [%d,%d] diverged", a, b)
-			}
-			if sp != sd {
-				t.Fatalf("select stats diverged: %+v vs %+v", sp, sd)
-			}
-		}
-	}
-	if plain.Totals() != disabled.Totals() {
-		t.Fatalf("totals diverged:\n%+v\n%+v", plain.Totals(), disabled.Totals())
-	}
-	if plain.DeltaStats() != disabled.DeltaStats() {
-		t.Fatalf("delta stats diverged:\n%+v\n%+v", plain.DeltaStats(), disabled.DeltaStats())
-	}
-	if plain.Layout() != disabled.Layout() {
-		t.Fatal("layouts diverged")
-	}
-	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-		t.Fatalf("disabled durability touched its directory: %v %v", ents, err)
-	}
 }
 
 // durableWorkload applies a deterministic mixed write stream to col and
@@ -310,5 +236,39 @@ func TestDurableGroupCommitPublications(t *testing.T) {
 	}
 	if n, _ := col.Count(0, writers*per-1); n < writers*per {
 		t.Fatalf("count %d after %d inserts", n, writers*per)
+	}
+}
+
+// TestDurableRefusedInsertNotLogged: an INSERT outside the extent is
+// refused before it reaches the committer — nothing is appended to a
+// shard log and nothing is fsynced for a write that cannot be applied.
+// Out-of-extent DELETE/UPDATE keep going through the committer (the
+// store counts them as DeleteMisses).
+func TestDurableRefusedInsertNotLogged(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			col, err := selforg.New(selforg.Interval{Lo: 0, Hi: 999}, seedVals(5, 1_000, 0, 999), selforg.Options{
+				Shards:     shards,
+				Durability: selforg.Durability{Dir: t.TempDir(), Fsync: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer col.Close()
+			before, _ := col.WALStats()
+			if _, err := col.Insert(5000); err == nil {
+				t.Fatal("insert outside extent accepted")
+			}
+			after, _ := col.WALStats()
+			if after.Records != before.Records || after.Bytes != before.Bytes || after.Fsyncs != before.Fsyncs {
+				t.Errorf("refused insert reached the log: before %+v, after %+v", before, after)
+			}
+			if ok, _, err := col.Delete(5000); ok || err != nil {
+				t.Errorf("delete outside extent = (%v, %v), want a clean miss", ok, err)
+			}
+			if got := col.DeltaStats().DeleteMisses; got != 1 {
+				t.Errorf("DeleteMisses = %d, want 1", got)
+			}
+		})
 	}
 }

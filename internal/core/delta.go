@@ -2,14 +2,19 @@ package core
 
 // MVCC point writes. The paper's write path is bulk-load shaped (§7);
 // this file adds the single-row half on top of the immutable-snapshot
-// substrate: Insert/Update/Delete land in a per-column write store
-// (internal/delta), queries overlay the store's pinned snapshot onto
-// their base scans, and a self-organizing merge-back — triggered by
-// delta-size and delta-to-base-ratio thresholds — drains accumulated
-// writes into the base through the same single-writer rewrite pipeline
-// bulk loads use. Merged rows then flow through the ordinary
-// reorganization loop: later queries split, glue and re-encode them as
-// the models dictate.
+// substrate, and it does so ONCE for both strategies: deltaWriter, which
+// the Segmenter and the Replicator embed, is the whole write surface of
+// core.DeltaStrategy and core.StampedWriter. A delta.Op — arriving alone
+// (Insert/Delete/Update and their stamped forms) or in a group-committed
+// batch (ApplyOps) — is screened against the extent, lands in the
+// per-column write store (internal/delta), is accounted, and may trip the
+// self-organizing merge-back, which drains accumulated writes into the
+// base through the same single-writer rewrite pipeline bulk loads use.
+// Merged rows then flow through the ordinary reorganization loop: later
+// queries split, glue and re-encode them as the models dictate. What
+// genuinely differs per strategy is behind writeHooks: how to count a
+// value's base rows, how to rewrite the base with drained entries, and
+// how to snapshot the storage counters.
 //
 // Lock order: the delta store's mutex is always taken before the
 // strategy's writer lock (Store.Merge holds its mutex across the apply
@@ -20,6 +25,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"selforg/internal/compress"
@@ -28,33 +34,78 @@ import (
 	"selforg/internal/segment"
 )
 
+// writeHooks is what the shared write path needs from the strategy it
+// writes into. Both strategies satisfy it with methods of their own.
+type writeHooks interface {
+	// baseCount reports, free of side effects and without driving
+	// adaptation, how many base rows carry v — the existence check behind
+	// Delete. Called under the store's mutex.
+	baseCount(v domain.Value) int64
+	// applyDrained applies the drained entries under the strategy's
+	// writer lock and publishes the rewritten base together with the
+	// store's commit (engine.applyDrained), so the post-merge base and
+	// the drained store appear atomically to lock-free pinners.
+	applyDrained(st *QueryStats, ins, del []domain.Value, commit func()) error
+	// snapshot stamps the column's storage measures onto st.
+	snapshot(st *QueryStats)
+}
+
+// deltaWriter is the write half of a strategy: the MVCC write store, the
+// merge-back thresholds and the one body each kind of write runs
+// through. Embedded by value in Segmenter and Replicator (never copied
+// after init), so its exported methods are the strategies' own.
+type deltaWriter struct {
+	store *delta.Store // the engine's Delta: queries pin it, writes land here
+	// maxBytes / ratioBP are the self-organizing merge-back triggers
+	// (pending bytes, pending-to-base ratio in basis points; 0 disables).
+	maxBytes, ratioBP atomic.Int64
+	extent            domain.Range // the column's domain, fixed at build
+	elem              int64        // accounted bytes per value
+	baseBytes         *atomic.Int64
+	stratOb           *atomic.Pointer[strategyObs]
+	hooks             writeHooks
+}
+
+// initWriter wires the writer to its strategy: the engine's store, the
+// column geometry, the strategy's logical-size counter (the ratio
+// trigger's denominator) and observability handle, and the hooks.
+func (w *deltaWriter) initWriter(store *delta.Store, extent domain.Range, elem int64,
+	baseBytes *atomic.Int64, ob *atomic.Pointer[strategyObs], hooks writeHooks) {
+	w.store, w.extent, w.elem = store, extent, elem
+	w.baseBytes, w.stratOb, w.hooks = baseBytes, ob, hooks
+}
+
 // SetDeltaPolicy implements DeltaStrategy: a write that leaves more than
 // maxBytes pending, or more than ratio × the base's logical size, drains
 // the write store inline (the writer pays the reorganization cost, just
 // as the paper's queries pay for splits). Zero disables the respective
 // trigger; both zero leaves merging to explicit MergeDeltas calls.
-func (s *Segmenter) SetDeltaPolicy(maxBytes int64, ratio float64) {
-	s.eng.SetDeltaPolicy(maxBytes, ratio)
+func (w *deltaWriter) SetDeltaPolicy(maxBytes int64, ratio float64) {
+	w.maxBytes.Store(maxBytes)
+	w.ratioBP.Store(int64(ratio * 10000))
 }
 
 // DeltaStats implements DeltaStrategy.
-func (s *Segmenter) DeltaStats() delta.Stats { return s.eng.DeltaStats() }
+func (w *deltaWriter) DeltaStats() delta.Stats { return w.store.Stats() }
+
+// ShareDeltaClock implements StampedWriter: rebinds the write store to a
+// column-wide commit clock shared with sibling shards.
+func (w *deltaWriter) ShareDeltaClock(c *delta.Clock) { w.store.ShareClock(c) }
 
 // Insert implements DeltaStrategy: one row lands in the write store and
 // becomes visible to every query pinned afterwards. The write may
 // trigger a merge-back; its cost is folded into the returned stats.
-func (s *Segmenter) Insert(v domain.Value) (QueryStats, error) {
-	var st QueryStats
-	list := s.eng.Base()
-	if !list.Extent().Contains(v) {
-		return st, fmt.Errorf("core: insert value %d outside extent %v", v, list.Extent())
-	}
-	s.eng.Delta.Insert(v)
-	st.WriteBytes += list.ElemSize()
-	err := maybeMergeDeltas(s, &st)
-	s.snapshot(&st)
-	if so := s.ob.Load(); so != nil {
-		so.write(so.wIns, &st)
+func (w *deltaWriter) Insert(v domain.Value) (QueryStats, error) {
+	return w.InsertStamped(0, v)
+}
+
+// InsertStamped implements StampedWriter: Insert with an externally
+// minted commit version, so a cross-shard update's two halves share one
+// timestamp.
+func (w *deltaWriter) InsertStamped(ver int64, v domain.Value) (QueryStats, error) {
+	ok, st, err := w.write(ver, delta.Op{Kind: delta.OpInsert, V: v})
+	if !ok && err == nil {
+		return QueryStats{}, fmt.Errorf("core: insert value %d outside extent %v", v, w.extent)
 	}
 	return st, err
 }
@@ -63,107 +114,172 @@ func (s *Segmenter) Insert(v domain.Value) (QueryStats, error) {
 // pending insert is cancelled, otherwise a base row is tombstoned). It
 // reports false when no visible row carries v; the error reports a
 // merge-back failure of a delete that was accepted.
-func (s *Segmenter) Delete(v domain.Value) (bool, QueryStats, error) {
-	var st QueryStats
-	list := s.eng.Base()
-	if !list.Extent().Contains(v) {
-		s.eng.Delta.RecordMiss()
-		s.snapshot(&st)
-		return false, st, nil
-	}
-	if !s.eng.Delta.Delete(v, s.baseCount) {
-		s.snapshot(&st)
-		return false, st, nil
-	}
-	st.WriteBytes += list.ElemSize()
-	err := maybeMergeDeltas(s, &st)
-	s.snapshot(&st)
-	if so := s.ob.Load(); so != nil {
-		so.write(so.wDel, &st)
-	}
-	return true, st, err
+func (w *deltaWriter) Delete(v domain.Value) (bool, QueryStats, error) {
+	return w.DeleteStamped(0, v)
+}
+
+// DeleteStamped implements StampedWriter: Delete with an externally
+// minted commit version.
+func (w *deltaWriter) DeleteStamped(ver int64, v domain.Value) (bool, QueryStats, error) {
+	return w.write(ver, delta.Op{Kind: delta.OpDelete, V: v})
 }
 
 // Update implements DeltaStrategy: atomically replaces one occurrence of
 // old with new under a single version — every snapshot sees either the
 // old row or the new one.
-func (s *Segmenter) Update(old, new domain.Value) (bool, QueryStats, error) {
+func (w *deltaWriter) Update(old, new domain.Value) (bool, QueryStats, error) {
+	return w.write(0, delta.Op{Kind: delta.OpUpdate, V: old, New: new})
+}
+
+// screen is the extent rule, applied to every op exactly once at this
+// layer before it may touch the store: an insert outside the extent is
+// refused; a delete or update naming a value outside it is refused and
+// recorded as a miss, so Stats.DeleteMisses covers every refusal.
+func (w *deltaWriter) screen(op delta.Op) bool {
+	switch op.Kind {
+	case delta.OpInsert:
+		return w.extent.Contains(op.V)
+	case delta.OpDelete:
+		if w.extent.Contains(op.V) {
+			return true
+		}
+	case delta.OpUpdate:
+		if w.extent.Contains(op.V) && w.extent.Contains(op.New) {
+			return true
+		}
+	default:
+		return false
+	}
+	w.store.RecordMiss()
+	return false
+}
+
+// writeBytes is the accounted volume of one accepted op: one entry, two
+// for an update (tombstone plus insert).
+func (w *deltaWriter) writeBytes(op delta.Op) int64 {
+	if op.Kind == delta.OpUpdate {
+		return 2 * w.elem
+	}
+	return w.elem
+}
+
+// write is the single-op body: screen, store (the op lands in the
+// store's unsorted tail under its own version — ver when stamped), write
+// accounting, at most one merge-back threshold check, stats stamp, obs.
+// A refused op returns false with a nil error and has not touched the
+// store beyond the miss counter.
+func (w *deltaWriter) write(ver int64, op delta.Op) (bool, QueryStats, error) {
 	var st QueryStats
-	list := s.eng.Base()
-	if !list.Extent().Contains(old) || !list.Extent().Contains(new) {
-		s.eng.Delta.RecordMiss()
-		s.snapshot(&st)
+	ok := w.screen(op)
+	if ok {
+		switch op.Kind {
+		case delta.OpInsert:
+			w.store.Insert(ver, op.V)
+		case delta.OpDelete:
+			ok = w.store.Delete(ver, op.V, w.hooks.baseCount)
+		case delta.OpUpdate:
+			ok = w.store.Update(op.V, op.New, w.hooks.baseCount)
+		}
+	}
+	if !ok {
+		w.hooks.snapshot(&st)
 		return false, st, nil
 	}
-	if !s.eng.Delta.Update(old, new, s.baseCount) {
-		s.snapshot(&st)
-		return false, st, nil
-	}
-	st.WriteBytes += 2 * list.ElemSize()
-	err := maybeMergeDeltas(s, &st)
-	s.snapshot(&st)
-	if so := s.ob.Load(); so != nil {
-		so.write(so.wUpd, &st)
-	}
+	st.WriteBytes += w.writeBytes(op)
+	err := w.maybeMerge(&st)
+	w.hooks.snapshot(&st)
+	var n [3]int
+	n[op.Kind]++
+	w.stratOb.Load().writes(n, &st)
 	return true, st, err
 }
 
-// ShareDeltaClock implements StampedWriter: rebinds the write store to a
-// column-wide commit clock shared with sibling shards.
-func (s *Segmenter) ShareDeltaClock(c *delta.Clock) { s.eng.Delta.ShareClock(c) }
-
-// InsertStamped implements StampedWriter: Insert with an externally
-// minted commit version, so a cross-shard update's two halves share one
-// timestamp.
-func (s *Segmenter) InsertStamped(ver int64, v domain.Value) (QueryStats, error) {
+// ApplyOps implements DeltaStrategy — the group-commit apply path: the
+// whole batch lands in the write store under ONE version bump and ONE
+// snapshot publication (delta.ApplyBatch, which seals it as one sorted
+// run), then at most one merge-back threshold check runs for the batch.
+// Per-op acceptance follows exactly the single-op rules — the same
+// screen, then in-extent deletes/updates validate against visible rows
+// in op order; a refused insert is a false entry, not an error. The
+// returned error only reports a merge-back failure.
+func (w *deltaWriter) ApplyOps(ops []delta.Op) ([]bool, QueryStats, error) {
 	var st QueryStats
-	list := s.eng.Base()
-	if !list.Extent().Contains(v) {
-		return st, fmt.Errorf("core: insert value %d outside extent %v", v, list.Extent())
+	res := make([]bool, len(ops))
+	if len(ops) == 0 {
+		w.hooks.snapshot(&st)
+		return res, st, nil
 	}
-	s.eng.Delta.InsertAt(ver, v)
-	st.WriteBytes += list.ElemSize()
-	err := maybeMergeDeltas(s, &st)
-	s.snapshot(&st)
-	if so := s.ob.Load(); so != nil {
-		so.write(so.wIns, &st)
+	accepted := make([]delta.Op, 0, len(ops))
+	origin := make([]int, 0, len(ops)) // accepted index -> ops index
+	for i, op := range ops {
+		if w.screen(op) {
+			accepted = append(accepted, op)
+			origin = append(origin, i)
+		}
 	}
-	return st, err
-}
-
-// DeleteStamped implements StampedWriter: Delete with an externally
-// minted commit version.
-func (s *Segmenter) DeleteStamped(ver int64, v domain.Value) (bool, QueryStats, error) {
-	var st QueryStats
-	list := s.eng.Base()
-	if !list.Extent().Contains(v) {
-		s.eng.Delta.RecordMiss()
-		s.snapshot(&st)
-		return false, st, nil
+	var n [3]int // accepted ops by kind
+	for j, ok := range w.store.ApplyBatch(accepted, w.hooks.baseCount) {
+		if ok {
+			res[origin[j]] = true
+			st.WriteBytes += w.writeBytes(accepted[j])
+			n[accepted[j].Kind]++
+		}
 	}
-	if !s.eng.Delta.DeleteAt(ver, v, s.baseCount) {
-		s.snapshot(&st)
-		return false, st, nil
-	}
-	st.WriteBytes += list.ElemSize()
-	err := maybeMergeDeltas(s, &st)
-	s.snapshot(&st)
-	if so := s.ob.Load(); so != nil {
-		so.write(so.wDel, &st)
-	}
-	return true, st, err
+	err := w.maybeMerge(&st)
+	w.hooks.snapshot(&st)
+	w.stratOb.Load().writes(n, &st)
+	return res, st, err
 }
 
 // MergeDeltas implements DeltaStrategy: force-drains the write store
 // into the base regardless of the thresholds.
-func (s *Segmenter) MergeDeltas() (QueryStats, error) {
+func (w *deltaWriter) MergeDeltas() (QueryStats, error) {
 	var st QueryStats
-	err := mergeDeltasNow(s, &st)
-	s.snapshot(&st)
-	if so := s.ob.Load(); so != nil {
+	err := w.merge(&st)
+	w.hooks.snapshot(&st)
+	if so := w.stratOb.Load(); so != nil {
 		so.volumes(&st)
 	}
 	return st, err
+}
+
+// maybeMerge drains the write store when a threshold trips.
+func (w *deltaWriter) maybeMerge(st *QueryStats) error {
+	if !deltaOverThreshold(w.store.PendingBytes(), w.maxBytes.Load(), w.ratioBP.Load(), w.baseBytes.Load()) {
+		return nil
+	}
+	return w.merge(st)
+}
+
+// merge drains the store through the strategy's single-writer rewrite
+// path regardless of the thresholds.
+func (w *deltaWriter) merge(st *QueryStats) error {
+	so := w.stratOb.Load()
+	var begin time.Time
+	if so != nil {
+		begin = time.Now()
+	}
+	preRecodes := st.Recodes
+	n, err := w.store.Merge(func(ins, del []domain.Value, commit func()) error {
+		return w.hooks.applyDrained(st, ins, del, commit)
+	})
+	st.Merged += n
+	if err == nil {
+		so.merged(n, begin)
+		so.recodes(st.Recodes - preRecodes)
+	}
+	return err
+}
+
+// deltaOverThreshold evaluates the merge triggers.
+func deltaOverThreshold(pending, maxBytes, ratioBP, baseBytes int64) bool {
+	if pending == 0 {
+		return false
+	}
+	if maxBytes > 0 && pending >= maxBytes {
+		return true
+	}
+	return ratioBP > 0 && pending*10000 >= baseBytes*ratioBP
 }
 
 // baseCount counts the base rows carrying v on the current snapshot,
@@ -182,83 +298,9 @@ func (s *Segmenter) baseCount(v domain.Value) int64 {
 	return n
 }
 
-// deltaMerger abstracts the strategy-specific halves of the merge-back
-// path, so the trigger evaluation and drain protocol live in one place
-// for both strategies (the thresholds and the store itself live on the
-// shared engine; the thin forwarders below bridge the generic engine
-// instantiations onto one interface).
-type deltaMerger interface {
-	deltaStore() *delta.Store
-	deltaThresholds() (maxBytes, ratioBP int64)
-	baseLogicalBytes() int64
-	// obsHandle returns the strategy's current observability handles
-	// (nil = uninstrumented), so the shared merge path accounts
-	// merge-backs without knowing the concrete strategy.
-	obsHandle() *strategyObs
-	// applyDrained applies the drained entries under the strategy's
-	// writer lock and publishes the rewritten base together with the
-	// store's commit (engine.PublishMerged), so the post-merge base and
-	// the drained store appear atomically to lock-free pinners.
-	applyDrained(st *QueryStats, ins, del []domain.Value, commit func()) error
-}
-
-// maybeMergeDeltas drains the write store when a threshold trips.
-func maybeMergeDeltas(m deltaMerger, st *QueryStats) error {
-	maxB, ratioBP := m.deltaThresholds()
-	if !deltaOverThreshold(m.deltaStore().PendingBytes(), maxB, ratioBP, m.baseLogicalBytes()) {
-		return nil
-	}
-	return mergeDeltasNow(m, st)
-}
-
-// mergeDeltasNow drains the store through the strategy's single-writer
-// rewrite path regardless of the thresholds.
-func mergeDeltasNow(m deltaMerger, st *QueryStats) error {
-	so := m.obsHandle()
-	var begin time.Time
-	if so != nil {
-		begin = time.Now()
-	}
-	preRecodes := st.Recodes
-	n, err := m.deltaStore().Merge(func(ins, del []domain.Value, commit func()) error {
-		return m.applyDrained(st, ins, del, commit)
-	})
-	st.Merged += n
-	if err == nil {
-		so.merged(n, begin)
-		so.recodes(st.Recodes - preRecodes)
-	}
-	return err
-}
-
-// deltaStore implements deltaMerger.
-func (s *Segmenter) deltaStore() *delta.Store { return s.eng.Delta }
-
-// deltaThresholds implements deltaMerger.
-func (s *Segmenter) deltaThresholds() (int64, int64) { return s.eng.deltaThresholds() }
-
-// baseLogicalBytes implements deltaMerger.
-func (s *Segmenter) baseLogicalBytes() int64 { return s.totalBytes.Load() }
-
-// obsHandle implements deltaMerger.
-func (s *Segmenter) obsHandle() *strategyObs { return s.ob.Load() }
-
-// applyDrained implements deltaMerger: the rewritten list and the
-// drained store are published as one epoch step (PublishMerged), so
-// lock-free pinners always see a consistent (list, delta) pair.
+// applyDrained implements writeHooks.
 func (s *Segmenter) applyDrained(st *QueryStats, ins, del []domain.Value, commit func()) error {
-	s.eng.Mu.Lock()
-	defer s.eng.Mu.Unlock()
-	next, mst, err := s.applyDeltaLocked(ins, del)
-	if err != nil {
-		return err
-	}
-	st.Add(mst)
-	if next == nil {
-		next = s.eng.Base() // nothing drained touched the base; re-stamp it
-	}
-	s.eng.PublishMerged(next, commit)
-	return nil
+	return s.eng.applyDrained(s.applyDeltaLocked, st, ins, del, commit)
 }
 
 // applyDeltaLocked stages the rewrite of every segment touched by the
@@ -374,241 +416,6 @@ func sortDesc(xs []int) {
 	}
 }
 
-// batchTarget is the strategy surface the shared batch write path
-// (applyOps) drives: the merge protocol plus the per-strategy extent,
-// element size, base existence check and stats stamping. Both
-// strategies satisfy it with methods they already have.
-type batchTarget interface {
-	deltaMerger
-	writeExtent() domain.Range
-	writeElem() int64
-	baseCount(v domain.Value) int64
-	snapshot(st *QueryStats)
-}
-
-// applyOps is the group-commit apply path shared by both strategies: the
-// whole batch lands in the write store under ONE version bump and ONE
-// snapshot publication (delta.ApplyBatch), then at most one merge-back
-// threshold check runs for the batch. Per-op acceptance follows exactly
-// the single-op rules — an out-of-extent insert is refused, an
-// out-of-extent delete/update is refused and recorded as a miss, and
-// in-extent deletes/updates validate against visible rows in op order.
-// The returned error only reports a merge-back failure; per-op refusals
-// are the false entries.
-func applyOps(t batchTarget, ops []delta.Op) ([]bool, QueryStats, error) {
-	var st QueryStats
-	res := make([]bool, len(ops))
-	if len(ops) == 0 {
-		t.snapshot(&st)
-		return res, st, nil
-	}
-	ext := t.writeExtent()
-	elem := t.writeElem()
-	// Extent screen: rejected ops never reach the store (mirrors the
-	// single-op paths, which refuse before touching it).
-	accepted := make([]delta.Op, 0, len(ops))
-	origin := make([]int, 0, len(ops)) // accepted index -> ops index
-	for i, op := range ops {
-		switch op.Kind {
-		case delta.OpInsert:
-			if !ext.Contains(op.V) {
-				continue
-			}
-		case delta.OpDelete:
-			if !ext.Contains(op.V) {
-				t.deltaStore().RecordMiss()
-				continue
-			}
-		case delta.OpUpdate:
-			if !ext.Contains(op.V) || !ext.Contains(op.New) {
-				t.deltaStore().RecordMiss()
-				continue
-			}
-		default:
-			continue
-		}
-		accepted = append(accepted, op)
-		origin = append(origin, i)
-	}
-	var nIns, nDel, nUpd int
-	if len(accepted) > 0 {
-		out := t.deltaStore().ApplyBatch(accepted, t.baseCount)
-		for j, ok := range out {
-			if !ok {
-				continue
-			}
-			res[origin[j]] = true
-			switch accepted[j].Kind {
-			case delta.OpInsert:
-				st.WriteBytes += elem
-				nIns++
-			case delta.OpDelete:
-				st.WriteBytes += elem
-				nDel++
-			case delta.OpUpdate:
-				st.WriteBytes += 2 * elem
-				nUpd++
-			}
-		}
-	}
-	err := maybeMergeDeltas(t, &st)
-	t.snapshot(&st)
-	if so := t.obsHandle(); so != nil {
-		so.writeBatch(nIns, nDel, nUpd, &st)
-	}
-	return res, st, err
-}
-
-// writeExtent implements batchTarget.
-func (s *Segmenter) writeExtent() domain.Range { return s.eng.Base().Extent() }
-
-// writeElem implements batchTarget.
-func (s *Segmenter) writeElem() int64 { return s.eng.Base().ElemSize() }
-
-// ApplyOps applies a group-committed batch of writes — see applyOps.
-func (s *Segmenter) ApplyOps(ops []delta.Op) ([]bool, QueryStats, error) {
-	return applyOps(s, ops)
-}
-
-// deltaOverThreshold evaluates the merge triggers.
-func deltaOverThreshold(pending, maxBytes, ratioBP, baseBytes int64) bool {
-	if pending == 0 {
-		return false
-	}
-	if maxBytes > 0 && pending >= maxBytes {
-		return true
-	}
-	return ratioBP > 0 && pending*10000 >= baseBytes*ratioBP
-}
-
-// --- Replicator counterparts ---
-
-// DeltaStats implements DeltaStrategy.
-func (r *Replicator) DeltaStats() delta.Stats { return r.eng.DeltaStats() }
-
-// extent returns the column's domain (the sentinel covers it all).
-func (r *Replicator) extent() domain.Range { return r.eng.Base().seg.Rng }
-
-// Insert implements DeltaStrategy.
-func (r *Replicator) Insert(v domain.Value) (QueryStats, error) {
-	var st QueryStats
-	if !r.extent().Contains(v) {
-		return st, fmt.Errorf("core: insert value %d outside extent %v", v, r.extent())
-	}
-	r.eng.Delta.Insert(v)
-	st.WriteBytes += r.elemSize
-	err := maybeMergeDeltas(r, &st)
-	r.snapshot(&st)
-	if so := r.ob.Load(); so != nil {
-		so.write(so.wIns, &st)
-	}
-	return st, err
-}
-
-// Delete implements DeltaStrategy.
-func (r *Replicator) Delete(v domain.Value) (bool, QueryStats, error) {
-	var st QueryStats
-	if !r.extent().Contains(v) {
-		r.eng.Delta.RecordMiss()
-		r.snapshot(&st)
-		return false, st, nil
-	}
-	if !r.eng.Delta.Delete(v, r.baseCount) {
-		r.snapshot(&st)
-		return false, st, nil
-	}
-	st.WriteBytes += r.elemSize
-	err := maybeMergeDeltas(r, &st)
-	r.snapshot(&st)
-	if so := r.ob.Load(); so != nil {
-		so.write(so.wDel, &st)
-	}
-	return true, st, err
-}
-
-// Update implements DeltaStrategy.
-func (r *Replicator) Update(old, new domain.Value) (bool, QueryStats, error) {
-	var st QueryStats
-	if !r.extent().Contains(old) || !r.extent().Contains(new) {
-		r.eng.Delta.RecordMiss()
-		r.snapshot(&st)
-		return false, st, nil
-	}
-	if !r.eng.Delta.Update(old, new, r.baseCount) {
-		r.snapshot(&st)
-		return false, st, nil
-	}
-	st.WriteBytes += 2 * r.elemSize
-	err := maybeMergeDeltas(r, &st)
-	r.snapshot(&st)
-	if so := r.ob.Load(); so != nil {
-		so.write(so.wUpd, &st)
-	}
-	return true, st, err
-}
-
-// ShareDeltaClock implements StampedWriter.
-func (r *Replicator) ShareDeltaClock(c *delta.Clock) { r.eng.Delta.ShareClock(c) }
-
-// InsertStamped implements StampedWriter.
-func (r *Replicator) InsertStamped(ver int64, v domain.Value) (QueryStats, error) {
-	var st QueryStats
-	if !r.extent().Contains(v) {
-		return st, fmt.Errorf("core: insert value %d outside extent %v", v, r.extent())
-	}
-	r.eng.Delta.InsertAt(ver, v)
-	st.WriteBytes += r.elemSize
-	err := maybeMergeDeltas(r, &st)
-	r.snapshot(&st)
-	if so := r.ob.Load(); so != nil {
-		so.write(so.wIns, &st)
-	}
-	return st, err
-}
-
-// DeleteStamped implements StampedWriter.
-func (r *Replicator) DeleteStamped(ver int64, v domain.Value) (bool, QueryStats, error) {
-	var st QueryStats
-	if !r.extent().Contains(v) {
-		r.eng.Delta.RecordMiss()
-		r.snapshot(&st)
-		return false, st, nil
-	}
-	if !r.eng.Delta.DeleteAt(ver, v, r.baseCount) {
-		r.snapshot(&st)
-		return false, st, nil
-	}
-	st.WriteBytes += r.elemSize
-	err := maybeMergeDeltas(r, &st)
-	r.snapshot(&st)
-	if so := r.ob.Load(); so != nil {
-		so.write(so.wDel, &st)
-	}
-	return true, st, err
-}
-
-// MergeDeltas implements DeltaStrategy.
-func (r *Replicator) MergeDeltas() (QueryStats, error) {
-	var st QueryStats
-	err := mergeDeltasNow(r, &st)
-	r.snapshot(&st)
-	if so := r.ob.Load(); so != nil {
-		so.volumes(&st)
-	}
-	return st, err
-}
-
-// writeExtent implements batchTarget.
-func (r *Replicator) writeExtent() domain.Range { return r.extent() }
-
-// writeElem implements batchTarget.
-func (r *Replicator) writeElem() int64 { return r.elemSize }
-
-// ApplyOps applies a group-committed batch of writes — see applyOps.
-func (r *Replicator) ApplyOps(ops []delta.Op) ([]bool, QueryStats, error) {
-	return applyOps(r, ops)
-}
-
 // baseCount counts base rows carrying v — the point cover's count on the
 // current snapshot, lock-free. Called under the store's mutex; the store
 // serializes merges on that same mutex, so the base cannot lose rows
@@ -622,32 +429,9 @@ func (r *Replicator) baseCount(v domain.Value) int64 {
 	return n
 }
 
-// deltaStore implements deltaMerger.
-func (r *Replicator) deltaStore() *delta.Store { return r.eng.Delta }
-
-// deltaThresholds implements deltaMerger.
-func (r *Replicator) deltaThresholds() (int64, int64) { return r.eng.deltaThresholds() }
-
-// baseLogicalBytes implements deltaMerger.
-func (r *Replicator) baseLogicalBytes() int64 { return r.totalBytes.Load() }
-
-// obsHandle implements deltaMerger.
-func (r *Replicator) obsHandle() *strategyObs { return r.ob.Load() }
-
-// applyDrained implements deltaMerger (see Segmenter.applyDrained).
+// applyDrained implements writeHooks.
 func (r *Replicator) applyDrained(st *QueryStats, ins, del []domain.Value, commit func()) error {
-	r.eng.Mu.Lock()
-	defer r.eng.Mu.Unlock()
-	next, mst, err := r.applyDeltaLocked(ins, del)
-	if err != nil {
-		return err
-	}
-	st.Add(mst)
-	if next == nil {
-		next = r.eng.Base() // all entries cancelled out; re-stamp the root
-	}
-	r.eng.PublishMerged(next, commit)
-	return nil
+	return r.eng.applyDrained(r.applyDeltaLocked, st, ins, del, commit)
 }
 
 // applyDeltaLocked builds the post-merge replica tree (caller holds

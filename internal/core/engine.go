@@ -3,8 +3,8 @@ package core
 // The snapshot-publication engine shared by both self-organizing
 // strategies. Before this file existed the Segmenter and the Replicator
 // each carried their own copy of the same machinery — a writer mutex, an
-// atomically published immutable base snapshot, an MVCC write store with
-// merge thresholds, and the merge-back commit protocol that publishes
+// atomically published immutable base snapshot, an MVCC write store, and
+// the merge-back commit protocol that publishes
 // the rewritten base and the drained store as one atomic step. The
 // engine hoists all of it into one place, parameterized over the base
 // snapshot type: `*segment.List` for segmentation, the replica tree's
@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 
 	"selforg/internal/delta"
+	"selforg/internal/domain"
 	"selforg/internal/obs"
 )
 
@@ -53,12 +54,9 @@ type engine[B any] struct {
 	// merge-backs, re-encoding) happen under it. Readers never take it.
 	Mu  sync.Mutex
 	cur atomic.Pointer[published[B]]
-	// Delta is the column's MVCC write store; deltaMaxBytes /
-	// deltaRatioBP are the self-organizing merge-back triggers (pending
-	// bytes, pending-to-base ratio in basis points; 0 disables).
-	Delta         *delta.Store
-	deltaMaxBytes atomic.Int64
-	deltaRatioBP  atomic.Int64
+	// Delta is the column's MVCC write store: queries pin it beside the
+	// base, the strategy's deltaWriter writes into it.
+	Delta *delta.Store
 	// pub counts base publications (snapshot installs) when an observer
 	// is attached; obs.Counter methods are nil-safe, so the unobserved
 	// cost is one atomic load per publication.
@@ -122,23 +120,24 @@ func (e *engine[B]) PublishMerged(base *B, commit func()) {
 	e.pub.Load().Inc()
 }
 
-// SetDeltaPolicy implements the DeltaStrategy knob for both strategies:
-// a write that leaves more than maxBytes pending, or more than ratio ×
-// the base's logical size, drains the write store inline. Zero disables
-// the respective trigger; both zero leaves merging to explicit
-// MergeDeltas calls.
-func (e *engine[B]) SetDeltaPolicy(maxBytes int64, ratio float64) {
-	e.deltaMaxBytes.Store(maxBytes)
-	e.deltaRatioBP.Store(int64(ratio * 10000))
+// applyDrained is the merge-back commit shared by both strategies
+// (their writeHooks.applyDrained): under Mu, stage rewrites the base
+// with the drained entries — returning nil when nothing drained touched
+// it — and the result is published together with the store's commit
+// (PublishMerged), so lock-free pinners always see a consistent (base,
+// delta) pair. A staging error leaves base and store untouched.
+func (e *engine[B]) applyDrained(stage func(ins, del []domain.Value) (*B, QueryStats, error),
+	st *QueryStats, ins, del []domain.Value, commit func()) error {
+	e.Mu.Lock()
+	defer e.Mu.Unlock()
+	next, mst, err := stage(ins, del)
+	if err != nil {
+		return err
+	}
+	st.Add(mst)
+	if next == nil {
+		next = e.Base() // re-stamp the current base with the new epoch
+	}
+	e.PublishMerged(next, commit)
+	return nil
 }
-
-// deltaStore implements deltaMerger.
-func (e *engine[B]) deltaStore() *delta.Store { return e.Delta }
-
-// deltaThresholds implements deltaMerger.
-func (e *engine[B]) deltaThresholds() (int64, int64) {
-	return e.deltaMaxBytes.Load(), e.deltaRatioBP.Load()
-}
-
-// DeltaStats implements DeltaStrategy.
-func (e *engine[B]) DeltaStats() delta.Stats { return e.Delta.Stats() }

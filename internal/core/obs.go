@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/obs"
 )
@@ -33,8 +34,8 @@ type strategyObs struct {
 	// queries: selforg_queries_total / selforg_query_duration_ns.
 	qSel, qCnt *obs.Counter
 	dSel, dCnt *obs.Histogram
-	// writes: selforg_writes_total.
-	wIns, wDel, wUpd *obs.Counter
+	// writes: selforg_writes_total{op=...}, indexed by delta.OpKind.
+	w [3]*obs.Counter
 	// volumes.
 	readBytes, writeBytes, resultRows, deltaReadBytes *obs.Counter
 	// adaptation events: selforg_adaptation_events_total{kind=...}.
@@ -71,9 +72,11 @@ func newStrategyObs(ob *obs.Observer, strat string, shard int) *strategyObs {
 		dSel: reg.Histogram(series("selforg_query_duration_ns", `op="select"`)),
 		dCnt: reg.Histogram(series("selforg_query_duration_ns", `op="count"`)),
 
-		wIns: reg.Counter(series("selforg_writes_total", `op="insert"`)),
-		wDel: reg.Counter(series("selforg_writes_total", `op="delete"`)),
-		wUpd: reg.Counter(series("selforg_writes_total", `op="update"`)),
+		w: [3]*obs.Counter{
+			delta.OpInsert: reg.Counter(series("selforg_writes_total", `op="insert"`)),
+			delta.OpDelete: reg.Counter(series("selforg_writes_total", `op="delete"`)),
+			delta.OpUpdate: reg.Counter(series("selforg_writes_total", `op="update"`)),
+		},
 
 		readBytes:      reg.Counter(series("selforg_read_bytes_total", "")),
 		writeBytes:     reg.Counter(series("selforg_write_bytes_total", "")),
@@ -141,31 +144,17 @@ func (so *strategyObs) query(sel bool, begin time.Time, st *QueryStats) {
 	so.volumes(st)
 }
 
-// write accounts one accepted point write (w is the per-op counter) with
-// its stats, merge-back cost included.
-func (so *strategyObs) write(w *obs.Counter, st *QueryStats) {
+// writes accounts one applied write — a single op or a whole batch: the
+// per-op counters advance by the accepted counts (n is indexed by
+// delta.OpKind), the volume totals once (merge-back cost included).
+func (so *strategyObs) writes(n [3]int, st *QueryStats) {
 	if so == nil {
 		return
 	}
-	w.Inc()
-	so.volumes(st)
-}
-
-// writeBatch accounts one applied write batch: the per-op counters
-// advance by the accepted counts, the volume totals once for the whole
-// batch (merge-back cost included).
-func (so *strategyObs) writeBatch(ins, del, upd int, st *QueryStats) {
-	if so == nil {
-		return
-	}
-	if ins > 0 {
-		so.wIns.Add(int64(ins))
-	}
-	if del > 0 {
-		so.wDel.Add(int64(del))
-	}
-	if upd > 0 {
-		so.wUpd.Add(int64(upd))
+	for kind, c := range n {
+		if c > 0 {
+			so.w[kind].Add(int64(c))
+		}
 	}
 	so.volumes(st)
 }

@@ -53,6 +53,9 @@ type Replicator struct {
 	// eng owns the published (root, delta) pair, the writer mutex and
 	// the merge-back protocol, shared with the Segmenter.
 	eng engine[node]
+	// deltaWriter is the MVCC point-write surface (delta.go), shared with
+	// the Segmenter.
+	deltaWriter
 	// mod is the stateful segmentation model (GD owns a random stream,
 	// AutoAPM tunes its bounds); consulted only under eng.Mu.
 	mod      model.Model
@@ -148,6 +151,7 @@ func NewReplicator(extent domain.Range, vals []domain.Value, elemSize int64, m m
 		elemSize: elemSize,
 	}
 	r.eng.initEngine(sentinel, elemSize)
+	r.initWriter(r.eng.Delta, extent, elemSize, &r.totalBytes, &r.ob, r)
 	bytes := int64(len(vals)) * elemSize
 	r.totalBytes.Store(bytes)
 	r.storage.Store(bytes)
@@ -263,11 +267,6 @@ func (r *Replicator) SetMaxDepth(depth int) {
 // Declined returns how many replica creations the budget/depth guards
 // refused.
 func (r *Replicator) Declined() int { return int(r.declined.Load()) }
-
-// SetDeltaPolicy implements DeltaStrategy (shared engine knob).
-func (r *Replicator) SetDeltaPolicy(maxBytes int64, ratio float64) {
-	r.eng.SetDeltaPolicy(maxBytes, ratio)
-}
 
 // StorageBytes implements Strategy: the total physical materialized
 // replica storage, the y-axis of Figures 8 and 9 (compressed footprint

@@ -56,7 +56,10 @@ type Segmenter struct {
 	// single-writer path: model decisions (the models are stateful — GD
 	// owns a random stream, AutoAPM tunes its bounds) and every list
 	// mutation happen under it.
-	eng    engine[segment.List]
+	eng engine[segment.List]
+	// deltaWriter is the MVCC point-write surface (delta.go), shared with
+	// the Replicator.
+	deltaWriter
 	mod    model.Model
 	tracer Tracer
 	codec  atomic.Pointer[compress.Codec] // nil = compression off
@@ -83,6 +86,7 @@ func NewSegmenter(extent domain.Range, vals []domain.Value, elemSize int64, m mo
 	l := segment.NewList(extent, vals, elemSize)
 	s := &Segmenter{mod: m, tracer: tracer}
 	s.eng.initEngine(l, elemSize)
+	s.initWriter(s.eng.Delta, extent, elemSize, &s.totalBytes, &s.ob, s)
 	s.totalBytes.Store(int64(l.TotalBytes()))
 	s.stored.Store(int64(l.TotalBytes()))
 	// The initial column is materialized storage the buffer layer should

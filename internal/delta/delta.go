@@ -428,20 +428,18 @@ func (d *Store) ShareClock(c *Clock) {
 	d.clock = c
 }
 
-// bump mints the next version from the clock and records it as this
-// store's high-water mark (caller holds mu).
-func (d *Store) bump() int64 {
-	d.version = d.clock.Next()
-	return d.version
-}
-
-// bumpTo records an externally minted version (a cross-shard commit
-// stamp from the shared clock) as this store's high-water mark without
-// minting a new one (caller holds mu).
-func (d *Store) bumpTo(ver int64) {
+// stamp resolves the version a write carries: ver == 0 mints the next
+// one from the clock; a supplied ver (a cross-shard commit stamp from the
+// shared clock) is recorded as this store's high-water mark without
+// minting (caller holds mu).
+func (d *Store) stamp(ver int64) int64 {
+	if ver == 0 {
+		ver = d.clock.Next()
+	}
 	if ver > d.version {
 		d.version = ver
 	}
+	return ver
 }
 
 // Snapshot pins the current state: pending entries plus watermark. The
@@ -528,46 +526,38 @@ func (d *Store) compactRuns() {
 	d.runs = []*run{{ents: all, lo: all[0].Value, hi: all[len(all)-1].Value}}
 }
 
-// Insert records a single-row insert and returns its version. The value
-// becomes visible to every query that pins a snapshot afterwards;
-// queries already in flight keep their watermark and never see it.
-func (d *Store) Insert(v domain.Value) int64 {
+// Insert records a single-row insert and returns its version. With
+// ver == 0 the store mints the version; a non-zero ver is an externally
+// minted stamp — the insert half of a cross-shard update, whose delete
+// half (in another store sharing the clock) carries the SAME version;
+// the caller must hold such versions in commit order and exclude
+// concurrent pin sweeps around the pair. The value becomes visible to
+// every query that pins a snapshot afterwards; queries already in flight
+// keep their watermark and never see it.
+func (d *Store) Insert(ver int64, v domain.Value) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ver := d.insertLocked(v)
+	ver = d.stamp(ver)
+	d.addTail(d.newInsert(ver, v))
 	d.inserts++
 	d.publish()
 	return ver
 }
 
-func (d *Store) insertLocked(v domain.Value) int64 {
-	ver := d.bump()
-	d.addTail(d.newInsert(ver, v))
-	return ver
-}
-
-// InsertAt records a single-row insert stamped with an externally
-// minted version — the insert half of a cross-shard update, whose
-// delete half (in another store sharing the clock) carries the SAME
-// version. The caller must hold the versions in commit order (ver comes
-// from the shared clock) and exclude concurrent pin sweeps around the
-// pair.
-func (d *Store) InsertAt(ver int64, v domain.Value) {
+// Delete removes one occurrence of v: a pending insert carrying v is
+// cancelled in place (older watermarks keep seeing it), otherwise a
+// tombstone against the base is recorded. baseCount must report, free of
+// side effects, how many base rows currently carry a value; Delete
+// refuses (returns false) when no visible row exists. ver follows
+// Insert's rule: 0 mints a version, and only once the delete is
+// accepted; a supplied stamp is recorded either way.
+func (d *Store) Delete(ver int64, v domain.Value, baseCount func(domain.Value) int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.bumpTo(ver)
-	d.addTail(d.newInsert(ver, v))
-	d.inserts++
-	d.publish()
-}
-
-// DeleteAt applies Delete semantics stamped with an externally minted
-// version — the delete half of a cross-shard update. See InsertAt.
-func (d *Store) DeleteAt(ver int64, v domain.Value, baseCount func(domain.Value) int64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.bumpTo(ver)
-	ok, tomb := d.deleteAt(ver, v, baseCount)
+	if ver != 0 {
+		d.stamp(ver)
+	}
+	ok, tomb := d.deleteLocked(ver, v, baseCount)
 	if !ok {
 		d.misses++
 		return false
@@ -580,52 +570,25 @@ func (d *Store) DeleteAt(ver int64, v domain.Value, baseCount func(domain.Value)
 	return true
 }
 
-// Delete removes one occurrence of v: a pending insert carrying v is
-// cancelled in place (older watermarks keep seeing it), otherwise a
-// tombstone against the base is recorded. baseCount must report, free of
-// side effects, how many base rows currently carry a value; Delete
-// refuses (returns false) when no visible row exists.
-func (d *Store) Delete(v domain.Value, baseCount func(domain.Value) int64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ok := d.deleteLocked(v, baseCount)
-	if ok {
-		d.deletes++
-		d.publish()
-	} else {
-		d.misses++
-	}
-	return ok
-}
-
-func (d *Store) deleteLocked(v domain.Value, baseCount func(domain.Value) int64) bool {
-	if live := d.liveIns[v]; len(live) > 0 {
-		e := live[len(live)-1]
-		d.liveIns[v] = live[:len(live)-1]
-		e.deletedAt.Store(d.bump())
-		return true
-	}
-	if baseCount(v)-int64(d.tombs[v]) <= 0 {
-		return false
-	}
-	d.tombs[v]++
-	d.addTail(d.newEntry(d.bump(), KTombstone, v))
-	return true
-}
-
-// deleteAt applies Delete semantics at a fixed version — the batch path,
-// where every op in a group shares one version. It returns the minted
-// tombstone when the delete hit the base (nil when it cancelled a
-// pending insert in place); the caller places it in the batch run.
-func (d *Store) deleteAt(ver int64, v domain.Value, baseCount func(domain.Value) int64) (bool, *Entry) {
-	if live := d.liveIns[v]; len(live) > 0 {
-		e := live[len(live)-1]
-		d.liveIns[v] = live[:len(live)-1]
-		e.deletedAt.Store(ver)
-		return true, nil
-	}
-	if baseCount(v)-int64(d.tombs[v]) <= 0 {
+// deleteLocked is the one delete rule, shared by Delete, Update and
+// ApplyBatch (caller holds mu): cancel the youngest pending insert of v
+// in place, else tombstone a base row, else refuse. ver == 0 mints the
+// version on acceptance; the batch path passes the group's version. It
+// returns the minted tombstone when the delete hit the base (nil when it
+// cancelled a pending insert); the caller places it in the tail or the
+// batch run.
+func (d *Store) deleteLocked(ver int64, v domain.Value, baseCount func(domain.Value) int64) (bool, *Entry) {
+	live := d.liveIns[v]
+	if len(live) == 0 && baseCount(v)-int64(d.tombs[v]) <= 0 {
 		return false, nil
+	}
+	if ver == 0 {
+		ver = d.stamp(0)
+	}
+	if len(live) > 0 {
+		live[len(live)-1].deletedAt.Store(ver)
+		d.liveIns[v] = live[:len(live)-1]
+		return true, nil
 	}
 	d.tombs[v]++
 	return true, d.newEntry(ver, KTombstone, v)
@@ -638,12 +601,16 @@ func (d *Store) deleteAt(ver int64, v domain.Value, baseCount func(domain.Value)
 func (d *Store) Update(old, new domain.Value, baseCount func(domain.Value) int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.deleteLocked(old, baseCount) {
+	ok, tomb := d.deleteLocked(0, old, baseCount)
+	if !ok {
 		d.misses++
 		return false
 	}
-	// Stamp the insert with the delete's version: deleteLocked bumped it,
-	// so reuse rather than re-bump — one version covers the whole update.
+	if tomb != nil {
+		d.addTail(tomb)
+	}
+	// The delete minted d.version; the insert reuses it — one version
+	// covers the whole update.
 	d.addTail(d.newInsert(d.version, new))
 	d.updates++
 	d.publish()
@@ -665,7 +632,7 @@ func (d *Store) ApplyBatch(ops []Op, baseCount func(domain.Value) int64) []bool 
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ver := d.bump()
+	ver := d.stamp(0)
 	res := make([]bool, len(ops))
 	var fresh []*Entry
 	for i, op := range ops {
@@ -673,9 +640,8 @@ func (d *Store) ApplyBatch(ops []Op, baseCount func(domain.Value) int64) []bool 
 		case OpInsert:
 			fresh = append(fresh, d.newInsert(ver, op.V))
 			d.inserts++
-			res[i] = true
-		case OpDelete:
-			ok, tomb := d.deleteAt(ver, op.V, baseCount)
+		case OpDelete, OpUpdate:
+			ok, tomb := d.deleteLocked(ver, op.V, baseCount)
 			if !ok {
 				d.misses++
 				continue
@@ -683,21 +649,16 @@ func (d *Store) ApplyBatch(ops []Op, baseCount func(domain.Value) int64) []bool 
 			if tomb != nil {
 				fresh = append(fresh, tomb)
 			}
-			d.deletes++
-			res[i] = true
-		case OpUpdate:
-			ok, tomb := d.deleteAt(ver, op.V, baseCount)
-			if !ok {
-				d.misses++
-				continue
+			if op.Kind == OpUpdate {
+				fresh = append(fresh, d.newInsert(ver, op.New))
+				d.updates++
+			} else {
+				d.deletes++
 			}
-			if tomb != nil {
-				fresh = append(fresh, tomb)
-			}
-			fresh = append(fresh, d.newInsert(ver, op.New))
-			d.updates++
-			res[i] = true
+		default:
+			continue
 		}
+		res[i] = true
 	}
 	if len(fresh) > 0 {
 		d.pushRun(fresh)

@@ -36,7 +36,7 @@ func eq(a, b []domain.Value) bool {
 func TestDeltaInsertVisibility(t *testing.T) {
 	d := NewStore(4)
 	before := d.Snapshot()
-	d.Insert(10)
+	d.Insert(0, 10)
 	after := d.Snapshot()
 
 	if got := overlayAll(before, nil); len(got) != 0 {
@@ -62,17 +62,17 @@ func TestDeltaDeleteMasksOneOccurrence(t *testing.T) {
 		}
 		return n
 	}
-	if !d.Delete(5, count) {
+	if !d.Delete(0, 5, count) {
 		t.Fatal("delete of existing base value refused")
 	}
 	got := sorted(overlayAll(d.Snapshot(), base))
 	if !eq(got, []domain.Value{5, 7}) {
 		t.Fatalf("overlay after one delete = %v, want [5 7]", got)
 	}
-	if !d.Delete(5, count) {
+	if !d.Delete(0, 5, count) {
 		t.Fatal("second delete of duplicated value refused")
 	}
-	if d.Delete(5, count) {
+	if d.Delete(0, 5, count) {
 		t.Fatal("third delete accepted but only two base rows carry 5")
 	}
 	got = sorted(overlayAll(d.Snapshot(), base))
@@ -88,9 +88,9 @@ func TestDeltaDeleteMasksOneOccurrence(t *testing.T) {
 func TestDeltaDeleteCancelsPendingInsert(t *testing.T) {
 	d := NewStore(4)
 	none := func(domain.Value) int64 { return 0 }
-	d.Insert(42)
+	d.Insert(0, 42)
 	mid := d.Snapshot() // pinned while the insert is live
-	if !d.Delete(42, none) {
+	if !d.Delete(0, 42, none) {
 		t.Fatal("delete of pending insert refused")
 	}
 	// The older watermark still sees the insert; the newer does not.
@@ -151,8 +151,8 @@ func TestDeltaCountDelta(t *testing.T) {
 		}
 		return n
 	}
-	d.Insert(15)
-	d.Delete(20, cnt)
+	d.Insert(0, 15)
+	d.Delete(0, 20, cnt)
 	s := d.Snapshot()
 	if got := s.CountDelta(all(domain.NewRange(0, 100))); got != 0 {
 		t.Fatalf("net count delta = %d, want 0 (one insert, one tombstone)", got)
@@ -167,8 +167,8 @@ func TestDeltaCountDelta(t *testing.T) {
 
 func TestDeltaMergeAbortLeavesStoreIntact(t *testing.T) {
 	d := NewStore(4)
-	d.Insert(1)
-	d.Insert(2)
+	d.Insert(0, 1)
+	d.Insert(0, 2)
 	_, err := d.Merge(func(ins, del []domain.Value, commit func()) error {
 		return errBoom
 	})
@@ -224,9 +224,9 @@ func TestDeltaConcurrentWritersAndReaders(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
 				v := domain.Value(w*1000 + i)
-				d.Insert(v)
+				d.Insert(0, v)
 				if i%3 == 0 {
-					d.Delete(v, none)
+					d.Delete(0, v, none)
 				}
 			}
 		}(w)

@@ -92,10 +92,10 @@ func TestSortedRunsEquivalence(t *testing.T) {
 		v := domain.Value(rng.Intn(500))
 		switch rng.Intn(3) {
 		case 0, 1:
-			d.Insert(v)
+			d.Insert(0, v)
 			model[v]++
 		case 2:
-			ok := d.Delete(v, baseCount)
+			ok := d.Delete(0, v, baseCount)
 			if ok != (model[v] > 0) {
 				t.Fatalf("step %d: delete(%d) = %v, model count %d", i, v, ok, model[v])
 			}
@@ -144,7 +144,7 @@ func TestOverlayBytesWindowed(t *testing.T) {
 	// 2*tailSealLen entries spread over a wide domain → 2 sealed runs,
 	// empty tail.
 	for i := 0; i < 2*tailSealLen; i++ {
-		d.Insert(domain.Value(i * 100))
+		d.Insert(0, domain.Value(i*100))
 	}
 	s := d.Snapshot()
 	full := s.Bytes()
@@ -164,7 +164,7 @@ func TestMergeDrainsInWriteOrder(t *testing.T) {
 	d := NewStore(4)
 	// Descending inserts so value order ≠ write order once sealed.
 	for i := tailSealLen; i > 0; i-- {
-		d.Insert(domain.Value(i))
+		d.Insert(0, domain.Value(i))
 	}
 	var got []domain.Value
 	if _, err := d.Merge(func(ins, del []domain.Value, commit func()) error {

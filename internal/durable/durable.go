@@ -100,8 +100,8 @@ type Config struct {
 	MaxBatch int
 }
 
-// Router maps ops onto shards — the partitioning knowledge the facade
-// owns (extent, shard ranges).
+// Router maps ops onto shards — the partitioning knowledge
+// internal/shard owns (shard.Router is the implementation).
 type Router interface {
 	// Shards returns the shard count (log file fan-out).
 	Shards() int
@@ -166,20 +166,31 @@ func (r *Recovered) Empty() bool {
 	return true
 }
 
-// Stats is a point-in-time snapshot of the committer's counters.
+// Stats is a point-in-time snapshot of the committer's lifetime
+// counters (the facade's WALStats).
 type Stats struct {
-	Batches     int64 // committed groups
-	Records     int64 // ops inside them
-	Appends     int64 // per-shard log appends (≥ Batches)
-	Fsyncs      int64
-	Bytes       int64 // WAL bytes written
+	// Batches counts committed groups, Records the writes inside them —
+	// Records/Batches is the achieved group-commit fan-in.
+	Batches int64
+	Records int64
+	// Appends counts per-shard log appends (≥ Batches), Fsyncs the syncs
+	// (0 with Fsync off), Bytes the WAL bytes written.
+	Appends int64
+	Fsyncs  int64
+	Bytes   int64
+	// Checkpoints counts checkpoints taken (piggy-backed and forced).
 	Checkpoints int64
-	LastSeq     uint64
-	WALSize     int64 // current total log bytes on disk
-	Replayed    int64 // batches replayed by recovery
+	// LastSeq is the last committed group's sequence number; WALSize the
+	// current total log bytes on disk; Replayed the batches recovery
+	// replayed into this column.
+	LastSeq  uint64
+	WALSize  int64
+	Replayed int64
 	// WriteErrors counts writes that failed inside the commit protocol
-	// (append/fsync/apply failures, halted committer) — as opposed to
-	// clean per-op refusals; LastError is the most recent such failure.
+	// (append/fsync/apply failures, halted committer) rather than being
+	// cleanly refused; LastError is the most recent such failure. Every
+	// write path also returns these failures as errors — the counters
+	// exist for monitoring, not as the only signal.
 	WriteErrors int64
 	LastError   string
 }

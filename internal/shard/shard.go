@@ -31,6 +31,9 @@
 //   - Every shard's delta store stamps writes from ONE shared
 //     column-wide commit clock (delta.Clock), so a cross-shard update's
 //     delete half and insert half carry the same version.
+//   - Which shard a write belongs to is decided in exactly one place,
+//     Router.Route, for the single-op methods, for ApplyOps and — through
+//     durable.Router — for the group committer's log fan-out.
 //   - A live query pins each touched shard's (segment snapshot, delta
 //     watermark) pair independently, in shard order. Consistency is
 //     therefore per shard: a concurrent writer may land between two
@@ -65,18 +68,69 @@ import (
 // shard its own model instance — models are stateful.
 type Builder func(idx int, rng domain.Range, vals []domain.Value) core.DeltaStrategy
 
+// shardStrategy is what a Builder's result must be: the full strategy
+// surface plus stamped writes, so every shard can join the column-wide
+// commit clock (both core strategies qualify).
+type shardStrategy interface {
+	core.DeltaStrategy
+	core.StampedWriter
+}
+
+// Router is a column's partition map — the extent and the shard
+// sub-ranges tiling it — and the one place a write's shard is decided.
+// It implements durable.Router, so the group committer logs an op in
+// the shard that will apply it.
+type Router struct {
+	extent domain.Range
+	ranges []domain.Range // ranges[i] is shard i's sub-domain, ascending, adjacent
+}
+
+// NewRouter partitions extent into k shards exactly as New does.
+func NewRouter(extent domain.Range, k int) Router {
+	return Router{extent: extent, ranges: Partition(extent, k)}
+}
+
+// Shards returns the shard count.
+func (r Router) Shards() int { return len(r.ranges) }
+
+// Route returns the shard owning op — the owner of V, whose store
+// validates and accounts the write — and the shard the written value
+// lands in. The two differ only for a cross-shard update (old and new
+// both in extent, different owners). An op naming a value outside the
+// extent goes to shard 0, whose own extent screen refuses it (and
+// replays the refusal deterministically from a log).
+func (r Router) Route(op delta.Op) (owner, target int) {
+	if !r.extent.Contains(op.V) {
+		return 0, 0
+	}
+	owner = rangeOf(r.ranges, op.V)
+	if op.Kind == delta.OpUpdate && r.extent.Contains(op.New) {
+		return owner, rangeOf(r.ranges, op.New)
+	}
+	return owner, owner
+}
+
+// ShardOf implements durable.Router: the log that carries op.
+func (r Router) ShardOf(op delta.Op) int {
+	owner, _ := r.Route(op)
+	return owner
+}
+
+// CrossShard implements durable.Router: the commit barrier.
+func (r Router) CrossShard(op delta.Op) bool {
+	owner, target := r.Route(op)
+	return owner != target
+}
+
 // Column is a domain-sharded self-organizing column. It implements
 // core.DeltaStrategy by routing every operation to the minimal shard
 // subset and merging per-shard outcomes in shard order. It is safe for
 // concurrent use exactly as its shards are.
 type Column struct {
-	extent domain.Range
-	ranges []domain.Range // ranges[i] is shard i's sub-domain, ascending, adjacent
-	shards []core.DeltaStrategy
+	Router
+	shards []shardStrategy
 	// clock is the column-wide commit clock every shard's delta store
-	// stamps from (nil when any shard strategy cannot share one — then
-	// cross-shard updates fall back to delete+insert on independent
-	// clocks, the pre-stamping behaviour).
+	// stamps from.
 	clock *delta.Clock
 	// xmu orders cross-shard updates (write half) against multi-shard
 	// pin sweeps (read half) — see the package locking invariants.
@@ -191,7 +245,9 @@ func SplitValues(ranges []domain.Range, vals []domain.Value) [][]domain.Value {
 
 // New builds a sharded column over values, whose domain is extent, with
 // k shards built by build. Values outside extent are rejected before any
-// shard is constructed. The values slice is consumed.
+// shard is constructed, and so is a Builder whose strategy cannot stamp
+// writes with the column-wide commit version. The values slice is
+// consumed.
 func New(extent domain.Range, vals []domain.Value, k int, build Builder) (*Column, error) {
 	if extent.IsEmpty() {
 		return nil, fmt.Errorf("shard: empty extent %v", extent)
@@ -201,37 +257,20 @@ func New(extent domain.Range, vals []domain.Value, k int, build Builder) (*Colum
 			return nil, fmt.Errorf("shard: value %d (index %d) outside extent %v", v, i, extent)
 		}
 	}
-	ranges := Partition(extent, k)
-	parts := SplitValues(ranges, vals)
-	c := &Column{
-		extent: extent,
-		ranges: ranges,
-		shards: make([]core.DeltaStrategy, len(ranges)),
-		stor:   make([]storCell, len(ranges)),
-	}
-	for i, rng := range ranges {
-		c.shards[i] = build(i, rng, parts[i])
-		c.refresh(i)
-	}
-	// Bind every shard's store to one column-wide commit clock, so a
-	// cross-shard update can stamp both halves with the same version.
-	// All-or-nothing: a mixed column (some shard cannot stamp) keeps
-	// independent clocks everywhere rather than half-sharing.
-	clock := delta.NewClock()
-	stampers := make([]core.StampedWriter, 0, len(c.shards))
-	for _, s := range c.shards {
-		sw, ok := s.(core.StampedWriter)
+	c := &Column{Router: NewRouter(extent, k), clock: delta.NewClock()}
+	parts := SplitValues(c.ranges, vals)
+	c.shards = make([]shardStrategy, len(c.ranges))
+	c.stor = make([]storCell, len(c.ranges))
+	for i, rng := range c.ranges {
+		s, ok := build(i, rng, parts[i]).(shardStrategy)
 		if !ok {
-			stampers = nil
-			break
+			return nil, fmt.Errorf("shard: shard %d's strategy cannot stamp writes (core.StampedWriter)", i)
 		}
-		stampers = append(stampers, sw)
-	}
-	if stampers != nil {
-		for _, sw := range stampers {
-			sw.ShareDeltaClock(clock)
-		}
-		c.clock = clock
+		// One column-wide commit clock, so a cross-shard update can stamp
+		// both halves with the same version.
+		s.ShareDeltaClock(c.clock)
+		c.shards[i] = s
+		c.refresh(i)
 	}
 	return c, nil
 }
@@ -243,9 +282,6 @@ func (c *Column) refresh(i int) {
 	c.stor[i].logical.Store(int64(c.shards[i].UncompressedBytes()))
 	c.stor[i].phys.Store(int64(c.shards[i].StorageBytes()))
 }
-
-// Shards returns the shard count.
-func (c *Column) Shards() int { return len(c.shards) }
 
 // ShardRange returns shard i's sub-domain.
 func (c *Column) ShardRange(i int) domain.Range { return c.ranges[i] }
@@ -463,25 +499,15 @@ func (c *Column) Insert(v domain.Value) (core.QueryStats, error) {
 	if !c.extent.Contains(v) {
 		return core.QueryStats{}, fmt.Errorf("shard: insert value %d outside extent %v", v, c.extent)
 	}
-	i := rangeOf(c.ranges, v)
+	i, _ := c.Route(delta.Op{Kind: delta.OpInsert, V: v})
 	st, err := c.shards[i].Insert(v)
 	c.snapshot(&st, i, i+1)
 	return st, err
 }
 
-// writeTarget picks the shard whose store should account a write against
-// v: the owner when v is in extent, shard 0 otherwise (the shard's own
-// extent check then records the miss, mirroring unsharded behaviour).
-func (c *Column) writeTarget(v domain.Value) int {
-	if c.extent.Contains(v) {
-		return rangeOf(c.ranges, v)
-	}
-	return 0
-}
-
 // Delete implements core.DeltaStrategy: routed to the shard owning v.
 func (c *Column) Delete(v domain.Value) (bool, core.QueryStats, error) {
-	i := c.writeTarget(v)
+	i, _ := c.Route(delta.Op{Kind: delta.OpDelete, V: v})
 	ok, st, err := c.shards[i].Delete(v)
 	c.snapshot(&st, i, i+1)
 	return ok, st, err
@@ -497,49 +523,21 @@ func (c *Column) Delete(v domain.Value) (bool, core.QueryStats, error) {
 // per-shard consistent only). DeltaStats counts such an update as one
 // delete plus one insert.
 func (c *Column) Update(old, new domain.Value) (bool, core.QueryStats, error) {
-	if !c.extent.Contains(old) || !c.extent.Contains(new) {
-		i := c.writeTarget(old)
-		ok, st, err := c.shards[i].Update(old, new)
-		c.snapshot(&st, i, i+1)
-		return ok, st, err
-	}
-	i, j := rangeOf(c.ranges, old), rangeOf(c.ranges, new)
+	i, j := c.Route(delta.Op{Kind: delta.OpUpdate, V: old, New: new})
 	if i == j {
 		ok, st, err := c.shards[i].Update(old, new)
 		c.snapshot(&st, i, i+1)
 		return ok, st, err
 	}
-	if c.clock == nil {
-		return c.updateUnstamped(i, j, old, new)
-	}
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
-	sdel := c.shards[i].(core.StampedWriter)
-	sins := c.shards[j].(core.StampedWriter)
 	ver := c.clock.Next()
-	ok, st, err := sdel.DeleteStamped(ver, old)
+	ok, st, err := c.shards[i].DeleteStamped(ver, old)
 	if !ok || err != nil {
 		c.snapshot(&st, i, i+1)
 		return false, st, err
 	}
-	ist, err := sins.InsertStamped(ver, new)
-	st.Add(ist)
-	c.refresh(i)
-	c.snapshot(&st, j, j+1)
-	return true, st, err
-}
-
-// updateUnstamped is the cross-shard fallback for columns whose shards
-// cannot share a commit clock: delete then insert on two independent
-// clocks (a reader pinning between them can observe the row absent,
-// never duplicated).
-func (c *Column) updateUnstamped(i, j int, old, new domain.Value) (bool, core.QueryStats, error) {
-	ok, st, err := c.shards[i].Delete(old)
-	if !ok || err != nil {
-		c.snapshot(&st, i, i+1)
-		return false, st, err
-	}
-	ist, err := c.shards[j].Insert(new)
+	ist, err := c.shards[j].InsertStamped(ver, new)
 	st.Add(ist)
 	c.refresh(i)
 	c.snapshot(&st, j, j+1)
@@ -549,25 +547,24 @@ func (c *Column) updateUnstamped(i, j int, old, new domain.Value) (bool, core.Qu
 // ApplyOps applies a group-committed batch of writes: ops are
 // partitioned to their owning shards in arrival order and each touched
 // shard applies its sub-batch under ONE version bump and ONE snapshot
-// publication (core's applyOps). Ops owned by different shards commute —
+// publication (core's ApplyOps). Ops owned by different shards commute —
 // they touch disjoint stores and disjoint base ranges — so the per-shard
 // partition preserves every ordering that matters. The one exception is
-// a cross-shard update (old and new in extent, different owners): it
-// cannot share a publication, so the batch is split at it and the
-// update runs through the live Update path (the group committer
-// isolates such ops as singleton batches, making the split a no-op in
-// the durable pipeline). Per-op results follow Insert/Delete/Update's
-// acceptance rules; out-of-extent inserts are refused without an error.
+// a cross-shard update: it cannot share a publication, so the batch is
+// split at it and the update runs through the live Update path (the
+// group committer isolates such ops as singleton batches, making the
+// split a no-op in the durable pipeline). Per-op results follow
+// Insert/Delete/Update's acceptance rules; out-of-extent inserts are
+// refused (by shard 0's screen) without an error.
 func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 	var st core.QueryStats
 	res := make([]bool, len(ops))
-	if len(ops) == 0 {
-		c.snapshot(&st, 0, 0)
-		return res, st, nil
-	}
-	byShard := make(map[int][]delta.Op)
-	origin := make(map[int][]int) // shard -> accepted op's index in ops
-	loT, hiT := len(c.shards), 0  // touched shard span for the final snapshot
+	// table[i] is shard i's sub-batch: its ops and their indices in ops.
+	table := make([]struct {
+		ops    []delta.Op
+		origin []int
+	}, len(c.shards))
+	loT, hiT := len(c.shards), 0 // touched shard span for the final snapshot
 	touch := func(i int) {
 		if i < loT {
 			loT = i
@@ -577,69 +574,46 @@ func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 		}
 	}
 	flush := func() error {
-		for i := 0; i < len(c.shards); i++ {
-			sub := byShard[i]
-			if len(sub) == 0 {
+		for i := range table {
+			sub := &table[i]
+			if len(sub.ops) == 0 {
 				continue
 			}
-			out, sst, err := c.shards[i].ApplyOps(sub)
+			out, sst, err := c.shards[i].ApplyOps(sub.ops)
 			st.Add(sst)
 			touch(i)
 			for j, ok := range out {
-				res[origin[i][j]] = ok
+				res[sub.origin[j]] = ok
 			}
+			sub.ops, sub.origin = nil, nil
 			if err != nil {
 				return err
 			}
 		}
-		byShard = make(map[int][]delta.Op)
-		origin = make(map[int][]int)
 		return nil
 	}
 	for k, op := range ops {
-		var i int
-		switch op.Kind {
-		case delta.OpInsert:
-			if !c.extent.Contains(op.V) {
-				continue // refused, mirrors Insert's extent error
-			}
-			i = rangeOf(c.ranges, op.V)
-		case delta.OpDelete:
-			i = c.writeTarget(op.V)
-		case delta.OpUpdate:
-			if c.extent.Contains(op.V) && c.extent.Contains(op.New) {
-				oi, nj := rangeOf(c.ranges, op.V), rangeOf(c.ranges, op.New)
-				if oi != nj {
-					// Cross-shard: flush what's queued, run it live.
-					if err := flush(); err != nil {
-						c.snapshot(&st, loT, hiT)
-						return res, st, err
-					}
-					ok, ust, uerr := c.Update(op.V, op.New)
-					st.Add(ust)
-					touch(oi)
-					touch(nj)
-					res[k] = ok
-					if uerr != nil {
-						c.snapshot(&st, loT, hiT)
-						return res, st, uerr
-					}
-					continue
-				}
-				i = oi
-			} else {
-				i = c.writeTarget(op.V) // shard's extent screen records the miss
-			}
-		default:
+		i, j := c.Route(op)
+		if i == j {
+			table[i].ops = append(table[i].ops, op)
+			table[i].origin = append(table[i].origin, k)
 			continue
 		}
-		byShard[i] = append(byShard[i], op)
-		origin[i] = append(origin[i], k)
+		// Cross-shard update: flush what's queued, run it live.
+		err := flush()
+		if err == nil {
+			var ust core.QueryStats
+			res[k], ust, err = c.Update(op.V, op.New)
+			st.Add(ust)
+			touch(i)
+			touch(j)
+		}
+		if err != nil {
+			c.snapshot(&st, loT, hiT)
+			return res, st, err
+		}
 	}
 	err := flush()
-	if loT > hiT {
-		loT, hiT = 0, 0
-	}
 	c.snapshot(&st, loT, hiT)
 	return res, st, err
 }

@@ -116,6 +116,7 @@ import (
 
 	"selforg/internal/compress"
 	"selforg/internal/core"
+	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/durable"
 	"selforg/internal/model"
@@ -318,61 +319,9 @@ type Tracer = core.Tracer
 
 // Stats aggregates per-query costs, mirroring the paper's measures:
 // memory reads, memory writes due to segment materialization, result
-// cardinality, and reorganization activity. Read and write volumes are
-// physical: with compression on, scanning or materializing an encoded
-// segment costs its encoded size (with compression off they match the
-// paper's accounting exactly).
-type Stats struct {
-	ReadBytes   int64
-	WriteBytes  int64
-	ResultCount int64
-	Splits      int
-	Drops       int
-	// Recodes counts the segments this query (re-)encoded.
-	Recodes int
-	// DeltaReadBytes is the overlay volume: pending delta entries
-	// scanned on top of the base segments (also counted in ReadBytes).
-	// Merged counts the delta entries a merge-back drained into the base
-	// during this operation.
-	DeltaReadBytes int64
-	Merged         int
-	// StorageBytes and CompressedBytes snapshot the column after the
-	// query: logical (uncompressed) bytes held vs physical bytes held.
-	// Their difference is the storage the compression subsystem saves;
-	// they are equal when compression is off.
-	StorageBytes    int64
-	CompressedBytes int64
-}
-
-func statsFrom(qs core.QueryStats) Stats {
-	return Stats{
-		ReadBytes:       qs.ReadBytes,
-		WriteBytes:      qs.WriteBytes,
-		ResultCount:     qs.ResultCount,
-		Splits:          qs.Splits,
-		Drops:           qs.Drops,
-		Recodes:         qs.Recodes,
-		DeltaReadBytes:  qs.DeltaReadBytes,
-		Merged:          qs.Merged,
-		StorageBytes:    qs.StorageBytes,
-		CompressedBytes: qs.CompressedBytes,
-	}
-}
-
-// Add accumulates the additive measures of other into s and carries the
-// storage snapshot of the later query forward.
-func (s *Stats) Add(other Stats) {
-	s.ReadBytes += other.ReadBytes
-	s.WriteBytes += other.WriteBytes
-	s.ResultCount += other.ResultCount
-	s.Splits += other.Splits
-	s.Drops += other.Drops
-	s.Recodes += other.Recodes
-	s.DeltaReadBytes += other.DeltaReadBytes
-	s.Merged += other.Merged
-	s.StorageBytes = other.StorageBytes
-	s.CompressedBytes = other.CompressedBytes
-}
+// cardinality, reorganization activity and the storage snapshot after
+// the query. It is core.QueryStats, where the fields are documented.
+type Stats = core.QueryStats
 
 // Column is a self-organizing column of int64 values. It is safe for
 // concurrent use: readers scan immutable segment-list snapshots published
@@ -495,7 +444,7 @@ func New(extent Interval, values []int64, opts Options) (*Column, error) {
 	if o.Shards < 0 {
 		return nil, fmt.Errorf("selforg: negative shard count %d", o.Shards)
 	}
-	if o.Durability.Dir != "" && !o.Durability.Disable {
+	if o.Durability.Dir != "" {
 		return newDurable(rng, values, o)
 	}
 	strat, err := buildStrategy(o, rng, values, nil)
@@ -647,8 +596,7 @@ func (c *Column) Select(lo, hi int64) ([]int64, Stats) {
 	if lo > hi {
 		return nil, Stats{}
 	}
-	res, qs := c.strat.Select(domain.Range{Lo: lo, Hi: hi})
-	st := statsFrom(qs)
+	res, st := c.strat.Select(domain.Range{Lo: lo, Hi: hi})
 	c.acct.query(st)
 	return res, st
 }
@@ -706,8 +654,7 @@ func (c *Column) SelectRows(lo, hi int64) (*Rows, Stats) {
 	if lo > hi {
 		return &Rows{rope: result.New()}, Stats{}
 	}
-	rope, qs := c.strat.SelectRope(domain.Range{Lo: lo, Hi: hi})
-	st := statsFrom(qs)
+	rope, st := c.strat.SelectRope(domain.Range{Lo: lo, Hi: hi})
 	c.acct.query(st)
 	return &Rows{rope: rope}, st
 }
@@ -722,8 +669,7 @@ func (c *Column) Count(lo, hi int64) (int64, Stats) {
 	if lo > hi {
 		return 0, Stats{}
 	}
-	n, qs := c.strat.Count(domain.Range{Lo: lo, Hi: hi})
-	st := statsFrom(qs)
+	n, st := c.strat.Count(domain.Range{Lo: lo, Hi: hi})
 	c.acct.query(st)
 	return n, st
 }
@@ -823,11 +769,10 @@ func (c *Column) GlueSmall(minBytes int64) (int64, bool) {
 // so an acked bulk load survives a crash exactly like an acked point
 // write (the PR 8 "bulk loads bypass the WAL" hole is closed).
 func (c *Column) BulkLoad(values []int64) (Stats, error) {
-	qs, err := c.strat.BulkLoad(values)
+	st, err := c.strat.BulkLoad(values)
 	if err != nil {
 		return Stats{}, err
 	}
-	st := statsFrom(qs)
 	c.acct.add(st)
 	if c.dur != nil {
 		if err := c.dur.Checkpoint(); err != nil {
@@ -849,12 +794,7 @@ func (c *Column) BulkLoad(values []int64) (Stats, error) {
 // and applied. Batched writes are accounted to Totals by the commit, so
 // the per-call Stats are zero.
 func (c *Column) Insert(v int64) (Stats, error) {
-	if c.dur != nil {
-		return c.durInsert(v)
-	}
-	qs, err := c.strat.Insert(v)
-	st := statsFrom(qs)
-	c.acct.add(st)
+	_, st, err := c.write(delta.Op{Kind: delta.OpInsert, V: v})
 	return st, err
 }
 
@@ -862,15 +802,9 @@ func (c *Column) Insert(v int64) (Stats, error) {
 // base row is tombstoned). It reports false — and writes nothing — when
 // no visible row carries v; the error reports a write-infrastructure
 // failure (merge-back, WAL append/fsync, halted committer), so a miss
-// and a durability fault are no longer conflated.
+// and a durability fault are not conflated.
 func (c *Column) Delete(v int64) (bool, Stats, error) {
-	if c.dur != nil {
-		return c.durDelete(v)
-	}
-	ok, qs, err := c.strat.Delete(v)
-	st := statsFrom(qs)
-	c.acct.add(st)
-	return ok, st, err
+	return c.write(delta.Op{Kind: delta.OpDelete, V: v})
 }
 
 // Update atomically replaces one occurrence of old with new: every
@@ -880,11 +814,39 @@ func (c *Column) Delete(v int64) (bool, Stats, error) {
 // visible row carries old; the error reports a write-infrastructure
 // failure, following Delete's contract.
 func (c *Column) Update(old, new int64) (bool, Stats, error) {
-	if c.dur != nil {
-		return c.durUpdate(old, new)
+	return c.write(delta.Op{Kind: delta.OpUpdate, V: old, New: new})
+}
+
+// write is the one body behind Insert, Delete and Update. An insert
+// outside the extent is refused here, before it can reach the log. On a
+// durable column the op is submitted to the group committer and the
+// call blocks until its batch is logged and applied (the batch's costs
+// reach Totals through the commit, so the per-call Stats are zero); the
+// committer's failures surface as the error, and are also counted in
+// WALStats.WriteErrors/LastError. Otherwise the op goes straight to the
+// strategy's single-op path.
+func (c *Column) write(op delta.Op) (bool, Stats, error) {
+	if op.Kind == delta.OpInsert && !c.extent.Contains(op.V) {
+		return false, Stats{}, fmt.Errorf("selforg: insert %d outside extent %v", op.V, c.extent)
 	}
-	ok, qs, err := c.strat.Update(old, new)
-	st := statsFrom(qs)
+	if c.dur != nil {
+		ok, err := c.dur.Submit(op)
+		if err != nil {
+			return false, Stats{}, fmt.Errorf("selforg: %w", err)
+		}
+		return ok, Stats{}, nil
+	}
+	ok := true
+	var st Stats
+	var err error
+	switch op.Kind {
+	case delta.OpInsert:
+		st, err = c.strat.Insert(op.V)
+	case delta.OpDelete:
+		ok, st, err = c.strat.Delete(op.V)
+	case delta.OpUpdate:
+		ok, st, err = c.strat.Update(op.V, op.New)
+	}
 	c.acct.add(st)
 	return ok, st, err
 }
@@ -893,54 +855,18 @@ func (c *Column) Update(old, new int64) (bool, Stats, error) {
 // through the reorganization pipeline, regardless of the Delta*
 // thresholds — the explicit checkpoint.
 func (c *Column) MergeDeltas() (Stats, error) {
-	qs, err := c.strat.MergeDeltas()
-	st := statsFrom(qs)
+	st, err := c.strat.MergeDeltas()
 	c.acct.add(st)
 	return st, err
 }
 
+// DeltaStats is the MVCC write store's lifetime counters (delta.Stats;
+// summed over the shards of a sharded column).
+type DeltaStats = delta.Stats
+
 // DeltaStats returns the MVCC write store's lifetime counters: accepted
 // writes, pending (unmerged) entries and completed merge-backs.
-func (c *Column) DeltaStats() DeltaStats {
-	ds := c.strat.DeltaStats()
-	return DeltaStats{
-		Inserts:       ds.Inserts,
-		Updates:       ds.Updates,
-		Deletes:       ds.Deletes,
-		DeleteMisses:  ds.DeleteMisses,
-		Pending:       ds.Pending,
-		PendingBytes:  ds.PendingBytes,
-		Runs:          ds.Runs,
-		Merges:        ds.Merges,
-		MergedEntries: ds.MergedEntries,
-		Publications:  ds.Publications,
-		Watermark:     ds.Watermark,
-	}
-}
-
-// DeltaStats mirrors delta.Stats on the public surface.
-type DeltaStats struct {
-	// Inserts, Updates and Deletes count accepted write operations;
-	// DeleteMisses the refused ones (no visible row carried the value).
-	Inserts, Updates, Deletes, DeleteMisses int64
-	// Pending is the current unmerged entry count, PendingBytes its
-	// logical size.
-	Pending      int
-	PendingBytes int64
-	// Runs is the current sorted-run count of the pending store (summed
-	// over shards; the unsorted tail is not a run).
-	Runs int
-	// Merges counts completed merge-backs, MergedEntries the entries
-	// they drained.
-	Merges        int64
-	MergedEntries int64
-	// Publications counts delta snapshot publications — per write on the
-	// single-op path, per committed group under durability's group
-	// commit (the write-amplification measure).
-	Publications int64
-	// Watermark is the version high-water mark — the MVCC clock.
-	Watermark int64
-}
+func (c *Column) DeltaStats() DeltaStats { return c.strat.DeltaStats() }
 
 // View returns a read-only MVCC view pinned at the current (base
 // snapshot, delta watermark) pair: writes, splits, drops, bulk loads and
