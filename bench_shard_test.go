@@ -91,8 +91,8 @@ func BenchmarkShardedMixedWorkload(b *testing.B) {
 					if r.Queries == 0 || r.Writes == 0 {
 						b.Fatalf("degenerate mixed run: %+v", r)
 					}
-					b.ReportMetric(r.OPS, "ops/s")
-					b.ReportMetric(float64(r.DeltaReadBytes)/float64(r.Queries), "overlayB/q")
+					b.ReportMetric(r.OpsPerSec(), "ops/s")
+					b.ReportMetric(float64(r.Stats.DeltaReadBytes)/float64(r.Queries), "overlayB/q")
 				}
 			})
 		}

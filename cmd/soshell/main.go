@@ -19,7 +19,6 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -28,18 +27,18 @@ import (
 	"selforg"
 
 	"selforg/internal/domain"
+	"selforg/internal/server"
 	"selforg/internal/sim"
-	"selforg/internal/sql"
 )
 
 type shell struct {
-	values   []int64
-	lo, hi   int64
-	opts     selforg.Options
-	col      *selforg.Column
-	pins     map[string]*selforg.View
-	out      *bufio.Writer
-	echoedOK bool
+	values []int64
+	lo, hi int64
+	opts   selforg.Options
+	col    *selforg.Column
+	srv    *server.Server // the statement path over col, for 'sql'
+	pins   map[string]*selforg.View
+	out    *bufio.Writer
 }
 
 func main() {
@@ -89,10 +88,12 @@ func (sh *shell) exec(line string) error {
   insert V                  write one row through the MVCC delta store
   update OLD NEW            replace one occurrence of OLD with NEW
   delete V                  remove one occurrence of V
-  sql STATEMENT             run SQL against the column as sys.P(v):
-                            SELECT v / count(*) / sum(v) ... WHERE v BETWEEN,
-                            INSERT INTO P VALUES (..), UPDATE P SET v=..,
-                            DELETE FROM P WHERE v=.. (CREATE TABLE needs soserve)
+  sql STATEMENT             run SQL through the server's statement path, the
+                            column served as sys.P(v): SELECT v / count(*) /
+                            sum(v) ... WHERE v BETWEEN, INSERT INTO P VALUES (..),
+                            UPDATE P SET v=.., DELETE FROM P WHERE v=..,
+                            CREATE TABLE t (a, b) for session-local tables,
+                            EXPLAIN SELECT .. for the MAL plan
   merge                     force the delta merge-back into the base
   delta                     show the write store's counters
   wal on DIR [fsync]        enable durability on the next build: group-commit
@@ -218,6 +219,7 @@ func (sh *shell) exec(line string) error {
 			return err
 		}
 		sh.col = col
+		sh.srv = server.NewOver(server.Config{MaxRows: maxShown}, col)
 		sh.pins = nil // pins belong to the previous column
 		fmt.Fprintf(sh.out, "built %s over %d values", col.Name(), len(sh.values))
 		if k := col.Shards(); k > 1 {
@@ -345,7 +347,7 @@ func (sh *shell) exec(line string) error {
 		if stmt == "" {
 			return fmt.Errorf("sql STATEMENT")
 		}
-		return sh.sqlExec(stmt)
+		return sh.sql(stmt)
 	case "merge":
 		if sh.col == nil {
 			return fmt.Errorf("no column: run 'build' first")
@@ -603,159 +605,57 @@ func (sh *shell) exec(line string) error {
 	}
 }
 
-// sqlExec runs one SQL statement against the shell's column, which it
-// serves as sys.P(v) — the same default schema the server tier uses.
-// SELECTs lower onto Count/Select, DML onto the facade's point writes;
-// CREATE TABLE (multi-column, catalog-backed) needs the server tier.
-func (sh *shell) sqlExec(src string) error {
-	stmt, err := sql.ParseStmt(src)
+// sql runs one statement through the server tier's statement path
+// (server.Exec: normalize → plan cache → parse → bind → run) over the
+// shell's column, served as sys.P(v); a leading EXPLAIN prints the MAL
+// plan of a SELECT instead of running it.
+func (sh *shell) sql(stmt string) error {
+	if len(stmt) > 8 && strings.EqualFold(stmt[:8], "EXPLAIN ") {
+		plan, err := sh.srv.Explain(stmt[8:])
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(sh.out, plan)
+		return nil
+	}
+	res, err := sh.srv.Exec("", stmt)
 	if err != nil {
 		return err
 	}
-	checkTable := func(schema, table string) error {
-		if schema != "sys" || table != "P" {
-			return fmt.Errorf("the shell serves one table, sys.P(v); CREATE TABLE and other tables need the server tier (soserve)")
-		}
-		return nil
-	}
-	checkColumn := func(col string) error {
-		if col != "v" {
-			return fmt.Errorf("unknown column sys.P.%s (the column is named v)", col)
-		}
-		return nil
-	}
-	toLng := func(f float64) (int64, error) {
-		if f != float64(int64(f)) {
-			return 0, fmt.Errorf("value %g is not a bigint", f)
-		}
-		return int64(f), nil
-	}
-	switch st := stmt.(type) {
-	case *sql.CreateTable:
-		return fmt.Errorf("CREATE TABLE needs the server tier (soserve): the shell serves one column, sys.P(v)")
-	case *sql.Insert:
-		if err := checkTable(st.Schema, st.Table); err != nil {
-			return err
-		}
-		for _, c := range st.Columns {
-			if err := checkColumn(c); err != nil {
-				return err
+	switch res.Op {
+	case "count":
+		fmt.Fprintf(sh.out, "%d rows; read %d B\n", res.Count, res.Stats.ReadBytes)
+	case "sum":
+		fmt.Fprintf(sh.out, "sum %d over %d rows; read %d B\n", res.Sum, res.Count, res.Stats.ReadBytes)
+	case "select":
+		// A table of the session's own (CREATE TABLE) answers in tuples,
+		// the served column in rows; both are capped at maxShown.
+		if res.Tuples != nil {
+			fmt.Fprintf(sh.out, "# %s\n", strings.Join(res.Columns, ", "))
+			for _, tup := range res.Tuples {
+				fmt.Fprintf(sh.out, "%d\n", tup)
 			}
-		}
-		n := 0
-		for _, row := range st.Rows {
-			if len(row) != 1 {
-				return fmt.Errorf("sys.P has 1 column, row has %d values", len(row))
-			}
-			v, err := toLng(row[0])
-			if err != nil {
-				return err
-			}
-			if _, err := sh.col.Insert(v); err != nil {
-				return fmt.Errorf("after %d rows: %w", n, err)
-			}
-			n++
-		}
-		fmt.Fprintf(sh.out, "%d rows inserted\n", n)
-		return nil
-	case *sql.Update:
-		if err := checkTable(st.Schema, st.Table); err != nil {
-			return err
-		}
-		if err := checkColumn(st.SetCol); err != nil {
-			return err
-		}
-		if err := checkColumn(st.PredCol); err != nil {
-			return err
-		}
-		old, err := toLng(st.PredVal)
-		if err != nil {
-			return err
-		}
-		nv, err := toLng(st.SetVal)
-		if err != nil {
-			return err
-		}
-		ok, _, err := sh.col.Update(old, nv)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			fmt.Fprintln(sh.out, "0 rows updated")
-			return nil
-		}
-		fmt.Fprintln(sh.out, "1 row updated")
-		return nil
-	case *sql.Delete:
-		if err := checkTable(st.Schema, st.Table); err != nil {
-			return err
-		}
-		if err := checkColumn(st.PredCol); err != nil {
-			return err
-		}
-		v, err := toLng(st.PredVal)
-		if err != nil {
-			return err
-		}
-		ok, _, err := sh.col.Delete(v)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			fmt.Fprintln(sh.out, "0 rows deleted")
-			return nil
-		}
-		fmt.Fprintln(sh.out, "1 row deleted")
-		return nil
-	case *sql.Query:
-		if err := checkTable(st.Schema, st.Table); err != nil {
-			return err
-		}
-		if err := checkColumn(st.PredCol); err != nil {
-			return err
-		}
-		// The grammar's dbl bounds map onto the facade's inclusive
-		// integer interval: the integers inside [lo, hi].
-		lo := int64(math.Ceil(st.Lo))
-		hi := int64(math.Floor(st.Hi))
-		switch st.Aggregate {
-		case "count":
-			n, stt := sh.col.Count(lo, hi)
-			fmt.Fprintf(sh.out, "%d rows; read %d B\n", n, stt.ReadBytes)
-			return nil
-		case "sum":
-			if err := checkColumn(st.AggrCol); err != nil {
-				return err
-			}
-			vals, stt := sh.col.Select(lo, hi)
-			var sum int64
-			for _, v := range vals {
-				sum += v
-			}
-			fmt.Fprintf(sh.out, "sum %d over %d rows; read %d B\n", sum, len(vals), stt.ReadBytes)
-			return nil
-		default:
-			for _, p := range st.Projections {
-				if err := checkColumn(p); err != nil {
-					return err
-				}
-			}
-			vals, stt := sh.col.Select(lo, hi)
-			const maxShown = 32
-			shown := len(vals)
-			if shown > maxShown {
-				shown = maxShown
-			}
-			for _, v := range vals[:shown] {
+		} else {
+			for _, v := range res.Rows.Values() {
 				fmt.Fprintf(sh.out, "[ %d ]\n", v)
 			}
-			fmt.Fprintf(sh.out, "# %d rows; read %d B\n", len(vals), stt.ReadBytes)
-			return nil
 		}
-	default:
-		return fmt.Errorf("unsupported statement %T", st)
+		fmt.Fprintf(sh.out, "# %d rows; read %d B\n", res.Count, res.Stats.ReadBytes)
+	case "create":
+		fmt.Fprintln(sh.out, "table created")
+	default: // insert, update, delete
+		rows := "rows"
+		if res.Count == 1 {
+			rows = "row"
+		}
+		fmt.Fprintf(sh.out, "%d %s %sed\n", res.Count, rows, strings.TrimSuffix(res.Op, "e"))
 	}
+	return nil
 }
+
+// maxShown caps the rows a SELECT prints; the count line always carries
+// the full cardinality.
+const maxShown = 32
 
 func atoi(s string) (int64, error) {
 	v, err := strconv.ParseInt(s, 10, 64)

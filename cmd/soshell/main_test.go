@@ -272,3 +272,63 @@ func TestShellObservability(t *testing.T) {
 		t.Error("bare trace accepted")
 	}
 }
+
+// TestShellSQL walks the `sql` command's statement classes in order on
+// one 1000-row column over [0, 999]. The statements are rows of
+// internal/server's TestExecStatementMatrix where one input serves both:
+// the shell has no executor of its own, so what the server's statement
+// path guarantees (saturating bounds, all-or-nothing INSERT) must show
+// here too.
+func TestShellSQL(t *testing.T) {
+	sh, out := newTestShell()
+	run(t, sh, "gen 1000 0 999 3", "model apm 512 2048", "build")
+	for _, c := range []struct {
+		line string
+		want string // substring of the output; of the error when fail
+		fail bool
+	}{
+		{"sql SELECT COUNT(*) FROM P WHERE v BETWEEN 0 AND 999", "1000 rows; read", false},
+		// A bound past int64 saturates instead of emptying the interval.
+		{"sql SELECT count(*) FROM P WHERE v BETWEEN 0 AND 1e19", "1000 rows; read", false},
+		{"sql select count(*) from P where v between -1e19 and 1e19;", "1000 rows; read", false},
+		{"sql INSERT INTO P VALUES (100), (101)", "2 rows inserted", false},
+		{"sql UPDATE P SET v = 102 WHERE v = 100", "1 row updated", false},
+		{"sql DELETE FROM P WHERE v = 101", "1 row deleted", false},
+		{"sql DELETE FROM P WHERE v = 10000", "0 rows deleted", false},
+		{"sql SELECT COUNT(*) FROM P WHERE v BETWEEN 0 AND 999", "1001 rows; read", false},
+		// A rejected multi-row INSERT applies none of its rows.
+		{"sql INSERT INTO P VALUES (5), (5000)", "outside extent [0, 999]", true},
+		{"sql INSERT INTO P VALUES (100), (1.5)", "not a bigint", true},
+		{"sql INSERT INTO P VALUES (1, 2)", "has 1 column", true},
+		{"sql SELECT COUNT(*) FROM P WHERE v BETWEEN 0 AND 999", "1001 rows; read", false},
+		{"sql SELECT v FROM P WHERE v BETWEEN 102 AND 102", "[ 102 ]", false},
+		{"sql SELECT v FROM P WHERE v BETWEEN 0 AND 999", "# 1001 rows; read", false},
+		{"sql SELECT SUM(v) FROM P WHERE v BETWEEN 102 AND 102", "over", false},
+		{"sql EXPLAIN SELECT COUNT(*) FROM P WHERE v BETWEEN 7 AND 9", "aggr.count", false},
+		// Tables of the session's own run on the server's tenant catalog.
+		{"sql CREATE TABLE m (a, b)", "table created", false},
+		{"sql INSERT INTO m VALUES (1, 10), (2, 20)", "2 rows inserted", false},
+		{"sql SELECT a, b FROM m WHERE a BETWEEN 2 AND 2", "[2 20]", false},
+		{"sql CREATE TABLE P (a)", "already exists", true},
+		{"sql SELECT nope FROM P WHERE v BETWEEN 1 AND 2", "unknown column", true},
+		{"sql SELECT a FROM nope WHERE a BETWEEN 1 AND 2", "nope", true},
+		{"sql DELETE FROM P WHERE v =", "", true},
+		{"sql", "sql STATEMENT", true},
+	} {
+		out.Reset()
+		err := sh.exec(c.line)
+		sh.out.Flush()
+		got := out.String()
+		if err != nil {
+			got = err.Error()
+		}
+		if (err != nil) != c.fail || !strings.Contains(got, c.want) {
+			t.Errorf("%q: got %q (error %v), want %q (error %v)", c.line, got, err != nil, c.want, c.fail)
+		}
+	}
+	out.Reset()
+	run(t, sh, "sql SELECT v FROM P WHERE v BETWEEN 0 AND 999")
+	if shown := strings.Count(out.String(), "[ "); shown != maxShown {
+		t.Errorf("a 1001-row SELECT printed %d rows, want the first %d", shown, maxShown)
+	}
+}

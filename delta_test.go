@@ -212,7 +212,7 @@ func TestDeltaMixedSimExperiment(t *testing.T) {
 	if r.Delta.Merges == 0 {
 		t.Fatalf("mixed run drove no merge-backs: %+v", r.Delta)
 	}
-	if r.Splits == 0 {
+	if r.Stats.Splits == 0 {
 		t.Fatal("mixed run drove no reorganization")
 	}
 }

@@ -11,11 +11,4 @@
 // encodings of internal/compress implement it too, so every operator
 // runs over compressed data transparently (RangeSelect additionally
 // picks up their compressed-form span fast path through RangeSpanner).
-//
-// The "split at any point" property also powers the parallel operator
-// variants (RangeSelectPar, SumPar, MinPar, MaxPar, CountRangePar):
-// a BAT is cut into contiguous row chunks sharing storage, the chunks
-// are processed on a bounded worker pool, and the partials are merged in
-// row order — selections come out byte-identical to their serial
-// counterparts.
 package bat

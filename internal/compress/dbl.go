@@ -127,12 +127,3 @@ func (d *DblVector) RangeSpans(lo, hi bat.Value, f func(start, end int)) {
 	}
 	d.inner.Spans(mapDbl(l), mapDbl(h), f)
 }
-
-// MinMaxDbl returns the extreme values; ok is false for empty vectors.
-func (d *DblVector) MinMaxDbl() (float64, float64, bool) {
-	lo, hi, ok := d.inner.MinMax()
-	if !ok {
-		return 0, 0, false
-	}
-	return unmapDbl(lo), unmapDbl(hi), true
-}

@@ -92,10 +92,6 @@ func (d *DictVector) StoredBytes() int64 {
 	return dictHeaderBytes + int64(len(d.dict))*d.elemSize + d.codes.bytes()
 }
 
-// DictLen returns the dictionary cardinality (diagnostics, advisor
-// validation).
-func (d *DictVector) DictLen() int { return len(d.dict) }
-
 // At implements Vector.
 func (d *DictVector) At(i int) int64 { return d.dict[d.codes.get(i)] }
 

@@ -40,13 +40,6 @@ func (n *node) withChildren(kids []*node) *node {
 	return &node{seg: n.seg, children: kids}
 }
 
-// withSeg returns a copy of n holding seg in place of its segment (same
-// children) — the path-copying counterpart of filling or rewriting a
-// payload.
-func (n *node) withSeg(seg *segment.Segment) *node {
-	return &node{seg: seg, children: n.children}
-}
-
 // assertTiling panics unless kids tile rng exactly: adjacent, ascending,
 // first starts at rng.Lo, last ends at rng.Hi.
 func assertTiling(rng domain.Range, kids []*node) {

@@ -93,10 +93,6 @@ type Entry struct {
 	deletedAt atomic.Int64
 }
 
-// DeletedAt returns the version of the delete that cancelled an insert
-// entry, or 0 while it is live.
-func (e *Entry) DeletedAt() int64 { return e.deletedAt.Load() }
-
 // run is one immutable sorted component of level 0: entries ordered by
 // value, with the min/max window cached for skip checks.
 type run struct {

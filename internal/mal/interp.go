@@ -53,13 +53,7 @@ type Context struct {
 	// AdaptModel drives bpm.adapt, the reorganizing module call the
 	// segment optimizer injects after selections (§3.3).
 	AdaptModel model.Model
-	// Parallelism bounds the worker pool the kernel operators
-	// (algebra.select, aggr.sum/min/max) may fan one instruction's scan
-	// out to (<=1 = serial, the MonetDB-faithful default). Results are
-	// identical at every setting; lng aggregates are exact, dbl sums may
-	// differ from serial rounding by float associativity.
-	Parallelism int
-	Out         io.Writer
+	Out        io.Writer
 	// Results collects the result sets exported by sql.exportResult.
 	Results []*ResultSet
 	// AdaptedBytes totals the bytes rewritten by bpm.adapt calls.
@@ -91,9 +85,7 @@ type Interp struct {
 	Store    *bpm.Store
 	// AdaptModel defaults to APM with MonetDB-ish page bounds if nil.
 	AdaptModel model.Model
-	// Parallelism is handed to every Context (see Context.Parallelism).
-	Parallelism int
-	Out         io.Writer
+	Out        io.Writer
 }
 
 // NewInterp builds an interpreter with the default builtin registry.
@@ -113,14 +105,13 @@ func (in *Interp) Run(p *Program, args ...any) (*Context, error) {
 		return nil, fmt.Errorf("mal: program %s wants %d args, got %d", p.Name, len(p.Params), len(args))
 	}
 	ctx := &Context{
-		env:         make(map[string]any),
-		Registry:    in.Registry,
-		Catalog:     in.Catalog,
-		Store:       in.Store,
-		AdaptModel:  in.AdaptModel,
-		Parallelism: in.Parallelism,
-		Out:         in.Out,
-		iters:       make(map[iterKey]*segIter),
+		env:        make(map[string]any),
+		Registry:   in.Registry,
+		Catalog:    in.Catalog,
+		Store:      in.Store,
+		AdaptModel: in.AdaptModel,
+		Out:        in.Out,
+		iters:      make(map[iterKey]*segIter),
 	}
 	if ctx.AdaptModel == nil {
 		ctx.AdaptModel = model.NewAPM(1<<13, 1<<15)

@@ -514,36 +514,3 @@ end ssum;
 		t.Errorf("segmented sum = %v, want %v", got, want)
 	}
 }
-
-func TestFigure1PlanParallelismIdentical(t *testing.T) {
-	// Context.Parallelism routes algebra.select and the aggregates
-	// through the chunk-merge kernels; the exported result must be
-	// identical to the serial run at every setting.
-	run := func(par int) *ResultSet {
-		prog := MustParse(figure1Plan)
-		in := NewInterp(skyCatalog(), bpm.NewStore())
-		in.Parallelism = par
-		ctx, err := in.Run(prog, 205.1, 205.12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ctx.Results) != 1 {
-			t.Fatalf("par=%d: results = %d", par, len(ctx.Results))
-		}
-		return ctx.Results[0]
-	}
-	want := run(1)
-	for _, par := range []int{2, 8} {
-		got := run(par)
-		if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
-			t.Fatalf("par=%d: shape %dx%d != %dx%d",
-				par, got.NumCols(), got.NumRows(), want.NumCols(), want.NumRows())
-		}
-		for i := 0; i < got.Column(0).Len(); i++ {
-			g, w := got.Column(0).Tail.Get(i), want.Column(0).Tail.Get(i)
-			if g != w {
-				t.Errorf("par=%d row %d: %v != %v", par, i, g, w)
-			}
-		}
-	}
-}

@@ -376,7 +376,7 @@ func registerAlgebra(r *Registry) {
 				return nil, err
 			}
 		}
-		return bat.RangeSelectPar(b, lo, hi, loIncl, hiIncl, ctx.Parallelism), nil
+		return bat.RangeSelect(b, lo, hi, loIncl, hiIncl), nil
 	}
 	r.Register("algebra", "select", sel)
 	r.Register("algebra", "uselect", sel)
@@ -523,22 +523,19 @@ func registerCalc(r *Registry) {
 // --- aggr module ---
 
 func registerAggr(r *Registry) {
-	// The aggregates route through the parallel chunk-merge variants;
-	// with Context.Parallelism <= 1 (the default) those delegate straight
-	// to the serial kernels.
-	one := func(name string, f func(ctx *Context, b *bat.BAT) any) Builtin {
-		return func(ctx *Context, args []any) (any, error) {
+	one := func(f func(b *bat.BAT) any) Builtin {
+		return func(_ *Context, args []any) (any, error) {
 			b, err := argBAT(args, 0)
 			if err != nil {
 				return nil, err
 			}
-			return f(ctx, b), nil
+			return f(b), nil
 		}
 	}
-	r.Register("aggr", "count", one("count", func(_ *Context, b *bat.BAT) any { return bat.Count(b) }))
-	r.Register("aggr", "sum", one("sum", func(ctx *Context, b *bat.BAT) any { return bat.SumPar(b, ctx.Parallelism) }))
-	r.Register("aggr", "min", one("min", func(ctx *Context, b *bat.BAT) any { return bat.MinPar(b, ctx.Parallelism) }))
-	r.Register("aggr", "max", one("max", func(ctx *Context, b *bat.BAT) any { return bat.MaxPar(b, ctx.Parallelism) }))
+	r.Register("aggr", "count", one(func(b *bat.BAT) any { return bat.Count(b) }))
+	r.Register("aggr", "sum", one(func(b *bat.BAT) any { return bat.Sum(b) }))
+	r.Register("aggr", "min", one(func(b *bat.BAT) any { return bat.Min(b) }))
+	r.Register("aggr", "max", one(func(b *bat.BAT) any { return bat.Max(b) }))
 }
 
 // --- io module ---

@@ -36,15 +36,6 @@ func (es *EncodingStats) Add(other EncodingStats) {
 	}
 }
 
-// TotalSegments returns the segment count over all encodings.
-func (es EncodingStats) TotalSegments() int {
-	n := 0
-	for _, c := range es.Segments {
-		n += c
-	}
-	return n
-}
-
 // String renders the non-empty encodings compactly, e.g.
 // "rle:3/96B dict:1/40B plain:2/800B".
 func (es EncodingStats) String() string {

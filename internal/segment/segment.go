@@ -33,7 +33,7 @@ var idCounter atomic.Int64
 // Concurrency contract: once a materialized segment is published in a
 // List snapshot it is immutable — reorganization replaces segments with
 // fresh ones instead of rewriting payloads, so lock-free readers can scan
-// any snapshot they hold. (Encode/Decode/SetPayload are construction-time
+// any snapshot they hold. (Encode/Decode are construction-time
 // operations: they may only run before the segment is published, or on
 // segments owned exclusively by a single writer, as in the replica tree.)
 type Segment struct {
@@ -135,20 +135,11 @@ func (s *Segment) Decode() {
 	s.Enc = nil
 }
 
-// SetPayload makes s a materialized raw segment holding vals, clearing
-// any virtual or encoded state. It may only run on segments never
-// published to concurrent readers; the persistent replica tree uses
-// Filled instead.
-func (s *Segment) SetPayload(vals []domain.Value) {
-	s.Vals, s.Enc, s.Virtual, s.EstCount = vals, nil, false, 0
-}
-
 // Filled returns a fresh materialized raw segment with s's identity (ID
-// and range) holding vals — the persistent-tree counterpart of
-// SetPayload: the receiver (possibly published in an older tree
-// snapshot) is left untouched, so lock-free readers of that snapshot
-// never observe the fill. It panics if any value falls outside the
-// range, like NewMaterialized.
+// and range) holding vals: the receiver (possibly published in an older
+// tree snapshot) is left untouched, so lock-free readers of that
+// snapshot never observe the fill. It panics if any value falls outside
+// the range, like NewMaterialized.
 func (s *Segment) Filled(vals []domain.Value) *Segment {
 	for _, v := range vals {
 		if !s.Rng.Contains(v) {

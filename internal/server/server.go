@@ -184,6 +184,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// NewOver builds a Server whose default tenant is col — an existing
+// column served as cfg.Schema.cfg.Table, under col's extent — instead of
+// a generated one: cmd/soshell runs its `sql` command through here over
+// the column the session built. Close closes col with the other tenants.
+func NewOver(cfg Config, col *selforg.Column) *Server {
+	cfg.Extent = col.Extent()
+	s := New(cfg)
+	s.tenants["default"] = &tenant{name: "default", col: col, cat: mal.NewMemCatalog()}
+	return s
+}
+
 // tenantSeed decorrelates per-tenant data: same generator, different
 // stream per name.
 func (s *Server) tenantSeed(name string) int64 {
@@ -263,17 +274,6 @@ func validTenant(name string) bool {
 		}
 	}
 	return true
-}
-
-// Tenants lists the live tenant names (creation order not preserved).
-func (s *Server) Tenants() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.tenants))
-	for n := range s.tenants {
-		names = append(names, n)
-	}
-	return names
 }
 
 // InvalidatePlans bumps the plan-cache epoch, orphaning every compiled

@@ -3,132 +3,9 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"time"
 
-	"selforg/internal/core"
-	"selforg/internal/domain"
 	"selforg/internal/stats"
-	"selforg/internal/workload"
 )
-
-// Multi-client workload driver: the concurrency counterpart of Run. The
-// paper's simulator replays one query stream on one goroutine; this
-// driver replays N independent streams against a single shared strategy,
-// exercising the snapshot-reader / single-writer reorganization model of
-// internal/core under real contention. Per-client statistics are
-// accumulated locally and merged at the end, so the driver adds no
-// synchronization of its own to the measured path.
-
-// ConcurrentConfig shapes a multi-client simulation run.
-type ConcurrentConfig struct {
-	Config
-	// Clients is the number of concurrent query streams (default 4).
-	// Every client runs NumQueries/Clients queries from its own
-	// deterministic generator (QuerySeed offset by the client index).
-	Clients int
-	// Parallelism is the per-query scan fan-out handed to the strategy
-	// (<=1 = serial scans; concurrency across clients is independent of
-	// this knob).
-	Parallelism int
-	// WarmupQueries converges the column on one serial stream before the
-	// timed multi-client section starts, so the measurement isolates the
-	// steady-state scan path from the reorganization transient (the
-	// replicated-concurrent experiment measures the lock-free cover
-	// scans this way). 0 = no warmup.
-	WarmupQueries int
-}
-
-// ConcurrentResult aggregates a multi-client run.
-type ConcurrentResult struct {
-	Cfg     ConcurrentConfig
-	Queries int
-	// Merged cost measures over all clients (sums of per-query stats).
-	ReadBytes, WriteBytes int64
-	ResultCount           int64
-	Splits, Drops         int
-	Recodes               int
-	// FinalSegments is the number of data-bearing segments at the end.
-	FinalSegments int
-	// Wall is the elapsed time of the whole run, QPS the aggregate
-	// throughput over it.
-	Wall time.Duration
-	QPS  float64
-}
-
-// RunConcurrent executes the configured multi-client simulation: Clients
-// goroutines replay independent query streams against one shared
-// strategy while it self-organizes. It returns the merged statistics.
-func RunConcurrent(cfg ConcurrentConfig) *ConcurrentResult {
-	cfg.Config = cfg.Config.withDefaults()
-	if cfg.Clients < 1 {
-		cfg.Clients = 4
-	}
-	strat := cfg.buildStrategy()
-	if p, ok := strat.(parallelizable); ok {
-		p.SetParallelism(cfg.Parallelism)
-	}
-	if cfg.WarmupQueries > 0 {
-		warm := workload.Spec{
-			Name:        "warmup",
-			Dom:         cfg.Dom,
-			Selectivity: cfg.Selectivity,
-			Kind:        cfg.Dist,
-			Seed:        cfg.QuerySeed + 7777,
-		}.Build()
-		for i := 0; i < cfg.WarmupQueries; i++ {
-			strat.Select(warm.Next().Range())
-		}
-	}
-
-	perClient := cfg.NumQueries / cfg.Clients
-	if perClient < 1 {
-		perClient = 1
-	}
-	deltas := make([]core.QueryStats, cfg.Clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for cl := 0; cl < cfg.Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			gen := workload.Spec{
-				Name:        fmt.Sprintf("client-%d", cl),
-				Dom:         cfg.Dom,
-				Selectivity: cfg.Selectivity,
-				Kind:        cfg.Dist,
-				Seed:        cfg.QuerySeed + int64(cl),
-			}.Build()
-			local := &deltas[cl]
-			for i := 0; i < perClient; i++ {
-				q := gen.Next()
-				_, st := strat.Select(q.Range())
-				local.Add(st)
-			}
-		}(cl)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	res := &ConcurrentResult{
-		Cfg:           cfg,
-		Queries:       perClient * cfg.Clients,
-		FinalSegments: strat.SegmentCount(),
-		Wall:          wall,
-	}
-	for i := range deltas {
-		res.ReadBytes += deltas[i].ReadBytes
-		res.WriteBytes += deltas[i].WriteBytes
-		res.ResultCount += deltas[i].ResultCount
-		res.Splits += deltas[i].Splits
-		res.Drops += deltas[i].Drops
-		res.Recodes += deltas[i].Recodes
-	}
-	if sec := wall.Seconds(); sec > 0 {
-		res.QPS = float64(res.Queries) / sec
-	}
-	return res
-}
 
 // runConcurrentExperiment is the "concurrent" experiment: both strategies
 // under APM, scaled from 1 to 8 clients over the uniform workload. The
@@ -145,18 +22,17 @@ func runConcurrentExperiment(scale Scale) string {
 		"Strategy", "Clients", "Reads KB/q", "Splits", "Drops", "Segments", "Wall ms", "QPS")
 	for _, strat := range []StrategyKind{Segmentation, Replication} {
 		for _, clients := range []int{1, 2, 4, 8} {
-			cfg := ConcurrentConfig{Clients: clients, Parallelism: 4}
+			cfg := MixedConfig{Clients: clients, Parallelism: 4}
 			cfg.Config = DefaultConfig()
 			cfg.NumQueries = n
 			cfg.Strategy = strat
-			r := RunConcurrent(cfg)
-			reads := float64(r.ReadBytes) / float64(r.Queries) / float64(domain.KB)
+			r := RunMixed(cfg)
 			tb.AddRow(cfg.StrategyName(), fmt.Sprint(clients),
-				fmt.Sprintf("%.1f", reads),
-				fmt.Sprint(r.Splits), fmt.Sprint(r.Drops),
+				fmt.Sprintf("%.1f", r.perQueryKB(r.Stats.ReadBytes)),
+				fmt.Sprint(r.Stats.Splits), fmt.Sprint(r.Stats.Drops),
 				fmt.Sprint(r.FinalSegments),
 				fmt.Sprintf("%d", r.Wall.Milliseconds()),
-				fmt.Sprintf("%.0f", r.QPS))
+				fmt.Sprintf("%.0f", r.OpsPerSec()))
 		}
 	}
 	return tb.Render()
@@ -178,19 +54,18 @@ func runReplicatedConcurrentExperiment(scale Scale) string {
 			n, n/2, runtime.GOMAXPROCS(0)),
 		"Clients", "Reads KB/q", "Splits", "Drops", "Replicas", "Wall ms", "QPS", "QPS/client")
 	for _, clients := range []int{1, 2, 4, 8} {
-		cfg := ConcurrentConfig{Clients: clients, WarmupQueries: n / 2}
+		cfg := MixedConfig{Clients: clients, WarmupQueries: n / 2}
 		cfg.Config = DefaultConfig()
 		cfg.NumQueries = n
 		cfg.Strategy = Replication
-		r := RunConcurrent(cfg)
-		reads := float64(r.ReadBytes) / float64(r.Queries) / float64(domain.KB)
+		r := RunMixed(cfg)
 		tb.AddRow(fmt.Sprint(clients),
-			fmt.Sprintf("%.1f", reads),
-			fmt.Sprint(r.Splits), fmt.Sprint(r.Drops),
+			fmt.Sprintf("%.1f", r.perQueryKB(r.Stats.ReadBytes)),
+			fmt.Sprint(r.Stats.Splits), fmt.Sprint(r.Stats.Drops),
 			fmt.Sprint(r.FinalSegments),
 			fmt.Sprintf("%d", r.Wall.Milliseconds()),
-			fmt.Sprintf("%.0f", r.QPS),
-			fmt.Sprintf("%.0f", r.QPS/float64(clients)))
+			fmt.Sprintf("%.0f", r.OpsPerSec()),
+			fmt.Sprintf("%.0f", r.OpsPerSec()/float64(clients)))
 	}
 	return tb.Render()
 }

@@ -2,58 +2,39 @@ package sim
 
 import "testing"
 
-func TestRunConcurrentBothStrategies(t *testing.T) {
+// The driver's own behaviour (tallies, dice, merging) is tested once in
+// internal/workload; these cover what RunMixed adds around it.
+
+func TestRunMixedDealsOpsAndShards(t *testing.T) {
 	for _, strat := range []StrategyKind{Segmentation, Replication} {
-		for _, clients := range []int{1, 4} {
-			cfg := ConcurrentConfig{Clients: clients, Parallelism: 2}
+		for _, shards := range []int{1, 4} {
+			cfg := MixedConfig{Clients: 4, Parallelism: 2, WriteRatio: 0.3}
 			cfg.Config = DefaultConfig()
 			cfg.ColumnCount = 20_000
 			cfg.NumQueries = 400
 			cfg.Strategy = strat
-			r := RunConcurrent(cfg)
-			if r.Queries != 400 {
-				t.Errorf("%v clients=%d: queries = %d, want 400", strat, clients, r.Queries)
+			cfg.Shards = shards
+			r := RunMixed(cfg)
+			if r.Queries+r.Writes != 400 || r.Queries == 0 || r.Writes == 0 {
+				t.Errorf("%s: %d queries + %d writes, want 400 operations of both kinds",
+					cfg.StrategyName(), r.Queries, r.Writes)
 			}
-			if r.ReadBytes == 0 || r.ResultCount == 0 {
-				t.Errorf("%v clients=%d: empty run (reads %d, results %d)",
-					strat, clients, r.ReadBytes, r.ResultCount)
-			}
-			if r.FinalSegments < 2 {
-				t.Errorf("%v clients=%d: column never reorganized (%d segments)",
-					strat, clients, r.FinalSegments)
-			}
-			if r.Splits == 0 {
-				t.Errorf("%v clients=%d: no splits recorded", strat, clients)
+			if r.FinalSegments < 2*shards {
+				t.Errorf("%s: column never reorganized (%d segments)", cfg.StrategyName(), r.FinalSegments)
 			}
 		}
 	}
 }
 
-func TestRunConcurrentExperimentRenders(t *testing.T) {
-	out := runConcurrentExperiment(Scale{Queries: 200})
-	if out == "" {
-		t.Fatal("empty experiment output")
-	}
-}
-
-func TestRunReplicatedConcurrentExperimentRenders(t *testing.T) {
-	out := runReplicatedConcurrentExperiment(Scale{Queries: 200})
-	if out == "" {
-		t.Fatal("empty experiment output")
-	}
-}
-
-func TestRunConcurrentWarmupConverges(t *testing.T) {
-	cfg := ConcurrentConfig{Clients: 4, WarmupQueries: 300}
+func TestRunMixedWarmupConverges(t *testing.T) {
+	// One operation after the warm-up: whatever layout the run ends with,
+	// the warm-up built — with a write ratio set, too.
+	cfg := MixedConfig{Clients: 1, WarmupQueries: 300, WriteRatio: 0.5}
 	cfg.Config = DefaultConfig()
 	cfg.ColumnCount = 20_000
-	cfg.NumQueries = 400
+	cfg.NumQueries = 1
 	cfg.Strategy = Replication
-	r := RunConcurrent(cfg)
-	if r.Queries != 400 {
-		t.Fatalf("queries = %d, want 400", r.Queries)
-	}
-	if r.FinalSegments < 2 {
-		t.Fatal("warmup never converged the column")
+	if r := RunMixed(cfg); r.FinalSegments < 10 {
+		t.Fatalf("warm-up never converged the column (%d segments)", r.FinalSegments)
 	}
 }

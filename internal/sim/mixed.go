@@ -2,12 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sync"
-	"time"
 
-	"selforg/internal/core"
 	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/segment"
@@ -15,20 +11,33 @@ import (
 	"selforg/internal/workload"
 )
 
-// Mixed read-write workload driver: the workload space the paper cannot
-// express. N clients share one self-organizing column; each operation is
-// a range query with probability 1-WriteRatio, otherwise a point write
-// (half inserts, a quarter updates, a quarter deletes) through the MVCC
-// delta store. Writes trigger the self-organizing merge-back per the
-// configured thresholds, so the run exercises the full loop: delta
-// accumulation → overlay reads → merge-back → Segmenter/Replicator
-// absorbing the merged rows.
+// Multi-client runs: the workload space the paper's one-stream simulator
+// cannot express. N clients share one self-organizing column; each
+// operation is a range query with probability 1-WriteRatio, otherwise a
+// point write through the MVCC delta store (workload.Drive owns the
+// clients, the dice and the write mix). Writes trigger the
+// self-organizing merge-back per the configured thresholds, so a run
+// exercises the full loop: delta accumulation → overlay reads →
+// merge-back → Segmenter/Replicator absorbing the merged rows.
 
-// MixedConfig shapes a multi-client read-write run.
+// MixedConfig shapes a multi-client run.
 type MixedConfig struct {
-	ConcurrentConfig
+	Config
+	// Clients is the number of concurrent streams (default 4). Every
+	// client runs NumQueries/Clients operations, its queries from its own
+	// deterministic generator (QuerySeed offset by the client index).
+	Clients int
+	// Parallelism is the per-query scan fan-out handed to the strategy
+	// (0 = its adaptive default, 1 = serial scans; concurrency across
+	// clients is independent of this knob).
+	Parallelism int
+	// WarmupQueries converges the column on one serial stream before the
+	// timed multi-client section starts, so the measurement isolates the
+	// steady state from the reorganization transient. 0 = no warmup.
+	WarmupQueries int
 	// WriteRatio is the fraction of operations that are point writes
-	// (default 0.2). Per write: 50% insert, 25% update, 25% delete.
+	// (0 = read-only streams). Per write: 50% insert, 25% update, 25%
+	// delete.
 	WriteRatio float64
 	// DeltaMaxBytes / DeltaMaxRatio are the merge-back triggers handed
 	// to the strategy (defaults 1 KB / 0.05 — small enough that the
@@ -38,36 +47,28 @@ type MixedConfig struct {
 	DeltaMaxRatio float64
 }
 
-// MixedResult aggregates a mixed run.
+// MixedResult aggregates a multi-client run.
 type MixedResult struct {
 	Cfg MixedConfig
-	// Queries and Writes count the executed operations; Misses the
-	// update/delete attempts that found no visible row.
-	Queries, Writes, Misses int
-	// Merged cost measures over all clients.
-	ReadBytes, WriteBytes, DeltaReadBytes int64
-	ResultCount                           int64
-	Splits, Recodes, Merged               int
+	// Tally is what the clients executed: operation counts, the cost
+	// measures summed over all clients, wall time and throughput.
+	workload.Tally
 	// Delta is a snapshot of the write store's final counters (Merges,
 	// Pending, ...), FinalEncodings the per-encoding layout breakdown.
 	Delta          delta.Stats
 	FinalEncodings segment.EncodingStats
 	// FinalSegments is the number of data-bearing segments at the end.
 	FinalSegments int
-	Wall          time.Duration
-	OPS           float64 // operations (reads+writes) per wall second
 }
 
-// RunMixed executes the configured multi-client mixed workload and
-// returns the merged statistics plus the strategy itself (so callers can
-// inspect the final layout, delta counters and encoding breakdown).
+// RunMixed executes the configured multi-client workload against one
+// shared strategy while it self-organizes and returns the merged
+// statistics with the final layout, delta counters and encoding
+// breakdown.
 func RunMixed(cfg MixedConfig) *MixedResult {
 	cfg.Config = cfg.Config.withDefaults()
 	if cfg.Clients < 1 {
 		cfg.Clients = 4
-	}
-	if cfg.WriteRatio <= 0 {
-		cfg.WriteRatio = 0.2
 	}
 	if cfg.DeltaMaxBytes == 0 {
 		cfg.DeltaMaxBytes = 1024
@@ -76,99 +77,53 @@ func RunMixed(cfg MixedConfig) *MixedResult {
 		cfg.DeltaMaxRatio = 0.05
 	}
 	vals := cfg.generateValues()
-	// Keep a sample pool for update/delete targets; the strategy consumes
-	// the original slice.
-	pool := append([]domain.Value(nil), vals...)
+	mix := workload.Mix{WriteRatio: cfg.WriteRatio, Dom: cfg.Dom}
+	if mix.WriteRatio > 0 {
+		// Update/delete targets; the strategy consumes the original slice.
+		mix.Victims = append([]domain.Value(nil), vals...)
+	}
 	strat := cfg.buildStrategyOver(vals)
-	if p, ok := strat.(parallelizable); ok {
+	if p, ok := strat.(interface{ SetParallelism(int) }); ok {
 		p.SetParallelism(cfg.Parallelism)
 	}
 	strat.SetDeltaPolicy(cfg.DeltaMaxBytes, cfg.DeltaMaxRatio)
+	warm := cfg.stream(cfg.QuerySeed + 7777)
+	for i := 0; i < cfg.WarmupQueries; i++ {
+		strat.Select(warm.Next().Range())
+	}
 
 	perClient := cfg.NumQueries / cfg.Clients
 	if perClient < 1 {
 		perClient = 1
 	}
-	type clientOut struct {
-		st             core.QueryStats
-		writes, misses int
-		queries        int
+	clients := make([]workload.Client, cfg.Clients)
+	for cl := range clients {
+		gen := cfg.stream(cfg.QuerySeed + int64(cl))
+		clients[cl] = workload.Client{
+			Ops:   perClient,
+			Query: func(int) workload.Query { return gen.Next() },
+			Seed:  cfg.QuerySeed + 7919*int64(cl+1),
+		}
 	}
-	outs := make([]clientOut, cfg.Clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for cl := 0; cl < cfg.Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			gen := workload.Spec{
-				Name:        fmt.Sprintf("mixed-%d", cl),
-				Dom:         cfg.Dom,
-				Selectivity: cfg.Selectivity,
-				Kind:        cfg.Dist,
-				Seed:        cfg.QuerySeed + int64(cl),
-			}.Build()
-			rnd := rand.New(rand.NewSource(cfg.QuerySeed + 7919*int64(cl+1)))
-			local := &outs[cl]
-			for i := 0; i < perClient; i++ {
-				if rnd.Float64() >= cfg.WriteRatio {
-					q := gen.Next()
-					_, st := strat.Select(q.Range())
-					local.st.Add(st)
-					local.queries++
-					continue
-				}
-				local.writes++
-				switch rnd.Intn(4) {
-				case 0, 1: // insert
-					v := cfg.Dom.Lo + rnd.Int63n(cfg.Dom.Width())
-					st, _ := strat.Insert(v)
-					local.st.Add(st)
-				case 2: // update
-					old := pool[rnd.Intn(len(pool))]
-					new := cfg.Dom.Lo + rnd.Int63n(cfg.Dom.Width())
-					ok, st, _ := strat.Update(old, new)
-					local.st.Add(st)
-					if !ok {
-						local.misses++
-					}
-				default: // delete
-					v := pool[rnd.Intn(len(pool))]
-					ok, st, _ := strat.Delete(v)
-					local.st.Add(st)
-					if !ok {
-						local.misses++
-					}
-				}
-			}
-		}(cl)
+	tally, err := workload.Drive(strat, clients, mix)
+	if err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
 	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	res := &MixedResult{
+	return &MixedResult{
 		Cfg:            cfg,
+		Tally:          tally,
 		Delta:          strat.DeltaStats(),
 		FinalEncodings: strat.EncodingStats(),
 		FinalSegments:  strat.SegmentCount(),
-		Wall:           wall,
 	}
-	for i := range outs {
-		res.Queries += outs[i].queries
-		res.Writes += outs[i].writes
-		res.Misses += outs[i].misses
-		res.ReadBytes += outs[i].st.ReadBytes
-		res.WriteBytes += outs[i].st.WriteBytes
-		res.DeltaReadBytes += outs[i].st.DeltaReadBytes
-		res.ResultCount += outs[i].st.ResultCount
-		res.Splits += outs[i].st.Splits
-		res.Recodes += outs[i].st.Recodes
-		res.Merged += outs[i].st.Merged
+}
+
+// perQueryKB averages a cost measure over the run's queries, in KB.
+func (r *MixedResult) perQueryKB(bytes int64) float64 {
+	if r.Queries == 0 {
+		return 0
 	}
-	if sec := wall.Seconds(); sec > 0 {
-		res.OPS = float64(res.Queries+res.Writes) / sec
-	}
-	return res
+	return float64(bytes) / float64(r.Queries) / float64(domain.KB)
 }
 
 // runMixedExperiment is the "mixed" experiment: both strategies under
@@ -194,21 +149,15 @@ func runMixedExperiment(scale Scale) string {
 				cfg.Strategy = strat
 				cfg.Clients = clients
 				r := RunMixed(cfg)
-				ds := r.Delta
-				reads, overlay := 0.0, 0.0
-				if r.Queries > 0 {
-					reads = float64(r.ReadBytes) / float64(r.Queries) / float64(domain.KB)
-					overlay = float64(r.DeltaReadBytes) / float64(r.Queries) / float64(domain.KB)
-				}
 				tb.AddRow(cfg.StrategyName(), fmt.Sprint(clients),
 					fmt.Sprintf("%.0f", ratio*100),
 					fmt.Sprint(r.Queries), fmt.Sprint(r.Writes),
-					fmt.Sprint(ds.Merges), fmt.Sprint(ds.MergedEntries),
-					fmt.Sprintf("%.1f", reads),
-					fmt.Sprintf("%.2f", overlay),
-					fmt.Sprint(r.Splits),
+					fmt.Sprint(r.Delta.Merges), fmt.Sprint(r.Delta.MergedEntries),
+					fmt.Sprintf("%.1f", r.perQueryKB(r.Stats.ReadBytes)),
+					fmt.Sprintf("%.2f", r.perQueryKB(r.Stats.DeltaReadBytes)),
+					fmt.Sprint(r.Stats.Splits),
 					fmt.Sprint(r.FinalSegments),
-					fmt.Sprintf("%.0f", r.OPS))
+					fmt.Sprintf("%.0f", r.OpsPerSec()))
 			}
 		}
 	}

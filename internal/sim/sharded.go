@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"selforg/internal/domain"
 	"selforg/internal/stats"
 )
 
@@ -28,19 +27,18 @@ func runShardedExperiment(scale Scale) string {
 	for _, strat := range []StrategyKind{Segmentation, Replication} {
 		for _, shards := range []int{1, 2, 4} {
 			for _, clients := range []int{1, 4} {
-				cfg := ConcurrentConfig{Clients: clients}
+				cfg := MixedConfig{Clients: clients}
 				cfg.Config = DefaultConfig()
 				cfg.NumQueries = n
 				cfg.Strategy = strat
 				cfg.Shards = shards
-				r := RunConcurrent(cfg)
-				reads := float64(r.ReadBytes) / float64(r.Queries) / float64(domain.KB)
+				r := RunMixed(cfg)
 				tb.AddRow(cfg.StrategyName(), fmt.Sprint(shards), fmt.Sprint(clients),
-					fmt.Sprintf("%.1f", reads),
-					fmt.Sprint(r.Splits),
+					fmt.Sprintf("%.1f", r.perQueryKB(r.Stats.ReadBytes)),
+					fmt.Sprint(r.Stats.Splits),
 					fmt.Sprint(r.FinalSegments),
 					fmt.Sprintf("%d", r.Wall.Milliseconds()),
-					fmt.Sprintf("%.0f", r.QPS))
+					fmt.Sprintf("%.0f", r.OpsPerSec()))
 			}
 		}
 	}
@@ -66,17 +64,13 @@ func runShardedMixedExperiment(scale Scale) string {
 			cfg.Shards = shards
 			cfg.Clients = 4
 			r := RunMixed(cfg)
-			overlay := 0.0
-			if r.Queries > 0 {
-				overlay = float64(r.DeltaReadBytes) / float64(r.Queries) / float64(domain.KB)
-			}
 			tb.AddRow(cfg.StrategyName(), fmt.Sprint(shards), fmt.Sprint(cfg.Clients),
 				fmt.Sprintf("%.0f", cfg.WriteRatio*100),
 				fmt.Sprint(r.Writes),
 				fmt.Sprint(r.Delta.Merges), fmt.Sprint(r.Delta.MergedEntries),
-				fmt.Sprintf("%.2f", overlay),
+				fmt.Sprintf("%.2f", r.perQueryKB(r.Stats.DeltaReadBytes)),
 				fmt.Sprint(r.FinalSegments),
-				fmt.Sprintf("%.0f", r.OPS))
+				fmt.Sprintf("%.0f", r.OpsPerSec()))
 		}
 	}
 	return tb.Render()

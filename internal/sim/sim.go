@@ -210,13 +210,15 @@ func (c Config) buildStrategyOver(vals []domain.Value) core.DeltaStrategy {
 	return buildOne(0, c.Dom, vals)
 }
 
-// parallelizable is the SetParallelism surface shared by the strategies
-// and the shard router.
-type parallelizable interface{ SetParallelism(int) }
-
-// buildStrategy instantiates the strategy over freshly generated data.
-func (c Config) buildStrategy() core.DeltaStrategy {
-	return c.buildStrategyOver(c.generateValues())
+// stream instantiates the configured query distribution under seed.
+func (c Config) stream(seed int64) workload.Generator {
+	return workload.Spec{
+		Name:        c.StrategyName(),
+		Dom:         c.Dom,
+		Selectivity: c.Selectivity,
+		Kind:        c.Dist,
+		Seed:        seed,
+	}.Build()
 }
 
 // GenerateColumn draws count values uniformly from dom — the "100K values
@@ -284,14 +286,8 @@ type Result struct {
 // Run executes the configured simulation.
 func Run(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	strat := cfg.buildStrategy()
-	gen := workload.Spec{
-		Name:        cfg.StrategyName(),
-		Dom:         cfg.Dom,
-		Selectivity: cfg.Selectivity,
-		Kind:        cfg.Dist,
-		Seed:        cfg.QuerySeed,
-	}.Build()
+	strat := cfg.buildStrategyOver(cfg.generateValues())
+	gen := cfg.stream(cfg.QuerySeed)
 
 	res := &Result{
 		Cfg:         cfg,

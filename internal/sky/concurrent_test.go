@@ -2,42 +2,32 @@ package sky
 
 import "testing"
 
-func TestRunConcurrentMatchesWorkloadSize(t *testing.T) {
+// The driver's own behaviour (tallies, dice, merging) is tested once in
+// internal/workload; this covers what RunClients adds around it: the
+// round-robin deal, the shard split and the virtual clock.
+func TestRunClientsDealsWorkloadOnVirtualClock(t *testing.T) {
 	cfg := testConfig()
 	ds := testDataset(t, cfg)
-	scheme := Scheme{Name: "APM 1-5", Kind: APMScheme, Mmin: cfg.Mmin, Mmax: cfg.MmaxSmall}
-	for _, clients := range []int{1, 4} {
-		r := RunConcurrent(ds, scheme, Random, cfg, clients, 2)
-		if r.Queries != cfg.Workload.NumQueries {
-			t.Errorf("clients=%d: queries = %d, want %d", clients, r.Queries, cfg.Workload.NumQueries)
+	for _, c := range []struct {
+		scheme          Scheme
+		clients, shards int
+		writeRatio      float64
+	}{
+		{apm15(cfg, false), 1, 1, 0},
+		{apm15(cfg, false), 4, 1, 0},
+		{apm15(cfg, false), 7, 2, 0.3}, // 120 queries do not deal evenly over 7 clients
+		{Scheme{Name: "GD Repl", Kind: GDScheme, GDSeed: 99, Replication: true}, 4, 4, 0},
+	} {
+		r := RunClients(ds, c.scheme, Random, cfg, c.clients, 2, c.shards, c.writeRatio)
+		if r.Queries+r.Writes != cfg.Workload.NumQueries || (r.Writes > 0) != (c.writeRatio > 0) {
+			t.Errorf("%+v: %d queries + %d writes, want %d operations", c, r.Queries, r.Writes, cfg.Workload.NumQueries)
 		}
-		if r.SegmentCount < 2 {
-			t.Errorf("clients=%d: column never reorganized (%d segments)", clients, r.SegmentCount)
+		if r.SegmentCount < 2*c.shards {
+			t.Errorf("%+v: column never reorganized (%d segments)", c, r.SegmentCount)
 		}
-		if r.SelectionMs <= 0 {
-			t.Errorf("clients=%d: no virtual selection time accounted", clients)
+		if r.SelectionMs <= 0 || r.Pool.LogicalReads == 0 {
+			t.Errorf("%+v: no virtual selection time (%v ms) or pool traffic (%d reads) accounted",
+				c, r.SelectionMs, r.Pool.LogicalReads)
 		}
-		if r.Pool.LogicalReads == 0 {
-			t.Errorf("clients=%d: buffer pool saw no traffic", clients)
-		}
-	}
-}
-
-func TestRunConcurrentReplication(t *testing.T) {
-	cfg := testConfig()
-	ds := testDataset(t, cfg)
-	scheme := Scheme{Name: "GD Repl", Kind: GDScheme, GDSeed: 99, Replication: true}
-	r := RunConcurrent(ds, scheme, Random, cfg, 4, 2)
-	if r.Queries != cfg.Workload.NumQueries || r.SegmentCount < 1 {
-		t.Fatalf("bad run: %+v", r)
-	}
-}
-
-func TestReplicatedConcurrentTableRenders(t *testing.T) {
-	cfg := testConfig()
-	ds := testDataset(t, cfg)
-	out := ReplicatedConcurrentTable(ds, cfg).Render()
-	if out == "" {
-		t.Fatal("empty table")
 	}
 }

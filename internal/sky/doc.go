@@ -9,9 +9,9 @@
 // streams under a memory-constrained buffer pool with a virtual disk
 // clock. See DESIGN.md for the substitution rationale.
 //
-// Beyond the paper's serial runs, RunConcurrent replays one workload's
-// query stream across N client goroutines against a single shared
-// column (the ConcurrentTable experiment of cmd/skybench), exercising
-// the snapshot-reader / single-writer machinery of internal/core under
-// the pool's virtual clock.
+// Beyond the paper's serial runs, RunClients deals one workload's query
+// stream across N clients of workload.Drive against a single shared
+// column (the ConcurrentTable, MixedTable and Sharded* experiments of
+// cmd/skybench), exercising the snapshot-reader / single-writer
+// machinery of internal/core under the pool's virtual clock.
 package sky

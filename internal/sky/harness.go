@@ -10,6 +10,7 @@ import (
 	"selforg/internal/core"
 	"selforg/internal/domain"
 	"selforg/internal/model"
+	"selforg/internal/shard"
 	"selforg/internal/stats"
 	"selforg/internal/workload"
 )
@@ -43,13 +44,15 @@ const (
 	APMScheme
 )
 
-// buildModel instantiates the scheme's model.
-func (s Scheme) buildModel() model.Model {
+// buildModel instantiates the scheme's model for one shard (shard 0 is
+// the whole column when unsharded); GD streams are decorrelated per
+// shard.
+func (s Scheme) buildModel(shardIdx int) model.Model {
 	switch s.Kind {
 	case NoSegm:
 		return model.Never{}
 	case GDScheme:
-		return model.NewGaussianDice(s.GDSeed)
+		return model.NewGaussianDice(model.ShardSeed(s.GDSeed, shardIdx))
 	case APMScheme:
 		return model.NewAPM(s.Mmin, s.Mmax)
 	default:
@@ -163,6 +166,31 @@ func (t *poolTracer) reset() {
 func (t *poolTracer) scanTime() time.Duration  { return time.Duration(t.scanNs.Load()) }
 func (t *poolTracer) writeTime() time.Duration { return time.Duration(t.writeNs.Load()) }
 
+// buildStrategy constructs the scheme's strategy over a fresh copy of
+// the dataset's ra column, domain-sharded when shards > 1, with tr
+// attached to every shard. Registering the initial column advances the
+// tracer's clock; callers reset it before the first query.
+func buildStrategy(ds *Dataset, scheme Scheme, cfg Config, tr *poolTracer, shards int) core.DeltaStrategy {
+	buildOne := func(idx int, rng domain.Range, vals []domain.Value) core.DeltaStrategy {
+		if scheme.Replication {
+			r := core.NewReplicator(rng, vals, cfg.ElemSize, scheme.buildModel(idx), tr)
+			r.SetCompression(scheme.Compression)
+			return r
+		}
+		s := core.NewSegmenter(rng, vals, cfg.ElemSize, scheme.buildModel(idx), tr)
+		s.SetCompression(scheme.Compression)
+		return s
+	}
+	if shards > 1 {
+		sc, err := shard.New(ds.Domain(), ds.ScaledRA(), shards, buildOne)
+		if err != nil {
+			panic(fmt.Sprintf("sky: %v", err))
+		}
+		return sc
+	}
+	return buildOne(0, ds.Domain(), ds.ScaledRA())
+}
+
 // RunResult holds one (scheme, workload) run of the prototype.
 type RunResult struct {
 	Scheme   string
@@ -197,17 +225,7 @@ type RunResult struct {
 func Run(ds *Dataset, scheme Scheme, queries []workload.Query, cfg Config) *RunResult {
 	pool := bpm.New(cfg.Pool)
 	tr := &poolTracer{pool: pool}
-	var seg core.Strategy
-	if scheme.Replication {
-		r := core.NewReplicator(ds.Domain(), ds.ScaledRA(), cfg.ElemSize, scheme.buildModel(), tr)
-		r.SetCompression(scheme.Compression)
-		seg = r
-	} else {
-		s := core.NewSegmenter(ds.Domain(), ds.ScaledRA(), cfg.ElemSize, scheme.buildModel(), tr)
-		s.SetCompression(scheme.Compression)
-		seg = s
-	}
-	tr.reset() // the initial column registration is not query time
+	seg := buildStrategy(ds, scheme, cfg, tr, 1)
 
 	res := &RunResult{
 		Scheme:       scheme.Name,

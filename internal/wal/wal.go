@@ -202,7 +202,6 @@ func decodePayload(p []byte) (Batch, bool) {
 // its only writer; it is not safe for concurrent use.
 type Log struct {
 	f    *os.File
-	path string
 	size int64
 }
 
@@ -240,7 +239,7 @@ func Open(path string) (*Log, []Batch, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &Log{f: f, path: path, size: valid}, batches, nil
+	return &Log{f: f, size: valid}, batches, nil
 }
 
 // AppendBatch appends one frame. The data is NOT durable until Sync
@@ -260,9 +259,6 @@ func (l *Log) Sync() error { return l.f.Sync() }
 
 // Size returns the current log length in bytes.
 func (l *Log) Size() int64 { return l.size }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Rotate discards the log's content — called after a checkpoint has made
 // everything in it redundant. The truncation is itself synced so a

@@ -4,7 +4,9 @@
 // changing SkyServer-style workloads for the prototype experiments.
 //
 // Every generator is deterministic given its seed, so experiments are
-// exactly reproducible.
+// exactly reproducible. Drive (driver.go) turns such streams into
+// multi-client load on one shared column — the one client driver under
+// both harnesses.
 package workload
 
 import (
