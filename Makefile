@@ -18,8 +18,8 @@ BENCH_PKGS := .
 BENCH_ARGS := -run '^$$' -bench '$(BENCH_SET)' -benchtime 10x -count 3 -benchmem
 
 # The concurrency-sensitive benchmarks (chunked parallel scans, sharded
-# scans/writers, concurrent scanners over replicas) run at GOMAXPROCS 1
-# and 4 by bench-multicore, so scaling is measured rather than assumed.
+# scans/writers, concurrent scanners) run at GOMAXPROCS 1, 2 and 4 by
+# bench-multicore, so scaling is measured rather than assumed.
 MULTICORE_SET := LargeScanParallel|ShardedScan|ShardedWriters|ShardedMixedWorkload|ConcurrentScanners
 
 .PHONY: build test race lint loc fuzz-smoke bench-module bench-smoke bench-ci bench-check bench-baseline bench-multicore ci
@@ -82,13 +82,13 @@ bench-check: bench-ci
 	/tmp/benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 0.25
 
 # bench-multicore measures per-core scaling: each concurrency-sensitive
-# benchmark runs twice, pinned to GOMAXPROCS 1 and 4, and the ns/op
-# ratio between the -cpu rows is the observed speedup. On a single-core
-# host the -cpu 4 rows measure goroutine-scheduling overhead, not
-# speedup — CI's multi-vCPU runners produce the real scaling numbers
-# (recorded in BENCH.md).
+# benchmark runs pinned to GOMAXPROCS 1, 2 and 4, and the ns/op ratio
+# between the -cpu rows is the observed speedup. Rows above the host's
+# core count measure goroutine-scheduling overhead, not speedup — CI's
+# multi-vCPU runners produce the real scaling numbers (recorded in
+# BENCH.md).
 bench-multicore:
-	$(GO) test -run '^$$' -bench '$(MULTICORE_SET)' -benchtime 10x -count 1 -cpu 1,4 -benchmem .
+	$(GO) test -run '^$$' -bench '$(MULTICORE_SET)' -benchtime 10x -count 1 -cpu 1,2,4 -benchmem .
 
 # bench-baseline regenerates the checked-in baseline after an intentional
 # performance change (commit the resulting BENCH_baseline.json).

@@ -68,8 +68,10 @@ func BenchmarkLargeScanParallel4(b *testing.B) { benchmarkLargeScan(b, 4) }
 func BenchmarkLargeScanParallel8(b *testing.B) { benchmarkLargeScan(b, 8) }
 
 // BenchmarkConcurrentScanners measures aggregate throughput of many
-// client goroutines on one converged column — the snapshot-reader path
-// under contention (each iteration is one mid-size selection).
+// client goroutines on one converged Segmentation column (each iteration
+// is one mid-size selection). A query holds the writer lock only to plan
+// and scans outside it unless the plan splits, so ns/op should fall with
+// -cpu; `make bench-multicore` records the ratio (BENCH.md).
 func BenchmarkConcurrentScanners(b *testing.B) {
 	col := convergedColumn(b, 1)
 	b.ResetTimer()
@@ -82,6 +84,43 @@ func BenchmarkConcurrentScanners(b *testing.B) {
 				hi = benchDom - 1
 			}
 			col.Select(lo, hi)
+		}
+	})
+}
+
+// BenchmarkConcurrentScannersCount is the same rung in the shape of the
+// end-to-end benchmark's scan_wide workload: 4M duplicate-heavy values
+// over [0, 2^20) in encoded segments, COUNT over a fifth of the domain at
+// uniform positions — the covered segments answer from the meta-index,
+// the two edge segments are counted on their encoded form.
+func BenchmarkConcurrentScannersCount(b *testing.B) {
+	const dom, width = 1 << 20, (1 << 20) / 5
+	r := rand.New(rand.NewSource(17))
+	vals := make([]int64, benchVals)
+	for i := range vals {
+		vals[i] = r.Int63n(dom)
+	}
+	col, err := New(Interval{0, dom - 1}, vals, Options{
+		Model:       APM,
+		ElemSize:    8,
+		APMMin:      256 << 10,
+		APMMax:      1 << 20,
+		Compression: CompressionAuto,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	conv := rand.New(rand.NewSource(23))
+	for i := 0; i < 300; i++ {
+		lo := conv.Int63n(dom - width)
+		col.Count(lo, lo+width-1)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		r := rand.New(rand.NewSource(31))
+		for pb.Next() {
+			lo := r.Int63n(dom - width)
+			col.Count(lo, lo+width-1)
 		}
 	})
 }

@@ -548,9 +548,9 @@ func (sh *shell) exec(line string) error {
 				if t.Slow {
 					slowMark = " SLOW"
 				}
-				fmt.Fprintf(sh.out, "#%d %s/%s shard %d [%d, %d]: total %v (route %v, scan %v, overlay %v, adapt %v); read %d B, %d rows, %d splits%s\n",
+				fmt.Fprintf(sh.out, "#%d %s/%s shard %d [%d, %d]: total %v (lock wait %v, route %v, scan %v, overlay %v, adapt %v); read %d B, %d rows, %d splits%s\n",
 					t.Seq, t.Op, t.Strategy, t.Shard, t.Lo, t.Hi,
-					time.Duration(t.TotalNs), time.Duration(t.RouteNs), time.Duration(t.ScanNs),
+					time.Duration(t.TotalNs), time.Duration(t.LockWaitNs), time.Duration(t.RouteNs), time.Duration(t.ScanNs),
 					time.Duration(t.OverlayNs), time.Duration(t.AdaptNs),
 					t.ReadBytes, t.Rows, t.Splits, slowMark)
 			}

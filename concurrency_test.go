@@ -1,9 +1,11 @@
 package selforg
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -296,6 +298,143 @@ func TestReplicationScannersWithWritersStress(t *testing.T) {
 	want := int64(nVals) + inserted + loaded - deleted
 	if n, _ := col.Count(0, dom-1); n != want {
 		t.Fatalf("full count = %d, want %d", n, want)
+	}
+}
+
+// TestSegmentationScannersWithWritersStress is the Segmentation side of
+// the same acceptance: 4 readers of wide and narrow Count / SelectRows
+// beside one writer pushing inserts and deletes through merge-backs, a
+// BulkLoad and GlueSmall. Split-free reads scan the pinned snapshot
+// outside the writer lock, so every result must still be a consistent
+// (base, delta) state: ranges disjoint from the written keys equal the
+// sorted oracle exactly, ranges overlapping them lie between the base
+// count and base plus the inserts begun so far (the writer deletes only
+// what it inserted), and on one pinned view SelectRows and Count agree.
+func TestSegmentationScannersWithWritersStress(t *testing.T) {
+	const (
+		nVals   = 20_000
+		dom     = 200_000
+		wLo     = dom / 2 // the writer's key range is [wLo, wHi)
+		wHi     = dom * 3 / 4
+		readers = 4
+	)
+	vals := concValues(nVals, dom, 29)
+	sorted := append([]int64(nil), vals...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+
+	run := func(t *testing.T, opts Options) {
+		opts.Strategy = Segmentation
+		opts.DeltaMaxBytes = 512 // merge-back churn: drain every 128 entries
+		col, err := New(Interval{0, dom - 1}, append([]int64(nil), vals...), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// begun counts inserts handed to the column, bumped before the
+		// call: a reader that loads it after its query has an upper bound
+		// on the inserts that query can have seen.
+		var begun atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(700))
+			var live []int64
+			for i := 0; i < 400; i++ {
+				switch {
+				case i == 150:
+					batch := make([]int64, 40)
+					for j := range batch {
+						batch[j] = wLo + r.Int63n(wHi-wLo)
+					}
+					begun.Add(int64(len(batch)))
+					if _, err := col.BulkLoad(batch); err != nil {
+						t.Errorf("bulk load: %v", err)
+						return
+					}
+				case i%100 == 99:
+					col.GlueSmall(1 << 10)
+				case len(live) > 0 && r.Intn(3) == 0:
+					j := r.Intn(len(live))
+					ok, _, err := col.Delete(live[j])
+					if err != nil || !ok {
+						t.Errorf("delete of inserted %d: ok=%v err=%v", live[j], ok, err)
+						return
+					}
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+				default:
+					v := wLo + r.Int63n(wHi-wLo)
+					begun.Add(1)
+					if _, err := col.Insert(v); err != nil {
+						t.Errorf("insert: %v", err)
+						return
+					}
+					live = append(live, v)
+				}
+			}
+		}()
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(800 + g)))
+				for i := 0; i < 100; i++ {
+					width := int64(dom / 200) // narrow
+					if i%2 == 0 {
+						width = dom / 5 // wide
+					}
+					lo := r.Int63n(dom - width)
+					hi := lo + width - 1
+					base := int64(expectedCount(sorted, lo, hi))
+					disjoint := hi < wLo || lo >= wHi
+
+					var n int64
+					var rows *Rows
+					if i%4 < 2 {
+						n, _ = col.Count(lo, hi)
+					} else {
+						rows, _ = col.SelectRows(lo, hi)
+						n = int64(rows.Len())
+					}
+					if max := base + begun.Load(); n < base || n > max || (disjoint && n != base) {
+						t.Errorf("[%d, %d] disjoint=%v: got %d rows, base %d, at most %d", lo, hi, disjoint, n, base, max)
+						return
+					}
+					if disjoint && rows != nil {
+						got := rows.Flatten()
+						sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+						a := sort.Search(len(sorted), func(k int) bool { return sorted[k] >= lo })
+						for k, v := range got {
+							if v != sorted[a+k] {
+								t.Errorf("[%d, %d]: row %d is %d, oracle %d", lo, hi, k, v, sorted[a+k])
+								return
+							}
+						}
+					}
+					if i%10 == 5 {
+						v := col.View()
+						if got, want := int64(v.SelectRows(lo, hi).Len()), v.Count(lo, hi); got != want {
+							t.Errorf("pinned view [%d, %d]: SelectRows %d rows, Count %d", lo, hi, got, want)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if err := col.Validate(); err != nil {
+			t.Fatalf("invalid layout after stress: %v", err)
+		}
+	}
+	for _, m := range []Model{APM, GD} {
+		for _, comp := range []Compression{CompressionOff, CompressionAuto} {
+			for _, shards := range []int{1, 4} {
+				name := fmt.Sprintf("model=%v/comp=%v/shards=%d", m, comp, shards)
+				t.Run(name, func(t *testing.T) {
+					run(t, Options{Model: m, Compression: comp, Shards: shards})
+				})
+			}
+		}
 	}
 }
 

@@ -22,7 +22,9 @@ import (
 // Tracer observes segment lifecycle events during query processing. The
 // prototype harness uses it to drive the buffer pool; tests use it to
 // assert on reorganization behaviour. All methods are called synchronously
-// during Select.
+// during Select — from the querying goroutine or its scan workers, so a
+// Tracer on a strategy queried by several goroutines (or with scan
+// fan-out) must be safe for concurrent use.
 type Tracer interface {
 	// Scan reports that a materialized segment was read top to bottom.
 	Scan(segID int64, bytes int64)

@@ -1,14 +1,11 @@
 package core
 
 // The snapshot-publication engine shared by both self-organizing
-// strategies. Before this file existed the Segmenter and the Replicator
-// each carried their own copy of the same machinery — a writer mutex, an
-// atomically published immutable base snapshot, an MVCC write store, and
-// the merge-back commit protocol that publishes
-// the rewritten base and the drained store as one atomic step. The
-// engine hoists all of it into one place, parameterized over the base
-// snapshot type: `*segment.List` for segmentation, the replica tree's
-// root `*node` for replication.
+// strategies: a writer mutex, an atomically published immutable base
+// snapshot, an MVCC write store, and the merge-back commit protocol that
+// publishes the rewritten base and the drained store as one atomic step
+// — parameterized over the base snapshot type: `*segment.List` for
+// segmentation, the replica tree's root `*node` for replication.
 //
 // # Lock-free consistent pins
 //
@@ -18,19 +15,19 @@ package core
 // a merge-back drains pending writes into the base, pairing the new base
 // with a pre-drain delta snapshot would double-count the merged entries,
 // and pairing the old base with the drained snapshot would lose them.
-// Rather than serializing readers through the writer mutex (what both
-// strategies did before), the engine stamps every published base with
-// the number of merges drained into it and the delta store stamps every
-// snapshot with the number of merges committed before it; Pin loads
-// both sides and retries until the two epochs agree. Non-merge
-// publications keep their side's epoch, so the loop only ever retries
-// inside the few instructions between a merge's base publication and its
-// store commit — readers are wait-free in steady state and never block
-// on reorganization, bulk loads or merge-backs.
+// Rather than serializing pinners through the writer mutex, the engine
+// stamps every published base with the number of merges drained into it
+// and the delta store stamps every snapshot with the number of merges
+// committed before it; Pin loads both sides and retries until the two
+// epochs agree. Non-merge publications keep their side's epoch, so the
+// loop only ever retries inside the few instructions between a merge's
+// base publication and its store commit — pinners are wait-free in
+// steady state and never block on reorganization, bulk loads or
+// merge-backs.
 //
-// Everything else keeps the single-writer discipline of PR 2: all base
-// mutations happen under Mu and publish via Publish (same epoch) or
-// PublishMerged (epoch + 1, paired with the store's commit callback).
+// Everything else keeps a single-writer discipline: all base mutations
+// happen under Mu and publish via Publish (same epoch) or PublishMerged
+// (epoch + 1, paired with the store's commit callback).
 
 import (
 	"sync"
@@ -51,7 +48,11 @@ type published[B any] struct {
 type engine[B any] struct {
 	// Mu is the single-writer path: model decisions and every base
 	// mutation (splits, replica materialization, drops, bulk loads,
-	// merge-backs, re-encoding) happen under it. Readers never take it.
+	// merge-backs, re-encoding) happen under it. No reader scans under
+	// it unless its own plan reorganizes: a Replicator query never takes
+	// it to read (its adaptation drain only TryLocks), a Segmenter query
+	// takes it to plan and gives it back before scanning whenever the
+	// plan holds no split; pinned views never take it.
 	Mu  sync.Mutex
 	cur atomic.Pointer[published[B]]
 	// Delta is the column's MVCC write store: queries pin it beside the

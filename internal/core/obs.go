@@ -34,6 +34,9 @@ type strategyObs struct {
 	// queries: selforg_queries_total / selforg_query_duration_ns.
 	qSel, qCnt *obs.Counter
 	dSel, dCnt *obs.Histogram
+	// lockWait: selforg_writer_lock_wait_ns — how long a Segmenter query
+	// queued for eng.Mu (the Replicator's read path never waits).
+	lockWait *obs.Histogram
 	// writes: selforg_writes_total{op=...}, indexed by delta.OpKind.
 	w [3]*obs.Counter
 	// volumes.
@@ -71,6 +74,8 @@ func newStrategyObs(ob *obs.Observer, strat string, shard int) *strategyObs {
 		qCnt: reg.Counter(series("selforg_queries_total", `op="count"`)),
 		dSel: reg.Histogram(series("selforg_query_duration_ns", `op="select"`)),
 		dCnt: reg.Histogram(series("selforg_query_duration_ns", `op="count"`)),
+
+		lockWait: reg.Histogram(series("selforg_writer_lock_wait_ns", "")),
 
 		w: [3]*obs.Counter{
 			delta.OpInsert: reg.Counter(series("selforg_writes_total", `op="insert"`)),

@@ -31,31 +31,39 @@ import (
 //
 // # Concurrency model
 //
-// The Segmenter is safe for concurrent use. Readers work on immutable
-// List snapshots published through an atomic pointer: a scan loads the
-// current snapshot once and never observes a half-reorganized column, no
-// matter how many queries run beside it. All reorganization — model
-// decisions, split application, gluing, re-encoding, bulk loads — happens
-// behind a single writer mutex: a query batches every split it wants into
-// intents, and the writer path re-validates each intent against the
-// current list (by segment identity) before applying it, so identical
-// piggy-backed work from concurrent scans coalesces into one application
-// instead of racing. Retired snapshots are reclaimed by the garbage
-// collector once their last reader drops them (RCU-style retirement).
+// The Segmenter is safe for concurrent use. Segment lists are immutable
+// snapshots published through an atomic pointer, so a scan never observes
+// a half-reorganized column. A query takes the writer mutex eng.Mu only
+// to plan: it pins the (list, delta) pair and consults the stateful model
+// for each partially covered segment — microseconds. A plan that holds no
+// split gives the lock back before any segment payload is read, so pure
+// reads never serialize behind each other, behind reorganization, bulk
+// loads or merge-backs; a plan that splits either keeps the lock through
+// its serial scan (the paper's Algorithm 1 interleaving) or, fanned out,
+// re-takes it to apply its split intents, each re-validated against the
+// current list by segment identity so identical piggy-backed work from
+// concurrent scans coalesces into one application instead of racing (see
+// run).
+//
+// All reorganization — split application, gluing, re-encoding, bulk
+// loads, merge-backs — happens under eng.Mu. Retired snapshots are
+// reclaimed by the garbage collector once their last reader drops them
+// (RCU-style retirement).
 //
 // With SetParallelism(n > 1), the per-segment scan work of a single query
-// additionally fans out across a bounded pool of n workers, each
-// accumulating its own QueryStats delta; the deltas and the per-segment
-// results are merged in segment order, so results are deterministic and
-// byte-identical to the serial path. The Tracer must be safe for
-// concurrent use when parallelism is enabled, and its events may be
-// reordered relative to serial execution.
+// fans out across a bounded pool of n workers, each accumulating its own
+// QueryStats delta; the deltas and the per-segment results are merged in
+// segment order, so results are deterministic and byte-identical to the
+// serial path. An attached Tracer must be safe for concurrent use when
+// parallelism is enabled or when several goroutines query the column
+// (split-free scans are not serialized by the lock), and its events may
+// be reordered relative to serial execution.
 type Segmenter struct {
 	// eng owns the published (list, delta) pair, the writer mutex and
 	// the merge-back protocol, shared with the Replicator. eng.Mu is the
 	// single-writer path: model decisions (the models are stateful — GD
 	// owns a random stream, AutoAPM tunes its bounds) and every list
-	// mutation happen under it.
+	// mutation happen under it; scans of split-free plans do not.
 	eng engine[segment.List]
 	// deltaWriter is the MVCC point-write surface (delta.go), shared with
 	// the Replicator.
@@ -239,7 +247,8 @@ func (s *Segmenter) snapshot(st *QueryStats) {
 // segTask is one planned unit of per-segment work for a query: the
 // snapshot segment to scan plus the model's verdict on it. Tasks are
 // built in visit order (segments high-to-low) under the writer lock, then
-// executed serially or fanned out across the worker pool.
+// executed serially or fanned out across the worker pool — outside the
+// lock unless the plan holds a split and runs serially.
 type segTask struct {
 	seg     *segment.Segment
 	covered bool // whole segment qualifies: no filtering, no decision
@@ -328,27 +337,52 @@ func (s *Segmenter) Count(q domain.Range) (int64, QueryStats) {
 	return n, st
 }
 
+// lockWriter acquires eng.Mu and accounts how long the caller queued for
+// it. The uncontended case is one TryLock and a zero observation — no
+// clock call; only a query that actually waits reads the clock.
+func (s *Segmenter) lockWriter(span *obs.Span) {
+	so := s.ob.Load()
+	if so == nil {
+		s.eng.Mu.Lock()
+		return
+	}
+	var wait time.Duration
+	if !s.eng.Mu.TryLock() {
+		t0 := time.Now()
+		s.eng.Mu.Lock()
+		wait = time.Since(t0)
+	}
+	so.lockWait.Observe(int64(wait))
+	span.Add(obs.PhaseLockWait, wait)
+}
+
 // run is the shared reorganize-while-scanning pipeline:
 //
-//  1. Plan (under mu): walk the snapshot's overlapping segments
-//     high-to-low and consult the model for each partially covered one —
-//     the only phase that touches stateful model state.
+//  1. Plan (under eng.Mu): pin the (list, delta) pair, walk the
+//     snapshot's overlapping segments high-to-low and consult the model
+//     for each partially covered one — the only phase that touches
+//     stateful model state, microseconds long.
 //  2. Execute: scan, filter or partition each task's segment on the
-//     snapshot. Serial mode executes in order with inline application,
-//     reproducing the paper's exact interleaving; parallel mode fans the
-//     tasks out across the worker pool and merges per-worker stats.
-//  3. Apply (under mu): re-validate each split intent against the current
-//     list by segment identity, replace copy-on-write, and publish the
-//     new snapshot. Intents whose segment a concurrent query already
-//     reorganized are dropped — the coalescing step.
+//     pinned snapshot, serially or fanned out across the worker pool. A
+//     split-free plan (every task covered or NoSplit) releases eng.Mu
+//     before the first payload byte is read and never takes it again:
+//     pure reads do not serialize behind each other or behind writers.
+//  3. Apply (under eng.Mu, split-bearing plans only): swap each split's
+//     materialized pieces in copy-on-write and publish. Serial mode keeps
+//     the lock from the plan on and applies each split right after its
+//     scan — the paper's exact interleaving, tracer events included.
+//     Fan-out mode scans unlocked, re-locks, and re-validates each intent
+//     against the current list by segment identity; intents whose segment
+//     a concurrent query already reorganized are dropped — the coalescing
+//     step.
 //
 // wantVals selects extraction vs counting sinks; scanCovered controls
 // whether fully covered segments account a scan (a selection reads them
 // to copy values out, a count answers them from the meta-index for free).
 func (s *Segmenter) run(q domain.Range, wantVals, scanCovered bool, span *obs.Span) (*result.Rope, int64, QueryStats) {
 	var st QueryStats
+	s.lockWriter(span)
 	tRoute := span.StartPhase()
-	s.eng.Mu.Lock()
 	// Pin the MVCC view: the (list snapshot, delta snapshot) pair. Both
 	// are taken under the writer lock, and merge-back publishes its
 	// rewritten list and drained store while holding it, so the pair is
@@ -363,6 +397,7 @@ func (s *Segmenter) run(q domain.Range, wantVals, scanCovered bool, span *obs.Sp
 	lo, hi := list.Overlapping(q)
 	tasks := make([]segTask, 0, hi-lo)
 	var scanBytes int64
+	splits := false
 	for i := hi - 1; i >= lo; i-- {
 		sg := list.Seg(i)
 		if domain.Classify(sg.Rng, q) == domain.CoversAll {
@@ -379,60 +414,59 @@ func (s *Segmenter) run(q domain.Range, wantVals, scanCovered bool, span *obs.Sp
 		}
 		scanBytes += int64(sg.StoredBytes(elem))
 		d := s.mod.Decide(q, s.info(sg, elem))
+		splits = splits || d.Action != model.NoSplit
 		tasks = append(tasks, segTask{seg: sg, action: d.Action, point: d.Point})
+	}
+	// A split-free plan is done with the writer lock: from here on eng.Mu
+	// is held exactly when the plan holds a split, except while a
+	// fanned-out scan runs.
+	if !splits {
+		s.eng.Mu.Unlock()
 	}
 	codec := s.codec.Load()
 	par := int(s.par.Load())
 	if par == 0 {
 		par = adaptiveFanout(len(tasks), scanBytes)
 	}
+	serial := par <= 1 || len(tasks) < 2
 	span.EndPhase(obs.PhaseRoute, tRoute)
 
-	if par <= 1 || len(tasks) < 2 {
-		// Serial: execute and apply each task in order while holding the
-		// writer lock — the exact interleaving of the paper's serial
-		// Algorithm 1, tracer events included. Each task contributes one
-		// rope chunk in task order, so assembly is O(1) per segment.
-		rope := result.New()
-		var count int64
-		for _, t := range tasks {
-			out := s.execTask(q, t, wantVals, scanCovered, elem, codec, &st)
-			if out.subs != nil {
-				tAdapt := span.StartPhase()
-				s.applyIntent(t, out, &st)
-				span.EndPhase(obs.PhaseAdapt, tAdapt)
-			}
-			out.appendTo(rope)
-			count += out.count
+	var outs []segOutcome
+	if !serial {
+		if splits {
+			s.eng.Mu.Unlock()
 		}
-		tOv := span.StartPhase()
-		rope, count = overlayDelta(dsnap, q, wantVals, rope, count, &st)
-		span.EndPhase(obs.PhaseOverlay, tOv)
-		s.snapshot(&st)
-		s.eng.Mu.Unlock()
-		return rope, count, st
+		outs = s.execParallel(q, tasks, wantVals, scanCovered, par, elem, codec, &st)
+		if splits {
+			s.lockWriter(span)
+		}
 	}
-	s.eng.Mu.Unlock()
-
-	outs := s.execParallel(q, tasks, wantVals, scanCovered, par, elem, codec, &st)
-
-	tAdapt := span.StartPhase()
-	s.eng.Mu.Lock()
+	// Each task contributes one rope chunk in task order, so assembly is
+	// O(1) per segment.
 	rope := result.New()
 	var count int64
 	for i, t := range tasks {
-		if outs[i].subs != nil {
-			s.applyIntent(t, outs[i], &st)
+		var out segOutcome
+		if serial {
+			out = s.execTask(q, t, wantVals, scanCovered, elem, codec, &st)
+		} else {
+			out = outs[i]
 		}
-		outs[i].appendTo(rope)
-		count += outs[i].count
+		if out.subs != nil {
+			tAdapt := span.StartPhase()
+			s.applyIntent(t, out, &st)
+			span.EndPhase(obs.PhaseAdapt, tAdapt)
+		}
+		out.appendTo(rope)
+		count += out.count
 	}
-	span.EndPhase(obs.PhaseAdapt, tAdapt)
 	tOv := span.StartPhase()
 	rope, count = overlayDelta(dsnap, q, wantVals, rope, count, &st)
 	span.EndPhase(obs.PhaseOverlay, tOv)
 	s.snapshot(&st)
-	s.eng.Mu.Unlock()
+	if splits {
+		s.eng.Mu.Unlock()
+	}
 	return rope, count, st
 }
 

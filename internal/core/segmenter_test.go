@@ -4,9 +4,12 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
+	"selforg/internal/compress"
 	"selforg/internal/domain"
 	"selforg/internal/model"
+	"selforg/internal/obs"
 )
 
 // denseColumn returns values 0..n-1, one per domain point of [0, n-1].
@@ -358,4 +361,227 @@ func TestSegmenterSegmentSizes(t *testing.T) {
 	if total != 1000 {
 		t.Errorf("total size = %v, want 1000", total)
 	}
+}
+
+// convergedSegmenter builds a compress.Auto APM Segmenter over n uniform
+// values of [0, 2^20) and replays probes until a whole pass splits
+// nothing: from then on the model answers NoSplit for every probe.
+func convergedSegmenter(t *testing.T, n int, mmin, mmax int64, probes []domain.Range) (*Segmenter, []domain.Value) {
+	t.Helper()
+	const dom = 1 << 20
+	rng := rand.New(rand.NewSource(21))
+	vals := make([]domain.Value, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(dom)
+	}
+	s := NewSegmenter(domain.NewRange(0, dom-1), vals, 8, model.NewAPM(mmin, mmax), nil)
+	s.SetCompression(compress.Auto)
+	for pass := 0; pass < 20; pass++ {
+		splits := 0
+		for _, q := range probes {
+			_, st := s.Count(q)
+			splits += st.Splits
+		}
+		if splits == 0 {
+			return s, vals
+		}
+	}
+	t.Fatal("column did not converge on the probe ranges")
+	return nil, nil
+}
+
+// wideProbes returns k ranges, each a fifth of [0, 2^20), at seeded
+// uniform positions.
+func wideProbes(k int) []domain.Range {
+	const dom, width = 1 << 20, (1 << 20) / 5
+	rng := rand.New(rand.NewSource(22))
+	out := make([]domain.Range, k)
+	for i := range out {
+		lo := rng.Int63n(dom - width)
+		out[i] = domain.NewRange(lo, lo+width-1)
+	}
+	return out
+}
+
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
+}
+
+// scanProbes loops Count and SelectRope over probes on its own goroutine
+// until the returned stop is called; stop waits for the goroutine and
+// returns each query's duration and the splits the probes caused.
+func scanProbes(s *Segmenter, probes []domain.Range) (stop func() ([]time.Duration, int)) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	var queries []time.Duration
+	splits := 0
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			q := probes[i%len(probes)]
+			t0 := time.Now()
+			var st QueryStats
+			if i%2 == 0 {
+				_, st = s.Count(q)
+			} else {
+				_, st = s.SelectRope(q)
+			}
+			queries = append(queries, time.Since(t0))
+			splits += st.Splits
+		}
+	}()
+	return func() ([]time.Duration, int) {
+		close(quit)
+		<-done
+		return queries, splits
+	}
+}
+
+// TestWriterLockHoldIndependentOfScan pins the read protocol: a query
+// whose plan holds no split gives eng.Mu back before it reads a segment
+// payload, so how long a writer waits for the lock does not grow with
+// the scan. One goroutine loops wide Count and SelectRope over a
+// converged column; the test goroutine samples its own wait for eng.Mu.
+// (A scanner that kept the lock through its scan would make the median
+// wait a large fraction of the median query.)
+func TestWriterLockHoldIndependentOfScan(t *testing.T) {
+	probes := wideProbes(8)
+	s, _ := convergedSegmenter(t, 1<<20, 256<<10, 1<<20, probes)
+
+	// Space the samples by about a fifth of a query, however fast this
+	// host (or the race detector) runs one.
+	t0 := time.Now()
+	s.SelectRope(probes[0])
+	step := time.Since(t0) / 40
+	stop := scanProbes(s, probes)
+
+	const samples = 300
+	waits := make([]time.Duration, samples)
+	for i := range waits {
+		time.Sleep(step * time.Duration(5+i%7))
+		t0 := time.Now()
+		s.eng.Mu.Lock()
+		waits[i] = time.Since(t0)
+		s.eng.Mu.Unlock()
+	}
+	queries, scannerSplits := stop()
+
+	if scannerSplits != 0 {
+		t.Fatalf("probe queries split %d times on a converged column", scannerSplits)
+	}
+	if len(queries) < 20 {
+		t.Fatalf("scanner finished only %d queries beside %d samples", len(queries), samples)
+	}
+	wait, query := median(waits), median(queries)
+	t.Logf("median lock wait %v, median query %v over %d queries", wait, query, len(queries))
+	if wait*10 >= query {
+		t.Errorf("median wait for eng.Mu is %v, not below 10%% of the median query (%v): a pure read holds the writer lock while it scans", wait, query)
+	}
+}
+
+// TestWriterLockHoldSplitMatchesReplay is the other half: ranges whose
+// plans do split, issued beside a scanner of split-free probes, produce
+// the results, split counts and final layout of a single-goroutine
+// replay — split-bearing plans still run under eng.Mu as before.
+func TestWriterLockHoldSplitMatchesReplay(t *testing.T) {
+	probes := wideProbes(4)
+	rng := rand.New(rand.NewSource(23))
+	splitters := make([]domain.Range, 12)
+	for i := range splitters {
+		lo := rng.Int63n(1<<20 - 1<<16)
+		splitters[i] = domain.NewRange(lo, lo+rng.Int63n(1<<16))
+	}
+	build := func() (*Segmenter, []domain.Value) {
+		return convergedSegmenter(t, 1<<18, 16<<10, 64<<10, probes)
+	}
+
+	// Single-goroutine replay. The probes stay split-free after every
+	// splitter, so on the concurrent column their interleaving cannot
+	// change the layout either.
+	ref, vals := build()
+	wantSplits := make([]int, len(splitters))
+	total := 0
+	for i, q := range splitters {
+		res, st := ref.Select(q)
+		equalMultiset(t, res, refSelect(vals, q))
+		wantSplits[i] = st.Splits
+		total += st.Splits
+		for _, p := range probes {
+			if _, pst := ref.Count(p); pst.Splits != 0 {
+				t.Fatalf("probe %v split after splitter %d", p, i)
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no splitter range split: the case tests nothing")
+	}
+
+	s, _ := build()
+	stop := scanProbes(s, probes)
+	for i, q := range splitters {
+		res, st := s.Select(q)
+		equalMultiset(t, res, refSelect(vals, q))
+		if st.Splits != wantSplits[i] {
+			t.Errorf("splitter %d: %d splits beside a scanner, %d in the replay", i, st.Splits, wantSplits[i])
+		}
+	}
+	if _, scannerSplits := stop(); scannerSplits != 0 {
+		t.Errorf("probe queries split %d times", scannerSplits)
+	}
+	if got, want := s.Layout(), ref.Layout(); got != want {
+		t.Errorf("layout beside a scanner differs from the single-goroutine replay:\n got %s\nwant %s", got, want)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriterLockWaitIsRecordedApartFromRoute: a query queued behind the
+// writer lock reports the wait in selforg_writer_lock_wait_ns and in the
+// trace's LockWaitNs; RouteNs is clocked from the acquisition on and
+// does not contain it.
+func TestWriterLockWaitIsRecordedApartFromRoute(t *testing.T) {
+	s := NewSegmenter(domain.NewRange(0, 999), denseColumn(1000), 1, model.Never{}, nil)
+	ob := obs.NewObserver()
+	ob.Traces.Enable(1, 0)
+	s.SetObserver(ob, 0)
+	const held = 5 * time.Millisecond
+	// The query goroutine may be scheduled late and miss the held lock;
+	// repeat until one query has demonstrably queued.
+	for attempt := 0; attempt < 50; attempt++ {
+		s.eng.Mu.Lock()
+		started := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			close(started)
+			s.Count(domain.NewRange(100, 200))
+		}()
+		<-started
+		time.Sleep(held)
+		s.eng.Mu.Unlock()
+		<-done
+		traces := ob.Traces.Recent()
+		tr := traces[len(traces)-1]
+		if tr.LockWaitNs == 0 {
+			continue
+		}
+		if tr.RouteNs >= tr.LockWaitNs {
+			t.Errorf("route %dns not below the lock wait %dns: the route clock includes the wait", tr.RouteNs, tr.LockWaitNs)
+		}
+		if sum := s.ob.Load().lockWait.Sum(); sum < tr.LockWaitNs {
+			t.Errorf("selforg_writer_lock_wait_ns sums to %dns, the traced wait alone is %dns", sum, tr.LockWaitNs)
+		}
+		if n := s.ob.Load().lockWait.Count(); n != int64(attempt+1) {
+			t.Errorf("lock-wait histogram holds %d observations after %d queries", n, attempt+1)
+		}
+		return
+	}
+	t.Fatal("no query ever waited for the held writer lock")
 }

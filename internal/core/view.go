@@ -21,9 +21,8 @@ import (
 // immutable segment-list snapshot for segmentation, an immutable
 // persistent-tree root for replication — plus the pinned delta snapshot
 // stay consistent forever, across any number of concurrent writes,
-// splits, drops, bulk loads and merge-backs. (Before the persistent
-// replica tree, replication views degraded to read-committed after a
-// merge-back; that fallback is gone.)
+// splits, drops, bulk loads and merge-backs. Pinning and reading a view
+// never takes the writer lock.
 type View struct {
 	list  *segment.List // segmentation base (nil for replication views)
 	root  *node         // replication base (nil for segmentation views)

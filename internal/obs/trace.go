@@ -13,6 +13,10 @@ const (
 	// PhaseRoute is planning: shard routing, cover computation, model
 	// consultation — everything before data is touched.
 	PhaseRoute Phase = iota
+	// PhaseLockWait is time queued for the strategy's writer lock before
+	// planning (and before applying a fanned-out query's splits). The
+	// Replicator only ever TryLocks, so it reports 0.
+	PhaseLockWait
 	// PhaseScan is the data pass over the base segments. It is computed
 	// residually at Finish (total minus the other phases), so the hot
 	// scan loop itself carries no timing calls.
@@ -44,10 +48,11 @@ type Trace struct {
 	Start    time.Time `json:"start"`
 	TotalNs  int64     `json:"total_ns"`
 
-	RouteNs   int64 `json:"route_ns"`
-	ScanNs    int64 `json:"scan_ns"`
-	OverlayNs int64 `json:"overlay_ns"`
-	AdaptNs   int64 `json:"adapt_ns"`
+	RouteNs    int64 `json:"route_ns"`
+	LockWaitNs int64 `json:"lock_wait_ns"`
+	ScanNs     int64 `json:"scan_ns"`
+	OverlayNs  int64 `json:"overlay_ns"`
+	AdaptNs    int64 `json:"adapt_ns"`
 
 	ReadBytes      int64 `json:"read_bytes"`
 	DeltaReadBytes int64 `json:"delta_read_bytes"`
@@ -117,9 +122,10 @@ func (s *Span) Finish() {
 	total := time.Since(s.start)
 	s.t.TotalNs = int64(total)
 	s.t.RouteNs = s.phases[PhaseRoute]
+	s.t.LockWaitNs = s.phases[PhaseLockWait]
 	s.t.OverlayNs = s.phases[PhaseOverlay]
 	s.t.AdaptNs = s.phases[PhaseAdapt]
-	if scan := s.t.TotalNs - s.t.RouteNs - s.t.OverlayNs - s.t.AdaptNs + s.phases[PhaseScan]; scan > 0 {
+	if scan := s.t.TotalNs - s.t.RouteNs - s.t.LockWaitNs - s.t.OverlayNs - s.t.AdaptNs + s.phases[PhaseScan]; scan > 0 {
 		s.t.ScanNs = scan
 	}
 	s.tl.push(s.t)

@@ -118,12 +118,13 @@ func (c *Cache) Get(key string) (any, bool) {
 	e, ok := s.entries[key]
 	if ok && e.epoch == ep {
 		s.moveToFront(e)
+		val := e.val // a same-key Put overwrites e.val under the lock
 		s.mu.Unlock()
 		c.hits.Add(1)
 		if c.obsHits != nil {
 			c.obsHits.Inc()
 		}
-		return e.val, true
+		return val, true
 	}
 	if ok {
 		s.remove(e) // stale epoch: lazily reap

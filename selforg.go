@@ -236,7 +236,12 @@ type Options struct {
 	// ElemSize is the accounted storage per value in bytes (default 4,
 	// matching the paper's 4-byte columns).
 	ElemSize int64
-	// Tracer observes segment lifecycle events (optional).
+	// Tracer observes segment lifecycle events (optional). On a column
+	// queried from several goroutines it is called concurrently — for
+	// both strategies the scans of concurrent queries are not serialized
+	// by a lock — so it must then be safe for concurrent use; a column
+	// driven by one goroutine with serial scans calls it in the paper's
+	// serial order.
 	Tracer Tracer
 	// AutoTune replaces the fixed APM bounds by the self-tuning variant
 	// (§8 future work): Mmin/Mmax track the observed selection sizes,
@@ -270,9 +275,11 @@ type Options struct {
 	// independently — one query never exceeds the configured budget.
 	// With Parallelism > 1 an attached Tracer must itself be safe for
 	// concurrent use; when a Tracer is attached and Parallelism is left
-	// at 0, the column runs serial scans (the pre-adaptive contract), so
-	// existing single-threaded tracers keep working — pass an explicit
-	// Parallelism to opt a concurrency-safe tracer into fan-out.
+	// at 0, the column runs serial scans, so a single-threaded tracer
+	// keeps working on a column queried by one goroutine — pass an
+	// explicit Parallelism to opt a concurrency-safe tracer into
+	// fan-out. (Queries issued from several goroutines call the Tracer
+	// concurrently at every setting; see Tracer.)
 	Parallelism int
 	// DeltaMaxBytes triggers the self-organizing merge-back of the MVCC
 	// write store: a write that leaves more than this many bytes pending
@@ -498,8 +505,8 @@ func buildStrategy(o Options, rng domain.Range, values []domain.Value, rec *dura
 		deltaMax, deltaRatio = 0, 0
 	}
 	// Adaptive fan-out invokes the Tracer from worker goroutines; a
-	// tracer attached without an explicit Parallelism predates that
-	// contract, so keep it on the serial path it was written for.
+	// tracer attached without an explicit Parallelism stays on the
+	// serial path, where one querying goroutine sees serial event order.
 	par := o.Parallelism
 	if par == 0 && o.Tracer != nil {
 		par = 1
