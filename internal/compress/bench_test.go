@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -74,6 +75,51 @@ func BenchmarkCountRange(b *testing.B) {
 				b.SetBytes(8 * n)
 				for i := 0; i < b.N; i++ {
 					v.CountRange(lo, mid)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkKernelWidths sweeps the block kernel across bit widths: FOR
+// data spanning 2^w values (and Dict data with 2^w distinct values, where
+// n rows can hold that many), against Plain on the same rows, under a
+// predicate covering the middle half of the frame. ns/op over n is the
+// per-value cost; the Plain row is the bar.
+func BenchmarkKernelWidths(b *testing.B) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []uint{1, 7, 13, 15, 20, 32} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = -1<<40 + rng.Int63n(1<<w)
+		}
+		lo, hi := vals[0], vals[0]
+		for _, v := range vals {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		qlo, qhi := lo+(hi-lo)/4, hi-(hi-lo)/4
+		encs := []Encoding{Plain, FOR}
+		if 1<<w <= n {
+			encs = append(encs, Dict)
+		}
+		for _, e := range encs {
+			v := Encode(append([]int64(nil), vals...), e, 4)
+			name := fmt.Sprintf("w%d/%v", w, e)
+			b.Run(name+"/count", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					v.CountRange(qlo, qhi)
+				}
+			})
+			b.Run(name+"/select", func(b *testing.B) {
+				dst := make([]int64, 0, n)
+				for i := 0; i < b.N; i++ {
+					dst = v.SelectRange(qlo, qhi, dst[:0])
+				}
+			})
+			b.Run(name+"/sum", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					v.SumRange(qlo, qhi)
 				}
 			})
 		}

@@ -1,8 +1,15 @@
 package compress
 
+// blockLen is the block kernel's unit: 64 values at width w occupy
+// exactly w words, so every block starts word-aligned and decodes
+// without touching its neighbours.
+const blockLen = 64
+
 // packed is a fixed-width bit-packed array of n unsigned values, the
 // storage substrate of the Dict codes and FOR deltas. Width 0 encodes an
-// all-zero array in zero words.
+// all-zero array in zero words. The words are padded to whole blocks, so
+// the block kernel never needs a bounds case for the last one; the
+// padding is not accounted (bytes sizes the n values only).
 type packed struct {
 	width uint // bits per value, 0..64
 	n     int
@@ -15,7 +22,7 @@ func packAll(vals []uint64, width uint) packed {
 	if width == 0 || len(vals) == 0 {
 		return p
 	}
-	p.words = make([]uint64, (uint(len(vals))*width+63)/64)
+	p.words = make([]uint64, (len(vals)+blockLen-1)/blockLen*int(width))
 	for i, v := range vals {
 		off := uint(i) * width
 		w, s := off/64, off%64
@@ -27,7 +34,7 @@ func packAll(vals []uint64, width uint) packed {
 	return p
 }
 
-// get returns the i-th packed value.
+// get returns the i-th packed value (point access; scans use a decoder).
 func (p packed) get(i int) uint64 {
 	if p.width == 0 {
 		return 0
@@ -44,8 +51,73 @@ func (p packed) get(i int) uint64 {
 	return v & (1<<p.width - 1)
 }
 
-// bytes returns the physical size of the packed words.
-func (p packed) bytes() int64 { return int64(len(p.words)) * 8 }
+// unpack decodes block b (values [64b, 64b+64)) into dst with a running
+// bit cursor that walks the block's w words once: every value lying
+// wholly inside a word costs one mask and one shift, and only a value
+// straddling two words joins the carried low bits with the next word's
+// head — no per-value multiply, divide or word-index arithmetic. (The
+// shift counts are masked with &63, always a no-op here, so the compiler
+// drops its oversized-shift fix-ups; i&63 does the same for bounds.)
+func (p *packed) unpack(b int, dst *[blockLen]uint64) {
+	w := p.width
+	switch w {
+	case 0:
+		*dst = [blockLen]uint64{}
+		return
+	case 64:
+		copy(dst[:], p.words[b*blockLen:])
+		return
+	}
+	mask := uint64(1)<<w - 1
+	var carry uint64 // low bits of the value straddling into this word
+	have := uint(0)  // how many of its bits carry holds
+	i := 0
+	for _, word := range p.words[b*int(w) : (b+1)*int(w)] {
+		bits := uint(64)
+		if have > 0 {
+			dst[i&63] = (carry | word<<(have&63)) & mask
+			i++
+			word >>= (w - have) & 63
+			bits -= w - have
+		}
+		for ; bits >= w; bits -= w {
+			dst[i&63] = word & mask
+			word >>= w & 63
+			i++
+		}
+		carry, have = word, bits
+	}
+}
+
+// decoder walks rows [row, end) of a packed array one block at a time —
+// the block kernel every Dict and FOR scan loop runs on.
+type decoder struct {
+	p        *packed
+	row, end int
+	buf      [blockLen]uint64
+}
+
+// decode returns a decoder over rows [i, j).
+func (p *packed) decode(i, j int) *decoder {
+	return &decoder{p: p, row: i, end: j}
+}
+
+// next decodes the rest of the current block and returns it — the values
+// of rows [row, row+len) for the row it was called at — or nil once the
+// range is exhausted. The slice is valid until the following call.
+func (d *decoder) next() []uint64 {
+	if d.row >= d.end {
+		return nil
+	}
+	b := d.row / blockLen
+	d.p.unpack(b, &d.buf)
+	lo, hi := d.row-b*blockLen, min(blockLen, d.end-b*blockLen)
+	d.row = b*blockLen + hi
+	return d.buf[lo:hi]
+}
+
+// bytes returns the accounted physical size of the packed values.
+func (p packed) bytes() int64 { return packedBytesFor(int64(p.n), p.width) }
 
 // bitsFor returns the number of bits needed to represent v.
 func bitsFor(v uint64) uint {

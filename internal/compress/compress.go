@@ -6,10 +6,28 @@
 //
 // Every encoding implements bat.Vector, so BAT algebra, aggregation and
 // the MAL operators work transparently over compressed data, and each
-// offers range-selection fast paths that operate on the compressed form:
-// RLE skips or emits whole runs without expansion, Dict prunes through a
-// binary search of the sorted dictionary, and FOR prunes through its
-// min/max frame before touching a single delta.
+// offers range fast paths — select, count, sum, row spans — that operate
+// on the compressed form: RLE skips or emits whole runs without
+// expansion, Dict prunes through a binary search of the sorted
+// dictionary, and FOR prunes through its min/max frame before touching a
+// single delta.
+//
+// # The block kernel
+//
+// Dict codes and FOR deltas are bit-packed at a fixed width. Every scan
+// loop over them — CountRange, SelectRange, SumRange, Spans, AppendTo,
+// Slice — runs on one kernel, packed's decoder: it unpacks 64 values per
+// call (exactly `width` words, so every block is word-aligned) with a
+// running bit cursor, and the loop body then works on a plain []uint64.
+// Point access (At) is the only per-value unpack left.
+//
+// The rule the loops follow: compare on codes or deltas, never on
+// decoded values. A predicate [lo, hi] is translated once per call —
+// Dict maps it to a code interval through the sorted dictionary, FOR
+// subtracts the frame — into "x - base <= span", one unsigned compare per
+// value; a value is decoded (a dictionary lookup, a frame addition) only
+// when it qualifies and the caller wants it. Inverted ranges are caught
+// before the translation, where the unsigned span would wrap.
 //
 // Encoding choice is adaptive: an Advisor profiles a segment's values
 // (run structure, cardinality, value span) and picks the
@@ -159,6 +177,11 @@ type Vector interface {
 	// CountRange counts the values lying in [lo, hi] without materializing
 	// them.
 	CountRange(lo, hi int64) int64
+	// SumRange returns the count and the (two's-complement wrapping) sum
+	// of the values lying in [lo, hi], answered from the encoding: RLE
+	// multiplies run values by clipped run lengths, FOR adds n·ref to the
+	// qualifying deltas, Dict looks up only qualifying codes.
+	SumRange(lo, hi int64) (n, sum int64)
 	// Spans calls f(start, end) for every maximal half-open row span
 	// [start, end) whose values all lie in [lo, hi], in ascending order.
 	// Positional selections (BAT head/tail association) build on it; the
@@ -190,37 +213,27 @@ func Encode(vals []int64, e Encoding, elemSize int64) Vector {
 	}
 }
 
-// selectScan is the shared scan-based SelectRange used by the encodings
-// whose rows decode in O(1).
-func selectScan(v Vector, lo, hi int64, dst []int64) []int64 {
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		if x := v.At(i); x >= lo && x <= hi {
-			dst = append(dst, x)
-		}
-	}
-	return dst
+// spanner coalesces a row-by-row match stream into maximal half-open
+// spans — the shared tail of every encoding's row-wise Spans loop.
+type spanner struct {
+	start int
+	open  bool
 }
 
-// spanScan is the shared scan-based Spans for O(1)-decode encodings: it
-// coalesces adjacent qualifying rows into maximal spans.
-func spanScan(v Vector, lo, hi int64, f func(start, end int)) {
-	n := v.Len()
-	start := -1
-	for i := 0; i < n; i++ {
-		x := v.At(i)
-		if x >= lo && x <= hi {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			f(start, i)
-			start = -1
-		}
+// add feeds row's verdict, reporting the span it closes, if any.
+func (s *spanner) add(row int, match bool, f func(start, end int)) {
+	switch {
+	case match && !s.open:
+		s.start, s.open = row, true
+	case !match && s.open:
+		f(s.start, row)
+		s.open = false
 	}
-	if start >= 0 {
-		f(start, n)
+}
+
+// done closes a span still open at the end of n rows.
+func (s *spanner) done(n int, f func(start, end int)) {
+	if s.open {
+		f(s.start, n)
 	}
 }

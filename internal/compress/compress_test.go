@@ -336,6 +336,63 @@ func TestDblVector(t *testing.T) {
 	}
 }
 
+// TestDblNaNBoundsMatchNothing: a NaN bound compares false with every
+// value, so a range with one matches no row — under every encoding, for
+// counts and spans alike — while ordinary bounds over the same vector,
+// infinities included, still match.
+func TestDblNaNBoundsMatchNothing(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	vals := []float64{-1, 0, 1, 2.5, inf}
+	for _, c := range []struct {
+		name   string
+		lo, hi float64
+		want   int64
+	}{
+		{"hi NaN", 0, nan, 0},
+		{"lo -NaN", math.Copysign(nan, -1), 1, 0},
+		{"lo NaN", nan, 1, 0},
+		{"both NaN", nan, nan, 0},
+		{"NaN to +Inf", nan, inf, 0},
+		{"-Inf to NaN", math.Inf(-1), nan, 0},
+		{"ordinary", 0, 2.5, 3},
+		{"to +Inf", 0, inf, 4},
+		{"inverted", 1, 0, 0},
+	} {
+		for _, e := range Encodings {
+			d := EncodeDbls(vals, e, 4)
+			if got := d.CountRangeDbl(c.lo, c.hi); got != c.want {
+				t.Errorf("%s/%v: CountRangeDbl(%g, %g) = %d, want %d", c.name, e, c.lo, c.hi, got, c.want)
+			}
+			var spanned int64
+			d.RangeSpans(bat.Dbl(c.lo), bat.Dbl(c.hi), func(s, end int) { spanned += int64(end - s) })
+			if spanned != c.want {
+				t.Errorf("%s/%v: RangeSpans(%g, %g) covered %d rows, want %d", c.name, e, c.lo, c.hi, spanned, c.want)
+			}
+		}
+	}
+}
+
+// TestDblDecodePaths: AppendToDbl and Slice decode through the inner
+// encoding's kernel and agree with point access.
+func TestDblDecodePaths(t *testing.T) {
+	vals := []float64{math.Inf(-1), -2.5, 0, 1e-300, 3, 3, 3, math.Inf(1)}
+	for _, e := range Encodings {
+		d := EncodeDbls(vals, e, 4)
+		if got := d.AppendToDbl([]float64{9}); !reflect.DeepEqual(got, append([]float64{9}, vals...)) {
+			t.Errorf("%v: AppendToDbl = %v", e, got)
+		}
+		sl := d.Slice(1, 6)
+		for i := 0; i < sl.Len(); i++ {
+			if got := sl.Get(i).AsDbl(); got != vals[1+i] || got != d.AtDbl(1+i) {
+				t.Errorf("%v: Slice(1, 6)[%d] = %g, want %g", e, i, got, vals[1+i])
+			}
+		}
+		if sl.Len() != 5 || sl.Kind() != bat.KDbl {
+			t.Errorf("%v: Slice(1, 6) has len %d kind %v", e, sl.Len(), sl.Kind())
+		}
+	}
+}
+
 // TestAdvisorChoice asserts the advisor picks the winning encoding on
 // clear-cut shapes and never regresses past Plain.
 func TestAdvisorChoice(t *testing.T) {

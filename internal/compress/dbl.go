@@ -22,8 +22,9 @@ const dblSignBit = uint64(1) << 63
 // first: float comparison treats the two as equal, so they must map to
 // the same integer or a predicate bound of 0.0 would wrongly exclude
 // -0.0 rows (decoded -0.0 therefore comes back as the numerically equal
-// +0.0). NaNs map outside the ±Inf interval, so any ordered predicate
-// excludes them — matching float comparison, where NaN matches nothing.
+// +0.0). NaN values map outside the ±Inf interval, so any ordered
+// predicate excludes them — matching float comparison, where NaN matches
+// nothing. A NaN *bound* is screened by emptyRange before mapping.
 func mapDbl(f float64) int64 {
 	if f == 0 {
 		f = 0 // collapse -0.0 onto +0.0
@@ -83,13 +84,10 @@ func (d *DblVector) Append(v bat.Value) bat.Vector {
 }
 
 // Slice implements bat.Vector by decoding the window into a plain dbl
-// vector.
+// vector (every encoding's Slice decodes into a PlainVector).
 func (d *DblVector) Slice(i, j int) bat.Vector {
-	out := make([]float64, 0, j-i)
-	for k := i; k < j; k++ {
-		out = append(out, d.AtDbl(k))
-	}
-	return bat.NewDbls(out)
+	win := d.inner.Slice(i, j).(*PlainVector).Raw()
+	return bat.NewDbls(appendUnmapped(make([]float64, 0, len(win)), win))
 }
 
 // Empty implements bat.Vector.
@@ -101,18 +99,29 @@ func (d *DblVector) Encoding() Encoding { return d.inner.Encoding() }
 // StoredBytes returns the accounted physical size of the encoded form.
 func (d *DblVector) StoredBytes() int64 { return d.inner.StoredBytes() }
 
-// AppendToDbl appends every value, in order, to dst.
+// AppendToDbl appends every value, in order, to dst, decoding through
+// the inner encoding's block kernel.
 func (d *DblVector) AppendToDbl(dst []float64) []float64 {
-	n := d.inner.Len()
-	for i := 0; i < n; i++ {
-		dst = append(dst, d.AtDbl(i))
+	return appendUnmapped(dst, d.inner.AppendTo(make([]int64, 0, d.inner.Len())))
+}
+
+// appendUnmapped appends the float of every mapped value in src to dst.
+func appendUnmapped(dst []float64, src []int64) []float64 {
+	for _, x := range src {
+		dst = append(dst, unmapDbl(x))
 	}
 	return dst
 }
 
+// emptyRange reports whether no float satisfies lo <= f <= hi: the bounds
+// are inverted, or either is NaN (NaN compares false with everything, so
+// it bounds nothing — yet mapDbl sends it outside ±Inf, where it would
+// read as an open end).
+func emptyRange(lo, hi float64) bool { return !(lo <= hi) }
+
 // CountRangeDbl counts the values lying in [lo, hi].
 func (d *DblVector) CountRangeDbl(lo, hi float64) int64 {
-	if lo > hi {
+	if emptyRange(lo, hi) {
 		return 0
 	}
 	return d.inner.CountRange(mapDbl(lo), mapDbl(hi))
@@ -122,7 +131,7 @@ func (d *DblVector) CountRangeDbl(lo, hi float64) int64 {
 // in [lo, hi], computed on the compressed form.
 func (d *DblVector) RangeSpans(lo, hi bat.Value, f func(start, end int)) {
 	l, h := lo.AsDbl(), hi.AsDbl()
-	if l > h {
+	if emptyRange(l, h) {
 		return
 	}
 	d.inner.Spans(mapDbl(l), mapDbl(h), f)

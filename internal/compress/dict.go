@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"slices"
 	"sort"
 
 	"selforg/internal/bat"
@@ -66,11 +67,7 @@ func (d *DictVector) Append(v bat.Value) bat.Vector {
 
 // Slice implements bat.Vector by decoding the window into Plain.
 func (d *DictVector) Slice(i, j int) bat.Vector {
-	out := make([]int64, 0, j-i)
-	for k := i; k < j; k++ {
-		out = append(out, d.At(k))
-	}
-	return NewPlain(out, d.elemSize)
+	return NewPlain(d.appendRows(i, j, make([]int64, 0, j-i)), d.elemSize)
 }
 
 // Empty implements bat.Vector.
@@ -97,14 +94,24 @@ func (d *DictVector) At(i int) int64 { return d.dict[d.codes.get(i)] }
 
 // AppendTo implements Vector.
 func (d *DictVector) AppendTo(dst []int64) []int64 {
-	for i := 0; i < d.codes.n; i++ {
-		dst = append(dst, d.dict[d.codes.get(i)])
+	return d.appendRows(0, d.codes.n, dst)
+}
+
+// appendRows appends the decoded values of rows [i, j) to dst.
+func (d *DictVector) appendRows(i, j int, dst []int64) []int64 {
+	dst = slices.Grow(dst, j-i)
+	dec := d.codes.decode(i, j)
+	for codes := dec.next(); codes != nil; codes = dec.next() {
+		for _, c := range codes {
+			dst = append(dst, d.dict[c])
+		}
 	}
 	return dst
 }
 
 // codeRange maps [lo, hi] onto the half-open qualifying code interval
-// [cLo, cHi).
+// [cLo, cHi); cLo >= cHi means no code qualifies (inverted bounds
+// included).
 func (d *DictVector) codeRange(lo, hi int64) (uint64, uint64) {
 	cLo := uint64(searchInt64s(d.dict, lo))
 	cHi := uint64(sort.Search(len(d.dict), func(i int) bool { return d.dict[i] > hi }))
@@ -112,7 +119,9 @@ func (d *DictVector) codeRange(lo, hi int64) (uint64, uint64) {
 }
 
 // SelectRange implements Vector: binary-search the dictionary once, then
-// filter rows by code interval.
+// filter rows by code interval — one unsigned compare per code. Each
+// block is written branch-free: every row's value is stored at the
+// output cursor, which advances only past qualifying ones.
 func (d *DictVector) SelectRange(lo, hi int64, dst []int64) []int64 {
 	cLo, cHi := d.codeRange(lo, hi)
 	if cLo >= cHi {
@@ -121,10 +130,22 @@ func (d *DictVector) SelectRange(lo, hi int64, dst []int64) []int64 {
 	if cLo == 0 && cHi == uint64(len(d.dict)) {
 		return d.AppendTo(dst)
 	}
-	for i := 0; i < d.codes.n; i++ {
-		if c := d.codes.get(i); c >= cLo && c < cHi {
-			dst = append(dst, d.dict[c])
+	span := cHi - cLo
+	dec := d.codes.decode(0, d.codes.n)
+	base := dst
+	for codes := dec.next(); codes != nil; codes = dec.next() {
+		dst = slices.Grow(dst, len(codes))
+		out, k := dst[len(dst):len(dst)+len(codes)], 0
+		for _, c := range codes {
+			out[k] = d.dict[c]
+			if c-cLo < span {
+				k++
+			}
 		}
+		dst = dst[:len(dst)+k]
+	}
+	if len(dst) == len(base) {
+		return base // nothing qualified: dst comes back untouched
 	}
 	return dst
 }
@@ -138,13 +159,41 @@ func (d *DictVector) CountRange(lo, hi int64) int64 {
 	if cLo == 0 && cHi == uint64(len(d.dict)) {
 		return int64(d.codes.n)
 	}
+	span := cHi - cLo
 	var n int64
-	for i := 0; i < d.codes.n; i++ {
-		if c := d.codes.get(i); c >= cLo && c < cHi {
-			n++
+	dec := d.codes.decode(0, d.codes.n)
+	for codes := dec.next(); codes != nil; codes = dec.next() {
+		for _, c := range codes {
+			if c-cLo < span {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// SumRange implements Vector: codes are compared, and only a qualifying
+// code is looked up in the dictionary.
+func (d *DictVector) SumRange(lo, hi int64) (int64, int64) {
+	cLo, cHi := d.codeRange(lo, hi)
+	if cLo >= cHi {
+		return 0, 0
+	}
+	span := cHi - cLo
+	var n, sum int64
+	dec := d.codes.decode(0, d.codes.n)
+	for codes := dec.next(); codes != nil; codes = dec.next() {
+		for _, c := range codes {
+			// Load before the test: a load under the branch keeps the
+			// compiler from making the loop branch-free.
+			x := d.dict[c]
+			if c-cLo < span {
+				n++
+				sum += x
+			}
+		}
+	}
+	return n, sum
 }
 
 // Spans implements Vector.
@@ -159,23 +208,16 @@ func (d *DictVector) Spans(lo, hi int64, f func(start, end int)) {
 		}
 		return
 	}
-	start := -1
-	for i := 0; i < d.codes.n; i++ {
-		c := d.codes.get(i)
-		if c >= cLo && c < cHi {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			f(start, i)
-			start = -1
+	span := cHi - cLo
+	var sp spanner
+	dec := d.codes.decode(0, d.codes.n)
+	for row, codes := 0, dec.next(); codes != nil; codes = dec.next() {
+		for _, c := range codes {
+			sp.add(row, c-cLo < span, f)
+			row++
 		}
 	}
-	if start >= 0 {
-		f(start, d.codes.n)
-	}
+	sp.done(d.codes.n, f)
 }
 
 // RangeSpans implements bat.RangeSpanner.

@@ -1,6 +1,10 @@
 package compress
 
-import "selforg/internal/bat"
+import (
+	"slices"
+
+	"selforg/internal/bat"
+)
 
 // FORVector is frame-of-reference encoding: the minimum value is the
 // frame, every row stores its bit-packed delta from it. The frame and the
@@ -58,11 +62,7 @@ func (f *FORVector) Append(v bat.Value) bat.Vector {
 
 // Slice implements bat.Vector by decoding the window into Plain.
 func (f *FORVector) Slice(i, j int) bat.Vector {
-	out := make([]int64, 0, j-i)
-	for k := i; k < j; k++ {
-		out = append(out, f.At(k))
-	}
-	return NewPlain(out, f.elemSize)
+	return NewPlain(f.appendRows(i, j, make([]int64, 0, j-i)), f.elemSize)
 }
 
 // Empty implements bat.Vector.
@@ -94,62 +94,139 @@ func (f *FORVector) At(i int) int64 {
 
 // AppendTo implements Vector.
 func (f *FORVector) AppendTo(dst []int64) []int64 {
-	for i := 0; i < f.deltas.n; i++ {
-		dst = append(dst, f.At(i))
+	return f.appendRows(0, f.deltas.n, dst)
+}
+
+// appendRows appends the decoded values of rows [i, j) to dst.
+func (f *FORVector) appendRows(i, j int, dst []int64) []int64 {
+	dst = slices.Grow(dst, j-i)
+	ref := uint64(f.ref)
+	dec := f.deltas.decode(i, j)
+	for ds := dec.next(); ds != nil; ds = dec.next() {
+		for _, d := range ds {
+			dst = append(dst, int64(ref+d))
+		}
 	}
 	return dst
 }
 
-// prune classifies [lo, hi] against the frame: -1 disjoint, +1 covers the
-// whole vector, 0 partial.
-func (f *FORVector) prune(lo, hi int64) int {
-	if f.deltas.n == 0 || hi < f.ref || lo > f.max {
-		return -1
+// deltaRange translates [lo, hi] into the delta domain once: a row
+// qualifies iff its delta d satisfies d-dLo <= span, one unsigned
+// compare. cover is -1 when no row can qualify (the frame misses the
+// range, or the range is inverted), +1 when every row does (the range
+// swallows the frame), 0 when the deltas must be compared.
+func (f *FORVector) deltaRange(lo, hi int64) (dLo, span uint64, cover int) {
+	if lo > hi || f.deltas.n == 0 || hi < f.ref || lo > f.max {
+		return 0, 0, -1
 	}
 	if lo <= f.ref && hi >= f.max {
-		return 1
+		return 0, 0, 1
 	}
-	return 0
+	dHi := uint64(f.max) - uint64(f.ref)
+	if hi < f.max {
+		dHi = uint64(hi) - uint64(f.ref)
+	}
+	if lo > f.ref {
+		dLo = uint64(lo) - uint64(f.ref)
+	}
+	return dLo, dHi - dLo, 0
 }
 
-// SelectRange implements Vector with min-max pruning before any unpack.
+// SelectRange implements Vector with min-max pruning before any unpack,
+// then one unsigned compare per delta; blocks are written branch-free,
+// as in DictVector.SelectRange.
 func (f *FORVector) SelectRange(lo, hi int64, dst []int64) []int64 {
-	switch f.prune(lo, hi) {
+	dLo, span, cover := f.deltaRange(lo, hi)
+	switch cover {
 	case -1:
 		return dst
 	case 1:
 		return f.AppendTo(dst)
 	}
-	return selectScan(f, lo, hi, dst)
+	ref := uint64(f.ref)
+	dec := f.deltas.decode(0, f.deltas.n)
+	base := dst
+	for ds := dec.next(); ds != nil; ds = dec.next() {
+		dst = slices.Grow(dst, len(ds))
+		out, k := dst[len(dst):len(dst)+len(ds)], 0
+		for _, d := range ds {
+			out[k] = int64(ref + d)
+			if d-dLo <= span {
+				k++
+			}
+		}
+		dst = dst[:len(dst)+k]
+	}
+	if len(dst) == len(base) {
+		return base // nothing qualified: dst comes back untouched
+	}
+	return dst
 }
 
 // CountRange implements Vector.
 func (f *FORVector) CountRange(lo, hi int64) int64 {
-	switch f.prune(lo, hi) {
+	dLo, span, cover := f.deltaRange(lo, hi)
+	switch cover {
 	case -1:
 		return 0
 	case 1:
 		return int64(f.deltas.n)
 	}
 	var n int64
-	for i := 0; i < f.deltas.n; i++ {
-		if v := f.At(i); v >= lo && v <= hi {
-			n++
+	dec := f.deltas.decode(0, f.deltas.n)
+	for ds := dec.next(); ds != nil; ds = dec.next() {
+		for _, d := range ds {
+			if d-dLo <= span {
+				n++
+			}
 		}
 	}
 	return n
 }
 
+// SumRange implements Vector: the qualifying deltas are summed and the
+// frame added once per row, n·ref + Σd (two's-complement wrapping, like
+// any int64 sum).
+func (f *FORVector) SumRange(lo, hi int64) (int64, int64) {
+	dLo, span, cover := f.deltaRange(lo, hi)
+	if cover < 0 {
+		return 0, 0
+	}
+	if cover > 0 {
+		dLo, span = 0, ^uint64(0)
+	}
+	var n, sum uint64
+	dec := f.deltas.decode(0, f.deltas.n)
+	for ds := dec.next(); ds != nil; ds = dec.next() {
+		for _, d := range ds {
+			if d-dLo <= span {
+				n++
+				sum += d
+			}
+		}
+	}
+	return int64(n), int64(n*uint64(f.ref) + sum)
+}
+
 // Spans implements Vector.
 func (f *FORVector) Spans(lo, hi int64, fn func(start, end int)) {
-	switch f.prune(lo, hi) {
+	dLo, span, cover := f.deltaRange(lo, hi)
+	switch cover {
 	case -1:
 		return
 	case 1:
 		fn(0, f.deltas.n)
 		return
 	}
-	spanScan(f, lo, hi, fn)
+	var sp spanner
+	dec := f.deltas.decode(0, f.deltas.n)
+	for row, ds := 0, dec.next(); ds != nil; ds = dec.next() {
+		for _, d := range ds {
+			sp.add(row, d-dLo <= span, fn)
+			row++
+		}
+	}
+	sp.done(f.deltas.n, fn)
 }
 
 // RangeSpans implements bat.RangeSpanner.

@@ -1,0 +1,231 @@
+package compress
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// refKernels answers every range kernel by the plain two-compare loop —
+// the reference each encoding's compressed-form kernel must match.
+type refKernels struct{ vals []int64 }
+
+func (r refKernels) match(v, lo, hi int64) bool { return v >= lo && v <= hi }
+
+func (r refKernels) sel(lo, hi int64) []int64 {
+	var out []int64
+	for _, v := range r.vals {
+		if r.match(v, lo, hi) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func (r refKernels) sum(lo, hi int64) (n, sum int64) {
+	for _, v := range r.vals {
+		if r.match(v, lo, hi) {
+			n++
+			sum += v
+		}
+	}
+	return n, sum
+}
+
+func (r refKernels) spans(lo, hi int64) [][2]int {
+	var out [][2]int
+	for i, v := range r.vals {
+		if !r.match(v, lo, hi) {
+			continue
+		}
+		if k := len(out) - 1; k >= 0 && out[k][1] == i {
+			out[k][1] = i + 1
+		} else {
+			out = append(out, [2]int{i, i + 1})
+		}
+	}
+	return out
+}
+
+// checkKernels encodes vals every way and holds every kernel to the
+// reference on every range in qs, and Slice to the reference on the
+// windows in wins.
+func checkKernels(t *testing.T, name string, vals []int64, qs, wins [][2]int64) {
+	t.Helper()
+	ref := refKernels{vals}
+	for _, e := range Encodings {
+		v := Encode(append([]int64(nil), vals...), e, 4)
+		if got := v.AppendTo(nil); len(vals) > 0 && !reflect.DeepEqual(got, vals) {
+			t.Fatalf("%s/%v: AppendTo differs from the input", name, e)
+		}
+		for _, w := range wins {
+			i, j := int(w[0]), int(w[1])
+			got := v.Slice(i, j).(*PlainVector).Raw()
+			if want := vals[i:j]; len(want) > 0 && !reflect.DeepEqual(got, want) || len(got) != len(want) {
+				t.Fatalf("%s/%v: Slice(%d, %d) = %v, want %v", name, e, i, j, got, want)
+			}
+		}
+		for _, q := range qs {
+			lo, hi := q[0], q[1]
+			want := ref.sel(lo, hi)
+			if got := v.SelectRange(lo, hi, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%v [%d,%d]: SelectRange = %v, want %v", name, e, lo, hi, got, want)
+			}
+			if got := v.SelectRange(lo, hi, []int64{7}); !reflect.DeepEqual(got, append([]int64{7}, want...)) {
+				t.Fatalf("%s/%v [%d,%d]: SelectRange onto a non-empty dst lost it", name, e, lo, hi)
+			}
+			if got := v.CountRange(lo, hi); got != int64(len(want)) {
+				t.Fatalf("%s/%v [%d,%d]: CountRange = %d, want %d", name, e, lo, hi, got, len(want))
+			}
+			wn, ws := ref.sum(lo, hi)
+			if n, s := v.SumRange(lo, hi); n != wn || s != ws {
+				t.Fatalf("%s/%v [%d,%d]: SumRange = (%d, %d), want (%d, %d)", name, e, lo, hi, n, s, wn, ws)
+			}
+			var spans [][2]int
+			v.Spans(lo, hi, func(s, end int) { spans = append(spans, [2]int{s, end}) })
+			if want := ref.spans(lo, hi); !reflect.DeepEqual(spans, want) {
+				t.Fatalf("%s/%v [%d,%d]: Spans = %v, want %v", name, e, lo, hi, spans, want)
+			}
+		}
+	}
+}
+
+// kernelRanges derives the range predicates every kernel must answer on
+// vals: empty, inverted, single point, exactly the frame, beyond both
+// ends, and halves.
+func kernelRanges(vals []int64) [][2]int64 {
+	qs := [][2]int64{{10, 5}, {math.MinInt64, math.MaxInt64}, {math.MaxInt64, math.MinInt64}, {0, 0}}
+	if len(vals) == 0 {
+		return qs
+	}
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	mid := lo/2 + hi/2
+	qs = append(qs,
+		[2]int64{lo, hi}, [2]int64{hi, lo}, [2]int64{lo, mid}, [2]int64{mid, hi},
+		[2]int64{mid + 1, mid}, [2]int64{vals[len(vals)/2], vals[len(vals)/2]},
+		[2]int64{lo/2 + mid/2, mid/2 + hi/2})
+	if hi < math.MaxInt64 {
+		qs = append(qs, [2]int64{hi + 1, math.MaxInt64}, [2]int64{lo, hi + 1})
+	}
+	if lo > math.MinInt64 {
+		qs = append(qs, [2]int64{math.MinInt64, lo - 1}, [2]int64{lo - 1, hi})
+	}
+	return qs
+}
+
+// sliceWindows lists Slice windows straddling block boundaries.
+func sliceWindows(n int) [][2]int64 {
+	var ws [][2]int64
+	for _, w := range [][2]int{{0, n}, {0, 0}, {n, n}, {0, 1}, {63, 65}, {1, 64}, {64, 128}, {n / 3, n - n/3}, {n - 1, n}} {
+		if w[0] >= 0 && w[0] <= w[1] && w[1] <= n {
+			ws = append(ws, [2]int64{int64(w[0]), int64(w[1])})
+		}
+	}
+	return ws
+}
+
+// TestCodecKernelsMatchPlain holds CountRange, SelectRange, SumRange,
+// Spans, AppendTo and Slice of every encoding to the plain reference
+// loop, across every bit-packing width 0–64, row counts around the
+// 64-value block, and frames pinned at both ends of int64.
+func TestCodecKernelsMatchPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for w := uint(0); w <= 64; w++ {
+		mask := uint64(1)<<w - 1
+		if w == 64 {
+			mask = math.MaxUint64
+		}
+		for _, n := range []int{0, 1, 63, 64, 65, 129, 4097} {
+			bases := map[string]uint64{
+				"min": 1 << 63, // MinInt64
+				"max": uint64(math.MaxInt64) - mask,
+				"neg": uint64(math.MaxUint64) - 999, // crosses zero from w = 10
+			}
+			for bname, base := range bases {
+				vals := make([]int64, n)
+				for i := range vals {
+					vals[i] = int64(base + rng.Uint64()&mask)
+				}
+				if n >= 2 {
+					// Pin the frame: the width is exactly w.
+					vals[0], vals[n-1] = int64(base), int64(base+mask)
+				}
+				checkKernels(t, fmt.Sprintf("w%d/n%d/%s", w, n, bname), vals, kernelRanges(vals), sliceWindows(n))
+			}
+		}
+	}
+	// Low-cardinality data: Dict's code widths, with runs for RLE.
+	for _, card := range []int{1, 2, 3, 17, 300} {
+		vals := make([]int64, 4097)
+		for i := range vals {
+			vals[i] = int64(rng.Intn(card))*977 - 5000
+			if i > 0 && rng.Intn(4) == 0 {
+				vals[i] = vals[i-1]
+			}
+		}
+		checkKernels(t, fmt.Sprintf("card%d", card), vals, kernelRanges(vals), sliceWindows(len(vals)))
+	}
+}
+
+// TestPackedDecoder holds the block decoder to point access for every
+// width and for row windows starting and ending mid-block.
+func TestPackedDecoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for w := uint(0); w <= 64; w++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 200} {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = rng.Uint64()
+				if w < 64 {
+					vals[i] &= 1<<w - 1
+				}
+			}
+			p := packAll(vals, w)
+			if got, want := p.bytes(), packedBytesFor(int64(n), w); got != want {
+				t.Fatalf("w%d n%d: bytes = %d, want %d", w, n, got, want)
+			}
+			for _, win := range [][2]int{{0, n}, {n / 2, n}, {min(3, n), n - n/4}} {
+				row := win[0]
+				dec := p.decode(win[0], win[1])
+				for blk := dec.next(); blk != nil; blk = dec.next() {
+					for _, got := range blk {
+						if got != vals[row] || got != p.get(row) {
+							t.Fatalf("w%d n%d %v: row %d = %d, want %d", w, n, win, row, got, vals[row])
+						}
+						row++
+					}
+				}
+				if row != win[1] {
+					t.Fatalf("w%d n%d %v: decoded through row %d", w, n, win, row)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCodecRange feeds arbitrary values and bounds to every encoding's
+// kernels and holds them to the plain reference. The bytes become
+// little-endian uint64s shifted right by shift (so every bit width
+// occurs), offset by base.
+func FuzzCodecRange(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, int64(0), int64(3), int64(9), uint8(60))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0}, int64(math.MinInt64), int64(math.MinInt64), int64(-1), uint8(0))
+	f.Add(make([]byte, 8*70), int64(math.MaxInt64), int64(10), int64(5), uint8(13))
+	f.Fuzz(func(t *testing.T, data []byte, base, lo, hi int64, shift uint8) {
+		data = data[:min(len(data), 8*4097)] // a few blocks past 4096 rows is enough
+		vals := make([]int64, 0, len(data)/8+1)
+		for len(data) > 0 {
+			var word [8]byte
+			data = data[copy(word[:], data):]
+			vals = append(vals, base+int64(binary.LittleEndian.Uint64(word[:])>>(shift%64)))
+		}
+		qs := append(kernelRanges(vals), [2]int64{lo, hi})
+		checkKernels(t, "fuzz", vals, qs, sliceWindows(len(vals)))
+	})
+}

@@ -1,6 +1,10 @@
 package compress
 
-import "selforg/internal/bat"
+import (
+	"slices"
+
+	"selforg/internal/bat"
+)
 
 // PlainVector is the uncompressed encoding: a raw int64 slice plus the
 // accounted element width. It exists so that "compression on, encoding
@@ -62,30 +66,76 @@ func (p *PlainVector) Raw() []int64 { return p.vals }
 // AppendTo implements Vector.
 func (p *PlainVector) AppendTo(dst []int64) []int64 { return append(dst, p.vals...) }
 
-// SelectRange implements Vector.
+// SelectRange implements Vector: one unsigned compare per value,
+// v-lo <= hi-lo, written branch-free a block at a time as in
+// DictVector.SelectRange.
 func (p *PlainVector) SelectRange(lo, hi int64, dst []int64) []int64 {
-	for _, v := range p.vals {
-		if v >= lo && v <= hi {
-			dst = append(dst, v)
+	if lo > hi {
+		return dst
+	}
+	span := uint64(hi) - uint64(lo)
+	base := dst
+	for vals := p.vals; len(vals) > 0; {
+		blk := vals[:min(blockLen, len(vals))]
+		vals = vals[len(blk):]
+		dst = slices.Grow(dst, len(blk))
+		out, k := dst[len(dst):len(dst)+len(blk)], 0
+		for _, v := range blk {
+			out[k] = v
+			if uint64(v)-uint64(lo) <= span {
+				k++
+			}
 		}
+		dst = dst[:len(dst)+k]
+	}
+	if len(dst) == len(base) {
+		return base // nothing qualified: dst comes back untouched
 	}
 	return dst
 }
 
 // CountRange implements Vector.
 func (p *PlainVector) CountRange(lo, hi int64) int64 {
+	if lo > hi {
+		return 0
+	}
+	span := uint64(hi) - uint64(lo)
 	var n int64
 	for _, v := range p.vals {
-		if v >= lo && v <= hi {
+		if uint64(v)-uint64(lo) <= span {
 			n++
 		}
 	}
 	return n
 }
 
+// SumRange implements Vector.
+func (p *PlainVector) SumRange(lo, hi int64) (int64, int64) {
+	if lo > hi {
+		return 0, 0
+	}
+	span := uint64(hi) - uint64(lo)
+	var n, sum int64
+	for _, v := range p.vals {
+		if uint64(v)-uint64(lo) <= span {
+			n++
+			sum += v
+		}
+	}
+	return n, sum
+}
+
 // Spans implements Vector.
 func (p *PlainVector) Spans(lo, hi int64, f func(start, end int)) {
-	spanScan(p, lo, hi, f)
+	if lo > hi {
+		return
+	}
+	span := uint64(hi) - uint64(lo)
+	var sp spanner
+	for i, v := range p.vals {
+		sp.add(i, uint64(v)-uint64(lo) <= span, f)
+	}
+	sp.done(len(p.vals), f)
 }
 
 // RangeSpans implements bat.RangeSpanner.

@@ -98,11 +98,16 @@ func (r *RLEVector) Append(v bat.Value) bat.Vector {
 	return NewPlain(append(r.AppendTo(nil), v.AsLng()), r.elemSize)
 }
 
-// Slice implements bat.Vector by decoding the window into Plain.
+// Slice implements bat.Vector by decoding the window into Plain: one
+// binary search finds the run holding row i, then whole runs are
+// expanded, clipped to the window.
 func (r *RLEVector) Slice(i, j int) bat.Vector {
 	out := make([]int64, 0, j-i)
-	for k := i; k < j; k++ {
-		out = append(out, r.At(k))
+	for k := r.runOf(i); i < j; k++ {
+		_, end := r.run(k)
+		end = min(end, j)
+		out = appendRepeat(out, r.vals[k], end-i)
+		i = end
 	}
 	return NewPlain(out, r.elemSize)
 }
@@ -125,11 +130,13 @@ func (r *RLEVector) StoredBytes() int64 {
 // Runs returns the number of runs (diagnostics, advisor validation).
 func (r *RLEVector) Runs() int { return len(r.vals) }
 
-// At implements Vector.
-func (r *RLEVector) At(i int) int64 {
-	k := sort.Search(len(r.ends), func(k int) bool { return int(r.ends[k]) > i })
-	return r.vals[k]
+// runOf returns the index of the run holding row i.
+func (r *RLEVector) runOf(i int) int {
+	return sort.Search(len(r.ends), func(k int) bool { return int(r.ends[k]) > i })
 }
+
+// At implements Vector.
+func (r *RLEVector) At(i int) int64 { return r.vals[r.runOf(i)] }
 
 // AppendTo implements Vector.
 func (r *RLEVector) AppendTo(dst []int64) []int64 {
@@ -159,17 +166,46 @@ func (r *RLEVector) SelectRange(lo, hi int64, dst []int64) []int64 {
 // CountRange implements Vector without touching any row: qualifying run
 // lengths are summed from the headers.
 func (r *RLEVector) CountRange(lo, hi int64) int64 {
-	if hi < r.min || lo > r.max {
+	if lo > hi || hi < r.min || lo > r.max {
 		return 0
 	}
+	span := uint64(hi) - uint64(lo)
 	var n int64
+	prev := int32(0)
 	for k, v := range r.vals {
-		if v >= lo && v <= hi {
-			start, end := r.run(k)
-			n += int64(end - start)
+		// The length is computed outside the test, which keeps the loop
+		// branch-free (a conditional add, not a jump).
+		end := r.ends[k]
+		runLen := int64(end - prev)
+		if uint64(v)-uint64(lo) <= span {
+			n += runLen
 		}
+		prev = end
 	}
 	return n
+}
+
+// SumRange implements Vector from the run headers alone: each
+// qualifying run adds its length to the count and value × length to the
+// sum, tested with one unsigned compare per run.
+func (r *RLEVector) SumRange(lo, hi int64) (int64, int64) {
+	if lo > hi || hi < r.min || lo > r.max {
+		return 0, 0
+	}
+	span := uint64(hi) - uint64(lo)
+	var n, sum int64
+	prev := int32(0)
+	for k, v := range r.vals {
+		end := r.ends[k]
+		runLen := int64(end - prev)
+		runSum := v * runLen
+		if uint64(v)-uint64(lo) <= span {
+			n += runLen
+			sum += runSum
+		}
+		prev = end
+	}
+	return n, sum
 }
 
 // Spans implements Vector: adjacent qualifying runs coalesce into one

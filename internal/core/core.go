@@ -89,6 +89,71 @@ func (s *QueryStats) Add(other QueryStats) {
 	s.CompressedBytes = other.CompressedBytes
 }
 
+// sink is what one read pass produces from its qualifying rows: the rows
+// themselves (a rope), their count, or their count and sum. Both
+// strategies run one plan/adapt pass for every sink; only the
+// per-segment work at the end of it differs. Its String is the op label
+// of traces and metrics.
+type sink uint8
+
+const (
+	sinkRows sink = iota
+	sinkCount
+	sinkSum
+)
+
+func (k sink) String() string { return [...]string{"select", "count", "sum"}[k] }
+
+// total is an aggregate read's answer: the count and the sum of the
+// qualifying rows.
+type total struct{ n, sum int64 }
+
+func (t *total) add(o total) { t.n, t.sum = t.n+o.n, t.sum+o.sum }
+
+// part is one segment's contribution to a read: a rope chunk for the rows
+// sink — borrowed when it aliases published segment storage — or a total
+// for the aggregate sinks.
+type part struct {
+	vals     []domain.Value
+	borrowed bool
+	total
+}
+
+// appendTo adds the part's chunk to the rope with the right ownership
+// flag.
+func (p *part) appendTo(r *result.Rope) {
+	if p.borrowed {
+		r.AppendBorrowed(p.vals)
+	} else {
+		r.AppendOwned(p.vals)
+	}
+}
+
+// collect is sg's contribution to a read of q through sink k — the one
+// per-segment read every strategy and view shares. A segment q covers
+// whole lends its materialized slice to the rows sink when its storage
+// form has one, and answers the aggregate sinks from its (count, sum)
+// summary without reading the payload; a partially covered segment is
+// filtered, counted or summed on its (possibly compressed) form.
+func collect(sg *segment.Segment, q domain.Range, k sink) part {
+	covered := q.ContainsRange(sg.Rng)
+	switch {
+	case k == sinkRows && covered:
+		if vals, ok := sg.BorrowValues(); ok {
+			return part{vals: vals, borrowed: true}
+		}
+		return part{vals: sg.AppendValues(nil)}
+	case k == sinkRows:
+		return part{vals: sg.AppendSelect(q, nil)}
+	case covered:
+		return part{total: total{sg.Count(), sg.Sum()}}
+	case k == sinkCount:
+		return part{total: total{n: sg.SelectCount(q)}}
+	}
+	n, sum := sg.SelectSum(q)
+	return part{total: total{n, sum}}
+}
+
 // Strategy is the common surface of the two self-organizing techniques, as
 // consumed by the simulator, the prototype harness and the public facade.
 type Strategy interface {
@@ -99,6 +164,13 @@ type Strategy interface {
 	// materializing the qualifying values, while still piggy-backing the
 	// same reorganization (and compression) decisions a Select would.
 	Count(q domain.Range) (int64, QueryStats)
+	// Sum answers `count(*), sum(v) where v between q.Lo and q.Hi` from
+	// the encoding: a segment the query covers whole contributes its
+	// (count, sum) summary without being read, a partially covered one
+	// sums on its compressed form. It is Count's pass with a summing
+	// sink — the same reorganization, the same bytes read. The sum wraps
+	// like any int64 sum.
+	Sum(q domain.Range) (n, sum int64, st QueryStats)
 	// SegmentCount returns the number of data-bearing segments.
 	SegmentCount() int
 	// StorageBytes returns the total materialized physical storage held

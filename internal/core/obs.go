@@ -22,6 +22,7 @@ import (
 	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/obs"
+	"selforg/internal/result"
 )
 
 // strategyObs is the resolved metric handle set of one strategy
@@ -31,9 +32,10 @@ type strategyObs struct {
 	strat string // "segm" | "repl"
 	shard int
 
-	// queries: selforg_queries_total / selforg_query_duration_ns.
-	qSel, qCnt *obs.Counter
-	dSel, dCnt *obs.Histogram
+	// queries: selforg_queries_total / selforg_query_duration_ns, indexed
+	// by sink (op="select", "count", "sum").
+	q [3]*obs.Counter
+	d [3]*obs.Histogram
 	// lockWait: selforg_writer_lock_wait_ns — how long a Segmenter query
 	// queued for eng.Mu (the Replicator's read path never waits).
 	lockWait *obs.Histogram
@@ -65,15 +67,10 @@ func newStrategyObs(ob *obs.Observer, strat string, shard int) *strategyObs {
 	kind := func(k string) *obs.Counter {
 		return reg.Counter(series("selforg_adaptation_events_total", fmt.Sprintf("kind=%q", k)))
 	}
-	return &strategyObs{
+	so := &strategyObs{
 		ob:    ob,
 		strat: strat,
 		shard: shard,
-
-		qSel: reg.Counter(series("selforg_queries_total", `op="select"`)),
-		qCnt: reg.Counter(series("selforg_queries_total", `op="count"`)),
-		dSel: reg.Histogram(series("selforg_query_duration_ns", `op="select"`)),
-		dCnt: reg.Histogram(series("selforg_query_duration_ns", `op="count"`)),
 
 		lockWait: reg.Histogram(series("selforg_writer_lock_wait_ns", "")),
 
@@ -105,6 +102,12 @@ func newStrategyObs(ob *obs.Observer, strat string, shard int) *strategyObs {
 		drainInlineDur: reg.Histogram(series("selforg_adapt_drain_duration_ns", `mode="inline"`)),
 		drainBgDur:     reg.Histogram(series("selforg_adapt_drain_duration_ns", `mode="background"`)),
 	}
+	for _, k := range []sink{sinkRows, sinkCount, sinkSum} {
+		op := fmt.Sprintf("op=%q", k)
+		so.q[k] = reg.Counter(series("selforg_queries_total", op))
+		so.d[k] = reg.Histogram(series("selforg_query_duration_ns", op))
+	}
+	return so
 }
 
 // seriesName builds one labeled series for this instance's gauge
@@ -134,19 +137,34 @@ func finishSpan(span *obs.Span, st *QueryStats) {
 
 // query accounts one finished read query: op counter, duration
 // histogram, volume counters.
-func (so *strategyObs) query(sel bool, begin time.Time, st *QueryStats) {
+func (so *strategyObs) query(k sink, begin time.Time, st *QueryStats) {
 	if so == nil {
 		return
 	}
-	d := int64(time.Since(begin))
-	if sel {
-		so.qSel.Inc()
-		so.dSel.Observe(d)
-	} else {
-		so.qCnt.Inc()
-		so.dCnt.Observe(d)
-	}
+	so.q[k].Inc()
+	so.d[k].Observe(int64(time.Since(begin)))
 	so.volumes(st)
+}
+
+// observed wraps one read pass in the strategy's instrumentation: the
+// query's trace span, its metrics, and its result count.
+func observed(so *strategyObs, q domain.Range, k sink, run func(domain.Range, sink, *obs.Span) (*result.Rope, total, QueryStats)) (*result.Rope, total, QueryStats) {
+	var begin time.Time
+	var span *obs.Span
+	if so != nil {
+		begin = time.Now()
+		span = so.span(k.String(), q)
+	}
+	rope, t, st := run(q, k, span)
+	st.ResultCount = t.n
+	if k == sinkRows {
+		st.ResultCount = int64(rope.Len())
+	}
+	if so != nil {
+		so.query(k, begin, &st)
+		finishSpan(span, &st)
+	}
+	return rope, t, st
 }
 
 // writes accounts one applied write — a single op or a whole batch: the

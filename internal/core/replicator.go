@@ -400,20 +400,8 @@ func (r *Replicator) Select(q domain.Range) ([]domain.Value, QueryStats) {
 // qualifies); partially covered segments contribute their extracted
 // values as owned chunks.
 func (r *Replicator) SelectRope(q domain.Range) (*result.Rope, QueryStats) {
-	so := r.ob.Load()
-	var begin time.Time
-	var span *obs.Span
-	if so != nil {
-		begin = time.Now()
-		span = so.span("select", q)
-	}
-	res, _, st := r.run(q, true, span)
-	st.ResultCount = int64(res.Len())
-	if so != nil {
-		so.query(true, begin, &st)
-		finishSpan(span, &st)
-	}
-	return res, st
+	rope, _, st := observed(r.ob.Load(), q, sinkRows, r.run)
+	return rope, st
 }
 
 // Count implements Strategy: the Algorithm-2 pass with the result
@@ -421,23 +409,18 @@ func (r *Replicator) SelectRope(q domain.Range) (*result.Rope, QueryStats) {
 // compressed) form. Replica analysis, materialization and drops all still
 // happen — counting queries drive adaptation like any others.
 func (r *Replicator) Count(q domain.Range) (int64, QueryStats) {
-	so := r.ob.Load()
-	var begin time.Time
-	var span *obs.Span
-	if so != nil {
-		begin = time.Now()
-		span = so.span("count", q)
-	}
-	_, n, st := r.run(q, false, span)
-	st.ResultCount = n
-	if so != nil {
-		so.query(false, begin, &st)
-		finishSpan(span, &st)
-	}
-	return n, st
+	_, t, st := observed(r.ob.Load(), q, sinkCount, r.run)
+	return t.n, st
 }
 
-// run is the shared Algorithm-2 pass behind Select and Count:
+// Sum implements Strategy: Count's pass with summing sinks — a cover
+// segment the query spans whole contributes its (count, sum) summary.
+func (r *Replicator) Sum(q domain.Range) (int64, int64, QueryStats) {
+	_, t, st := observed(r.ob.Load(), q, sinkSum, r.run)
+	return t.n, t.sum, st
+}
+
+// run is the shared Algorithm-2 pass behind every sink:
 //
 //  1. READ (lock-free): pin a consistent (root, delta) pair, compute the
 //     cover on the pinned root, scan the covering segments — serially or
@@ -450,8 +433,10 @@ func (r *Replicator) Count(q domain.Range) (int64, QueryStats) {
 // In single-threaded use step 2 always runs inline, so the serial
 // analyse → scan → materialize → drop interleaving of the paper's
 // pseudocode is reproduced exactly (model decisions in cover order,
-// byte-identical stats and layout evolution).
-func (r *Replicator) run(q domain.Range, extract bool, span *obs.Span) (*result.Rope, int64, QueryStats) {
+// byte-identical stats and layout evolution). Every sink accounts the
+// "single scan of the covering segment" (§5) for every cover node, so a
+// Sum reads exactly what a Count reads.
+func (r *Replicator) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, total, QueryStats) {
 	var st QueryStats
 	tRoute := span.StartPhase()
 	root, dsnap := r.eng.Pin()
@@ -467,36 +452,17 @@ func (r *Replicator) run(q domain.Range, extract bool, span *obs.Span) (*result.
 		par = adaptiveFanout(len(cover), coverBytes)
 	}
 
-	rope := result.New()
-	var count int64
+	parts := make([]part, len(cover))
 	if par <= 1 || len(cover) < 2 {
-		for _, c := range cover {
-			if extract {
-				vals, borrowed := r.scanCoverChunk(c, q, &st)
-				if borrowed {
-					rope.AppendBorrowed(vals)
-				} else {
-					rope.AppendOwned(vals)
-				}
-			} else {
-				count += c.seg.SelectCount(q)
-				r.accountScan(c, &st)
-			}
+		for i, c := range cover {
+			r.accountScan(c, &st)
+			parts[i] = collect(c.seg, q, k)
 		}
 	} else {
-		// Fan the per-cover extraction out: read-only on disjoint
-		// segments, outcomes in cover-order slots, per-worker read deltas
-		// merged after.
-		type coverOut struct {
-			vals     []domain.Value
-			borrowed bool
-			count    int64
-		}
-		outs := make([]coverOut, len(cover))
-		workers := par
-		if workers > len(cover) {
-			workers = len(cover)
-		}
+		// Fan the per-cover work out: read-only on disjoint segments,
+		// parts in cover-order slots, per-worker read deltas merged
+		// after.
+		workers := min(par, len(cover))
 		deltas := make([]QueryStats, workers)
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -509,13 +475,8 @@ func (r *Replicator) run(q domain.Range, extract bool, span *obs.Span) (*result.
 					if i >= len(cover) {
 						return
 					}
-					c := cover[i]
-					if extract {
-						outs[i].vals, outs[i].borrowed = r.scanCoverChunk(c, q, &deltas[w])
-					} else {
-						outs[i].count = c.seg.SelectCount(q)
-						r.accountScan(c, &deltas[w])
-					}
+					r.accountScan(cover[i], &deltas[w])
+					parts[i] = collect(cover[i].seg, q, k)
 				}
 			}(w)
 		}
@@ -523,17 +484,17 @@ func (r *Replicator) run(q domain.Range, extract bool, span *obs.Span) (*result.
 		for i := range deltas {
 			st.ReadBytes += deltas[i].ReadBytes
 		}
-		for i := range cover {
-			if outs[i].borrowed {
-				rope.AppendBorrowed(outs[i].vals)
-			} else {
-				rope.AppendOwned(outs[i].vals)
-			}
-			count += outs[i].count
+	}
+	rope := result.New()
+	var t total
+	for i := range parts {
+		if k == sinkRows {
+			parts[i].appendTo(rope)
 		}
+		t.add(parts[i].total)
 	}
 	tOv := span.StartPhase()
-	rope, count = overlayDelta(dsnap, q, extract, rope, count, &st)
+	rope = overlayDelta(dsnap, q, k, rope, &t, &st)
 	span.EndPhase(obs.PhaseOverlay, tOv)
 
 	if coverNeedsAdaptation(cover, q) {
@@ -543,7 +504,7 @@ func (r *Replicator) run(q domain.Range, extract bool, span *obs.Span) (*result.
 	r.drainAdaptation(&st)
 	span.EndPhase(obs.PhaseAdapt, tAdapt)
 	r.snapshot(&st)
-	return rope, count, st
+	return rope, t, st
 }
 
 // coverNeedsAdaptation reports, without consulting the model, whether
@@ -981,21 +942,4 @@ func (r *Replicator) accountScan(c *node, st *QueryStats) {
 	bytes := int64(c.seg.StoredBytes(r.elemSize))
 	st.ReadBytes += bytes
 	r.tracer.Scan(c.seg.ID, bytes)
-}
-
-// scanCoverChunk accounts the cover scan and returns c's qualifying
-// values as one rope chunk. When the query fully covers the segment and
-// its storage form holds a materialized slice, the chunk borrows the
-// published payload without copying — the payload invariant (every value
-// lies inside Rng) guarantees all values qualify, so the borrowed slice
-// is exactly what AppendSelect would have extracted.
-func (r *Replicator) scanCoverChunk(c *node, q domain.Range, st *QueryStats) ([]domain.Value, bool) {
-	r.accountScan(c, st)
-	if domain.Classify(c.seg.Rng, q) == domain.CoversAll {
-		if vals, ok := c.seg.BorrowValues(); ok {
-			return vals, true
-		}
-		return c.seg.AppendValues(nil), false
-	}
-	return c.seg.AppendSelect(q, nil), false
 }

@@ -256,27 +256,14 @@ type segTask struct {
 	point   domain.Value // SplitPoint cut
 }
 
-// segOutcome is what executing one segTask produced: the task's result
-// contribution (one rope chunk, marked borrowed when it aliases published
-// segment storage) and, for splits, the freshly materialized (and already
-// encoded) replacement pieces — the reorganization intent handed to the
-// single-writer path.
+// segOutcome is what executing one segTask produced: the task's part of
+// the result (one rope chunk, or a total) and, for splits, the freshly
+// materialized (and already encoded) replacement pieces — the
+// reorganization intent handed to the single-writer path.
 type segOutcome struct {
-	vals     []domain.Value
-	borrowed bool
-	count    int64
-	subs     []*segment.Segment
-	recodes  int
-}
-
-// appendTo adds the outcome's result contribution to the rope with the
-// right ownership flag.
-func (o *segOutcome) appendTo(r *result.Rope) {
-	if o.borrowed {
-		r.AppendBorrowed(o.vals)
-	} else {
-		r.AppendOwned(o.vals)
-	}
+	part
+	subs    []*segment.Segment
+	recodes int
 }
 
 // Select implements Algorithm 1:
@@ -300,19 +287,7 @@ func (s *Segmenter) Select(q domain.Range) ([]domain.Value, QueryStats) {
 // zero-copy borrowed chunk; everything else contributes the freshly
 // extracted values as an owned chunk.
 func (s *Segmenter) SelectRope(q domain.Range) (*result.Rope, QueryStats) {
-	so := s.ob.Load()
-	var begin time.Time
-	var span *obs.Span
-	if so != nil {
-		begin = time.Now()
-		span = so.span("select", q)
-	}
-	rope, _, st := s.run(q, true, true, span)
-	st.ResultCount = int64(rope.Len())
-	if so != nil {
-		so.query(true, begin, &st)
-		finishSpan(span, &st)
-	}
+	rope, _, st := observed(s.ob.Load(), q, sinkRows, s.run)
 	return rope, st
 }
 
@@ -321,20 +296,16 @@ func (s *Segmenter) SelectRope(q domain.Range) (*result.Rope, QueryStats) {
 // count without being scanned at all, and partially covered segments are
 // counted on their (possibly compressed) form without copying a value.
 func (s *Segmenter) Count(q domain.Range) (int64, QueryStats) {
-	so := s.ob.Load()
-	var begin time.Time
-	var span *obs.Span
-	if so != nil {
-		begin = time.Now()
-		span = so.span("count", q)
-	}
-	_, n, st := s.run(q, false, false, span)
-	st.ResultCount = n
-	if so != nil {
-		so.query(false, begin, &st)
-		finishSpan(span, &st)
-	}
-	return n, st
+	_, t, st := observed(s.ob.Load(), q, sinkCount, s.run)
+	return t.n, st
+}
+
+// Sum implements Strategy: Count's pass with summing sinks — covered
+// segments contribute their (count, sum) summary, partially covered ones
+// sum on their compressed form.
+func (s *Segmenter) Sum(q domain.Range) (int64, int64, QueryStats) {
+	_, t, st := observed(s.ob.Load(), q, sinkSum, s.run)
+	return t.n, t.sum, st
 }
 
 // lockWriter acquires eng.Mu and accounts how long the caller queued for
@@ -356,7 +327,7 @@ func (s *Segmenter) lockWriter(span *obs.Span) {
 	span.Add(obs.PhaseLockWait, wait)
 }
 
-// run is the shared reorganize-while-scanning pipeline:
+// run is the shared reorganize-while-scanning pipeline behind every sink:
 //
 //  1. Plan (under eng.Mu): pin the (list, delta) pair, walk the
 //     snapshot's overlapping segments high-to-low and consult the model
@@ -376,10 +347,11 @@ func (s *Segmenter) lockWriter(span *obs.Span) {
 //     a concurrent query already reorganized are dropped — the coalescing
 //     step.
 //
-// wantVals selects extraction vs counting sinks; scanCovered controls
-// whether fully covered segments account a scan (a selection reads them
-// to copy values out, a count answers them from the meta-index for free).
-func (s *Segmenter) run(q domain.Range, wantVals, scanCovered bool, span *obs.Span) (*result.Rope, int64, QueryStats) {
+// The sink decides the per-segment work and whether fully covered
+// segments account a scan: the rows sink reads them to copy values out,
+// the aggregate sinks answer them from the meta-index for free — so a
+// Sum reads exactly what a Count reads.
+func (s *Segmenter) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, total, QueryStats) {
 	var st QueryStats
 	s.lockWriter(span)
 	tRoute := span.StartPhase()
@@ -403,10 +375,10 @@ func (s *Segmenter) run(q domain.Range, wantVals, scanCovered bool, span *obs.Sp
 		if domain.Classify(sg.Rng, q) == domain.CoversAll {
 			// The whole segment qualifies; it immediately benefits from
 			// earlier reorganization (Figure 3, Q2 on the last segment).
-			// A counting query answers covered segments from the
-			// meta-index without touching data, so they only contribute
-			// to the adaptive fan-out volume when they will be scanned.
-			if scanCovered || wantVals {
+			// An aggregate answers covered segments from the meta-index
+			// without touching data, so they only contribute to the
+			// adaptive fan-out volume when their rows are read.
+			if k == sinkRows {
 				scanBytes += int64(sg.StoredBytes(elem))
 			}
 			tasks = append(tasks, segTask{seg: sg, covered: true})
@@ -436,7 +408,7 @@ func (s *Segmenter) run(q domain.Range, wantVals, scanCovered bool, span *obs.Sp
 		if splits {
 			s.eng.Mu.Unlock()
 		}
-		outs = s.execParallel(q, tasks, wantVals, scanCovered, par, elem, codec, &st)
+		outs = s.execParallel(q, tasks, k, par, elem, codec, &st)
 		if splits {
 			s.lockWriter(span)
 		}
@@ -444,100 +416,90 @@ func (s *Segmenter) run(q domain.Range, wantVals, scanCovered bool, span *obs.Sp
 	// Each task contributes one rope chunk in task order, so assembly is
 	// O(1) per segment.
 	rope := result.New()
-	var count int64
-	for i, t := range tasks {
+	var t total
+	for i, task := range tasks {
 		var out segOutcome
 		if serial {
-			out = s.execTask(q, t, wantVals, scanCovered, elem, codec, &st)
+			out = s.execTask(q, task, k, elem, codec, &st)
 		} else {
 			out = outs[i]
 		}
 		if out.subs != nil {
 			tAdapt := span.StartPhase()
-			s.applyIntent(t, out, &st)
+			s.applyIntent(task, out, &st)
 			span.EndPhase(obs.PhaseAdapt, tAdapt)
 		}
-		out.appendTo(rope)
-		count += out.count
+		if k == sinkRows {
+			out.appendTo(rope)
+		}
+		t.add(out.total)
 	}
 	tOv := span.StartPhase()
-	rope, count = overlayDelta(dsnap, q, wantVals, rope, count, &st)
+	rope = overlayDelta(dsnap, q, k, rope, &t, &st)
 	span.EndPhase(obs.PhaseOverlay, tOv)
 	s.snapshot(&st)
 	if splits {
 		s.eng.Mu.Unlock()
 	}
-	return rope, count, st
+	return rope, t, st
 }
 
 // overlayDelta applies the pinned delta snapshot to an assembled base
 // result: visible tombstones mask one base occurrence each, visible
 // inserts are unioned in (Figure 1's kdifference/kunion chain, in
-// memory). The overlay pass over the pending entries is accounted as
-// read volume.
+// memory) — for the aggregate sinks, their net count and sum are added
+// to t. The overlay pass over the pending entries is accounted as read
+// volume.
 //
 // The overlay mutates a flat slice in place, so a non-empty delta forces
 // the rope to flatten first — Flatten guarantees a mutable, unshared
 // slice (borrowed chunks are copied) — and the result is rewrapped as a
 // single owned chunk. The zero-copy rope shape survives exactly when the
 // pinned delta is empty, which is the steady state between write bursts.
-func overlayDelta(dsnap *delta.Snapshot, q domain.Range, wantVals bool, rope *result.Rope, count int64, st *QueryStats) (*result.Rope, int64) {
+func overlayDelta(dsnap *delta.Snapshot, q domain.Range, k sink, rope *result.Rope, t *total, st *QueryStats) *result.Rope {
 	if dsnap.Len() == 0 {
-		return rope, count
+		return rope
 	}
 	b := dsnap.OverlayBytes(q)
 	st.ReadBytes += b
 	st.DeltaReadBytes += b
-	if wantVals {
-		return result.FromOwned(dsnap.Overlay(q, rope.Flatten())), count
+	if k == sinkRows {
+		return result.FromOwned(dsnap.Overlay(q, rope.Flatten()))
 	}
-	return rope, count + dsnap.CountDelta(q)
+	n, sum := dsnap.CountDelta(q)
+	t.add(total{n, sum})
+	return rope
 }
 
-// execTask scans one task's segment on the snapshot: extraction or
-// counting for the result, partitioning (and encoding) for split intents.
-// It never mutates shared state; read volumes accumulate into st and
-// extracted values come back as one rope chunk per task — borrowed when
-// the chunk aliases published segment storage (a covered segment's
+// execTask scans one task's segment on the snapshot: extraction, counting
+// or summing for the result, partitioning (and encoding) for split
+// intents. It never mutates shared state; read volumes accumulate into st
+// and extracted values come back as one rope chunk per task — borrowed
+// when the chunk aliases published segment storage (a covered segment's
 // materialized slice, a split's mid piece shared with the fresh
 // sub-segment), owned when the task allocated it.
-func (s *Segmenter) execTask(q domain.Range, t segTask, wantVals, scanCovered bool, elem int64, codec *compress.Codec, st *QueryStats) segOutcome {
+func (s *Segmenter) execTask(q domain.Range, t segTask, k sink, elem int64, codec *compress.Codec, st *QueryStats) segOutcome {
 	var out segOutcome
 	if t.covered {
-		if scanCovered {
+		if k == sinkRows {
 			b := int64(t.seg.StoredBytes(elem))
 			st.ReadBytes += b
 			s.tracer.Scan(t.seg.ID, b)
 		}
-		if wantVals {
-			// The whole segment qualifies: borrow its materialized slice
-			// when the storage form has one (raw or plain-encoded), copy
-			// out only when decoding is unavoidable.
-			if vals, ok := t.seg.BorrowValues(); ok {
-				out.vals, out.borrowed = vals, true
-			} else {
-				out.vals = t.seg.AppendValues(nil)
-			}
-		} else {
-			out.count = t.seg.Count()
-		}
+		out.part = collect(t.seg, q, k)
 		return out
 	}
 	// Every partially overlapping segment is scanned: either to extract
-	// (or count) the qualifying values or to partition it. The meta-index
-	// already excluded all non-overlapping segments without touching
-	// data; compressed segments are read at their encoded size.
+	// (or aggregate) the qualifying values or to partition it. The
+	// meta-index already excluded all non-overlapping segments without
+	// touching data; compressed segments are read at their encoded size.
 	segBytes := int64(t.seg.StoredBytes(elem))
 	st.ReadBytes += segBytes
 	s.tracer.Scan(t.seg.ID, segBytes)
 
 	switch t.action {
 	case model.NoSplit:
-		if wantVals {
-			out.vals = t.seg.AppendSelect(q, nil)
-		} else {
-			out.count = t.seg.SelectCount(q)
-		}
+		out.part = collect(t.seg, q, k)
 
 	case model.SplitBounds:
 		sp := domain.Cut(t.seg.Rng, q)
@@ -554,12 +516,10 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, wantVals, scanCovered bo
 		// The mid piece is exactly the selection overlap: it is the
 		// result contribution whether or not the intent later applies.
 		// The slice is shared with the fresh mid sub-segment (a plain
-		// encoding aliases it), so the chunk is borrowed.
-		if wantVals {
-			out.vals, out.borrowed = mid, true
-		} else {
-			out.count = int64(len(mid))
-		}
+		// encoding aliases it), so the chunk is borrowed; its total is
+		// the fresh segment's summary.
+		out.vals, out.borrowed = mid, true
+		out.total = total{midSeg.Count(), midSeg.Sum()}
 		for _, sub := range subs {
 			if sub.Encode(codec) {
 				out.recodes++
@@ -576,12 +536,13 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, wantVals, scanCovered bo
 		// A point split does not isolate the selection: filter the
 		// pieces that still overlap the query.
 		for _, sub := range subs {
-			if sub.Rng.Overlaps(q) {
-				if wantVals {
-					out.vals = sub.AppendSelect(q, out.vals)
-				} else {
-					out.count += sub.SelectCount(q)
-				}
+			if !sub.Rng.Overlaps(q) {
+				continue
+			}
+			if k == sinkRows {
+				out.vals = sub.AppendSelect(q, out.vals)
+			} else {
+				out.add(collect(sub, q, k).total)
 			}
 		}
 		for _, sub := range subs {
@@ -600,7 +561,7 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, wantVals, scanCovered bo
 // execParallel fans the tasks out across a bounded pool of par workers.
 // Each worker accumulates its own QueryStats delta; outcomes land in
 // per-task slots so the merge is deterministic regardless of scheduling.
-func (s *Segmenter) execParallel(q domain.Range, tasks []segTask, wantVals, scanCovered bool, par int, elem int64, codec *compress.Codec, st *QueryStats) []segOutcome {
+func (s *Segmenter) execParallel(q domain.Range, tasks []segTask, k sink, par int, elem int64, codec *compress.Codec, st *QueryStats) []segOutcome {
 	outs := make([]segOutcome, len(tasks))
 	workers := par
 	if workers > len(tasks) {
@@ -618,7 +579,7 @@ func (s *Segmenter) execParallel(q domain.Range, tasks []segTask, wantVals, scan
 				if i >= len(tasks) {
 					return
 				}
-				outs[i] = s.execTask(q, tasks[i], wantVals, scanCovered, elem, codec, &deltas[w])
+				outs[i] = s.execTask(q, tasks[i], k, elem, codec, &deltas[w])
 			}
 		}(w)
 	}

@@ -61,59 +61,41 @@ func (v *View) Select(q domain.Range) []domain.Value {
 // rope of per-segment chunks — fully covered segments whose storage form
 // holds a materialized slice contribute zero-copy borrowed chunks.
 func (v *View) SelectRope(q domain.Range) *result.Rope {
-	rope := result.New()
-	if q.IsEmpty() {
-		return rope
-	}
-	scan := func(sg *segment.Segment) {
-		if domain.Classify(sg.Rng, q) == domain.CoversAll {
-			if vals, ok := sg.BorrowValues(); ok {
-				rope.AppendBorrowed(vals)
-				return
-			}
-			rope.AppendOwned(sg.AppendValues(nil))
-			return
-		}
-		rope.AppendOwned(sg.AppendSelect(q, nil))
-	}
-	if v.list != nil {
-		lo, hi := v.list.Overlapping(q)
-		for i := lo; i < hi; i++ {
-			scan(v.list.Seg(i))
-		}
-	} else {
-		for _, c := range getCover(v.root, q) {
-			scan(c.seg)
-		}
-	}
-	if v.dsnap.Len() > 0 {
-		// The overlay mutates a flat slice; Flatten hands back a mutable,
-		// unshared one (borrowed chunks are copied).
-		return result.FromOwned(v.dsnap.Overlay(q, rope.Flatten()))
-	}
+	rope, _ := v.read(q, sinkRows)
 	return rope
 }
 
 // Count returns the cardinality of q as of the pinned view.
 func (v *View) Count(q domain.Range) int64 {
+	_, t := v.read(q, sinkCount)
+	return t.n
+}
+
+// read is the view's one read pass: collect every pinned segment the
+// query overlaps, then overlay the pinned delta.
+func (v *View) read(q domain.Range, k sink) (*result.Rope, total) {
+	rope := result.New()
+	var t total
 	if q.IsEmpty() {
-		return 0
+		return rope, t
 	}
-	var n int64
+	add := func(sg *segment.Segment) {
+		p := collect(sg, q, k)
+		if k == sinkRows {
+			p.appendTo(rope)
+		}
+		t.add(p.total)
+	}
 	if v.list != nil {
 		lo, hi := v.list.Overlapping(q)
 		for i := lo; i < hi; i++ {
-			sg := v.list.Seg(i)
-			if domain.Classify(sg.Rng, q) == domain.CoversAll {
-				n += sg.Count()
-			} else {
-				n += sg.SelectCount(q)
-			}
+			add(v.list.Seg(i))
 		}
 	} else {
 		for _, c := range getCover(v.root, q) {
-			n += c.seg.SelectCount(q)
+			add(c.seg)
 		}
 	}
-	return n + v.dsnap.CountDelta(q)
+	var st QueryStats
+	return overlayDelta(v.dsnap, q, k, rope, &t, &st), t
 }

@@ -313,24 +313,26 @@ func (s *Snapshot) Overlay(q domain.Range, base []domain.Value) []domain.Value {
 	return base
 }
 
-// CountDelta returns the net cardinality contribution of the snapshot to
-// query range q: visible inserts minus visible tombstones inside q. The
-// counting path adds it to the base count — tombstones always mask an
-// existing base row (Delete validates existence), so the sum is exact.
-func (s *Snapshot) CountDelta(q domain.Range) int64 {
+// CountDelta returns the net contribution of the snapshot to query range
+// q, as a cardinality and a value sum: visible inserts minus visible
+// tombstones inside q. The counting and summing paths add it to the base
+// aggregate — tombstones always mask an existing base row carrying their
+// value (Delete validates existence), so both totals are exact.
+func (s *Snapshot) CountDelta(q domain.Range) (n, sum int64) {
 	if s.Len() == 0 {
-		return 0
+		return 0, 0
 	}
-	var n int64
 	s.forRange(q, func(e *Entry) {
 		switch {
 		case s.visibleInsert(e):
 			n++
+			sum += e.Value
 		case s.visibleTombstone(e):
 			n--
+			sum -= e.Value
 		}
 	})
-	return n
+	return n, sum
 }
 
 // Stats aggregates the store's lifetime counters.

@@ -154,14 +154,18 @@ func TestDeltaCountDelta(t *testing.T) {
 	d.Insert(0, 15)
 	d.Delete(0, 20, cnt)
 	s := d.Snapshot()
-	if got := s.CountDelta(all(domain.NewRange(0, 100))); got != 0 {
-		t.Fatalf("net count delta = %d, want 0 (one insert, one tombstone)", got)
-	}
-	if got := s.CountDelta(domain.NewRange(12, 16)); got != 1 {
-		t.Fatalf("count delta [12,16] = %d, want 1", got)
-	}
-	if got := s.CountDelta(domain.NewRange(18, 25)); got != -1 {
-		t.Fatalf("count delta [18,25] = %d, want -1", got)
+	for _, c := range []struct {
+		q      domain.Range
+		n, sum int64
+	}{
+		{all(domain.NewRange(0, 100)), 0, 15 - 20}, // one insert, one tombstone
+		{domain.NewRange(12, 16), 1, 15},
+		{domain.NewRange(18, 25), -1, -20},
+		{domain.NewRange(30, 40), 0, 0},
+	} {
+		if n, sum := s.CountDelta(c.q); n != c.n || sum != c.sum {
+			t.Fatalf("CountDelta %v = (%d, %d), want (%d, %d)", c.q, n, sum, c.n, c.sum)
+		}
 	}
 }
 
@@ -211,8 +215,13 @@ func TestDeltaConcurrentWritersAndReaders(t *testing.T) {
 				got := overlayAll(s, nil)
 				// A snapshot's overlay must be internally consistent: its
 				// length equals its own CountDelta over the whole domain.
-				if int64(len(got)) != s.CountDelta(domain.NewRange(-1<<62, 1<<62)) {
-					t.Error("snapshot overlay and count disagree")
+				n, sum := s.CountDelta(domain.NewRange(-1<<62, 1<<62))
+				var want int64
+				for _, v := range got {
+					want += v
+				}
+				if int64(len(got)) != n || sum != want {
+					t.Error("snapshot overlay and count/sum disagree")
 					return
 				}
 			}

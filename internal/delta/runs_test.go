@@ -52,8 +52,8 @@ func TestApplyBatchSingleVersionAndPublication(t *testing.T) {
 	if len(got) != 2 || got[0] != 2 || got[1] != 7 {
 		t.Fatalf("overlay after batch = %v, want [2 7]", got)
 	}
-	if n := s.CountDelta(domain.Range{Lo: 0, Hi: 1000}); n != 1 {
-		t.Fatalf("count delta = %d, want 1 (2 inserts - 1 tombstone)", n)
+	if n, sum := s.CountDelta(domain.Range{Lo: 0, Hi: 1000}); n != 1 || sum != 2+7-100 {
+		t.Fatalf("count delta = (%d, %d), want (1, %d) (2 inserts - 1 tombstone)", n, sum, 2+7-100)
 	}
 }
 
@@ -131,8 +131,12 @@ func TestSortedRunsEquivalence(t *testing.T) {
 				t.Fatalf("q=[%d,%d]: overlay[%d]=%d want %d", lo, hi, i, got[i], want[i])
 			}
 		}
-		if n := s.CountDelta(q); n != int64(len(want)) {
-			t.Fatalf("q=[%d,%d]: count delta %d, want %d", lo, hi, n, len(want))
+		var wantSum int64
+		for _, v := range want {
+			wantSum += v
+		}
+		if n, sum := s.CountDelta(q); n != int64(len(want)) || sum != wantSum {
+			t.Fatalf("q=[%d,%d]: count delta (%d, %d), want (%d, %d)", lo, hi, n, sum, len(want), wantSum)
 		}
 	}
 }

@@ -30,6 +30,10 @@ var idCounter atomic.Int64
 // Invariants: every payload value lies inside Rng; Virtual segments carry
 // no payload and use EstCount as their size estimate.
 //
+// A materialized segment also carries a (count, sum) summary, fixed when
+// its payload is: Count and Sum answer a query that covers the whole
+// segment from the meta-index, without reading the payload.
+//
 // Concurrency contract: once a materialized segment is published in a
 // List snapshot it is immutable — reorganization replaces segments with
 // fresh ones instead of rewriting payloads, so lock-free readers can scan
@@ -43,17 +47,26 @@ type Segment struct {
 	Enc      compress.Vector // compressed materialized payload (nil when raw or Virtual)
 	Virtual  bool
 	EstCount int64 // size estimate for virtual segments (elements)
+	sum      int64 // Σ payload (two's-complement wrapping); 0 when Virtual
 }
 
 // NewMaterialized builds a materialized segment. It panics if any value
 // falls outside rng — the meta-index must always describe the data exactly.
 func NewMaterialized(rng domain.Range, vals []domain.Value) *Segment {
+	return &Segment{ID: idCounter.Add(1), Rng: rng, Vals: vals, sum: checkedSum(rng, vals)}
+}
+
+// checkedSum returns Σ vals, panicking if any value falls outside rng —
+// the one pass that both guards the meta-index and fixes the summary.
+func checkedSum(rng domain.Range, vals []domain.Value) int64 {
+	var sum int64
 	for _, v := range vals {
 		if !rng.Contains(v) {
 			panic(fmt.Sprintf("segment: value %d outside range %v", v, rng))
 		}
+		sum += v
 	}
-	return &Segment{ID: idCounter.Add(1), Rng: rng, Vals: vals}
+	return sum
 }
 
 // NewVirtual builds a virtual segment with an estimated element count.
@@ -74,6 +87,11 @@ func (s *Segment) Count() int64 {
 	}
 	return int64(len(s.Vals))
 }
+
+// Sum returns the sum of the payload values (two's-complement wrapping,
+// like any int64 sum) from the segment's summary — no payload read.
+// Virtual segments report 0.
+func (s *Segment) Sum() int64 { return s.sum }
 
 // Bytes returns the (estimated) logical storage size given bytes per
 // element — the uncompressed measure the segmentation models and the
@@ -120,7 +138,7 @@ func (s *Segment) Encode(c *compress.Codec) bool {
 // the old snapshot. With a disabled codec the copy keeps the raw payload.
 func (s *Segment) EncodedCopy(c *compress.Codec) *Segment {
 	cp := &Segment{ID: s.ID, Rng: s.Rng, Vals: s.Vals, Enc: s.Enc,
-		Virtual: s.Virtual, EstCount: s.EstCount}
+		Virtual: s.Virtual, EstCount: s.EstCount, sum: s.sum}
 	cp.Encode(c)
 	return cp
 }
@@ -141,12 +159,7 @@ func (s *Segment) Decode() {
 // snapshot never observe the fill. It panics if any value falls outside
 // the range, like NewMaterialized.
 func (s *Segment) Filled(vals []domain.Value) *Segment {
-	for _, v := range vals {
-		if !s.Rng.Contains(v) {
-			panic(fmt.Sprintf("segment: value %d outside range %v", v, s.Rng))
-		}
-	}
-	return &Segment{ID: s.ID, Rng: s.Rng, Vals: vals}
+	return &Segment{ID: s.ID, Rng: s.Rng, Vals: vals, sum: checkedSum(s.Rng, vals)}
 }
 
 // values returns the payload for scanning: the raw slice, or a decoded
@@ -183,14 +196,15 @@ func (s *Segment) BorrowValues() ([]domain.Value, bool) {
 // payload — the landing point of the compression-aware bulk-load, which
 // splices a replica's encoded form straight from its covering segment
 // instead of decoding and re-encoding. The range invariant is checked
-// from the encoded synopsis, so the guard stays O(1).
+// from the encoded synopsis, so the guard stays O(1); the summary's sum
+// is taken from the encoding (run headers, for the RLE splices).
 func (s *Segment) FilledEncoded(enc compress.Vector) *Segment {
-	if min, max, ok := enc.MinMax(); ok {
-		if !s.Rng.Contains(min) || !s.Rng.Contains(max) {
-			panic(fmt.Sprintf("segment: encoded values [%d, %d] outside range %v", min, max, s.Rng))
-		}
+	min, max, ok := enc.MinMax()
+	if ok && (!s.Rng.Contains(min) || !s.Rng.Contains(max)) {
+		panic(fmt.Sprintf("segment: encoded values [%d, %d] outside range %v", min, max, s.Rng))
 	}
-	return &Segment{ID: s.ID, Rng: s.Rng, Enc: enc}
+	_, sum := enc.SumRange(min, max)
+	return &Segment{ID: s.ID, Rng: s.Rng, Enc: enc, sum: sum}
 }
 
 // AppendValues appends the whole payload, in order, to dst.
@@ -238,6 +252,29 @@ func (s *Segment) SelectCount(q domain.Range) int64 {
 		}
 	}
 	return n
+}
+
+// SelectSum returns the count and the sum of the values matching q
+// without materializing them — the summing path of Column.Sum. A query
+// covering the whole segment is answered from the summary; otherwise an
+// encoded payload sums on its compressed form (compress.Vector.SumRange).
+func (s *Segment) SelectSum(q domain.Range) (n, sum int64) {
+	if s.Virtual {
+		panic("segment: SelectSum on a virtual segment")
+	}
+	if q.ContainsRange(s.Rng) {
+		return s.Count(), s.sum
+	}
+	if s.Enc != nil {
+		return s.Enc.SumRange(q.Lo, q.Hi)
+	}
+	for _, v := range s.Vals {
+		if q.Contains(v) {
+			n++
+			sum += v
+		}
+	}
+	return n, sum
 }
 
 // EstimatePiece estimates how many of s's elements fall into piece,

@@ -197,16 +197,7 @@ func (s *Server) run(t *tenant, p plan, binds []float64) (*Result, error) {
 	case opCount:
 		res.Count, res.Stats = t.col.Count(bindBounds(binds))
 	case opSum:
-		rows, st := t.col.SelectRows(bindBounds(binds))
-		rows.Chunks(func(vals []int64) bool {
-			var sum int64
-			for _, v := range vals {
-				sum += v
-			}
-			res.Sum += sum
-			return true
-		})
-		res.Count, res.Stats = int64(rows.Len()), st
+		res.Count, res.Sum, res.Stats = t.col.Sum(bindBounds(binds))
 	case opSelect:
 		rows, st := t.col.SelectRows(bindBounds(binds))
 		n := rows.Len()

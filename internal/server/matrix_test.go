@@ -67,6 +67,11 @@ func TestExecStatementMatrix(t *testing.T) {
 		{"served delete miss", "", "DELETE FROM P WHERE v = 10000", "delete", 0, 0, [2]bool{false, false}, "", [2]int{200, 200}},
 		// 6 + 4 inserted − 2 deleted; the count shape is already warm.
 		{"served count after writes", "", "select count(*) from P where v between 100 and 102;", "count", 8, 0, [2]bool{true, true}, "", [2]int{200, 200}},
+		// SUM answers from the encoding and the delta overlay: the count
+		// and the sum of the same rows, pending writes included.
+		{"served sum after writes", "", "select sum(v) from P where v between 100 and 102;", "sum", 8, 810, [2]bool{true, true}, "", [2]int{200, 200}},
+		{"served sum full extent", "", "SELECT SUM(v) FROM P WHERE v BETWEEN 0 AND 9999", "sum", 20002, 100295123, [2]bool{true, true}, "", [2]int{200, 200}},
+		{"served sum inverted", "", "SELECT SUM(v) FROM P WHERE v BETWEEN 300 AND 100", "sum", 0, 0, [2]bool{true, true}, "", [2]int{200, 200}},
 
 		// A CREATE TABLE-d table of tenant t: same front, MAL executor,
 		// never cached. The second CREATE finds the table.

@@ -162,11 +162,11 @@ type storCell struct {
 }
 
 // routerObs is the router's resolved metric handle set: routed query
-// counters per op and the span-width histogram (how many shards one
-// query touched — the routing fan-out distribution).
+// counters per op (indexed by readOp) and the span-width histogram (how
+// many shards one query touched — the routing fan-out distribution).
 type routerObs struct {
-	sel, cnt *obs.Counter
-	span     *obs.Histogram
+	q    [3]*obs.Counter
+	span *obs.Histogram
 }
 
 // observable is the shard-strategy observer surface (both core
@@ -188,11 +188,11 @@ func (c *Column) SetObserver(ob *obs.Observer) {
 		}
 		return
 	}
-	c.ob.Store(&routerObs{
-		sel:  ob.Registry.Counter(`selforg_router_queries_total{op="select"}`),
-		cnt:  ob.Registry.Counter(`selforg_router_queries_total{op="count"}`),
-		span: ob.Registry.Histogram(`selforg_router_span_shards`),
-	})
+	ro := &routerObs{span: ob.Registry.Histogram(`selforg_router_span_shards`)}
+	for op, name := range readOpNames {
+		ro.q[op] = ob.Registry.Counter(fmt.Sprintf("selforg_router_queries_total{op=%q}", name))
+	}
+	c.ob.Store(ro)
 	for i, s := range c.shards {
 		if o, ok := s.(observable); ok {
 			o.SetObserver(ob, i)
@@ -366,80 +366,97 @@ func (c *Column) snapshot(st *core.QueryStats, lo, hi int) {
 	st.CompressedBytes = phys
 }
 
+// readOp is the read a routed query performs on every shard it touches.
+type readOp uint8
+
+const (
+	readRows readOp = iota
+	readCount
+	readSum
+)
+
+// readOpNames labels the ops in metrics, in readOp order.
+var readOpNames = [...]string{"select", "count", "sum"}
+
+// shardOut is one shard's answer to a routed read.
+type shardOut struct {
+	rope   *result.Rope
+	n, sum int64
+	st     core.QueryStats
+}
+
+// read runs op on one shard strategy.
+func read(s shardStrategy, q domain.Range, op readOp) shardOut {
+	var o shardOut
+	switch op {
+	case readRows:
+		o.rope, o.st = s.SelectRope(q)
+	case readCount:
+		o.n, o.st = s.Count(q)
+	default:
+		o.n, o.sum, o.st = s.Sum(q)
+	}
+	return o
+}
+
 // Select implements core.Strategy: route to the overlapping shards, scan
 // each (concurrently when the fan-out allows), and concatenate the
 // sub-results in shard order. Reorganization piggy-backs inside each
 // shard exactly as unsharded.
 func (c *Column) Select(q domain.Range) ([]domain.Value, core.QueryStats) {
-	rope, _, st := c.query(q, true)
-	return rope.Flatten(), st
+	o := c.query(q, readRows)
+	return o.rope.Flatten(), o.st
 }
 
 // SelectRope implements core.RopeSelector: the routed read path with the
 // per-shard sub-results spliced chunk-wise in shard order — no value is
 // copied at the router layer, regardless of the shard count.
 func (c *Column) SelectRope(q domain.Range) (*result.Rope, core.QueryStats) {
-	rope, _, st := c.query(q, true)
-	return rope, st
+	o := c.query(q, readRows)
+	return o.rope, o.st
 }
 
 // Count implements core.Strategy: the counting pass of Select with
 // per-shard counts summed in shard order.
 func (c *Column) Count(q domain.Range) (int64, core.QueryStats) {
-	_, n, st := c.query(q, false)
-	return n, st
+	o := c.query(q, readCount)
+	return o.n, o.st
+}
+
+// Sum implements core.Strategy: per-shard (count, sum) pairs added in
+// shard order.
+func (c *Column) Sum(q domain.Range) (int64, int64, core.QueryStats) {
+	o := c.query(q, readSum)
+	return o.n, o.sum, o.st
 }
 
 // query is the shared routed read path.
-func (c *Column) query(q domain.Range, wantVals bool) (*result.Rope, int64, core.QueryStats) {
-	var st core.QueryStats
+func (c *Column) query(q domain.Range, op readOp) shardOut {
 	lo, hi := spanOf(c.ranges, q)
 	n := hi - lo
 	if ro := c.ob.Load(); ro != nil {
-		if wantVals {
-			ro.sel.Inc()
-		} else {
-			ro.cnt.Inc()
-		}
+		ro.q[op].Inc()
 		ro.span.Observe(int64(n))
 	}
-	switch {
-	case n == 0:
-		c.snapshot(&st, 0, 0)
-		return result.New(), 0, st
-	case n == 1:
+	switch n {
+	case 0:
+		out := shardOut{rope: result.New()}
+		c.snapshot(&out.st, 0, 0)
+		return out
+	case 1:
 		// Single-shard fast path: pure delegation, no merge step. This is
 		// the every-call path of a 1-shard column (byte-identical to the
 		// unsharded strategy) and the common path of point-ish queries on
 		// K-shard columns.
-		var rope *result.Rope
-		var cnt int64
-		if wantVals {
-			rope, st = c.shards[lo].SelectRope(q)
-		} else {
-			cnt, st = c.shards[lo].Count(q)
-		}
-		c.snapshot(&st, lo, hi)
-		return rope, cnt, st
+		out := read(c.shards[lo], q, op)
+		c.snapshot(&out.st, lo, hi)
+		return out
 	}
 
-	type shardOut struct {
-		rope *result.Rope
-		cnt  int64
-		st   core.QueryStats
-	}
 	outs := make([]shardOut, n)
-	run := func(i int) {
-		s := c.shards[lo+i]
-		if wantVals {
-			outs[i].rope, outs[i].st = s.SelectRope(q)
-		} else {
-			outs[i].cnt, outs[i].st = s.Count(q)
-		}
-	}
 	if par := c.fanout(); par <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
+		for i := range outs {
+			outs[i] = read(c.shards[lo+i], q, op)
 		}
 	} else {
 		workers := par
@@ -457,7 +474,7 @@ func (c *Column) query(q domain.Range, wantVals bool) (*result.Rope, int64, core
 					if i >= n {
 						return
 					}
-					run(i)
+					outs[i] = read(c.shards[lo+i], q, op)
 				}
 			}()
 		}
@@ -466,15 +483,15 @@ func (c *Column) query(q domain.Range, wantVals bool) (*result.Rope, int64, core
 	// Merge in shard order: the rope splice moves chunk headers, never
 	// values, so the router's concatenation cost no longer scales with
 	// the result volume times the shard count.
-	rope := result.New()
-	var cnt int64
+	out := shardOut{rope: result.New()}
 	for i := range outs {
-		st.Add(outs[i].st)
-		rope.Splice(outs[i].rope)
-		cnt += outs[i].cnt
+		out.st.Add(outs[i].st)
+		out.rope.Splice(outs[i].rope)
+		out.n += outs[i].n
+		out.sum += outs[i].sum
 	}
-	c.snapshot(&st, lo, hi)
-	return rope, cnt, st
+	c.snapshot(&out.st, lo, hi)
+	return out
 }
 
 // fanout resolves the cross-shard worker count for one query. The

@@ -47,8 +47,9 @@
 //
 // The design follows Fehér & Lucani's adaptive column-compression family
 // and Bruno's analysis of compression in C-store scans (see PAPERS.md);
-// Count additionally uses the encodings' counting fast paths to answer
-// cardinality queries without copying a single value.
+// Count and Sum additionally use the encodings' counting and summing fast
+// paths — and every segment's (count, sum) summary — to answer
+// aggregates without copying a single value.
 //
 // # Concurrent execution
 //
@@ -681,6 +682,24 @@ func (c *Column) Count(lo, hi int64) (int64, Stats) {
 	return n, st
 }
 
+// Sum returns the number and the sum of the values in [lo, hi] without
+// materializing them — SQL's SUM, answered from the encoding. A segment
+// fully covered by the query contributes its (count, sum) summary
+// without being read, a partially covered one sums on its compressed
+// form (FOR adds the frame once per row to the summed deltas, Dict looks
+// up only qualifying codes, RLE multiplies run values by run lengths),
+// and pending writes add their net count and sum. Sum drives the same
+// adaptation as Count and reads exactly the bytes Count reads. The sum
+// wraps on int64 overflow.
+func (c *Column) Sum(lo, hi int64) (n, sum int64, st Stats) {
+	if lo > hi {
+		return 0, 0, Stats{}
+	}
+	n, sum, st = c.strat.Sum(domain.Range{Lo: lo, Hi: hi})
+	c.acct.query(st)
+	return n, sum, st
+}
+
 // SegmentCount returns the number of materialized segments.
 func (c *Column) SegmentCount() int { return c.strat.SegmentCount() }
 
@@ -717,7 +736,7 @@ func (c *Column) Totals() Stats {
 	return c.acct.snapshot()
 }
 
-// Queries returns the number of Select and Count calls served.
+// Queries returns the number of Select, Count and Sum calls served.
 func (c *Column) Queries() int {
 	return int(c.acct.nq.Load())
 }
