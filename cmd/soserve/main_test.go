@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -124,47 +123,6 @@ func TestSQLParseErrorPosition(t *testing.T) {
 	}
 	if !strings.Contains(e.Error, "AND") {
 		t.Errorf("error %q does not name the expected token", e.Error)
-	}
-}
-
-func TestSQLSaturation429(t *testing.T) {
-	srv, ts := newTestServer(t, func(cfg *server.Config) {
-		cfg.Workers = 2
-		cfg.Backlog = -1
-		cfg.SlowExec = 400 * time.Millisecond
-	})
-	if _, err := srv.Tenant(""); err != nil {
-		t.Fatal(err)
-	}
-
-	const stmt = "SELECT COUNT(*) FROM P WHERE v BETWEEN 1 AND 100"
-	// Occupy both workers.
-	errc := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Post(ts.URL+"/sql", "text/plain", strings.NewReader(stmt))
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					err = fmt.Errorf("worker request status %d", resp.StatusCode)
-				}
-			}
-			errc <- err
-		}()
-	}
-	time.Sleep(150 * time.Millisecond) // both workers are inside SlowExec
-	resp, body := postSQL(t, ts.URL, stmt)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
-	}
-	retry := resp.Header.Get("Retry-After")
-	if _, err := strconv.Atoi(retry); err != nil {
-		t.Errorf("Retry-After = %q, want integer seconds", retry)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -121,11 +120,19 @@ func BenchmarkSoserveThroughput(b *testing.B) {
 	})
 }
 
+// discardWriter is a ResponseWriter that drops the body.
+type discardWriter struct{ header http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
 // BenchmarkServerSelectLarge measures a large row-returning SELECT end
-// to end — execute against the column, then encode the envelope exactly
-// as the HTTP layer does (indented JSON). The rows stream out of the
-// result rope chunk-by-chunk during encoding; the flat []int64 is never
-// materialized, so B/op is dominated by the JSON text itself.
+// to end through the wire path: the handler executes against the column
+// and streams the compact envelope, rows read out of the result rope,
+// into a discarding ResponseWriter in bounded flushes. The flat []int64
+// and the JSON text are never held whole, so B/op is the rope and the
+// request, not the answer.
 func BenchmarkServerSelectLarge(b *testing.B) {
 	s := New(Config{
 		Extent:   selforg.Interval{Lo: 0, Hi: 99_999},
@@ -142,20 +149,11 @@ func BenchmarkServerSelectLarge(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	h := s.Handler()
+	w := &discardWriter{header: http.Header{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Exec("", stmt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Rows.Len() != 200_000 || res.Truncated {
-			b.Fatalf("got %d rows (truncated=%v)", res.Rows.Len(), res.Truncated)
-		}
-		enc := json.NewEncoder(io.Discard)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			b.Fatal(err)
-		}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sql", strings.NewReader(stmt)))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"selforg"
 	"selforg/internal/sql"
@@ -47,12 +46,13 @@ func compileErrorf(format string, args ...any) error {
 	return &CompileError{Err: fmt.Errorf(format, args...)}
 }
 
-// Result is one executed statement's answer. For writes (op insert,
-// update, delete, create) Count is the number of rows affected.
+// Result is one executed statement's answer, written by appendJSON; the
+// tags decode it. For writes Count is the number of rows affected.
 type Result struct {
 	Op    string `json:"op"`
 	Count int64  `json:"count"`
-	Sum   int64  `json:"sum,omitempty"`
+	// Sum is on the wire exactly when Op is sum, 0 included.
+	Sum int64 `json:"sum"`
 	// Rows streams the rope chunks straight into the JSON encoding; nil
 	// (omitted on the wire) when the result has no rows, matching the
 	// empty-slice omission of the flat encoding it replaced.
@@ -68,6 +68,8 @@ type Result struct {
 	Cached      bool          `json:"cached"`
 	Fingerprint string        `json:"fingerprint"`
 	Tenant      string        `json:"tenant"`
+	// Plan is the optimized MAL text ?explain=1 asks for.
+	Plan string `json:"plan,omitempty"`
 }
 
 // Exec runs one statement for the named tenant — the single statement
@@ -188,9 +190,6 @@ func (s *Server) run(t *tenant, p plan, binds []float64) (*Result, error) {
 	if !p.served {
 		return s.runTenant(t, p)
 	}
-	if s.cfg.SlowExec > 0 {
-		time.Sleep(s.cfg.SlowExec)
-	}
 	res := &Result{}
 	var err error
 	switch p.op {
@@ -206,7 +205,7 @@ func (s *Server) run(t *tenant, p plan, binds []float64) (*Result, error) {
 			n, res.Truncated = s.cfg.MaxRows, true
 		}
 		if n > 0 {
-			res.Rows = chunkedRows(rows, n)
+			res.Rows = &Rows{chunked: rows, n: n}
 		}
 	default:
 		err = s.runWrite(t.col, p.op, binds, res)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -21,14 +20,6 @@ type errorBody struct {
 	Offset *int `json:"offset,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 func writeError(w http.ResponseWriter, status int, err error) {
 	body := errorBody{Error: err.Error()}
 	var se *sql.SyntaxError
@@ -36,7 +27,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		off := se.Offset
 		body.Offset = &off
 	}
-	writeJSON(w, status, body)
+	send(w, status, body.encode)
 }
 
 // handleSQL is POST /sql: the statement in the body, ?tenant= routing,
@@ -48,13 +39,13 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST a SQL statement"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxStatementBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxStatementBytes))
+	if errors.As(err, new(*http.MaxBytesError)) {
+		writeError(w, http.StatusRequestEntityTooLarge, errors.New("statement too large"))
 		return
 	}
-	if len(body) > maxStatementBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, errors.New("statement too large"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	release, ok := s.gate.acquire()
@@ -67,18 +58,12 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	tenant, src := q.Get("tenant"), string(body)
 	res, err := s.Exec(tenant, src)
-	var out any = res
 	if err == nil && q.Get("explain") != "" {
-		var plan string
-		plan, err = s.explain(tenant, src)
-		out = struct {
-			*Result
-			Plan string `json:"plan"`
-		}{res, plan}
+		res.Plan, err = s.explain(tenant, src)
 	}
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, out)
+		send(w, http.StatusOK, res.encode)
 	case isClientError(err):
 		writeError(w, http.StatusBadRequest, err)
 	default:
@@ -95,8 +80,6 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.InvalidatePlans()
-	writeJSON(w, http.StatusOK, struct {
-		Flushed bool  `json:"flushed"`
-		Epoch   int64 `json:"epoch"`
-	}{true, s.cache.Epoch()})
+	epoch := s.cache.Epoch()
+	send(w, http.StatusOK, func(e *wire) { e.int(`{"flushed":true,"epoch":`, epoch); e.buf = append(e.buf, "}\n"...) })
 }

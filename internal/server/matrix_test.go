@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -41,7 +42,8 @@ func errorKind(err error) string {
 // twice: op, count and sum are those of the first answer, cached and
 // status those of both. A rejected row is also run through Exec to pin
 // its error type; rejected statements change nothing, so rows after
-// them see the same state.
+// them see the same state. Every 200 answer carries "sum" exactly when
+// its op is sum — a SUM over no rows answers "sum":0.
 func TestExecStatementMatrix(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -72,6 +74,7 @@ func TestExecStatementMatrix(t *testing.T) {
 		{"served sum after writes", "", "select sum(v) from P where v between 100 and 102;", "sum", 8, 810, [2]bool{true, true}, "", [2]int{200, 200}},
 		{"served sum full extent", "", "SELECT SUM(v) FROM P WHERE v BETWEEN 0 AND 9999", "sum", 20002, 100295123, [2]bool{true, true}, "", [2]int{200, 200}},
 		{"served sum inverted", "", "SELECT SUM(v) FROM P WHERE v BETWEEN 300 AND 100", "sum", 0, 0, [2]bool{true, true}, "", [2]int{200, 200}},
+		{"served sum past extent", "", "SELECT SUM(v) FROM P WHERE v BETWEEN 10000 AND 20000", "sum", 0, 0, [2]bool{true, true}, "", [2]int{200, 200}},
 
 		// A CREATE TABLE-d table of tenant t: same front, MAL executor,
 		// never cached. The second CREATE finds the table.
@@ -108,11 +111,17 @@ func TestExecStatementMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var res Result
-			if resp.StatusCode == http.StatusOK {
-				err = json.NewDecoder(resp.Body).Decode(&res)
-			}
+			var (
+				res  Result
+				keys map[string]any
+			)
+			body, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
+			if err == nil && resp.StatusCode == http.StatusOK {
+				if err = json.Unmarshal(body, &res); err == nil {
+					err = json.Unmarshal(body, &keys)
+				}
+			}
 			if err != nil {
 				t.Fatalf("%s: decode: %v", r.name, err)
 			}
@@ -124,6 +133,9 @@ func TestExecStatementMatrix(t *testing.T) {
 			}
 			if res.Cached != r.cached[call] {
 				t.Errorf("%s call %d: cached %v, want %v", r.name, call+1, res.Cached, r.cached[call])
+			}
+			if _, has := keys["sum"]; has != (res.Op == "sum") {
+				t.Errorf("%s call %d: op %q with \"sum\" key %v: %s", r.name, call+1, res.Op, has, body)
 			}
 			if res.Fingerprint == "" {
 				t.Errorf("%s call %d: no fingerprint", r.name, call+1)

@@ -2,18 +2,17 @@ package server
 
 import (
 	"encoding/json"
-	"strconv"
 
 	"selforg"
 )
 
 // Rows is the wire form of a single-column result set. On the serving
-// side it wraps the facade's chunked result (selforg.Rows) and marshals
-// by streaming digits straight out of the rope's chunks — the flat
-// []int64 is never materialized, so a large SELECT response costs one
-// JSON buffer instead of a row slice plus per-element reflection. On
-// the client side (and in tests) it unmarshals back into a flat slice;
-// the JSON bytes are identical to the []int64 encoding it replaces.
+// side it wraps the facade's chunked result (selforg.Rows), and the wire
+// encoder (wire.go) appends its digits straight out of the rope's chunks
+// — the flat []int64 is never materialized, so a large SELECT costs one
+// pooled buffer, flushed as it fills, instead of a row slice. On the
+// client side (and in tests) it unmarshals back into a flat slice; the
+// JSON array is the one the []int64 encoding would write.
 type Rows struct {
 	chunked *selforg.Rows // serving-side rope source; nil when flat
 	n       int           // rows to emit from chunked (MaxRows truncation)
@@ -23,12 +22,6 @@ type Rows struct {
 // NewRows wraps an already-flat row slice (multi-column results project
 // their single column through here).
 func NewRows(flat []int64) *Rows { return &Rows{flat: flat} }
-
-// chunkedRows wraps a facade result, emitting at most n rows.
-// Requires n <= r.Len().
-func chunkedRows(r *selforg.Rows, n int) *Rows {
-	return &Rows{chunked: r, n: n}
-}
 
 // Len returns the number of rows the result carries (after truncation).
 func (r *Rows) Len() int {
@@ -53,37 +46,22 @@ func (r *Rows) Values() []int64 {
 	return r.chunked.Flatten()[:r.n]
 }
 
-// MarshalJSON encodes the rows as a JSON array, walking the chunked
-// source in place — no intermediate flat slice.
-func (r *Rows) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 2+r.Len()*8)
-	buf = append(buf, '[')
-	first := true
-	emit := func(v int64) {
-		if !first {
-			buf = append(buf, ',')
-		}
-		first = false
-		buf = strconv.AppendInt(buf, v, 10)
-	}
-	if r != nil && r.chunked != nil {
-		left := r.n
+// encode appends the rows as a JSON array, walking the chunked source
+// in place and stopping at the MaxRows cut — no intermediate flat
+// slice. It reports false once a streamed answer has failed.
+func (r *Rows) encode(e *wire) bool {
+	e.buf = append(e.buf, '[')
+	n, ok := 0, true
+	if r.chunked == nil {
+		ok = e.ints(r.flat, &n)
+	} else {
 		r.chunked.Chunks(func(vals []int64) bool {
-			if len(vals) > left {
-				vals = vals[:left]
-			}
-			for _, v := range vals {
-				emit(v)
-			}
-			left -= len(vals)
-			return left > 0
+			ok = e.ints(vals[:min(len(vals), r.n-n)], &n)
+			return ok && n < r.n
 		})
-	} else if r != nil {
-		for _, v := range r.flat {
-			emit(v)
-		}
 	}
-	return append(buf, ']'), nil
+	e.buf = append(e.buf, ']')
+	return ok
 }
 
 // UnmarshalJSON decodes a JSON row array into the flat form.

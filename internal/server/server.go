@@ -19,6 +19,9 @@
 //     paper's SQL → MAL → optimizer → interpreter stack. The MAL plan of
 //     a served statement is generated on request (Explain, ?explain=),
 //     never on the serving path.
+//   - one hand-written encoder (wire.go) appends the compact answer,
+//     rows straight from the result rope, into a pooled 32 KB buffer:
+//     Content-Length up to one buffer, bounded flushes beyond it.
 //
 // Around the path sit an admission gate sized from the engine's
 // Parallelism budget (requests beyond workers+backlog are shed with 429
@@ -40,7 +43,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"time"
 
 	"selforg"
 	"selforg/internal/bat"
@@ -85,10 +87,6 @@ type Config struct {
 	// Observer receives the tier's metrics and serves /metrics +
 	// /debug/* (default selforg.DefaultObserver()).
 	Observer *selforg.Observer
-	// SlowExec artificially holds each execution's worker slot for the
-	// given duration — a test hook to saturate the admission gate
-	// deterministically.
-	SlowExec time.Duration
 }
 
 func (c Config) withDefaults() Config {

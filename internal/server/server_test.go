@@ -2,9 +2,9 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -331,50 +331,41 @@ func TestGate(t *testing.T) {
 	}
 }
 
+// TestHandlerSheds429: with the only worker slot held and no backlog,
+// a statement is shed at the door with 429 and an integer Retry-After,
+// and the gate admits again once the slot is released.
 func TestHandlerSheds429(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.Backlog = -1 // no backlog: the second concurrent request sheds
-	cfg.SlowExec = 300 * time.Millisecond
+	cfg.Backlog = -1
 	s := New(cfg)
 	defer s.Close()
-	// Pre-build the column so the slow request's hold window is the
-	// SlowExec sleep, not data generation.
-	if _, err := s.Tenant(""); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	post := func() (*http.Response, error) {
-		return http.Post(ts.URL+"/sql", "text/plain",
+	post := func() *http.Response {
+		resp, err := http.Post(ts.URL+"/sql", "text/plain",
 			strings.NewReader("SELECT COUNT(*) FROM P WHERE v BETWEEN 1 AND 2"))
-	}
-	done := make(chan error, 1)
-	go func() {
-		resp, err := post()
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("first request: status %d", resp.StatusCode)
-			}
+		if err != nil {
+			t.Fatal(err)
 		}
-		done <- err
-	}()
-	time.Sleep(100 * time.Millisecond) // first request is inside SlowExec
-	resp, err := post()
-	if err != nil {
-		t.Fatal(err)
+		resp.Body.Close()
+		return resp
 	}
-	defer resp.Body.Close()
+	release, ok := s.gate.acquire()
+	if !ok {
+		t.Fatal("idle gate shed")
+	}
+	resp := post()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request: status %d, want 429", resp.StatusCode)
+		t.Fatalf("status %d with the slot held, want 429", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if _, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil {
+		t.Errorf("Retry-After = %q, want integer seconds", resp.Header.Get("Retry-After"))
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	release()
+	if resp := post(); resp.StatusCode != http.StatusOK {
+		t.Errorf("status %d after release, want 200", resp.StatusCode)
 	}
 }
 
@@ -402,6 +393,19 @@ func TestHandlerErrors(t *testing.T) {
 	}
 	if *body.Offset != len("SELECT v FROM") {
 		t.Errorf("offset = %d, want %d", *body.Offset, len("SELECT v FROM"))
+	}
+
+	// One byte past the statement limit: 413 with the JSON error body.
+	resp4, err := http.Post(ts.URL+"/sql", "text/plain",
+		strings.NewReader(strings.Repeat(" ", maxStatementBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tooLarge errorBody
+	err = json.NewDecoder(resp4.Body).Decode(&tooLarge)
+	resp4.Body.Close()
+	if resp4.StatusCode != http.StatusRequestEntityTooLarge || err != nil || tooLarge.Error == "" {
+		t.Errorf("oversized statement: status %d, body %+v (%v), want 413 with an error", resp4.StatusCode, tooLarge, err)
 	}
 
 	// GET /sql: 405.
