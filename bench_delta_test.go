@@ -31,7 +31,7 @@ func benchColumn(b *testing.B, opts selforg.Options) *selforg.Column {
 // BenchmarkDeltaInsert measures the point-write path with merging
 // disabled: pure delta-store appends.
 func BenchmarkDeltaInsert(b *testing.B) {
-	col := benchColumn(b, selforg.Options{DeltaManualMerge: true})
+	col := benchColumn(b, selforg.Options{DeltaMaxBytes: -1, DeltaMaxRatio: -1})
 	rnd := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,7 +44,7 @@ func BenchmarkDeltaInsert(b *testing.B) {
 // BenchmarkDeltaOverlayScan measures a range select against a column
 // carrying a loaded (unmerged) delta store.
 func BenchmarkDeltaOverlayScan(b *testing.B) {
-	col := benchColumn(b, selforg.Options{DeltaManualMerge: true})
+	col := benchColumn(b, selforg.Options{DeltaMaxBytes: -1, DeltaMaxRatio: -1})
 	rnd := rand.New(rand.NewSource(3))
 	for i := 0; i < 2_000; i++ {
 		col.Insert(rnd.Int63n(1_000_000))
@@ -62,7 +62,7 @@ func BenchmarkDeltaMergeBack(b *testing.B) {
 	rnd := rand.New(rand.NewSource(4))
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		col := benchColumn(b, selforg.Options{DeltaManualMerge: true})
+		col := benchColumn(b, selforg.Options{DeltaMaxBytes: -1, DeltaMaxRatio: -1})
 		for j := 0; j < 1_000; j++ {
 			col.Insert(rnd.Int63n(1_000_000))
 		}

@@ -65,12 +65,13 @@ func TestDeltaMergeOverlayEquivalence(t *testing.T) {
 					mk := func() *selforg.Column {
 						col, err := selforg.New(selforg.Interval{Lo: domLo, Hi: domHi},
 							append([]int64(nil), vals...), selforg.Options{
-								Strategy:         strat,
-								Model:            mod,
-								Compression:      comp,
-								APMMin:           512,
-								APMMax:           4 * 1024,
-								DeltaManualMerge: true,
+								Strategy:      strat,
+								Model:         mod,
+								Compression:   comp,
+								APMMin:        512,
+								APMMax:        4 * 1024,
+								DeltaMaxBytes: -1,
+								DeltaMaxRatio: -1,
 							})
 						if err != nil {
 							t.Fatal(err)
@@ -168,7 +169,7 @@ func TestDeltaMergeOverlayEquivalence(t *testing.T) {
 // after them, invisible to views pinned before.
 func TestDeltaVisibilityAcrossViews(t *testing.T) {
 	col, err := selforg.New(selforg.Interval{Lo: 0, Hi: 999}, []int64{1, 2, 3},
-		selforg.Options{DeltaManualMerge: true})
+		selforg.Options{DeltaMaxBytes: -1, DeltaMaxRatio: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"selforg/internal/domain"
 	"selforg/internal/model"
+	"selforg/internal/obs"
 )
 
 func TestSegmenterBulkLoad(t *testing.T) {
@@ -155,6 +156,33 @@ func TestBulkLoadThenAdaptProperty(t *testing.T) {
 		}
 		if err := rep.Validate(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+}
+
+// TestBulkLoadEvent: both strategies file one bulkload adaptation event
+// spanning the smallest and largest loaded value.
+func TestBulkLoadEvent(t *testing.T) {
+	for _, strat := range []interface {
+		DeltaStrategy
+		SetObserver(*obs.Observer, int)
+	}{
+		NewSegmenter(domain.NewRange(0, 999), denseColumn(1000), 1, model.Never{}, nil),
+		NewReplicator(domain.NewRange(0, 999), denseColumn(1000), 1, model.Never{}, nil),
+	} {
+		ob := obs.NewObserver()
+		strat.SetObserver(ob, 0)
+		st, err := strat.BulkLoad([]domain.Value{600, 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := ob.Events.Recent()
+		if len(evs) != 1 {
+			t.Fatalf("%s: %d events, want 1: %+v", strat.Name(), len(evs), evs)
+		}
+		e := evs[0]
+		if e.Kind != "bulkload" || e.Lo != 500 || e.Hi != 600 || e.Bytes != st.WriteBytes || e.Note != "values=2" {
+			t.Errorf("%s: event %+v, want bulkload [500, 600] bytes=%d values=2", strat.Name(), e, st.WriteBytes)
 		}
 	}
 }

@@ -13,6 +13,9 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/result"
@@ -152,6 +155,35 @@ func collect(sg *segment.Segment, q domain.Range, k sink) part {
 	}
 	n, sum := sg.SelectSum(q)
 	return part{total: total{n, sum}}
+}
+
+// FanOut is the one bounded worker pool of the engine: it runs do(w, i)
+// exactly once for every i in [0, n) on min(par, n) workers and returns
+// when all have run. w < min(par, n) names the worker, so a caller keeps
+// per-index result slots and per-worker accumulators and merges them in
+// index order — the outcome is then independent of scheduling and
+// byte-identical to serial. With par <= 1 (or n < 2) everything runs on
+// the caller's goroutine as worker 0.
+func FanOut(n, par int, do func(w, i int)) {
+	workers := min(par, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			do(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // Strategy is the common surface of the two self-organizing techniques, as

@@ -9,12 +9,13 @@ package core
 // batch (ApplyOps) — is screened against the extent, lands in the
 // per-column write store (internal/delta), is accounted, and may trip the
 // self-organizing merge-back, which drains accumulated writes into the
-// base through the same single-writer rewrite pipeline bulk loads use.
-// Merged rows then flow through the ordinary reorganization loop: later
-// queries split, glue and re-encode them as the models dictate. What
-// genuinely differs per strategy is behind writeHooks: how to count a
-// value's base rows, how to rewrite the base with drained entries, and
-// how to snapshot the storage counters.
+// base through the strategy's single-writer rewrite. A bulk load enters
+// the same rewrite with no tombstones and no store to commit. Merged
+// rows then flow through the ordinary reorganization loop: later queries
+// split, glue and re-encode them as the models dictate. What genuinely
+// differs per strategy is behind writeHooks: how to count a value's base
+// rows, how to rewrite the base with drained entries, and how to
+// snapshot the storage counters.
 //
 // Lock order: the delta store's mutex is always taken before the
 // strategy's writer lock (Store.Merge holds its mutex across the apply
@@ -31,6 +32,7 @@ import (
 	"selforg/internal/compress"
 	"selforg/internal/delta"
 	"selforg/internal/domain"
+	"selforg/internal/obs"
 	"selforg/internal/segment"
 )
 
@@ -44,7 +46,8 @@ type writeHooks interface {
 	// applyDrained applies the drained entries under the strategy's
 	// writer lock and publishes the rewritten base together with the
 	// store's commit (engine.applyDrained), so the post-merge base and
-	// the drained store appear atomically to lock-free pinners.
+	// the drained store appear atomically to lock-free pinners. A bulk
+	// load calls it with sorted inserts, no tombstones and a nil commit.
 	applyDrained(st *QueryStats, ins, del []domain.Value, commit func()) error
 	// snapshot stamps the column's storage measures onto st.
 	snapshot(st *QueryStats)
@@ -231,6 +234,42 @@ func (w *deltaWriter) ApplyOps(ops []delta.Op) ([]bool, QueryStats, error) {
 	return res, st, err
 }
 
+// BulkLoad implements DeltaStrategy: a bulk load is the merge-back
+// rewrite with no tombstones — one more sorted component merged into the
+// base. The batch is screened against the extent before anything is
+// touched, sorted, and handed to the strategy's applyDrained with no
+// store commit, so the loaded base is published in one atomic step and
+// lock-free readers (and pinned Views) see either the pre-load or the
+// post-load column. Every touched segment or replica is rewritten
+// copy-on-write and re-encoded; the returned stats account those writes.
+func (w *deltaWriter) BulkLoad(vals []domain.Value) (QueryStats, error) {
+	var st QueryStats
+	if len(vals) == 0 {
+		return st, nil
+	}
+	for _, v := range vals {
+		if !w.extent.Contains(v) {
+			return st, fmt.Errorf("core: bulk value %d outside extent %v", v, w.extent)
+		}
+	}
+	sorted := routedSorted(vals)
+	if err := w.hooks.applyDrained(&st, sorted, nil, nil); err != nil {
+		return st, err
+	}
+	w.hooks.snapshot(&st)
+	if so := w.stratOb.Load(); so != nil {
+		so.volumes(&st)
+		so.event(so.evBulkload, "bulkload", obs.Event{
+			Lo:    sorted[0],
+			Hi:    sorted[len(sorted)-1],
+			Bytes: st.WriteBytes,
+			Note:  fmt.Sprintf("values=%d", len(vals)),
+		})
+		so.recodes(st.Recodes)
+	}
+	return st, nil
+}
+
 // MergeDeltas implements DeltaStrategy: force-drains the write store
 // into the base regardless of the thresholds.
 func (w *deltaWriter) MergeDeltas() (QueryStats, error) {
@@ -306,11 +345,12 @@ func (s *Segmenter) applyDrained(st *QueryStats, ins, del []domain.Value, commit
 // applyDeltaLocked stages the rewrite of every segment touched by the
 // drained entries (caller holds eng.Mu): tombstones remove one
 // occurrence each, inserts append, and each touched segment is rebuilt
-// copy-on-write, re-encoded and accounted — the bulk-load pipeline with
-// removals. The Segmenter's models then reorganize the merged rows on
-// later queries. All rewrites are staged and validated before anything
-// is accounted, and the caller publishes the returned list, so an error
-// leaves the column (and the un-drained store) exactly as they were.
+// copy-on-write, re-encoded and accounted — a bulk load is this rewrite
+// with no tombstones. The Segmenter's models then reorganize the merged
+// rows on later queries. All rewrites are staged and validated before
+// anything is accounted, and the caller publishes the returned list, so
+// an error leaves the column (and the un-drained store) exactly as they
+// were.
 func (s *Segmenter) applyDeltaLocked(ins, del []domain.Value) (*segment.List, QueryStats, error) {
 	var st QueryStats
 	if len(ins) == 0 && len(del) == 0 {
@@ -439,8 +479,9 @@ func (r *Replicator) applyDrained(st *QueryStats, ins, del []domain.Value, commi
 // tombstone down the tree, so each touched replica is rewritten exactly
 // once per merge batch no matter how many entries its range covers — a
 // tombstone removes one occurrence of its value from every materialized
-// replica on the value's path (replicas are copies), inserts follow the
-// bulk-load routing, and virtual estimates adjust by the net count.
+// replica on the value's path (replicas are copies), an insert is added
+// to every materialized replica whose range contains it, and virtual
+// estimates adjust by the net count.
 // Untouched subtrees are shared with the old tree (path copying). All
 // rewrites are staged and validated before anything is accounted, and
 // the caller publishes the returned root — an error leaves the tree (and
@@ -563,8 +604,8 @@ func (r *Replicator) applyDeltaLocked(ins, del []domain.Value) (*node, QueryStat
 	return next, st, nil
 }
 
-// routedSorted returns a sorted copy (the routing pass partitions by
-// binary search).
+// routedSorted returns a sorted copy (the replica routing pass
+// partitions by binary search; a bulk load is applied sorted).
 func routedSorted(vs []domain.Value) []domain.Value {
 	out := append([]domain.Value(nil), vs...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

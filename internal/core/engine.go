@@ -121,12 +121,14 @@ func (e *engine[B]) PublishMerged(base *B, commit func()) {
 	e.pub.Load().Inc()
 }
 
-// applyDrained is the merge-back commit shared by both strategies
-// (their writeHooks.applyDrained): under Mu, stage rewrites the base
-// with the drained entries — returning nil when nothing drained touched
-// it — and the result is published together with the store's commit
-// (PublishMerged), so lock-free pinners always see a consistent (base,
-// delta) pair. A staging error leaves base and store untouched.
+// applyDrained is the one base rewrite commit shared by both strategies
+// (their writeHooks.applyDrained), for merge-backs and bulk loads alike:
+// under Mu, stage rewrites the base with the entries — returning nil
+// when nothing touched it. A merge-back's result is published together
+// with the store's commit (PublishMerged), so lock-free pinners always
+// see a consistent (base, delta) pair; a bulk load has no store to
+// commit (nil commit) and publishes with Publish. A staging error leaves
+// base and store untouched.
 func (e *engine[B]) applyDrained(stage func(ins, del []domain.Value) (*B, QueryStats, error),
 	st *QueryStats, ins, del []domain.Value, commit func()) error {
 	e.Mu.Lock()
@@ -136,6 +138,12 @@ func (e *engine[B]) applyDrained(stage func(ins, del []domain.Value) (*B, QueryS
 		return err
 	}
 	st.Add(mst)
+	if commit == nil {
+		if next != nil {
+			e.Publish(next)
+		}
+		return nil
+	}
 	if next == nil {
 		next = e.Base() // re-stamp the current base with the new epoch
 	}

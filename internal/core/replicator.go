@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,7 +46,7 @@ import (
 // identical to the fully locked implementation this replaces.
 //
 // With SetParallelism(n > 1) the result extraction of one query fans out
-// across the (disjoint) covering segments on a bounded worker pool, with
+// across the (disjoint) covering segments through FanOut, with
 // per-worker stats deltas merged in cover order. An attached Tracer must
 // be safe for concurrent use when multiple goroutines query the column
 // (scan events are no longer serialized by a query lock).
@@ -452,38 +453,16 @@ func (r *Replicator) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, 
 		par = adaptiveFanout(len(cover), coverBytes)
 	}
 
+	// The per-cover work is read-only on disjoint segments: parts land in
+	// cover-order slots, per-worker read volumes are merged after.
 	parts := make([]part, len(cover))
-	if par <= 1 || len(cover) < 2 {
-		for i, c := range cover {
-			r.accountScan(c, &st)
-			parts[i] = collect(c.seg, q, k)
-		}
-	} else {
-		// Fan the per-cover work out: read-only on disjoint segments,
-		// parts in cover-order slots, per-worker read deltas merged
-		// after.
-		workers := min(par, len(cover))
-		deltas := make([]QueryStats, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cover) {
-						return
-					}
-					r.accountScan(cover[i], &deltas[w])
-					parts[i] = collect(cover[i].seg, q, k)
-				}
-			}(w)
-		}
-		wg.Wait()
-		for i := range deltas {
-			st.ReadBytes += deltas[i].ReadBytes
-		}
+	reads := make([]QueryStats, min(par, len(cover)))
+	FanOut(len(cover), par, func(w, i int) {
+		r.accountScan(cover[i], &reads[w])
+		parts[i] = collect(cover[i].seg, q, k)
+	})
+	for i := range reads {
+		st.ReadBytes += reads[i].ReadBytes
 	}
 	rope := result.New()
 	var t total
@@ -594,44 +573,6 @@ func (r *Replicator) DrainPendingAdaptation() int {
 	return len(drained)
 }
 
-// coverAt pairs a cover node with its depth below the sentinel.
-type coverAt struct {
-	n     *node
-	depth int
-}
-
-// coverWithDepth is getCover tracking depths (writer side needs them for
-// the MaxDepth guard).
-func coverWithDepth(root *node, q domain.Range) []coverAt {
-	var cover []coverAt
-	var rec func(n *node, depth int) bool
-	rec = func(n *node, depth int) bool {
-		if n.isLeaf() {
-			if n.seg.Virtual {
-				return false
-			}
-			cover = append(cover, coverAt{n, depth})
-			return true
-		}
-		start := len(cover)
-		for _, c := range n.overlapChildren(q) {
-			if !rec(c, depth+1) {
-				cover = cover[:start]
-				if n.seg.Virtual {
-					return false
-				}
-				cover = append(cover, coverAt{n, depth})
-				return true
-			}
-		}
-		return true
-	}
-	if !rec(root, 0) {
-		panic(fmt.Sprintf("core: no cover for %v — replica tree invariant broken", q))
-	}
-	return cover
-}
-
 // adaptLocked is the writer half of Algorithm 2 for one query range
 // (caller holds eng.Mu): recompute the cover on the *current* root (a
 // concurrent query may have reorganized since the range was queued —
@@ -641,22 +582,39 @@ func coverWithDepth(root *node, q domain.Range) []coverAt {
 // racing identical queries coalesce into one application.
 func (r *Replicator) adaptLocked(q domain.Range, st *QueryStats) {
 	root := r.eng.Base()
-	for _, c := range coverWithDepth(root, q) {
-		// c.n is reachable from the latest root even after earlier covers
+	for _, c := range getCover(root, q) {
+		// c is reachable from the latest root even after earlier covers
 		// were rebuilt: covers are disjoint subtrees, and path copying
 		// shares every untouched node.
 		cur := r.eng.Base()
-		rebuilt := r.analyzeBuild(c.n, c.n, c.depth, q, st)
+		depth := 0 // read only by the MaxDepth guard
+		if r.maxDepth > 0 {
+			depth = depthOf(root, c)
+		}
+		rebuilt := r.analyzeBuild(c, c, depth, q, st)
 		repl := r.dropPass(rebuilt, st)
-		if len(repl) == 1 && repl[0] == c.n {
+		if len(repl) == 1 && repl[0] == c {
 			continue
 		}
-		next, ok := rebuildAt(cur, c.n, repl)
+		next, ok := rebuildAt(cur, c, repl)
 		if !ok {
-			panic(fmt.Sprintf("core: cover %v not reachable from root", c.n.seg))
+			panic(fmt.Sprintf("core: cover %v not reachable from root", c.seg))
 		}
 		r.eng.Publish(next)
 	}
+}
+
+// depthOf returns target's depth below root, descending by range as
+// rebuildAt does: children tile their parent in ascending order, so the
+// first child ending at or above target's low bound contains it. A
+// target not under root runs off a leaf and panics.
+func depthOf(root, target *node) int {
+	depth := 0
+	for n := root; n != target; depth++ {
+		kids := n.children
+		n = kids[sort.Search(len(kids), func(i int) bool { return kids[i].seg.Rng.Hi >= target.seg.Rng.Lo })]
+	}
+	return depth
 }
 
 // analyzeBuild implements Algorithm 4 (analyseRepl) fused with the

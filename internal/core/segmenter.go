@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,7 +50,7 @@ import (
 // (RCU-style retirement).
 //
 // With SetParallelism(n > 1), the per-segment scan work of a single query
-// fans out across a bounded pool of n workers, each accumulating its own
+// fans out across n workers (FanOut), each accumulating its own
 // QueryStats delta; the deltas and the per-segment results are merged in
 // segment order, so results are deterministic and byte-identical to the
 // serial path. An attached Tracer must be safe for concurrent use when
@@ -408,7 +407,16 @@ func (s *Segmenter) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, t
 		if splits {
 			s.eng.Mu.Unlock()
 		}
-		outs = s.execParallel(q, tasks, k, par, elem, codec, &st)
+		// Outcomes land in per-task slots and each worker accumulates its
+		// own read volume, so the merge below is scheduling-independent.
+		outs = make([]segOutcome, len(tasks))
+		reads := make([]QueryStats, min(par, len(tasks)))
+		FanOut(len(tasks), par, func(w, i int) {
+			outs[i] = s.execTask(q, tasks[i], k, elem, codec, &reads[w])
+		})
+		for i := range reads {
+			st.ReadBytes += reads[i].ReadBytes
+		}
 		if splits {
 			s.lockWriter(span)
 		}
@@ -556,38 +564,6 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, k sink, elem int64, code
 		panic(fmt.Sprintf("core: unknown model action %v", t.action))
 	}
 	return out
-}
-
-// execParallel fans the tasks out across a bounded pool of par workers.
-// Each worker accumulates its own QueryStats delta; outcomes land in
-// per-task slots so the merge is deterministic regardless of scheduling.
-func (s *Segmenter) execParallel(q domain.Range, tasks []segTask, k sink, par int, elem int64, codec *compress.Codec, st *QueryStats) []segOutcome {
-	outs := make([]segOutcome, len(tasks))
-	workers := par
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	deltas := make([]QueryStats, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				outs[i] = s.execTask(q, tasks[i], k, elem, codec, &deltas[w])
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i := range deltas {
-		st.ReadBytes += deltas[i].ReadBytes
-	}
-	return outs
 }
 
 // applyIntent is the single-writer application of one split intent

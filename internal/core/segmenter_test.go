@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -584,4 +585,28 @@ func TestWriterLockWaitIsRecordedApartFromRoute(t *testing.T) {
 		return
 	}
 	t.Fatal("no query ever waited for the held writer lock")
+}
+
+// TestFanOut: every index runs exactly once, on a worker index below
+// min(par, n). Run it under -race: the per-index slots are written from
+// the workers without a lock.
+func TestFanOut(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000} {
+		for _, par := range []int{1, 2, 16} {
+			runs := make([]atomic.Int32, n)
+			workers := make([]int, n)
+			FanOut(n, par, func(w, i int) {
+				runs[i].Add(1)
+				workers[i] = w
+			})
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("n=%d par=%d: index %d ran %d times", n, par, i, got)
+				}
+				if w := workers[i]; w < 0 || w >= min(par, n) {
+					t.Fatalf("n=%d par=%d: index %d ran on worker %d", n, par, i, w)
+				}
+			}
+		}
+	}
 }

@@ -11,9 +11,9 @@
 // contends with a merge-back in shard 5 — while the immutable-snapshot
 // read path keeps cross-shard queries cheap: a query routes to the
 // minimal shard subset overlapping its predicate, scans each shard's
-// snapshot (optionally fanning the per-shard scans across a bounded
-// worker pool) and concatenates the sub-results in shard order, so
-// results are deterministic.
+// snapshot (optionally fanning the per-shard scans out through
+// core.FanOut, the engine's one bounded worker pool) and concatenates the
+// sub-results in shard order, so results are deterministic.
 //
 // A single-shard Column is a pure pass-through: every call delegates to
 // the one underlying strategy, so K=1 is byte-identical — results, stats
@@ -454,32 +454,9 @@ func (c *Column) query(q domain.Range, op readOp) shardOut {
 	}
 
 	outs := make([]shardOut, n)
-	if par := c.fanout(); par <= 1 {
-		for i := range outs {
-			outs[i] = read(c.shards[lo+i], q, op)
-		}
-	} else {
-		workers := par
-		if workers > n {
-			workers = n
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					outs[i] = read(c.shards[lo+i], q, op)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	core.FanOut(n, c.fanout(), func(_, i int) {
+		outs[i] = read(c.shards[lo+i], q, op)
+	})
 	// Merge in shard order: the rope splice moves chunk headers, never
 	// values, so the router's concatenation cost no longer scales with
 	// the result volume times the shard count.

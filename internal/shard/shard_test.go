@@ -524,6 +524,71 @@ func TestShardBulkLoad(t *testing.T) {
 	}
 }
 
+// TestBulkLoadMatchesMergeBack: a bulk load is the merge-back rewrite
+// with no tombstones. Twin columns, adapted by the same queries with
+// merging disabled, take the same batch — one through BulkLoad, the
+// other as one Insert per value drained by MergeDeltas — and must end
+// with the same layout and content, and with compression off the same
+// storage. (Encoded sizes may differ: the merge-back appends in arrival
+// order, the bulk load in sorted order.)
+func TestBulkLoadMatchesMergeBack(t *testing.T) {
+	for _, strat := range []struct {
+		name  string
+		build func(compress.Mode) Builder
+	}{{"segm", segBuilder}, {"repl", replBuilder}} {
+		name, build := strat.name, strat.build
+		for _, mode := range []compress.Mode{compress.Off, compress.Auto} {
+			for _, k := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%v/shards=%d", name, mode, k), func(t *testing.T) {
+					twin := func() *Column {
+						col, err := New(testDom, testValues(8_000, 1), k, build(mode))
+						if err != nil {
+							t.Fatal(err)
+						}
+						col.SetDeltaPolicy(0, 0)
+						for _, q := range []domain.Range{{Lo: 10_000, Hi: 30_000}, {Lo: 55_000, Hi: 58_000}, {Lo: 70_000, Hi: 99_999}} {
+							col.Select(q)
+						}
+						if col.SegmentCount() <= k {
+							t.Fatal("setup: queries did not reorganize the column")
+						}
+						return col
+					}
+					loaded, merged := twin(), twin()
+					batch := testValues(600, 9)
+					if _, err := loaded.BulkLoad(batch); err != nil {
+						t.Fatal(err)
+					}
+					for _, v := range batch {
+						if _, err := merged.Insert(v); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := merged.MergeDeltas(); err != nil {
+						t.Fatal(err)
+					}
+					if a, b := loaded.Layout(), merged.Layout(); a != b {
+						t.Fatalf("layouts differ:\nbulk load:\n%s\nmerge-back:\n%s", a, b)
+					}
+					a, _ := loaded.Select(testDom)
+					b, _ := merged.Select(testDom)
+					if !reflect.DeepEqual(sorted(a), sorted(b)) {
+						t.Fatalf("contents differ: %d vs %d rows", len(a), len(b))
+					}
+					for _, col := range []*Column{loaded, merged} {
+						if err := col.Validate(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if mode == compress.Off && loaded.StorageBytes() != merged.StorageBytes() {
+						t.Fatalf("storage %v (bulk load) vs %v (merge-back)", loaded.StorageBytes(), merged.StorageBytes())
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestShardDeltaStatsAggregation: counters sum, watermark is the shared
 // column-wide commit clock's last stamped version (every shard stamps
 // from one clock, so 5 + 3 inserts advance it to 8).

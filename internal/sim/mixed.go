@@ -39,13 +39,15 @@ type MixedConfig struct {
 	// (0 = read-only streams). Per write: 50% insert, 25% update, 25%
 	// delete.
 	WriteRatio float64
-	// DeltaMaxBytes / DeltaMaxRatio are the merge-back triggers handed
-	// to the strategy (defaults 1 KB / 0.05 — small enough that the
-	// default 400 KB column sees merge churn within a few hundred
-	// writes).
+	// DeltaMaxBytes is the merge-back trigger handed to the strategy
+	// (default 1 KB, beside a fixed pending-to-base ratio of
+	// mixedDeltaRatio — small enough that the default 400 KB column sees
+	// merge churn within a few hundred writes).
 	DeltaMaxBytes int64
-	DeltaMaxRatio float64
 }
+
+// mixedDeltaRatio is the mixed runs' pending-to-base merge-back ratio.
+const mixedDeltaRatio = 0.05
 
 // MixedResult aggregates a multi-client run.
 type MixedResult struct {
@@ -73,9 +75,6 @@ func RunMixed(cfg MixedConfig) *MixedResult {
 	if cfg.DeltaMaxBytes == 0 {
 		cfg.DeltaMaxBytes = 1024
 	}
-	if cfg.DeltaMaxRatio == 0 {
-		cfg.DeltaMaxRatio = 0.05
-	}
 	vals := cfg.generateValues()
 	mix := workload.Mix{WriteRatio: cfg.WriteRatio, Dom: cfg.Dom}
 	if mix.WriteRatio > 0 {
@@ -86,7 +85,7 @@ func RunMixed(cfg MixedConfig) *MixedResult {
 	if p, ok := strat.(interface{ SetParallelism(int) }); ok {
 		p.SetParallelism(cfg.Parallelism)
 	}
-	strat.SetDeltaPolicy(cfg.DeltaMaxBytes, cfg.DeltaMaxRatio)
+	strat.SetDeltaPolicy(cfg.DeltaMaxBytes, mixedDeltaRatio)
 	warm := cfg.stream(cfg.QuerySeed + 7777)
 	for i := 0; i < cfg.WarmupQueries; i++ {
 		strat.Select(warm.Next().Range())

@@ -288,12 +288,11 @@ type Options struct {
 	// the trigger).
 	DeltaMaxBytes int64
 	// DeltaMaxRatio is the companion trigger on the pending-to-base
-	// ratio (default 0.10; < 0 disables the trigger).
+	// ratio (default 0.10; < 0 disables the trigger). With both triggers
+	// disabled, pending writes stay in the delta store until MergeDeltas
+	// is called; queries stay correct either way — the overlay read path
+	// serves unmerged writes.
 	DeltaMaxRatio float64
-	// DeltaManualMerge disables both automatic triggers: pending writes
-	// stay in the delta store until MergeDeltas is called. Queries stay
-	// correct either way — the overlay read path serves unmerged writes.
-	DeltaManualMerge bool
 	// Shards range-partitions the column domain into this many
 	// independently locked shards (internal/shard), each owning its own
 	// segment list, model state, compression advisor and MVCC delta
@@ -489,7 +488,7 @@ func buildStrategy(o Options, rng domain.Range, values []domain.Value, rec *dura
 		}
 	}
 
-	// Delta merge-back policy: defaults, explicit disables, manual mode.
+	// Delta merge-back policy: defaults and explicit disables.
 	deltaMax := o.DeltaMaxBytes
 	if deltaMax == 0 {
 		deltaMax = 64 * 1024
@@ -501,9 +500,6 @@ func buildStrategy(o Options, rng domain.Range, values []domain.Value, rec *dura
 		deltaRatio = 0.10
 	} else if deltaRatio < 0 {
 		deltaRatio = 0
-	}
-	if o.DeltaManualMerge {
-		deltaMax, deltaRatio = 0, 0
 	}
 	// Adaptive fan-out invokes the Tracer from worker goroutines; a
 	// tracer attached without an explicit Parallelism stays on the
