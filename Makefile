@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz FuzzCodecRange -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzWireEnvelope -fuzztime 30s
+	$(GO) test ./internal/segment/ -run '^$$' -fuzz FuzzSplit -fuzztime 30s
 
 # bench-module compiles, vets and tests benchmark/ — its own Go module,
 # which the root ./... patterns never reach — so an internal signature

@@ -119,7 +119,11 @@ func packedBytesFor(n int64, width uint) int64 {
 // Choose profiles vals and returns the encoding with the minimum
 // estimated accounted size; ties and losses both resolve to Plain.
 func (a Advisor) Choose(vals []int64, elemSize int64) Encoding {
-	p := a.Profile(vals)
+	return a.choose(a.Profile(vals), elemSize)
+}
+
+// choose returns the encoding with the minimum estimated size under p.
+func (a Advisor) choose(p Profile, elemSize int64) Encoding {
 	best, bestBytes := Plain, a.EstimateBytes(p, Plain, elemSize)
 	for _, e := range []Encoding{RLE, Dict, FOR} {
 		if b := a.EstimateBytes(p, e, elemSize); b < bestBytes {
@@ -181,10 +185,17 @@ func (c *Codec) Encode(vals []int64) Vector {
 }
 
 // encodeAuto encodes under the advisor's choice with the Plain fallback
-// guarantee.
+// guarantee. The profile's exact extremes are FOR's frame, so a FOR
+// choice reads the values once more only to pack them.
 func (c *Codec) encodeAuto(vals []int64) Vector {
-	e := c.advisor.Choose(vals, c.elemSize)
-	v := Encode(vals, e, c.elemSize)
+	p := c.advisor.Profile(vals)
+	e := c.advisor.choose(p, c.elemSize)
+	var v Vector
+	if e == FOR {
+		v = newFOR(vals, p.Min, p.Max, c.elemSize)
+	} else {
+		v = Encode(vals, e, c.elemSize)
+	}
 	if e != Plain && v.StoredBytes() > int64(len(vals))*c.elemSize {
 		return NewPlain(vals, c.elemSize)
 	}

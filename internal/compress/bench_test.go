@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -26,17 +27,37 @@ func benchData(n int) map[string][]int64 {
 	return map[string][]int64{"sorted": sorted, "lowCard": lowCard, "narrow": narrow}
 }
 
-// BenchmarkEncode measures encoding throughput per encoding.
+// BenchmarkEncode measures what building each encoding costs per value —
+// time and bytes allocated — on 128 K uniform values (a 2^20 span, FOR's
+// shape) and 128 K low-cardinality ones (64 distinct, Dict's shape).
+// Auto is the codec the strategies encode with: profile, choose, build.
 func BenchmarkEncode(b *testing.B) {
-	const n = 1 << 16
-	data := benchData(n)
-	for name, vals := range data {
-		for _, e := range Encodings {
-			b.Run(name+"/"+e.String(), func(b *testing.B) {
-				b.SetBytes(8 * n)
+	const n = 128 << 10
+	rng := rand.New(rand.NewSource(1))
+	uniform, lowCard := make([]int64, n), make([]int64, n)
+	for i := range uniform {
+		uniform[i] = 1<<40 + rng.Int63n(1<<20)
+		lowCard[i] = int64(rng.Intn(64)) * 1000
+	}
+	for _, in := range []struct {
+		name string
+		vals []int64
+	}{{"uniform", uniform}, {"lowCard", lowCard}} {
+		for _, mode := range []Mode{ForcePlain, ForceRLE, ForceDict, ForceFOR, Auto} {
+			c := NewCodec(mode, 4)
+			b.Run(in.name+"/"+mode.String(), func(b *testing.B) {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					Encode(vals, e, 4)
+					c.Encode(in.vals)
 				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				per := float64(b.N) * n
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/value")
+				b.ReportMetric(float64(ms.TotalAlloc-before)/per, "B/value")
 			})
 		}
 	}

@@ -16,22 +16,53 @@ type packed struct {
 	words []uint64
 }
 
-// packAll packs vals at the given width. Values must fit in width bits.
-func packAll(vals []uint64, width uint) packed {
+// pack builds the packed array of vals at the given width straight in the
+// block layout: code translates one block of input values into their
+// unsigned codes (FOR deltas, Dict indexes), which must fit in width
+// bits, and packBlock lays the block's words down — so no full-length
+// code array is ever built.
+func pack(vals []int64, width uint, code func(dst []uint64, src []int64)) packed {
 	p := packed{width: width, n: len(vals)}
 	if width == 0 || len(vals) == 0 {
 		return p
 	}
 	p.words = make([]uint64, (len(vals)+blockLen-1)/blockLen*int(width))
-	for i, v := range vals {
-		off := uint(i) * width
-		w, s := off/64, off%64
-		p.words[w] |= v << s
-		if s+width > 64 {
-			p.words[w+1] |= v >> (64 - s)
-		}
+	var buf [blockLen]uint64
+	for b := 0; b*blockLen < len(vals); b++ {
+		src := vals[b*blockLen : min((b+1)*blockLen, len(vals))]
+		code(buf[:len(src)], src)
+		clear(buf[len(src):]) // the last block's padding packs as zeros
+		p.packBlock(b, &buf)
 	}
 	return p
+}
+
+// packBlock writes block b (values [64b, 64b+64)) from src — unpack's
+// inverse: an accumulator takes each value at the running bit cursor and
+// is stored whenever a word fills, carrying the straddling value's high
+// bits into the next word.
+func (p *packed) packBlock(b int, src *[blockLen]uint64) {
+	w := p.width
+	switch w {
+	case 0:
+		return
+	case 64:
+		copy(p.words[b*blockLen:], src[:])
+		return
+	}
+	words := p.words[b*int(w) : (b+1)*int(w)]
+	var acc uint64
+	have, k := uint(0), 0 // bits held in acc; next word to store
+	for _, v := range src {
+		acc |= v << (have & 63)
+		have += w
+		if have >= 64 {
+			words[k] = acc
+			k++
+			have -= 64
+			acc = v >> ((w - have) & 63) // the high bits that did not fit
+		}
+	}
 }
 
 // get returns the i-th packed value (point access; scans use a decoder).

@@ -2,7 +2,6 @@ package compress
 
 import (
 	"slices"
-	"sort"
 
 	"selforg/internal/bat"
 )
@@ -29,26 +28,53 @@ func NewDict(vals []int64, elemSize int64) *DictVector {
 	if len(vals) == 0 {
 		return d
 	}
-	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	d.dict = sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != d.dict[len(d.dict)-1] {
-			d.dict = append(d.dict, v)
+	// A direct-mapped cache of recently seen values sits in front of both
+	// the sort and the dictionary search, so low-cardinality input sorts
+	// only its distinct values (plus evicted repeats) and finds most codes
+	// in one probe. Every slot starts out holding vals[0], which is
+	// recorded first, so a slot never needs a validity bit.
+	bits := min(dictCacheBits, bitsFor(uint64(len(vals))))
+	seen := make([]int64, 1<<bits)
+	for i := range seen {
+		seen[i] = vals[0]
+	}
+	cand := []int64{vals[0]}
+	for _, v := range vals {
+		if h := cacheSlot(v, bits); seen[h] != v {
+			seen[h] = v
+			cand = append(cand, v)
 		}
 	}
-	width := bitsFor(uint64(len(d.dict) - 1))
-	codes := make([]uint64, len(vals))
-	for i, v := range vals {
-		codes[i] = uint64(searchInt64s(d.dict, v))
+	slices.Sort(cand)
+	dict := slices.Clone(slices.Compact(cand)) // exact size: cand may be far longer
+	d.dict = dict
+
+	type entry struct{ v, code int64 }
+	cache := make([]entry, 1<<bits)
+	c0, _ := slices.BinarySearch(dict, vals[0])
+	for i := range cache {
+		cache[i] = entry{vals[0], int64(c0)}
 	}
-	d.codes = packAll(codes, width)
+	d.codes = pack(vals, bitsFor(uint64(len(dict)-1)), func(dst []uint64, src []int64) {
+		for i, v := range src {
+			e := &cache[cacheSlot(v, bits)]
+			if e.v != v {
+				c, _ := slices.BinarySearch(dict, v)
+				*e = entry{v, int64(c)}
+			}
+			dst[i] = uint64(e.code)
+		}
+	})
 	return d
 }
 
-// searchInt64s returns the first index at which a[i] >= v.
-func searchInt64s(a []int64, v int64) int {
-	return sort.Search(len(a), func(i int) bool { return a[i] >= v })
+// dictCacheBits sizes NewDict's value cache: at most 4096 slots, fewer
+// for shorter input.
+const dictCacheBits = 12
+
+// cacheSlot hashes v onto one of 2^bits cache slots (Fibonacci hashing).
+func cacheSlot(v int64, bits uint) uint64 {
+	return uint64(v) * 0x9E3779B97F4A7C15 >> (64 - bits)
 }
 
 // Kind implements bat.Vector.
@@ -113,9 +139,12 @@ func (d *DictVector) appendRows(i, j int, dst []int64) []int64 {
 // [cLo, cHi); cLo >= cHi means no code qualifies (inverted bounds
 // included).
 func (d *DictVector) codeRange(lo, hi int64) (uint64, uint64) {
-	cLo := uint64(searchInt64s(d.dict, lo))
-	cHi := uint64(sort.Search(len(d.dict), func(i int) bool { return d.dict[i] > hi }))
-	return cLo, cHi
+	cLo, _ := slices.BinarySearch(d.dict, lo)
+	cHi, found := slices.BinarySearch(d.dict, hi)
+	if found {
+		cHi++
+	}
+	return uint64(cLo), uint64(cHi)
 }
 
 // SelectRange implements Vector: binary-search the dictionary once, then

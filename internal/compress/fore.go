@@ -20,6 +20,20 @@ type FORVector struct {
 
 // NewFOR encodes vals; the input is not retained.
 func NewFOR(vals []int64, elemSize int64) *FORVector {
+	if len(vals) == 0 {
+		return newFOR(vals, 0, 0, elemSize)
+	}
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return newFOR(vals, lo, hi, elemSize)
+}
+
+// newFOR encodes vals whose exact extremes are already known — the
+// advisor's profile took them — so the values are read once, by the
+// packer.
+func newFOR(vals []int64, lo, hi, elemSize int64) *FORVector {
 	if elemSize < 1 {
 		elemSize = 8
 	}
@@ -27,22 +41,14 @@ func NewFOR(vals []int64, elemSize int64) *FORVector {
 	if len(vals) == 0 {
 		return f
 	}
-	f.ref, f.max = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < f.ref {
-			f.ref = v
-		}
-		if v > f.max {
-			f.max = v
-		}
-	}
+	f.ref, f.max = lo, hi
 	// Deltas in uint64 arithmetic so the full int64 span cannot overflow.
-	width := bitsFor(uint64(f.max) - uint64(f.ref))
-	deltas := make([]uint64, len(vals))
-	for i, v := range vals {
-		deltas[i] = uint64(v) - uint64(f.ref)
-	}
-	f.deltas = packAll(deltas, width)
+	ref := uint64(lo)
+	f.deltas = pack(vals, bitsFor(uint64(hi)-ref), func(dst []uint64, src []int64) {
+		for i, v := range src {
+			dst[i] = uint64(v) - ref
+		}
+	})
 	return f
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -204,6 +205,92 @@ func TestPackedDecoder(t *testing.T) {
 				if row != win[1] {
 					t.Fatalf("w%d n%d %v: decoded through row %d", w, n, win, row)
 				}
+			}
+		}
+	}
+}
+
+// packAll is the reference packer: every value written at its own bit
+// offset, one at a time. Values must fit in width bits.
+func packAll(vals []uint64, width uint) packed {
+	p := packed{width: width, n: len(vals)}
+	if width == 0 || len(vals) == 0 {
+		return p
+	}
+	p.words = make([]uint64, (len(vals)+blockLen-1)/blockLen*int(width))
+	for i, v := range vals {
+		off := uint(i) * width
+		w, s := off/64, off%64
+		p.words[w] |= v << s
+		if s+width > 64 {
+			p.words[w+1] |= v >> (64 - s)
+		}
+	}
+	return p
+}
+
+// TestBlockPackerMatchesPackAll holds the block packer (pack/packBlock)
+// to the reference packer word for word — padding included — across
+// every width and row counts around the block.
+func TestBlockPackerMatchesPackAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for w := uint(0); w <= 64; w++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 4097} {
+			codes := make([]uint64, n)
+			vals := make([]int64, n)
+			for i := range codes {
+				codes[i] = rng.Uint64()
+				if w < 64 {
+					codes[i] &= 1<<w - 1
+				}
+				vals[i] = int64(codes[i])
+			}
+			want := packAll(codes, w)
+			got := pack(vals, w, func(dst []uint64, src []int64) {
+				for i, v := range src {
+					dst[i] = uint64(v)
+				}
+			})
+			if got.width != want.width || got.n != want.n || !reflect.DeepEqual(got.words, want.words) {
+				t.Fatalf("w%d n%d: block packer differs from packAll", w, n)
+			}
+		}
+	}
+}
+
+// TestEncodersMatchReference holds NewDict and NewFOR — and the codec's
+// FOR, framed by the advisor's profile — to the straightforward builds
+// they replace: a sorted, deduplicated dictionary with per-row codes
+// found by search, and per-row deltas from the minimum, both packed value
+// by value. The vectors must be identical, field for field.
+func TestEncodersMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, card := range []int64{1, 2, 64, 5000, 1 << 40} {
+		for _, n := range []int{1, 63, 64, 65, 4097, 20000} {
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = rng.Int63n(card)*977 - 1<<20
+			}
+			sorted := slices.Clone(vals)
+			slices.Sort(sorted)
+			dict := slices.Compact(sorted)
+			codes, deltas := make([]uint64, n), make([]uint64, n)
+			for i, v := range vals {
+				c, _ := slices.BinarySearch(dict, v)
+				codes[i] = uint64(c)
+				deltas[i] = uint64(v) - uint64(dict[0])
+			}
+			wantDict := &DictVector{dict: dict, codes: packAll(codes, bitsFor(uint64(len(dict)-1))), elemSize: 4}
+			if got := NewDict(vals, 4); !reflect.DeepEqual(got, wantDict) {
+				t.Fatalf("card %d n %d: NewDict differs from the sorted reference", card, n)
+			}
+			span := uint64(dict[len(dict)-1]) - uint64(dict[0])
+			wantFOR := &FORVector{ref: dict[0], max: dict[len(dict)-1], deltas: packAll(deltas, bitsFor(span)), elemSize: 4}
+			if got := NewFOR(vals, 4); !reflect.DeepEqual(got, wantFOR) {
+				t.Fatalf("card %d n %d: NewFOR differs from the reference", card, n)
+			}
+			if got, ok := NewCodec(Auto, 4).Encode(vals).(*FORVector); ok && !reflect.DeepEqual(got, wantFOR) {
+				t.Fatalf("card %d n %d: the codec's FOR differs from the reference", card, n)
 			}
 		}
 	}

@@ -17,8 +17,8 @@ package compress
 //   - RLE splices qualifying run headers, merging runs that become
 //     adjacent when an out-of-range run between them is dropped, so the
 //     result is exactly NewRLE(decoded-then-filtered input);
-//   - Plain filters the raw slice (the decoded path, but allocated at
-//     its exact form);
+//   - Plain filters the raw slice into an exact-size one (counted
+//     first, so no parent-sized backing array outlives the splice);
 //   - Dict and FOR report false — filtering invalidates their dictionary
 //     and frame, so splicing would be a re-encode in disguise.
 //
@@ -54,7 +54,13 @@ func SpliceRange(v Vector, lo, hi int64) (Vector, bool) {
 		}
 		return out, true
 	case *PlainVector:
-		return NewPlain(s.SelectRange(lo, hi, make([]int64, 0, len(s.vals))), s.elemSize), true
+		out := make([]int64, 0, s.CountRange(lo, hi))
+		for _, v := range s.vals {
+			if v >= lo && v <= hi {
+				out = append(out, v)
+			}
+		}
+		return NewPlain(out, s.elemSize), true
 	default:
 		return nil, false
 	}

@@ -511,36 +511,22 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, k sink, elem int64, code
 
 	case model.SplitBounds:
 		sp := domain.Cut(t.seg.Rng, q)
-		left, mid, right := t.seg.Partition(q)
-		subs := make([]*segment.Segment, 0, 3)
+		subs := t.seg.Split(sp.Cuts()...)
+		mid := subs[0]
 		if !sp.Left.IsEmpty() {
-			subs = append(subs, segment.NewMaterialized(sp.Left, left))
-		}
-		midSeg := segment.NewMaterialized(sp.Overlap, mid)
-		subs = append(subs, midSeg)
-		if !sp.Right.IsEmpty() {
-			subs = append(subs, segment.NewMaterialized(sp.Right, right))
+			mid = subs[1]
 		}
 		// The mid piece is exactly the selection overlap: it is the
 		// result contribution whether or not the intent later applies.
 		// The slice is shared with the fresh mid sub-segment (a plain
 		// encoding aliases it), so the chunk is borrowed; its total is
 		// the fresh segment's summary.
-		out.vals, out.borrowed = mid, true
-		out.total = total{midSeg.Count(), midSeg.Sum()}
-		for _, sub := range subs {
-			if sub.Encode(codec) {
-				out.recodes++
-			}
-		}
+		out.vals, out.borrowed = mid.Vals, true
+		out.total = total{mid.Count(), mid.Sum()}
 		out.subs = subs
 
 	case model.SplitPoint:
-		lv, rv := t.seg.SplitAt(t.point)
-		subs := []*segment.Segment{
-			segment.NewMaterialized(domain.Range{Lo: t.seg.Rng.Lo, Hi: t.point}, lv),
-			segment.NewMaterialized(domain.Range{Lo: t.point + 1, Hi: t.seg.Rng.Hi}, rv),
-		}
+		subs := t.seg.Split(t.point)
 		// A point split does not isolate the selection: filter the
 		// pieces that still overlap the query.
 		for _, sub := range subs {
@@ -553,15 +539,15 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, k sink, elem int64, code
 				out.add(collect(sub, q, k).total)
 			}
 		}
-		for _, sub := range subs {
-			if sub.Encode(codec) {
-				out.recodes++
-			}
-		}
 		out.subs = subs
 
 	default:
 		panic(fmt.Sprintf("core: unknown model action %v", t.action))
+	}
+	for _, sub := range out.subs {
+		if sub.Encode(codec) {
+			out.recodes++
+		}
 	}
 	return out
 }

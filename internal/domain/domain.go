@@ -139,6 +139,20 @@ func (sp Split) Pieces() []Range {
 	return out
 }
 
+// Cuts returns the split's cut points in domain order — the last value of
+// every non-empty piece but the last — so that a segment cut at them
+// (segment.Segment.Split) yields exactly Pieces.
+func (sp Split) Cuts() []Value {
+	cuts := make([]Value, 0, 2)
+	if !sp.Left.IsEmpty() {
+		cuts = append(cuts, sp.Left.Hi)
+	}
+	if !sp.Right.IsEmpty() {
+		cuts = append(cuts, sp.Overlap.Hi)
+	}
+	return cuts
+}
+
 // Kind classifies the overlap geometry used by Algorithm 4 of the paper.
 type OverlapKind int
 

@@ -12,6 +12,8 @@ package segment
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"sync/atomic"
 
 	"selforg/internal/compress"
@@ -162,13 +164,21 @@ func (s *Segment) Filled(vals []domain.Value) *Segment {
 	return &Segment{ID: s.ID, Rng: s.Rng, Vals: vals, sum: checkedSum(s.Rng, vals)}
 }
 
-// values returns the payload for scanning: the raw slice, or a decoded
-// copy for encoded payloads. Callers must not mutate the result.
-func (s *Segment) values() []domain.Value {
-	if s.Enc != nil {
-		return s.Enc.AppendTo(make([]domain.Value, 0, s.Enc.Len()))
+// decodeBufs pools the buffers encoded payloads are decoded into for a
+// split or a select, so a reorganization allocates only what it keeps.
+var decodeBufs = sync.Pool{New: func() any { return new([]domain.Value) }}
+
+// payload returns the whole payload for reading: the raw slice, a Plain
+// vector's backing slice, or — with buf non-nil — the payload decoded
+// into a pooled buffer, which the caller hands back with decodeBufs.Put once
+// done. Callers must not mutate vals.
+func (s *Segment) payload() (vals []domain.Value, buf *[]domain.Value) {
+	if vals, ok := s.BorrowValues(); ok {
+		return vals, nil
 	}
-	return s.Vals
+	buf = decodeBufs.Get().(*[]domain.Value)
+	*buf = s.Enc.AppendTo((*buf)[:0])
+	return *buf, buf
 }
 
 // BorrowValues returns the segment's whole payload without copying when
@@ -289,65 +299,107 @@ func (s *Segment) EstimatePiece(piece domain.Range) int64 {
 	return s.Count() * ov.Width() / s.Rng.Width()
 }
 
-// Partition scans the materialized segment once and distributes its values
-// into the (up to three) pieces that query range q cuts out of it. This is
-// the single scan that both adaptive strategies piggy-back materialization
-// on (§4 Alg. 1, §5 Alg. 2 scanMat).
+// Split cuts the materialized segment into len(cuts)+1 fresh raw
+// segments: piece i holds the values in (cuts[i-1], cuts[i]], in payload
+// order, over exactly that range. It is the one scan both adaptive
+// strategies piggy-back materialization on (§4 Alg. 1, §5 Alg. 2
+// scanMat): a query's bounds cut a segment at most three ways
+// (domain.Split's Cuts), APM rule 3's point split cuts it once. Cuts —
+// at most two — must ascend inside the splittable interior
+// [Rng.Lo, Rng.Hi-1]; anything else panics.
 //
-// The returned slices are freshly allocated: the caller owns them.
-func (s *Segment) Partition(q domain.Range) (left, mid, right []domain.Value) {
+// The payload is read twice — decoded once, into a pooled buffer, when
+// encoded. The first pass counts and sums every piece and takes the
+// payload's extremes, branch-free and in registers; the second scatters
+// the values into pieces allocated at their exact size, which the caller
+// owns. A value's piece follows from the cuts, so the pieces respect
+// their ranges exactly when the extremes respect the parent's: the range
+// guard is that O(1) check, as in FilledEncoded. Piece IDs ascend in
+// piece order.
+func (s *Segment) Split(cuts ...domain.Value) []*Segment {
 	if s.Virtual {
-		panic("segment: Partition of a virtual segment")
+		panic("segment: Split of a virtual segment")
 	}
-	vals := s.values()
-	sp := domain.Cut(s.Rng, q)
-	mid = make([]domain.Value, 0, len(vals))
-	if !sp.Left.IsEmpty() {
-		left = make([]domain.Value, 0)
+	if len(cuts) > 2 {
+		panic(fmt.Sprintf("segment: Split at %d cuts, at most 2", len(cuts)))
 	}
-	if !sp.Right.IsEmpty() {
-		right = make([]domain.Value, 0)
-	}
-	for _, v := range vals {
-		switch {
-		case v < sp.Overlap.Lo:
-			left = append(left, v)
-		case v > sp.Overlap.Hi:
-			right = append(right, v)
-		default:
-			mid = append(mid, v)
+	// A missing cut sits at MaxInt64, above every value: its piece stays
+	// empty and is not returned.
+	c := [2]domain.Value{math.MaxInt64, math.MaxInt64}
+	lo := s.Rng.Lo
+	for i, cut := range cuts {
+		if cut < lo || cut >= s.Rng.Hi {
+			panic(fmt.Sprintf("segment: cut %d outside splittable interior of %v, or not ascending", cut, s.Rng))
 		}
+		c[i], lo = cut, cut+1
 	}
-	return left, mid, right
+
+	vals, buf := s.payload()
+	var above0, above1 int    // values above c[0], above c[1]
+	var sum, sum0, sum1 int64 // Σ of all values, of those above c[0], above c[1]
+	vmin, vmax := domain.Value(math.MaxInt64), domain.Value(math.MinInt64)
+	for _, v := range vals {
+		var m0, m1 int64 // all ones when v lies above the cut
+		if v > c[0] {
+			m0 = -1
+		}
+		if v > c[1] {
+			m1 = -1
+		}
+		above0 -= int(m0)
+		above1 -= int(m1)
+		sum += v
+		sum0 += v & m0
+		sum1 += v & m1
+		vmin, vmax = min(vmin, v), max(vmax, v)
+	}
+	if len(vals) > 0 && (!s.Rng.Contains(vmin) || !s.Rng.Contains(vmax)) {
+		panic(fmt.Sprintf("segment: values [%d, %d] outside range %v", vmin, vmax, s.Rng))
+	}
+	counts := [3]int{len(vals) - above0, above0 - above1, above1}
+	sums := [3]int64{sum - sum0, sum0 - sum1, sum1}
+	var parts [3][]domain.Value
+	for i, n := range counts {
+		parts[i] = make([]domain.Value, n)
+	}
+	var pos [3]int
+	for _, v := range vals {
+		i := 0
+		if v > c[0] {
+			i = 1
+		}
+		if v > c[1] {
+			i = 2
+		}
+		parts[i][pos[i]] = v
+		pos[i]++
+	}
+	if buf != nil {
+		decodeBufs.Put(buf)
+	}
+	out := make([]*Segment, len(cuts)+1)
+	lo = s.Rng.Lo
+	for i := range out {
+		hi := s.Rng.Hi
+		if i < len(cuts) {
+			hi = cuts[i]
+		}
+		out[i] = &Segment{ID: idCounter.Add(1), Rng: domain.Range{Lo: lo, Hi: hi}, Vals: parts[i], sum: sums[i]}
+		lo = hi + 1
+	}
+	return out
 }
 
 // Select scans the materialized segment and returns the values matching
-// query range q, freshly allocated.
+// query range q in a slice of exactly their number, so a replica filled
+// from it keeps no covering-segment-sized backing array.
 func (s *Segment) Select(q domain.Range) []domain.Value {
-	return s.AppendSelect(q, make([]domain.Value, 0, s.Count()))
-}
-
-// SplitAt scans the materialized segment and splits it at domain value cut:
-// values <= cut go left, values > cut go right. APM rule 3 splits at a
-// query bound or the approximate segment mean; both reduce to a SplitAt.
-func (s *Segment) SplitAt(cut domain.Value) (left, right []domain.Value) {
-	if s.Virtual {
-		panic("segment: SplitAt on a virtual segment")
-	}
-	if cut < s.Rng.Lo || cut >= s.Rng.Hi {
-		panic(fmt.Sprintf("segment: cut %d outside splittable interior of %v", cut, s.Rng))
-	}
-	vals := s.values()
-	left = make([]domain.Value, 0, len(vals))
-	right = make([]domain.Value, 0, len(vals))
-	for _, v := range vals {
-		if v <= cut {
-			left = append(left, v)
-		} else {
-			right = append(right, v)
-		}
-	}
-	return left, right
+	buf := decodeBufs.Get().(*[]domain.Value)
+	*buf = s.AppendSelect(q, (*buf)[:0])
+	out := make([]domain.Value, len(*buf))
+	copy(out, *buf)
+	decodeBufs.Put(buf)
+	return out
 }
 
 // MeanValue approximates the mean of the segment's value range. APM rule 3

@@ -88,9 +88,24 @@ func TestEstimatePiece(t *testing.T) {
 	}
 }
 
+// partition cuts s three ways by query range q through Split, the way
+// the Segmenter does, returning the payloads as left, mid and right —
+// nil for a side q leaves no piece on.
+func partition(s *Segment, q domain.Range) (left, mid, right []domain.Value) {
+	sp := domain.Cut(s.Rng, q)
+	pieces := s.Split(sp.Cuts()...)
+	if !sp.Left.IsEmpty() {
+		left, pieces = pieces[0].Vals, pieces[1:]
+	}
+	if !sp.Right.IsEmpty() {
+		right = pieces[1].Vals
+	}
+	return left, pieces[0].Vals, right
+}
+
 func TestPartitionThreeWay(t *testing.T) {
 	s := NewMaterialized(domain.NewRange(0, 99), vals(5, 20, 40, 60, 80, 95))
-	left, mid, right := s.Partition(domain.NewRange(30, 70))
+	left, mid, right := partition(s, domain.NewRange(30, 70))
 	if !sameMultiset(left, vals(5, 20)) {
 		t.Errorf("left = %v", left)
 	}
@@ -104,7 +119,7 @@ func TestPartitionThreeWay(t *testing.T) {
 
 func TestPartitionCoversAll(t *testing.T) {
 	s := NewMaterialized(domain.NewRange(10, 20), vals(10, 15, 20))
-	left, mid, right := s.Partition(domain.NewRange(0, 100))
+	left, mid, right := partition(s, domain.NewRange(0, 100))
 	if left != nil || right != nil {
 		t.Errorf("left/right = %v/%v, want nil", left, right)
 	}
@@ -116,10 +131,10 @@ func TestPartitionCoversAll(t *testing.T) {
 func TestPartitionVirtualPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Partition on virtual did not panic")
+			t.Fatal("Split on virtual did not panic")
 		}
 	}()
-	NewVirtual(domain.NewRange(0, 9), 5).Partition(domain.NewRange(0, 5))
+	NewVirtual(domain.NewRange(0, 9), 5).Split(5)
 }
 
 func TestSelect(t *testing.T) {
@@ -132,7 +147,8 @@ func TestSelect(t *testing.T) {
 
 func TestSplitAt(t *testing.T) {
 	s := NewMaterialized(domain.NewRange(0, 99), vals(10, 50, 51, 90))
-	left, right := s.SplitAt(50)
+	pieces := s.Split(50)
+	left, right := pieces[0].Vals, pieces[1].Vals
 	if !sameMultiset(left, vals(10, 50)) {
 		t.Errorf("left = %v", left)
 	}
@@ -143,14 +159,14 @@ func TestSplitAt(t *testing.T) {
 
 func TestSplitAtPanicsOutsideInterior(t *testing.T) {
 	s := NewMaterialized(domain.NewRange(0, 99), nil)
-	for _, cut := range []domain.Value{-1, 99, 200} {
+	for _, cuts := range [][]domain.Value{{-1}, {99}, {200}, {50, 50}, {60, 40}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SplitAt(%d) did not panic", cut)
+					t.Errorf("Split(%v) did not panic", cuts)
 				}
 			}()
-			s.SplitAt(cut)
+			s.Split(cuts...)
 		}()
 	}
 }
@@ -206,12 +222,7 @@ func TestNewListSingleSegment(t *testing.T) {
 func TestListReplaceAndOverlapping(t *testing.T) {
 	l := newTestList()
 	s := l.Seg(0)
-	left, mid, right := s.Partition(domain.NewRange(30, 59))
-	l = l.Replaced(0,
-		NewMaterialized(domain.NewRange(0, 29), left),
-		NewMaterialized(domain.NewRange(30, 59), mid),
-		NewMaterialized(domain.NewRange(60, 99), right),
-	)
+	l = l.Replaced(0, s.Split(29, 59)...)
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d", l.Len())
 	}
@@ -266,12 +277,7 @@ func TestListReplacePanicsOnWrongBounds(t *testing.T) {
 func TestListGlue(t *testing.T) {
 	l := newTestList()
 	s := l.Seg(0)
-	left, mid, right := s.Partition(domain.NewRange(30, 59))
-	l = l.Replaced(0,
-		NewMaterialized(domain.NewRange(0, 29), left),
-		NewMaterialized(domain.NewRange(30, 59), mid),
-		NewMaterialized(domain.NewRange(60, 99), right),
-	)
+	l = l.Replaced(0, s.Split(29, 59)...)
 	before := l.TotalCount()
 	l = l.Glued(0, 1)
 	if l.Len() != 2 {
@@ -349,7 +355,7 @@ func TestPartitionPropertyMultisetPreserved(t *testing.T) {
 			a, b = b, a
 		}
 		q := domain.Range{Lo: a, Hi: b}
-		left, mid, right := s.Partition(q)
+		left, mid, right := partition(s, q)
 		union := append(append(append([]domain.Value{}, left...), mid...), right...)
 		if !sameMultiset(union, vs) {
 			return false
@@ -406,16 +412,7 @@ func TestListPropertyRandomSplitsKeepInvariants(t *testing.T) {
 			if sp.Left.IsEmpty() && sp.Right.IsEmpty() {
 				continue
 			}
-			left, mid, right := s.Partition(q)
-			subs := make([]*Segment, 0, 3)
-			if !sp.Left.IsEmpty() {
-				subs = append(subs, NewMaterialized(sp.Left, left))
-			}
-			subs = append(subs, NewMaterialized(sp.Overlap, mid))
-			if !sp.Right.IsEmpty() {
-				subs = append(subs, NewMaterialized(sp.Right, right))
-			}
-			l = l.Replaced(i, subs...)
+			l = l.Replaced(i, s.Split(sp.Cuts()...)...)
 		}
 		if err := l.Validate(); err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, l.Dump())

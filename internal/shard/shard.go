@@ -228,13 +228,23 @@ func Partition(extent domain.Range, k int) []domain.Range {
 
 // SplitValues partitions vals by the given shard ranges, preserving the
 // relative order of values within each part (the order-preserving
-// scatter of a radix partition step). Values must all lie inside the
-// ranges' union.
+// scatter of a radix partition step): a counting pass sizes every part
+// exactly, so a shard's initial segment keeps no slack. Values must all
+// lie inside the ranges' union.
 func SplitValues(ranges []domain.Range, vals []domain.Value) [][]domain.Value {
 	parts := make([][]domain.Value, len(ranges))
 	if len(ranges) == 1 {
 		parts[0] = vals
 		return parts
+	}
+	counts := make([]int, len(ranges))
+	for _, v := range vals {
+		counts[rangeOf(ranges, v)]++
+	}
+	for i, n := range counts {
+		if n > 0 {
+			parts[i] = make([]domain.Value, 0, n)
+		}
 	}
 	for _, v := range vals {
 		i := rangeOf(ranges, v)
