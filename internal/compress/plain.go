@@ -66,16 +66,30 @@ func (p *PlainVector) Raw() []int64 { return p.vals }
 // AppendTo implements Vector.
 func (p *PlainVector) AppendTo(dst []int64) []int64 { return append(dst, p.vals...) }
 
-// SelectRange implements Vector: one unsigned compare per value,
-// v-lo <= hi-lo, written branch-free a block at a time as in
-// DictVector.SelectRange.
+// SelectRange implements Vector with SelectPlain.
 func (p *PlainVector) SelectRange(lo, hi int64, dst []int64) []int64 {
+	return SelectPlain(p.vals, lo, hi, dst)
+}
+
+// CountRange implements Vector with CountPlain.
+func (p *PlainVector) CountRange(lo, hi int64) int64 { return CountPlain(p.vals, lo, hi) }
+
+// SumRange implements Vector with SumPlain.
+func (p *PlainVector) SumRange(lo, hi int64) (int64, int64) { return SumPlain(p.vals, lo, hi) }
+
+// SelectPlain appends the values of vals in [lo, hi], in order, to dst:
+// one unsigned compare per value, v-lo <= hi-lo, written branch-free a
+// block at a time as in DictVector.SelectRange. When nothing qualifies
+// (an inverted range included) dst comes back untouched. It, CountPlain
+// and SumPlain are the one Plain kernel set: PlainVector and raw segment
+// payloads both run them.
+func SelectPlain(vals []int64, lo, hi int64, dst []int64) []int64 {
 	if lo > hi {
 		return dst
 	}
 	span := uint64(hi) - uint64(lo)
 	base := dst
-	for vals := p.vals; len(vals) > 0; {
+	for len(vals) > 0 {
 		blk := vals[:min(blockLen, len(vals))]
 		vals = vals[len(blk):]
 		dst = slices.Grow(dst, len(blk))
@@ -94,14 +108,20 @@ func (p *PlainVector) SelectRange(lo, hi int64, dst []int64) []int64 {
 	return dst
 }
 
-// CountRange implements Vector.
-func (p *PlainVector) CountRange(lo, hi int64) int64 {
+// SelectCap is the capacity a select destination needs to take est rows
+// without regrowing: the branch-free select kernels grow dst by a whole
+// block before they know how many of its rows qualify.
+func SelectCap(est int64) int64 { return est + blockLen }
+
+// CountPlain counts the values of vals in [lo, hi] with SelectPlain's
+// compare.
+func CountPlain(vals []int64, lo, hi int64) int64 {
 	if lo > hi {
 		return 0
 	}
 	span := uint64(hi) - uint64(lo)
 	var n int64
-	for _, v := range p.vals {
+	for _, v := range vals {
 		if uint64(v)-uint64(lo) <= span {
 			n++
 		}
@@ -109,14 +129,14 @@ func (p *PlainVector) CountRange(lo, hi int64) int64 {
 	return n
 }
 
-// SumRange implements Vector.
-func (p *PlainVector) SumRange(lo, hi int64) (int64, int64) {
+// SumPlain returns the count and the (wrapping) sum of the values of
+// vals in [lo, hi], with SelectPlain's compare.
+func SumPlain(vals []int64, lo, hi int64) (n, sum int64) {
 	if lo > hi {
 		return 0, 0
 	}
 	span := uint64(hi) - uint64(lo)
-	var n, sum int64
-	for _, v := range p.vals {
+	for _, v := range vals {
 		if uint64(v)-uint64(lo) <= span {
 			n++
 			sum += v

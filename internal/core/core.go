@@ -137,7 +137,8 @@ func (p *part) appendTo(r *result.Rope) {
 // whole lends its materialized slice to the rows sink when its storage
 // form has one, and answers the aggregate sinks from its (count, sum)
 // summary without reading the payload; a partially covered segment is
-// filtered, counted or summed on its (possibly compressed) form.
+// filtered, counted or summed on its (possibly compressed) form, its rows
+// chunk presized by AppendSelect.
 func collect(sg *segment.Segment, q domain.Range, k sink) part {
 	covered := q.ContainsRange(sg.Rng)
 	switch {

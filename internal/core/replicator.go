@@ -628,10 +628,9 @@ func (r *Replicator) analyzeBuild(c, n *node, depth int, q domain.Range, st *Que
 	if !n.isLeaf() {
 		kids := n.children
 		changed := false
-		for i, ch := range n.children {
-			if !ch.seg.Rng.Overlaps(q) {
-				continue
-			}
+		lo, hi := n.overlapWindow(q)
+		for i := lo; i < hi; i++ {
+			ch := n.children[i]
 			if nc := r.analyzeBuild(c, ch, depth+1, q, st); nc != ch {
 				if !changed {
 					kids = append([]*node(nil), n.children...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"selforg/internal/domain"
@@ -131,15 +132,25 @@ func (n *node) dump(b *strings.Builder, depth int) {
 	}
 }
 
-// overlapChildren returns the children of n overlapping q.
-func (n *node) overlapChildren(q domain.Range) []*node {
-	out := make([]*node, 0, len(n.children))
-	for _, c := range n.children {
-		if c.seg.Rng.Overlaps(q) {
-			out = append(out, c)
-		}
+// overlapWindow returns the half-open index interval [i, j) of n's
+// children overlapping q. Children tile n in ascending order, so they are
+// contiguous and two binary searches find them — segment.List.Overlapping's
+// meta-index lookup, touching no payload and allocating nothing.
+func (n *node) overlapWindow(q domain.Range) (i, j int) {
+	if q.IsEmpty() {
+		return 0, 0
 	}
-	return out
+	kids := n.children
+	i = sort.Search(len(kids), func(k int) bool { return kids[k].seg.Rng.Hi >= q.Lo })
+	j = sort.Search(len(kids), func(k int) bool { return kids[k].seg.Rng.Lo > q.Hi })
+	return i, max(i, j)
+}
+
+// overlapChildren returns the children of n overlapping q: a window of
+// n.children, not a copy.
+func (n *node) overlapChildren(q domain.Range) []*node {
+	i, j := n.overlapWindow(q)
+	return n.children[i:j]
 }
 
 // getCover implements Algorithm 3 on a pinned root: the minimal set of

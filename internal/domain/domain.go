@@ -9,7 +9,10 @@
 // integer domain by fixed-point scaling in internal/sky.
 package domain
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Value is a point in the attribute domain. The paper assumes an integer
 // domain for split arithmetic; 64 bits cover every column type we scale
@@ -39,11 +42,42 @@ func Empty() Range { return Range{Lo: 1, Hi: 0} }
 func (r Range) IsEmpty() bool { return r.Lo > r.Hi }
 
 // Width returns the number of domain values in r (0 for empty ranges).
+// It wraps on ranges of more than MaxInt64 values (the full int64 extent
+// gives 0), which the split rules read as "not splittable"; Prorate does
+// not wrap.
 func (r Range) Width() int64 {
 	if r.IsEmpty() {
 		return 0
 	}
 	return r.Hi - r.Lo + 1
+}
+
+// Prorate returns the share of n that falls into piece when n is spread
+// uniformly over r: n × |r ∩ piece| / |r|, within [0, n]. It is the one
+// uniform estimate of segment and piece sizes (§3.2.2 "using estimates of
+// the segment sizes"). The widths are taken in float64, where no extent
+// wraps, the full int64 one of 2^64 values included.
+func (r Range) Prorate(n int64, piece Range) int64 {
+	ov := r.Intersect(piece)
+	switch {
+	case ov.IsEmpty():
+		return 0
+	case ov == r:
+		return n
+	}
+	if f := float64(n) * ov.span() / r.span(); f < float64(n) {
+		return int64(f)
+	}
+	return n
+}
+
+// span is the number of values in the non-empty r as a float64: the
+// exact Width below 2^53, and 2^64 on the full extent.
+func (r Range) span() float64 {
+	if d := uint64(r.Hi) - uint64(r.Lo); d < math.MaxUint64 {
+		return float64(d + 1)
+	}
+	return 0x1p64
 }
 
 // Contains reports whether v lies inside r.

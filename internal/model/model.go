@@ -30,11 +30,7 @@ type SegmentInfo struct {
 // spread uniformly over the segment's range (§3.2.2 "using estimates of
 // the segment sizes").
 func (s SegmentInfo) estBytes(piece domain.Range) int64 {
-	ov := s.Rng.Intersect(piece)
-	if ov.IsEmpty() || s.Rng.Width() == 0 {
-		return 0
-	}
-	return int64(float64(s.Bytes) * float64(ov.Width()) / float64(s.Rng.Width()))
+	return s.Rng.Prorate(s.Bytes, piece)
 }
 
 // Action says how the segment should be reorganized.

@@ -24,6 +24,12 @@ import (
 // buffer manager and tracers to track segments across reorganizations.
 var idCounter atomic.Int64
 
+// presizeMax caps the rows a nil-destination AppendSelect reserves up
+// front. Past it the result grows by append's doubling, so on skewed
+// data, where the uniform estimate may far exceed the qualifying rows, a
+// select reserves at most 256 KB it does not fill.
+const presizeMax = 1 << 15
+
 // Segment is one value-ranged piece of a column. A materialized segment
 // carries its payload either raw (Vals) or compressed (Enc, produced by a
 // compress.Codec when the self-organizing loop re-encodes the segment);
@@ -39,9 +45,9 @@ var idCounter atomic.Int64
 // Concurrency contract: once a materialized segment is published in a
 // List snapshot it is immutable — reorganization replaces segments with
 // fresh ones instead of rewriting payloads, so lock-free readers can scan
-// any snapshot they hold. (Encode/Decode are construction-time
-// operations: they may only run before the segment is published, or on
-// segments owned exclusively by a single writer, as in the replica tree.)
+// any snapshot they hold. (Encode is a construction-time operation: it
+// may only run before the segment is published, or on segments owned
+// exclusively by a single writer, as in the replica tree.)
 type Segment struct {
 	ID       int64
 	Rng      domain.Range
@@ -58,17 +64,30 @@ func NewMaterialized(rng domain.Range, vals []domain.Value) *Segment {
 	return &Segment{ID: idCounter.Add(1), Rng: rng, Vals: vals, sum: checkedSum(rng, vals)}
 }
 
-// checkedSum returns Σ vals, panicking if any value falls outside rng —
-// the one pass that both guards the meta-index and fixes the summary.
+// checkedSum returns Σ vals, panicking on the first value outside rng —
+// the one pass that both guards the meta-index and fixes the summary:
+// Split's branch-free sum and extremes, then guardRange.
 func checkedSum(rng domain.Range, vals []domain.Value) int64 {
 	var sum int64
+	vmin, vmax := domain.Value(math.MaxInt64), domain.Value(math.MinInt64)
+	for _, v := range vals {
+		sum, vmin, vmax = sum+v, min(vmin, v), max(vmax, v)
+	}
+	guardRange(rng, vals, vmin, vmax)
+	return sum
+}
+
+// guardRange is the O(1) range guard on the extremes vmin, vmax of vals;
+// only a breach rescans vals, to name the first value outside rng.
+func guardRange(rng domain.Range, vals []domain.Value, vmin, vmax domain.Value) {
+	if len(vals) == 0 || rng.Contains(vmin) && rng.Contains(vmax) {
+		return
+	}
 	for _, v := range vals {
 		if !rng.Contains(v) {
 			panic(fmt.Sprintf("segment: value %d outside range %v", v, rng))
 		}
-		sum += v
 	}
-	return sum
 }
 
 // NewVirtual builds a virtual segment with an estimated element count.
@@ -145,16 +164,6 @@ func (s *Segment) EncodedCopy(c *compress.Codec) *Segment {
 	return cp
 }
 
-// Decode converts an encoded payload back to raw storage (no-op
-// otherwise).
-func (s *Segment) Decode() {
-	if s.Enc == nil {
-		return
-	}
-	s.Vals = s.Enc.AppendTo(make([]domain.Value, 0, s.Enc.Len()))
-	s.Enc = nil
-}
-
 // Filled returns a fresh materialized raw segment with s's identity (ID
 // and range) holding vals: the receiver (possibly published in an older
 // tree snapshot) is left untouched, so lock-free readers of that
@@ -228,22 +237,24 @@ func (s *Segment) AppendValues(dst []domain.Value) []domain.Value {
 	return append(dst, s.Vals...)
 }
 
-// AppendSelect appends the values matching q, in order, to dst. Encoded
-// payloads use their compressed-form fast path (run skipping, dictionary
-// or frame pruning) instead of decompressing.
+// AppendSelect appends the values matching q, in order, to dst; when
+// none does, a non-nil dst comes back untouched. A nil dst is allocated
+// once, presized from EstimatePiece plus an eighth for its error, capped
+// at presizeMax rows. Encoded payloads use their compressed-form fast
+// path (run skipping, dictionary or frame pruning) instead of
+// decompressing, raw ones the Plain kernel.
 func (s *Segment) AppendSelect(q domain.Range, dst []domain.Value) []domain.Value {
 	if s.Virtual {
 		panic("segment: AppendSelect on a virtual segment")
 	}
+	if dst == nil {
+		est := s.EstimatePiece(q)
+		dst = make([]domain.Value, 0, min(compress.SelectCap(est+est/8), s.Count(), presizeMax))
+	}
 	if s.Enc != nil {
 		return s.Enc.SelectRange(q.Lo, q.Hi, dst)
 	}
-	for _, v := range s.Vals {
-		if q.Contains(v) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
+	return compress.SelectPlain(s.Vals, q.Lo, q.Hi, dst)
 }
 
 // SelectCount counts the values matching q without materializing them —
@@ -255,19 +266,14 @@ func (s *Segment) SelectCount(q domain.Range) int64 {
 	if s.Enc != nil {
 		return s.Enc.CountRange(q.Lo, q.Hi)
 	}
-	var n int64
-	for _, v := range s.Vals {
-		if q.Contains(v) {
-			n++
-		}
-	}
-	return n
+	return compress.CountPlain(s.Vals, q.Lo, q.Hi)
 }
 
 // SelectSum returns the count and the sum of the values matching q
 // without materializing them — the summing path of Column.Sum. A query
 // covering the whole segment is answered from the summary; otherwise an
-// encoded payload sums on its compressed form (compress.Vector.SumRange).
+// encoded payload sums on its compressed form (compress.Vector.SumRange),
+// a raw one with the Plain kernel.
 func (s *Segment) SelectSum(q domain.Range) (n, sum int64) {
 	if s.Virtual {
 		panic("segment: SelectSum on a virtual segment")
@@ -278,13 +284,7 @@ func (s *Segment) SelectSum(q domain.Range) (n, sum int64) {
 	if s.Enc != nil {
 		return s.Enc.SumRange(q.Lo, q.Hi)
 	}
-	for _, v := range s.Vals {
-		if q.Contains(v) {
-			n++
-			sum += v
-		}
-	}
-	return n, sum
+	return compress.SumPlain(s.Vals, q.Lo, q.Hi)
 }
 
 // EstimatePiece estimates how many of s's elements fall into piece,
@@ -292,11 +292,7 @@ func (s *Segment) SelectSum(q domain.Range) (n, sum int64) {
 // consult this *before* any scan happens (§3.2: "using estimates of the
 // segment sizes").
 func (s *Segment) EstimatePiece(piece domain.Range) int64 {
-	ov := s.Rng.Intersect(piece)
-	if ov.IsEmpty() || s.Rng.Width() == 0 {
-		return 0
-	}
-	return s.Count() * ov.Width() / s.Rng.Width()
+	return s.Rng.Prorate(s.Count(), piece)
 }
 
 // Split cuts the materialized segment into len(cuts)+1 fresh raw
@@ -353,9 +349,7 @@ func (s *Segment) Split(cuts ...domain.Value) []*Segment {
 		sum1 += v & m1
 		vmin, vmax = min(vmin, v), max(vmax, v)
 	}
-	if len(vals) > 0 && (!s.Rng.Contains(vmin) || !s.Rng.Contains(vmax)) {
-		panic(fmt.Sprintf("segment: values [%d, %d] outside range %v", vmin, vmax, s.Rng))
-	}
+	guardRange(s.Rng, vals, vmin, vmax)
 	counts := [3]int{len(vals) - above0, above0 - above1, above1}
 	sums := [3]int64{sum - sum0, sum0 - sum1, sum1}
 	var parts [3][]domain.Value

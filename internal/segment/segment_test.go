@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -75,16 +76,41 @@ func TestNewVirtualClampsNegative(t *testing.T) {
 	}
 }
 
+// TestEstimatePiece holds the uniform estimate to within one of its exact
+// floor, Count × overlap width / range width (float64 widths round), on
+// narrow extents and on the wide ones where the product leaves int64 and
+// Width wraps: ±2^62 and the full int64 extent.
 func TestEstimatePiece(t *testing.T) {
-	s := NewVirtual(domain.NewRange(0, 99), 100)
-	if got := s.EstimatePiece(domain.NewRange(0, 49)); got != 50 {
-		t.Errorf("estimate lower half = %d, want 50", got)
+	const m = 1_000_000
+	full := domain.Range{Lo: math.MinInt64, Hi: math.MaxInt64}
+	cases := []struct {
+		name  string
+		rng   domain.Range
+		count int64
+		piece domain.Range
+		want  int64
+	}{
+		{"lower half", domain.NewRange(0, 99), 100, domain.NewRange(0, 49), 50},
+		{"tail", domain.NewRange(0, 99), 100, domain.NewRange(90, 99), 10},
+		{"disjoint", domain.NewRange(0, 99), 100, domain.NewRange(200, 300), 0},
+		{"empty piece", domain.NewRange(0, 99), 100, domain.Empty(), 0},
+		{"covering piece", domain.NewRange(0, 99), 100, full, 100},
+		{"2^61 lower half", domain.NewRange(0, 1<<61), m, domain.NewRange(0, 1<<60), 500_000},
+		{"±2^62 lower half", domain.NewRange(-1<<62, 1<<62), m, domain.NewRange(-1<<62, -1), 499_999},
+		{"±2^62 upper half", domain.NewRange(-1<<62, 1<<62), m, domain.NewRange(0, 1<<62), 500_000},
+		{"±2^62 whole", domain.NewRange(-1<<62, 1<<62), m, domain.NewRange(-1<<62, 1<<62), m},
+		{"full extent lower half", full, m, domain.NewRange(math.MinInt64, -1), 500_000},
+		{"full extent but one value", full, m, domain.NewRange(math.MinInt64, math.MaxInt64-1), m - 1},
+		{"full extent one value", full, m, domain.NewRange(7, 7), 0},
+		{"full extent whole", full, m, full, m},
+		{"full extent, MaxInt64 rows", full, math.MaxInt64, domain.NewRange(0, math.MaxInt64), 1<<62 - 1},
+		{"full extent but one value, MaxInt64 rows", full, math.MaxInt64, domain.NewRange(math.MinInt64, math.MaxInt64-1), math.MaxInt64 - 1},
 	}
-	if got := s.EstimatePiece(domain.NewRange(90, 99)); got != 10 {
-		t.Errorf("estimate tail = %d, want 10", got)
-	}
-	if got := s.EstimatePiece(domain.NewRange(200, 300)); got != 0 {
-		t.Errorf("estimate disjoint = %d, want 0", got)
+	for _, c := range cases {
+		got := NewVirtual(c.rng, c.count).EstimatePiece(c.piece)
+		if got < 0 || got > c.count || got < c.want-1 || got > c.want+1 {
+			t.Errorf("%s: EstimatePiece(%v) of %d over %v = %d, want %d", c.name, c.piece, c.count, c.rng, got, c.want)
+		}
 	}
 }
 

@@ -27,8 +27,8 @@ func parent(rng domain.Range, vals []domain.Value, mode compress.Mode) *Segment 
 // checkSplit cuts s at cuts and holds every piece to the stable filter of
 // the decoded payload by the piece's range: same values in the same
 // order, at exact capacity, raw, with the summary equal to Σ and IDs
-// ascending in piece order.
-func checkSplit(t *testing.T, name string, s *Segment, cuts []domain.Value) {
+// ascending in piece order. It returns the pieces.
+func checkSplit(t *testing.T, name string, s *Segment, cuts []domain.Value) []*Segment {
 	t.Helper()
 	all := s.AppendValues(nil)
 	pieces := s.Split(cuts...)
@@ -64,6 +64,31 @@ func checkSplit(t *testing.T, name string, s *Segment, cuts []domain.Value) {
 		case i > 0 && p.ID <= pieces[i-1].ID:
 			t.Fatalf("%s %v: piece IDs %d, %d do not ascend", name, cuts, pieces[i-1].ID, p.ID)
 		}
+	}
+	return pieces
+}
+
+// checkRawKernels holds a raw segment's SelectCount, AppendSelect and
+// SelectSum on q to a naive loop over its payload.
+func checkRawKernels(t *testing.T, name string, s *Segment, q domain.Range) {
+	t.Helper()
+	var want []domain.Value
+	var sum int64
+	for _, v := range s.Vals {
+		if v >= q.Lo && v <= q.Hi {
+			want = append(want, v)
+			sum += v
+		}
+	}
+	n := int64(len(want))
+	if got := s.SelectCount(q); got != n {
+		t.Fatalf("%s %v on %v: SelectCount = %d, want %d", name, q, s, got, n)
+	}
+	if got := s.AppendSelect(q, nil); !slices.Equal(got, want) {
+		t.Fatalf("%s %v on %v: AppendSelect = %v, want %v", name, q, s, got, want)
+	}
+	if gn, gs := s.SelectSum(q); gn != n || gs != sum {
+		t.Fatalf("%s %v on %v: SelectSum = (%d, %d), want (%d, %d)", name, q, s, gn, gs, n, sum)
 	}
 }
 
@@ -155,7 +180,10 @@ func TestSplitPanicsOnValuesOutsideRange(t *testing.T) {
 // shifted right by shift (so every bit width occurs) and offset by base;
 // the parent covers exactly their extremes (one value wider when they
 // coincide), stored in the form mode picks; c1 and c2 are folded into
-// its splittable interior.
+// its splittable interior. Every piece's raw kernels are then held to a
+// naive loop on [c1, c2] as drawn, on the folded pair in the order drawn
+// and on the first folded cut alone: out-of-extent, inverted,
+// boundary-touching and single-value ranges all occur.
 func FuzzSplit(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, int64(0), uint8(60), uint8(4), int64(3), int64(9))
 	f.Fuzz(func(t *testing.T, data []byte, base int64, shift, mode uint8, c1, c2 int64) {
@@ -175,13 +203,19 @@ func FuzzSplit(f *testing.F) {
 		}
 		s := parent(r, vs, parentModes[int(mode)%len(parentModes)])
 		var cuts []domain.Value
+		qs := []domain.Range{{Lo: c1, Hi: c2}}
 		if interior := uint64(r.Hi) - uint64(r.Lo); interior > 0 {
 			for _, c := range []int64{c1, c2} {
 				cuts = append(cuts, int64(uint64(r.Lo)+uint64(c)%interior))
 			}
+			qs = append(qs, domain.Range{Lo: cuts[0], Hi: cuts[1]}, domain.Range{Lo: cuts[0], Hi: cuts[0]})
 			slices.Sort(cuts)
 			cuts = slices.Compact(cuts)
 		}
-		checkSplit(t, "fuzz", s, cuts)
+		for _, p := range checkSplit(t, "fuzz", s, cuts) {
+			for _, q := range qs {
+				checkRawKernels(t, "fuzz", p, q)
+			}
+		}
 	})
 }
