@@ -24,10 +24,13 @@ import (
 
 // Tracer observes segment lifecycle events during query processing. The
 // prototype harness uses it to drive the buffer pool; tests use it to
-// assert on reorganization behaviour. All methods are called synchronously
-// during Select — from the querying goroutine or its scan workers, so a
-// Tracer on a strategy queried by several goroutines (or with scan
-// fan-out) must be safe for concurrent use.
+// assert on reorganization behaviour. All methods are called
+// synchronously from the querying goroutine, in plan order — never from
+// scan workers — so one querying goroutine sees the same sequence at
+// every parallelism. It is called concurrently only when several
+// goroutines query the strategy, or through a sharded column with an
+// explicit parallelism > 1 (its shards are queried concurrently); it
+// must then be safe for concurrent use.
 type Tracer interface {
 	// Scan reports that a materialized segment was read top to bottom.
 	Scan(segID int64, bytes int64)
@@ -158,18 +161,17 @@ func collect(sg *segment.Segment, q domain.Range, k sink) part {
 	return part{total: total{n, sum}}
 }
 
-// FanOut is the one bounded worker pool of the engine: it runs do(w, i)
-// exactly once for every i in [0, n) on min(par, n) workers and returns
-// when all have run. w < min(par, n) names the worker, so a caller keeps
-// per-index result slots and per-worker accumulators and merges them in
-// index order — the outcome is then independent of scheduling and
-// byte-identical to serial. With par <= 1 (or n < 2) everything runs on
-// the caller's goroutine as worker 0.
-func FanOut(n, par int, do func(w, i int)) {
+// FanOut is the one bounded worker pool of the engine: it runs do(i)
+// exactly once for every i in [0, n) on at most min(par, n) workers and
+// returns when all have run. A caller keeps per-index result slots and
+// merges them in index order — the outcome is then independent of
+// scheduling and byte-identical to serial. With par <= 1 (or n < 2)
+// everything runs on the caller's goroutine.
+func FanOut(n, par int, do func(i int)) {
 	workers := min(par, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			do(0, i)
+			do(i)
 		}
 		return
 	}
@@ -177,12 +179,12 @@ func FanOut(n, par int, do func(w, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				do(w, i)
+				do(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

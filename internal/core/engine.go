@@ -49,10 +49,10 @@ type engine[B any] struct {
 	// Mu is the single-writer path: model decisions and every base
 	// mutation (splits, replica materialization, drops, bulk loads,
 	// merge-backs, re-encoding) happen under it. No reader scans under
-	// it unless its own plan reorganizes: a Replicator query never takes
-	// it to read (its adaptation drain only TryLocks), a Segmenter query
-	// takes it to plan and gives it back before scanning whenever the
-	// plan holds no split; pinned views never take it.
+	// it: a Replicator query never takes it to read (its adaptation
+	// drain only TryLocks), a Segmenter query takes it to plan, gives it
+	// back before scanning and re-takes it only to apply the splits its
+	// plan holds; pinned views never take it.
 	Mu  sync.Mutex
 	cur atomic.Pointer[published[B]]
 	// Delta is the column's MVCC write store: queries pin it beside the

@@ -46,10 +46,11 @@ import (
 // identical to the fully locked implementation this replaces.
 //
 // With SetParallelism(n > 1) the result extraction of one query fans out
-// across the (disjoint) covering segments through FanOut, with
-// per-worker stats deltas merged in cover order. An attached Tracer must
-// be safe for concurrent use when multiple goroutines query the column
-// (scan events are no longer serialized by a query lock).
+// across the (disjoint) covering segments through FanOut, with the parts
+// merged in cover order. Scan workers never call the Tracer: the querying
+// goroutine books every Scan in cover order while it assembles the
+// result. Several goroutines querying the column call the Tracer
+// concurrently (scan events are not serialized by a query lock).
 type Replicator struct {
 	// eng owns the published (root, delta) pair, the writer mutex and
 	// the merge-back protocol, shared with the Segmenter.
@@ -454,19 +455,19 @@ func (r *Replicator) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, 
 	}
 
 	// The per-cover work is read-only on disjoint segments: parts land in
-	// cover-order slots, per-worker read volumes are merged after.
+	// cover-order slots. The "single scan of the covering segment" (§5) —
+	// read volume and the tracer's Scan — is booked in cover order by the
+	// assembly loop, on the querying goroutine.
 	parts := make([]part, len(cover))
-	reads := make([]QueryStats, min(par, len(cover)))
-	FanOut(len(cover), par, func(w, i int) {
-		r.accountScan(cover[i], &reads[w])
+	FanOut(len(cover), par, func(i int) {
 		parts[i] = collect(cover[i].seg, q, k)
 	})
-	for i := range reads {
-		st.ReadBytes += reads[i].ReadBytes
-	}
 	rope := result.New()
 	var t total
-	for i := range parts {
+	for i, c := range cover {
+		b := int64(c.seg.StoredBytes(r.elemSize))
+		st.ReadBytes += b
+		r.tracer.Scan(c.seg.ID, b)
 		if k == sinkRows {
 			parts[i].appendTo(rope)
 		}
@@ -889,14 +890,4 @@ func (r *Replicator) snapshot(st *QueryStats) {
 // density — "its size is estimated, but no data is copied" (§5).
 func (r *Replicator) newVirtualNode(parent *segment.Segment, rng domain.Range) *node {
 	return &node{seg: segment.NewVirtual(rng, parent.EstimatePiece(rng))}
-}
-
-// accountScan books the "single scan of the covering segment" (§5): read
-// volume and the tracer event. It reads only the pinned covering
-// segment, so any number of queries (and their fan-out workers) scan
-// concurrently with no lock.
-func (r *Replicator) accountScan(c *node, st *QueryStats) {
-	bytes := int64(c.seg.StoredBytes(r.elemSize))
-	st.ReadBytes += bytes
-	r.tracer.Scan(c.seg.ID, bytes)
 }

@@ -32,17 +32,16 @@ import (
 //
 // The Segmenter is safe for concurrent use. Segment lists are immutable
 // snapshots published through an atomic pointer, so a scan never observes
-// a half-reorganized column. A query takes the writer mutex eng.Mu only
-// to plan: it pins the (list, delta) pair and consults the stateful model
-// for each partially covered segment — microseconds. A plan that holds no
-// split gives the lock back before any segment payload is read, so pure
-// reads never serialize behind each other, behind reorganization, bulk
-// loads or merge-backs; a plan that splits either keeps the lock through
-// its serial scan (the paper's Algorithm 1 interleaving) or, fanned out,
-// re-takes it to apply its split intents, each re-validated against the
-// current list by segment identity so identical piggy-backed work from
-// concurrent scans coalesces into one application instead of racing (see
-// run).
+// a half-reorganized column. Every query runs one protocol (see run): it
+// takes the writer mutex eng.Mu to plan — pin the (list, delta) pair and
+// consult the stateful model for each partially covered segment,
+// microseconds — and gives it back before any segment payload is read.
+// A plan that holds no split never takes the lock again, so pure reads
+// never serialize behind each other, behind reorganization, bulk loads or
+// merge-backs; a plan that splits re-takes it once, after its scans, to
+// apply its split intents, each re-validated against the current list by
+// segment identity so identical piggy-backed work from concurrent scans
+// coalesces into one application instead of racing.
 //
 // All reorganization — split application, gluing, re-encoding, bulk
 // loads, merge-backs — happens under eng.Mu. Retired snapshots are
@@ -50,19 +49,19 @@ import (
 // (RCU-style retirement).
 //
 // With SetParallelism(n > 1), the per-segment scan work of a single query
-// fans out across n workers (FanOut), each accumulating its own
-// QueryStats delta; the deltas and the per-segment results are merged in
-// segment order, so results are deterministic and byte-identical to the
-// serial path. An attached Tracer must be safe for concurrent use when
-// parallelism is enabled or when several goroutines query the column
-// (split-free scans are not serialized by the lock), and its events may
-// be reordered relative to serial execution.
+// fans out across n workers (FanOut); the per-segment results are merged
+// in segment order, so results are deterministic and byte-identical to
+// the serial path. Scan workers never call the Tracer: the query's own
+// goroutine emits every event, in plan order, while it assembles the
+// result, so one querying goroutine sees Algorithm 1's event order at
+// every parallelism. Several goroutines querying the column call the
+// Tracer concurrently.
 type Segmenter struct {
 	// eng owns the published (list, delta) pair, the writer mutex and
 	// the merge-back protocol, shared with the Replicator. eng.Mu is the
 	// single-writer path: model decisions (the models are stateful — GD
 	// owns a random stream, AutoAPM tunes its bounds) and every list
-	// mutation happen under it; scans of split-free plans do not.
+	// mutation happen under it; scans never do.
 	eng engine[segment.List]
 	// deltaWriter is the MVCC point-write surface (delta.go), shared with
 	// the Replicator.
@@ -108,8 +107,8 @@ func NewSegmenter(extent domain.Range, vals []domain.Value, elemSize int64, m mo
 // multi-segment scans use up to GOMAXPROCS workers, small ones stay
 // serial; 1 forces serial execution; n > 1 bounds the fan-out at n.
 // Safety for concurrent Select calls does not depend on this knob; it
-// only widens intra-query scans. With any non-serial setting an attached
-// Tracer must be safe for concurrent use.
+// only widens intra-query scans, and the Tracer's event order does not
+// depend on it.
 func (s *Segmenter) SetParallelism(n int) {
 	if n < 0 {
 		n = 1
@@ -243,27 +242,28 @@ func (s *Segmenter) snapshot(st *QueryStats) {
 	st.CompressedBytes = s.stored.Load()
 }
 
-// segTask is one planned unit of per-segment work for a query: the
-// snapshot segment to scan plus the model's verdict on it. Tasks are
-// built in visit order (segments high-to-low) under the writer lock, then
-// executed serially or fanned out across the worker pool — outside the
-// lock unless the plan holds a split and runs serially.
+// segTask is one unit of per-segment work for a query. The plan fills
+// the snapshot segment to scan and the model's verdict on it, in visit
+// order (segments high-to-low) under the writer lock; execTask, run
+// through FanOut outside it, fills what the scan produced: the task's
+// part of the result (one rope chunk, or a total) and, for splits, the
+// freshly materialized (and already encoded) replacement pieces — the
+// reorganization intent handed to the single-writer path.
 type segTask struct {
 	seg     *segment.Segment
 	covered bool // whole segment qualifies: no filtering, no decision
 	action  model.Action
 	point   domain.Value // SplitPoint cut
-}
 
-// segOutcome is what executing one segTask produced: the task's part of
-// the result (one rope chunk, or a total) and, for splits, the freshly
-// materialized (and already encoded) replacement pieces — the
-// reorganization intent handed to the single-writer path.
-type segOutcome struct {
 	part
 	subs    []*segment.Segment
 	recodes int
 }
+
+// reads reports whether the task scans its segment's payload for sink k:
+// every partially covered segment is scanned, a covered one only by the
+// rows sink — the aggregate sinks answer it from the meta-index.
+func (t *segTask) reads(k sink) bool { return !t.covered || k == sinkRows }
 
 // Select implements Algorithm 1:
 //
@@ -326,25 +326,26 @@ func (s *Segmenter) lockWriter(span *obs.Span) {
 	span.Add(obs.PhaseLockWait, wait)
 }
 
-// run is the shared reorganize-while-scanning pipeline behind every sink:
+// run is the one reorganize-while-scanning pipeline behind every sink:
 //
 //  1. Plan (under eng.Mu): pin the (list, delta) pair, walk the
 //     snapshot's overlapping segments high-to-low and consult the model
 //     for each partially covered one — the only phase that touches
-//     stateful model state, microseconds long.
-//  2. Execute: scan, filter or partition each task's segment on the
-//     pinned snapshot, serially or fanned out across the worker pool. A
-//     split-free plan (every task covered or NoSplit) releases eng.Mu
-//     before the first payload byte is read and never takes it again:
-//     pure reads do not serialize behind each other or behind writers.
-//  3. Apply (under eng.Mu, split-bearing plans only): swap each split's
-//     materialized pieces in copy-on-write and publish. Serial mode keeps
-//     the lock from the plan on and applies each split right after its
-//     scan — the paper's exact interleaving, tracer events included.
-//     Fan-out mode scans unlocked, re-locks, and re-validates each intent
-//     against the current list by segment identity; intents whose segment
-//     a concurrent query already reorganized are dropped — the coalescing
-//     step.
+//     stateful model state, microseconds long. eng.Mu is released before
+//     the first payload byte is read.
+//  2. Scan (no lock): scan, filter or partition each task's segment on
+//     the pinned snapshot through FanOut — inline at parallelism 1,
+//     across the worker pool otherwise. A split-free plan never takes
+//     eng.Mu again: pure reads do not serialize behind each other or
+//     behind writers.
+//  3. Assemble in task order: account each task's scan (read volume and
+//     the tracer's Scan) and append its part. A plan that splits re-takes
+//     eng.Mu for this loop and applies each intent right after its Scan,
+//     re-validated against the current list by segment identity; intents
+//     whose segment a concurrent query already reorganized are dropped —
+//     the coalescing step. One querying goroutine therefore sees
+//     Algorithm 1's Scan → Materialize(pieces) → Drop order at every
+//     parallelism.
 //
 // The sink decides the per-segment work and whether fully covered
 // segments account a scan: the rows sink reads them to copy values out,
@@ -371,84 +372,62 @@ func (s *Segmenter) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, t
 	splits := false
 	for i := hi - 1; i >= lo; i-- {
 		sg := list.Seg(i)
-		if domain.Classify(sg.Rng, q) == domain.CoversAll {
-			// The whole segment qualifies; it immediately benefits from
-			// earlier reorganization (Figure 3, Q2 on the last segment).
-			// An aggregate answers covered segments from the meta-index
-			// without touching data, so they only contribute to the
-			// adaptive fan-out volume when their rows are read.
-			if k == sinkRows {
-				scanBytes += int64(sg.StoredBytes(elem))
-			}
-			tasks = append(tasks, segTask{seg: sg, covered: true})
-			continue
+		t := segTask{seg: sg}
+		// A segment the query covers whole qualifies without a decision;
+		// it immediately benefits from earlier reorganization (Figure 3,
+		// Q2 on the last segment).
+		if t.covered = domain.Classify(sg.Rng, q) == domain.CoversAll; !t.covered {
+			d := s.mod.Decide(q, s.info(sg, elem))
+			t.action, t.point = d.Action, d.Point
+			splits = splits || d.Action != model.NoSplit
 		}
-		scanBytes += int64(sg.StoredBytes(elem))
-		d := s.mod.Decide(q, s.info(sg, elem))
-		splits = splits || d.Action != model.NoSplit
-		tasks = append(tasks, segTask{seg: sg, action: d.Action, point: d.Point})
+		if t.reads(k) {
+			scanBytes += int64(sg.StoredBytes(elem))
+		}
+		tasks = append(tasks, t)
 	}
-	// A split-free plan is done with the writer lock: from here on eng.Mu
-	// is held exactly when the plan holds a split, except while a
-	// fanned-out scan runs.
-	if !splits {
-		s.eng.Mu.Unlock()
-	}
+	s.eng.Mu.Unlock()
 	codec := s.codec.Load()
 	par := int(s.par.Load())
 	if par == 0 {
 		par = adaptiveFanout(len(tasks), scanBytes)
 	}
-	serial := par <= 1 || len(tasks) < 2
 	span.EndPhase(obs.PhaseRoute, tRoute)
 
-	var outs []segOutcome
-	if !serial {
-		if splits {
-			s.eng.Mu.Unlock()
-		}
-		// Outcomes land in per-task slots and each worker accumulates its
-		// own read volume, so the merge below is scheduling-independent.
-		outs = make([]segOutcome, len(tasks))
-		reads := make([]QueryStats, min(par, len(tasks)))
-		FanOut(len(tasks), par, func(w, i int) {
-			outs[i] = s.execTask(q, tasks[i], k, elem, codec, &reads[w])
-		})
-		for i := range reads {
-			st.ReadBytes += reads[i].ReadBytes
-		}
-		if splits {
-			s.lockWriter(span)
-		}
+	// Each worker fills only its own tasks, so assembly is
+	// scheduling-independent.
+	FanOut(len(tasks), par, func(i int) { s.execTask(q, &tasks[i], k, codec) })
+	if splits {
+		s.lockWriter(span)
 	}
 	// Each task contributes one rope chunk in task order, so assembly is
 	// O(1) per segment.
 	rope := result.New()
 	var t total
-	for i, task := range tasks {
-		var out segOutcome
-		if serial {
-			out = s.execTask(q, task, k, elem, codec, &st)
-		} else {
-			out = outs[i]
+	for i := range tasks {
+		task := &tasks[i]
+		if task.reads(k) {
+			b := int64(task.seg.StoredBytes(elem))
+			st.ReadBytes += b
+			s.tracer.Scan(task.seg.ID, b)
 		}
-		if out.subs != nil {
+		if task.subs != nil {
 			tAdapt := span.StartPhase()
-			s.applyIntent(task, out, &st)
+			s.applyIntent(task, &st)
 			span.EndPhase(obs.PhaseAdapt, tAdapt)
 		}
 		if k == sinkRows {
-			out.appendTo(rope)
+			task.appendTo(rope)
 		}
-		t.add(out.total)
+		t.add(task.total)
+	}
+	if splits {
+		s.eng.Mu.Unlock()
 	}
 	tOv := span.StartPhase()
 	rope = overlayDelta(dsnap, q, k, rope, &t, &st)
 	span.EndPhase(obs.PhaseOverlay, tOv)
 	s.snapshot(&st)
-	if splits {
-		s.eng.Mu.Unlock()
-	}
 	return rope, t, st
 }
 
@@ -479,35 +458,25 @@ func overlayDelta(dsnap *delta.Snapshot, q domain.Range, k sink, rope *result.Ro
 	return rope
 }
 
-// execTask scans one task's segment on the snapshot: extraction, counting
-// or summing for the result, partitioning (and encoding) for split
-// intents. It never mutates shared state; read volumes accumulate into st
-// and extracted values come back as one rope chunk per task — borrowed
-// when the chunk aliases published segment storage (a covered segment's
-// materialized slice, a split's mid piece shared with the fresh
-// sub-segment), owned when the task allocated it.
-func (s *Segmenter) execTask(q domain.Range, t segTask, k sink, elem int64, codec *compress.Codec, st *QueryStats) segOutcome {
-	var out segOutcome
+// execTask scans one task's segment on the snapshot and fills the task's
+// outcome: extraction, counting or summing for the result, partitioning
+// (and encoding) for split intents. It mutates nothing but t and calls no
+// Tracer — the assembly loop in run accounts the scan — and extracted
+// values land as one rope chunk per task: borrowed when the chunk aliases
+// published segment storage (a covered segment's materialized slice, a
+// split's mid piece shared with the fresh sub-segment), owned when the
+// task allocated it. Every partially overlapping segment is scanned,
+// either to extract (or aggregate) the qualifying values or to partition
+// it; the meta-index already excluded all non-overlapping segments
+// without touching data.
+func (s *Segmenter) execTask(q domain.Range, t *segTask, k sink, codec *compress.Codec) {
 	if t.covered {
-		if k == sinkRows {
-			b := int64(t.seg.StoredBytes(elem))
-			st.ReadBytes += b
-			s.tracer.Scan(t.seg.ID, b)
-		}
-		out.part = collect(t.seg, q, k)
-		return out
+		t.part = collect(t.seg, q, k)
+		return
 	}
-	// Every partially overlapping segment is scanned: either to extract
-	// (or aggregate) the qualifying values or to partition it. The
-	// meta-index already excluded all non-overlapping segments without
-	// touching data; compressed segments are read at their encoded size.
-	segBytes := int64(t.seg.StoredBytes(elem))
-	st.ReadBytes += segBytes
-	s.tracer.Scan(t.seg.ID, segBytes)
-
 	switch t.action {
 	case model.NoSplit:
-		out.part = collect(t.seg, q, k)
+		t.part = collect(t.seg, q, k)
 
 	case model.SplitBounds:
 		sp := domain.Cut(t.seg.Rng, q)
@@ -521,9 +490,9 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, k sink, elem int64, code
 		// The slice is shared with the fresh mid sub-segment (a plain
 		// encoding aliases it), so the chunk is borrowed; its total is
 		// the fresh segment's summary.
-		out.vals, out.borrowed = mid.Vals, true
-		out.total = total{mid.Count(), mid.Sum()}
-		out.subs = subs
+		t.vals, t.borrowed = mid.Vals, true
+		t.total = total{mid.Count(), mid.Sum()}
+		t.subs = subs
 
 	case model.SplitPoint:
 		subs := t.seg.Split(t.point)
@@ -534,22 +503,21 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, k sink, elem int64, code
 				continue
 			}
 			if k == sinkRows {
-				out.vals = sub.AppendSelect(q, out.vals)
+				t.vals = sub.AppendSelect(q, t.vals)
 			} else {
-				out.add(collect(sub, q, k).total)
+				t.add(collect(sub, q, k).total)
 			}
 		}
-		out.subs = subs
+		t.subs = subs
 
 	default:
 		panic(fmt.Sprintf("core: unknown model action %v", t.action))
 	}
-	for _, sub := range out.subs {
+	for _, sub := range t.subs {
 		if sub.Encode(codec) {
-			out.recodes++
+			t.recodes++
 		}
 	}
-	return out
 }
 
 // applyIntent is the single-writer application of one split intent
@@ -561,20 +529,20 @@ func (s *Segmenter) execTask(q domain.Range, t segTask, k sink, elem int64, code
 // its segment already reorganized by a concurrent query — is dropped:
 // that is how identical piggy-backed work from concurrent scans coalesces
 // into one application.
-func (s *Segmenter) applyIntent(t segTask, out segOutcome, st *QueryStats) {
+func (s *Segmenter) applyIntent(t *segTask, st *QueryStats) {
 	list := s.eng.Base()
 	i := list.IndexOf(t.seg)
 	if i < 0 {
 		return
 	}
 	elem := list.ElemSize()
-	next := list.Replaced(i, out.subs...)
+	next := list.Replaced(i, t.subs...)
 	// Register the fresh pages with the tracer before publishing the
 	// snapshot, so readers of the new list find them; the old page is
 	// dropped after, so readers of the old snapshot race at most into a
 	// retired-page scan (which pool tracers account via TouchOrRetired).
 	var written int64
-	for _, sub := range out.subs {
+	for _, sub := range t.subs {
 		b := int64(sub.StoredBytes(elem))
 		st.WriteBytes += b
 		written += b
@@ -585,7 +553,7 @@ func (s *Segmenter) applyIntent(t segTask, out segOutcome, st *QueryStats) {
 	s.stored.Add(written - old)
 	s.tracer.Drop(t.seg.ID, old)
 	st.Splits++
-	st.Recodes += out.recodes
+	st.Recodes += t.recodes
 	if so := s.ob.Load(); so != nil {
 		so.event(so.evSplit, "split", obs.Event{
 			Lo:     t.seg.Rng.Lo,
@@ -594,7 +562,7 @@ func (s *Segmenter) applyIntent(t segTask, out segOutcome, st *QueryStats) {
 			After:  next.Len(),
 			Bytes:  written,
 		})
-		so.recodes(out.recodes)
+		so.recodes(t.recodes)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -444,52 +445,126 @@ func scanProbes(s *Segmenter, probes []domain.Range) (stop func() ([]time.Durati
 	}
 }
 
-// TestWriterLockHoldIndependentOfScan pins the read protocol: a query
-// whose plan holds no split gives eng.Mu back before it reads a segment
-// payload, so how long a writer waits for the lock does not grow with
-// the scan. One goroutine loops wide Count and SelectRope over a
-// converged column; the test goroutine samples its own wait for eng.Mu.
-// (A scanner that kept the lock through its scan would make the median
-// wait a large fraction of the median query.)
-func TestWriterLockHoldIndependentOfScan(t *testing.T) {
-	probes := wideProbes(8)
-	s, _ := convergedSegmenter(t, 1<<20, 256<<10, 1<<20, probes)
-
-	// Space the samples by about a fifth of a query, however fast this
-	// host (or the race detector) runs one.
-	t0 := time.Now()
-	s.SelectRope(probes[0])
-	step := time.Since(t0) / 40
-	stop := scanProbes(s, probes)
-
-	const samples = 300
+// sampleLockWaits measures, samples times, how long the test goroutine
+// waits for eng.Mu of the column cur returns, sleeping step × 5..11
+// between samples.
+func sampleLockWaits(cur func() *Segmenter, step time.Duration, samples int) []time.Duration {
 	waits := make([]time.Duration, samples)
 	for i := range waits {
 		time.Sleep(step * time.Duration(5+i%7))
+		s := cur()
 		t0 := time.Now()
 		s.eng.Mu.Lock()
 		waits[i] = time.Since(t0)
 		s.eng.Mu.Unlock()
 	}
-	queries, scannerSplits := stop()
+	return waits
+}
 
-	if scannerSplits != 0 {
-		t.Fatalf("probe queries split %d times on a converged column", scannerSplits)
+// TestWriterLockHoldIndependentOfScan pins the read protocol: a query
+// gives eng.Mu back before it reads a segment payload, so how long a
+// writer waits for the lock does not grow with the scan — whether the
+// plan splits or not. One goroutine loops queries; the test goroutine
+// samples its own wait for eng.Mu. (A query that kept the lock through
+// its scan would make the median wait a large fraction of the median
+// query.)
+func TestWriterLockHoldIndependentOfScan(t *testing.T) {
+	check := func(t *testing.T, waits, queries []time.Duration) {
+		t.Helper()
+		if len(queries) < 20 {
+			t.Fatalf("scanner finished only %d queries beside %d samples", len(queries), len(waits))
+		}
+		wait, query := median(waits), median(queries)
+		t.Logf("median lock wait %v, median query %v over %d queries", wait, query, len(queries))
+		if wait*10 >= query {
+			t.Errorf("median wait for eng.Mu is %v, not below 10%% of the median query (%v): a query holds the writer lock while it scans", wait, query)
+		}
 	}
-	if len(queries) < 20 {
-		t.Fatalf("scanner finished only %d queries beside %d samples", len(queries), samples)
-	}
-	wait, query := median(waits), median(queries)
-	t.Logf("median lock wait %v, median query %v over %d queries", wait, query, len(queries))
-	if wait*10 >= query {
-		t.Errorf("median wait for eng.Mu is %v, not below 10%% of the median query (%v): a pure read holds the writer lock while it scans", wait, query)
-	}
+
+	// Wide Count and SelectRope over a converged column: no plan splits.
+	t.Run("split-free", func(t *testing.T) {
+		probes := wideProbes(8)
+		s, _ := convergedSegmenter(t, 1<<20, 256<<10, 1<<20, probes)
+
+		// Space the samples by about a fifth of a query, however fast
+		// this host (or the race detector) runs one.
+		t0 := time.Now()
+		s.SelectRope(probes[0])
+		step := time.Since(t0) / 40
+		stop := scanProbes(s, probes)
+		waits := sampleLockWaits(func() *Segmenter { return s }, step, 300)
+		queries, scannerSplits := stop()
+		if scannerSplits != 0 {
+			t.Fatalf("probe queries split %d times on a converged column", scannerSplits)
+		}
+		check(t, waits, queries)
+	})
+
+	// Every query splits a fresh single-segment column of 2^19 values,
+	// so each split scan partitions 4 MB; the sampler follows the column
+	// in use.
+	t.Run("splits", func(t *testing.T) {
+		const dom = 1 << 19
+		rng := rand.New(rand.NewSource(24))
+		vals := make([]domain.Value, dom)
+		for i := range vals {
+			vals[i] = rng.Int63n(dom)
+		}
+		// Segments are immutable, so the fresh columns share vals.
+		fresh := func() *Segmenter {
+			return NewSegmenter(domain.NewRange(0, dom-1), vals, 8, model.NewAPM(64<<10, 256<<10), nil)
+		}
+		q := domain.NewRange(dom/2, dom/2+dom/100)
+		t0 := time.Now()
+		if _, st := fresh().Count(q); st.Splits != 1 {
+			t.Fatalf("query on a fresh column split %d segments, want 1", st.Splits)
+		}
+		step := time.Since(t0) / 40
+
+		var cur atomic.Pointer[Segmenter]
+		cur.Store(fresh())
+		quit, done := make(chan struct{}), make(chan struct{})
+		var queries []time.Duration
+		unsplit := 0
+		go func() {
+			defer close(done)
+			for i := 0; ; i++ {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				s := fresh()
+				cur.Store(s)
+				t0 := time.Now()
+				var st QueryStats
+				if i%2 == 0 {
+					_, st = s.Count(q)
+				} else {
+					_, st = s.SelectRope(q)
+				}
+				queries = append(queries, time.Since(t0))
+				if st.Splits != 1 {
+					unsplit++
+				}
+			}
+		}()
+		waits := sampleLockWaits(cur.Load, step, 300)
+		close(quit)
+		<-done
+		if unsplit != 0 {
+			t.Fatalf("%d of %d queries did not split their fresh column", unsplit, len(queries))
+		}
+		check(t, waits, queries)
+	})
 }
 
 // TestWriterLockHoldSplitMatchesReplay is the other half: ranges whose
 // plans do split, issued beside a scanner of split-free probes, produce
 // the results, split counts and final layout of a single-goroutine
-// replay — split-bearing plans still run under eng.Mu as before.
+// replay — their scans run outside eng.Mu and their intents apply in
+// plan order. With a writer inserting and merging beside them as well,
+// their results stay exact and no write is lost.
 func TestWriterLockHoldSplitMatchesReplay(t *testing.T) {
 	probes := wideProbes(4)
 	rng := rand.New(rand.NewSource(23))
@@ -541,6 +616,57 @@ func TestWriterLockHoldSplitMatchesReplay(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
+
+	// The same splitters beside the scanner and a writer that inserts
+	// values outside every splitter and merges them back: each splitter
+	// still answers exactly its replay's rows, and the final content is
+	// the initial values plus every insert.
+	w, _ := build()
+	stopScan := scanProbes(w, probes)
+	quit, done := make(chan struct{}), make(chan struct{})
+	var inserted []domain.Value
+	var writeErr error
+	go func() {
+		defer close(done)
+		wr := rand.New(rand.NewSource(25))
+		for i := 1; writeErr == nil; i++ {
+			if i > 256 { // write a little however soon the splitters finish
+				select {
+				case <-quit:
+					return
+				default:
+				}
+			}
+			v := wr.Int63n(1 << 20)
+			if slices.ContainsFunc(splitters, func(q domain.Range) bool { return q.Contains(v) }) {
+				continue
+			}
+			if _, writeErr = w.Insert(v); writeErr == nil {
+				inserted = append(inserted, v)
+			}
+			if i%64 == 0 {
+				_, writeErr = w.MergeDeltas()
+			}
+		}
+	}()
+	for _, q := range splitters {
+		res, _ := w.Select(q)
+		equalMultiset(t, res, refSelect(vals, q))
+	}
+	close(quit)
+	<-done
+	stopScan()
+	if writeErr != nil {
+		t.Fatal(writeErr)
+	}
+	if len(inserted) == 0 {
+		t.Fatal("the writer inserted nothing beside the splitters")
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	all, _ := w.Select(domain.NewRange(0, 1<<20-1))
+	equalMultiset(t, all, append(slices.Clone(vals), inserted...))
 }
 
 // TestWriterLockWaitIsRecordedApartFromRoute: a query queued behind the
@@ -587,25 +713,28 @@ func TestWriterLockWaitIsRecordedApartFromRoute(t *testing.T) {
 	t.Fatal("no query ever waited for the held writer lock")
 }
 
-// TestFanOut: every index runs exactly once, on a worker index below
-// min(par, n). Run it under -race: the per-index slots are written from
-// the workers without a lock.
+// TestFanOut: every index runs exactly once, with at most min(par, n)
+// calls in flight at any time. Run it under -race: the per-index slots
+// are written from the workers without a lock.
 func TestFanOut(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000} {
 		for _, par := range []int{1, 2, 16} {
 			runs := make([]atomic.Int32, n)
-			workers := make([]int, n)
-			FanOut(n, par, func(w, i int) {
+			var active, peak atomic.Int32
+			FanOut(n, par, func(i int) {
+				a := active.Add(1)
+				for p := peak.Load(); a > p && !peak.CompareAndSwap(p, a); p = peak.Load() {
+				}
 				runs[i].Add(1)
-				workers[i] = w
+				active.Add(-1)
 			})
 			for i := range runs {
 				if got := runs[i].Load(); got != 1 {
 					t.Fatalf("n=%d par=%d: index %d ran %d times", n, par, i, got)
 				}
-				if w := workers[i]; w < 0 || w >= min(par, n) {
-					t.Fatalf("n=%d par=%d: index %d ran on worker %d", n, par, i, w)
-				}
+			}
+			if p := int(peak.Load()); p > min(par, n) {
+				t.Fatalf("n=%d par=%d: %d calls in flight at once", n, par, p)
 			}
 		}
 	}

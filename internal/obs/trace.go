@@ -14,8 +14,8 @@ const (
 	// consultation — everything before data is touched.
 	PhaseRoute Phase = iota
 	// PhaseLockWait is time queued for the strategy's writer lock before
-	// planning (and before applying a fanned-out query's splits). The
-	// Replicator only ever TryLocks, so it reports 0.
+	// planning, and before applying the splits of a plan that splits.
+	// The Replicator only ever TryLocks, so it reports 0.
 	PhaseLockWait
 	// PhaseScan is the data pass over the base segments. It is computed
 	// residually at Finish (total minus the other phases), so the hot

@@ -200,28 +200,35 @@ func (c *Column) SetObserver(ob *obs.Observer) {
 	}
 }
 
-// Partition range-partitions extent into k contiguous sub-ranges of
-// near-equal width (the first width%k shards are one value wider). k is
-// clamped to [1, extent.Width()] so no shard is ever empty-ranged.
+// Partition range-partitions the non-empty extent into k contiguous
+// sub-ranges of near-equal width (the first width%k shards are one value
+// wider). k is clamped to [1, width] so no shard is ever empty-ranged.
+// Widths are counted in uint64: an extent may hold up to 2^64 values,
+// where Range.Width wraps.
 func Partition(extent domain.Range, k int) []domain.Range {
-	if k < 1 {
-		k = 1
+	// span = width-1 never overflows; width itself does on the full
+	// int64 extent, which only k = 1 leaves whole.
+	span := uint64(extent.Hi) - uint64(extent.Lo)
+	if k <= 1 || span == 0 {
+		return []domain.Range{extent}
 	}
-	if w := extent.Width(); int64(k) > w {
-		k = int(w)
+	if uint64(k-1) > span {
+		k = int(span + 1)
 	}
-	width := extent.Width()
-	base := width / int64(k)
-	rem := width % int64(k)
+	// width = span+1 = base*k + rem, formed without computing span+1.
+	base, rem := span/uint64(k), span%uint64(k)+1
+	if rem == uint64(k) {
+		base, rem = base+1, 0
+	}
 	out := make([]domain.Range, 0, k)
 	lo := extent.Lo
 	for i := 0; i < k; i++ {
 		w := base
-		if int64(i) < rem {
+		if uint64(i) < rem {
 			w++
 		}
-		out = append(out, domain.Range{Lo: lo, Hi: lo + w - 1})
-		lo += w
+		out = append(out, domain.Range{Lo: lo, Hi: lo + domain.Value(w-1)})
+		lo += domain.Value(w)
 	}
 	return out
 }
@@ -464,7 +471,7 @@ func (c *Column) query(q domain.Range, op readOp) shardOut {
 	}
 
 	outs := make([]shardOut, n)
-	core.FanOut(n, c.fanout(), func(_, i int) {
+	core.FanOut(n, c.fanout(), func(i int) {
 		outs[i] = read(c.shards[lo+i], q, op)
 	})
 	// Merge in shard order: the rope splice moves chunk headers, never

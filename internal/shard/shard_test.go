@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -86,6 +87,50 @@ func TestShardPartition(t *testing.T) {
 	}
 	if got := len(Partition(testDom, 0)); got != 1 {
 		t.Fatalf("k=0: got %d ranges, want 1", got)
+	}
+}
+
+// TestPartitionWideExtents: extents of 2^63 values or more, where
+// Range.Width wraps, still tile exactly — k non-empty adjacent ranges,
+// widths within one of each other, from extent.Lo to extent.Hi.
+func TestPartitionWideExtents(t *testing.T) {
+	extents := []domain.Range{
+		{Lo: math.MinInt64, Hi: math.MaxInt64},
+		{Lo: math.MinInt64 + 1, Hi: math.MaxInt64},
+		{Lo: 0, Hi: math.MaxInt64},
+		{Lo: -1, Hi: math.MaxInt64},
+	}
+	for _, ext := range extents {
+		for _, k := range []int{2, 4, 7} {
+			ranges := Partition(ext, k)
+			if len(ranges) != k {
+				t.Fatalf("%v k=%d: got %d ranges", ext, k, len(ranges))
+			}
+			if ranges[0].Lo != ext.Lo || ranges[k-1].Hi != ext.Hi {
+				t.Fatalf("%v k=%d: ranges %v do not start and end with the extent", ext, k, ranges)
+			}
+			// Widths in uint64: each is at most 2^63, and they sum to
+			// the extent's width modulo 2^64.
+			var sum, minW, maxW uint64
+			minW = math.MaxUint64
+			for i, r := range ranges {
+				if r.IsEmpty() {
+					t.Fatalf("%v k=%d: range %d %v is empty", ext, k, i, r)
+				}
+				if i > 0 && (ranges[i-1].Hi >= r.Lo || r.Lo-ranges[i-1].Hi != 1) {
+					t.Fatalf("%v k=%d: ranges %v and %v not adjacent", ext, k, ranges[i-1], r)
+				}
+				w := uint64(r.Hi) - uint64(r.Lo) + 1
+				sum += w
+				minW, maxW = min(minW, w), max(maxW, w)
+			}
+			if want := uint64(ext.Hi) - uint64(ext.Lo) + 1; sum != want {
+				t.Fatalf("%v k=%d: widths sum to %d, want %d (mod 2^64)", ext, k, sum, want)
+			}
+			if maxW-minW > 1 {
+				t.Fatalf("%v k=%d: widths range over [%d, %d]", ext, k, minW, maxW)
+			}
+		}
 	}
 }
 

@@ -31,3 +31,22 @@ func TestRunClientsDealsWorkloadOnVirtualClock(t *testing.T) {
 		}
 	}
 }
+
+// TestVirtualClockIndependentOfParallelism: the buffer pool sees the
+// Tracer's event stream, and one querying goroutine emits it in plan
+// order at every scan fan-out, so a single client's virtual selection
+// and adaptation times do not depend on the strategy's parallelism.
+func TestVirtualClockIndependentOfParallelism(t *testing.T) {
+	cfg := goldenConfig()
+	ds := testDataset(t, cfg)
+	for _, scheme := range []Scheme{apm15(cfg, false), apm15(cfg, true)} {
+		for _, w := range WorkloadNames() {
+			serial := RunClients(ds, scheme, w, cfg, 1, 1, 1, 0)
+			wide := RunClients(ds, scheme, w, cfg, 1, 4, 1, 0)
+			if serial.SelectionMs != wide.SelectionMs || serial.AdaptationMs != wide.AdaptationMs {
+				t.Errorf("%s/%s: select %.3f ms, adapt %.3f ms at parallelism 1; %.3f ms, %.3f ms at 4",
+					scheme.Name, w, serial.SelectionMs, serial.AdaptationMs, wide.SelectionMs, wide.AdaptationMs)
+			}
+		}
+	}
+}

@@ -136,9 +136,9 @@ func (c Config) CompressionSchemes() []Scheme {
 // poolTracer routes segment lifecycle events into the buffer pool and
 // splits the virtual time into selection (scans) and adaptation
 // (materialization) components, the two bars of Figure 10. The counters
-// are atomics because even a single-client run may fan its per-segment
-// scans out under adaptive parallelism (Parallelism == 0); TouchOrRetired
-// covers snapshot readers racing a concurrent reorganization.
+// are atomics because multi-client runs (RunClients) call the tracer from
+// several querying goroutines; TouchOrRetired covers snapshot readers
+// racing a concurrent reorganization.
 type poolTracer struct {
 	pool    *bpm.Pool
 	scanNs  atomic.Int64

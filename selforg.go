@@ -237,12 +237,13 @@ type Options struct {
 	// ElemSize is the accounted storage per value in bytes (default 4,
 	// matching the paper's 4-byte columns).
 	ElemSize int64
-	// Tracer observes segment lifecycle events (optional). On a column
-	// queried from several goroutines it is called concurrently — for
-	// both strategies the scans of concurrent queries are not serialized
-	// by a lock — so it must then be safe for concurrent use; a column
-	// driven by one goroutine with serial scans calls it in the paper's
-	// serial order.
+	// Tracer observes segment lifecycle events (optional). It is called
+	// from the querying goroutine, in plan order — the paper's serial
+	// order for one querying goroutine at every Parallelism. It is
+	// called concurrently only when several goroutines query the column,
+	// or on a sharded column with an explicit Parallelism > 1 (touched
+	// shards are scanned concurrently); it must then be safe for
+	// concurrent use.
 	Tracer Tracer
 	// AutoTune replaces the fixed APM bounds by the self-tuning variant
 	// (§8 future work): Mmin/Mmax track the observed selection sizes,
@@ -274,13 +275,6 @@ type Options struct {
 	// levels: n > 1 scans up to n touched shards concurrently (each
 	// shard serial), and 0 lets the router and every shard adapt
 	// independently — one query never exceeds the configured budget.
-	// With Parallelism > 1 an attached Tracer must itself be safe for
-	// concurrent use; when a Tracer is attached and Parallelism is left
-	// at 0, the column runs serial scans, so a single-threaded tracer
-	// keeps working on a column queried by one goroutine — pass an
-	// explicit Parallelism to opt a concurrency-safe tracer into
-	// fan-out. (Queries issued from several goroutines call the Tracer
-	// concurrently at every setting; see Tracer.)
 	Parallelism int
 	// DeltaMaxBytes triggers the self-organizing merge-back of the MVCC
 	// write store: a write that leaves more than this many bytes pending
@@ -501,14 +495,6 @@ func buildStrategy(o Options, rng domain.Range, values []domain.Value, rec *dura
 	} else if deltaRatio < 0 {
 		deltaRatio = 0
 	}
-	// Adaptive fan-out invokes the Tracer from worker goroutines; a
-	// tracer attached without an explicit Parallelism stays on the
-	// serial path, where one querying goroutine sees serial event order.
-	par := o.Parallelism
-	if par == 0 && o.Tracer != nil {
-		par = 1
-	}
-
 	// Replica storage budgets are split evenly across the shards that
 	// will actually exist — Partition clamps the count to the domain
 	// width, and dividing by the requested count instead would silently
@@ -529,7 +515,7 @@ func buildStrategy(o Options, rng domain.Range, values []domain.Value, rec *dura
 			if o.Compression != CompressionOff {
 				s.SetCompression(o.Compression.mode())
 			}
-			s.SetParallelism(par)
+			s.SetParallelism(o.Parallelism)
 			return s
 		default:
 			r := core.NewReplicator(srng, svals, o.ElemSize, modelFor(idx), o.Tracer)
@@ -542,7 +528,7 @@ func buildStrategy(o Options, rng domain.Range, values []domain.Value, rec *dura
 			if o.Compression != CompressionOff {
 				r.SetCompression(o.Compression.mode())
 			}
-			r.SetParallelism(par)
+			r.SetParallelism(o.Parallelism)
 			return r
 		}
 	}
@@ -563,7 +549,7 @@ func buildStrategy(o Options, rng domain.Range, values []domain.Value, rec *dura
 		if err != nil {
 			return nil, fmt.Errorf("selforg: %w", err)
 		}
-		sc.SetParallelism(par)
+		sc.SetParallelism(o.Parallelism)
 		strat = sc
 	} else {
 		// Single shard: the strategy is used directly — byte-identical to

@@ -7,7 +7,10 @@ package selforg
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,6 +67,68 @@ func TestShardedFacadeShardsOneIsUnsharded(t *testing.T) {
 					t.Fatal("layouts diverge")
 				}
 			})
+		}
+	}
+}
+
+// TestShardedFacadeWideExtents: Shards: 4 over extents of 2^63 values or
+// more (where Range.Width wraps) builds a column that inserts, counts and
+// selects at both ends of the extent exactly like a sorted reference.
+func TestShardedFacadeWideExtents(t *testing.T) {
+	extents := []Interval{
+		{math.MinInt64, math.MaxInt64},
+		{math.MinInt64 + 1, math.MaxInt64},
+		{0, math.MaxInt64},
+		{-1, math.MaxInt64},
+	}
+	for _, strat := range []Strategy{Segmentation, Replication} {
+		for _, ext := range extents {
+			rng := rand.New(rand.NewSource(7))
+			var vals []int64
+			for len(vals) < 20_000 {
+				vals = append(vals, ext.Lo+rng.Int63n(1_000), ext.Hi-rng.Int63n(1_000))
+			}
+			col, err := New(ext, slices.Clone(vals), Options{Strategy: strat, Shards: 4})
+			if err != nil {
+				t.Fatalf("%v %v: %v", strat, ext, err)
+			}
+			if col.Shards() != 4 {
+				t.Fatalf("%v %v: %d shards, want 4", strat, ext, col.Shards())
+			}
+			for _, v := range []int64{ext.Lo, ext.Lo + 1, ext.Hi - 1, ext.Hi} {
+				if _, err := col.Insert(v); err != nil {
+					t.Fatalf("%v %v: insert %d: %v", strat, ext, v, err)
+				}
+				vals = append(vals, v)
+			}
+			for _, q := range []Interval{
+				{ext.Lo, ext.Lo}, {ext.Lo, ext.Lo + 50}, {ext.Hi, ext.Hi},
+				{ext.Hi - 50, ext.Hi}, {ext.Lo + 1, ext.Hi - 1}, ext,
+				{ext.Lo + 200, ext.Lo + 300}, {ext.Hi - 300, ext.Hi - 200},
+			} {
+				var want []int64
+				for _, v := range vals {
+					if q.Lo <= v && v <= q.Hi {
+						want = append(want, v)
+					}
+				}
+				slices.Sort(want)
+				got, _ := col.Select(q.Lo, q.Hi)
+				if slices.Sort(got); !slices.Equal(got, want) {
+					t.Fatalf("%v %v: select %v returned %d rows, want %d", strat, ext, q, len(got), len(want))
+				}
+				if n, _ := col.Count(q.Lo, q.Hi); n != int64(len(want)) {
+					t.Fatalf("%v %v: count %v = %d, want %d", strat, ext, q, n, len(want))
+				}
+			}
+			if err := col.Validate(); err != nil {
+				t.Fatalf("%v %v: %v", strat, ext, err)
+			}
+			// The end shards are narrower than MaxInt64 values, so they
+			// adapt.
+			if n := col.SegmentCount(); n <= 4 {
+				t.Errorf("%v %v: %d segments over 4 shards, none split", strat, ext, n)
+			}
 		}
 	}
 }
