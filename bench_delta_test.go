@@ -78,8 +78,8 @@ func BenchmarkDeltaMergeBack(b *testing.B) {
 // workload space.
 func BenchmarkMixedWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := sim.MixedConfig{WriteRatio: 0.2, DeltaMaxBytes: 1024}
-		cfg.Config = sim.DefaultConfig()
+		cfg := sim.MixedConfig{Config: sim.DefaultConfig(), WriteRatio: 0.2}
+		cfg.DeltaMaxBytes = 1024
 		cfg.NumQueries = 2_000
 		cfg.Clients = 4
 		r := sim.RunMixed(cfg)

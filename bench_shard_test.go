@@ -82,8 +82,8 @@ func BenchmarkShardedMixedWorkload(b *testing.B) {
 		for _, k := range []int{1, 4} {
 			b.Run(fmt.Sprintf("budget=%d/shards=%d", budget, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					cfg := sim.MixedConfig{WriteRatio: 0.5, DeltaMaxBytes: budget}
-					cfg.Config = sim.DefaultConfig()
+					cfg := sim.MixedConfig{Config: sim.DefaultConfig(), WriteRatio: 0.5}
+					cfg.DeltaMaxBytes = budget
 					cfg.NumQueries = 2_000
 					cfg.Clients = 4
 					cfg.Shards = k

@@ -104,8 +104,8 @@ func BenchmarkTable1AvgReads(b *testing.B) {
 func BenchmarkFig8ReplicaStorage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := benchSimCfg()
-		base.Strategy = sim.Replication
-		base.Model = sim.APM
+		base.Strategy = Replication
+		base.Model = APM
 		r := sim.Run(base)
 		b.ReportMetric(sim.PeakExtraStorageRatio(r.Storage, r.ColumnBytes), "peakExtraStorage")
 	}
@@ -116,8 +116,8 @@ func BenchmarkFig8ReplicaStorage(b *testing.B) {
 func BenchmarkFig9ReplicaStorage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := benchSimCfg()
-		base.Strategy = sim.Replication
-		base.Model = sim.GD
+		base.Strategy = Replication
+		base.Model = GD
 		base.Dist = workload.KindZipf
 		r := sim.Run(base)
 		b.ReportMetric(sim.PeakExtraStorageRatio(r.Storage, r.ColumnBytes), "peakExtraStorage")

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"selforg/internal/shard"
 	"selforg/internal/sim"
 	"selforg/internal/stats"
 	"selforg/internal/workload"
@@ -106,11 +107,11 @@ func writeTSVs(dir string, scale sim.Scale) error {
 	}
 	// Compression extension: physical vs logical storage per query.
 	if err := write("compress_storage_segm.tsv",
-		sim.CompressedStorage(sim.Segmentation, 0, n(2000))); err != nil {
+		sim.CompressedStorage(shard.Segmentation, 0, n(2000))); err != nil {
 		return err
 	}
 	if err := write("compress_storage_repl_lowcard.tsv",
-		sim.CompressedStorage(sim.Replication, 64, n(2000))); err != nil {
+		sim.CompressedStorage(shard.Replication, 64, n(2000))); err != nil {
 		return err
 	}
 	// Per-encoding storage counters (PR-1 follow-up): segment counts and

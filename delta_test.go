@@ -202,8 +202,8 @@ func TestDeltaVisibilityAcrossViews(t *testing.T) {
 // acceptance-criteria path (multi-client mixed workload, merge churn,
 // post-merge reorganization).
 func TestDeltaMixedSimExperiment(t *testing.T) {
-	cfg := sim.MixedConfig{WriteRatio: 0.3, DeltaMaxBytes: 256}
-	cfg.Config = sim.DefaultConfig()
+	cfg := sim.MixedConfig{Config: sim.DefaultConfig(), WriteRatio: 0.3}
+	cfg.DeltaMaxBytes = 256
 	cfg.NumQueries = 800
 	cfg.Clients = 4
 	r := sim.RunMixed(cfg)

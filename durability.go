@@ -102,10 +102,10 @@ func newDurable(rng domain.Range, values []domain.Value, o Options) (*Column, er
 	if err != nil {
 		return nil, fmt.Errorf("selforg: durability: %w", err)
 	}
-	strat, err := buildStrategy(o, rng, values, rec)
+	strat, err := shard.Build(o.spec(), rng, values, rec)
 	if err != nil {
 		dur.Close()
-		return nil, err
+		return nil, fmt.Errorf("selforg: %w", err)
 	}
 	col.strat = strat
 	col.dur = dur
@@ -172,10 +172,10 @@ func (c *Column) Recover() error {
 	if err != nil {
 		return fmt.Errorf("selforg: recover: %w", err)
 	}
-	strat, err := buildStrategy(c.opts, c.extent, append([]domain.Value(nil), c.initVals...), rec)
+	strat, err := shard.Build(c.opts.spec(), c.extent, append([]domain.Value(nil), c.initVals...), rec)
 	if err != nil {
 		dur.Close()
-		return err
+		return fmt.Errorf("selforg: %w", err)
 	}
 	c.strat = strat
 	c.dur = dur

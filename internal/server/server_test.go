@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -505,6 +506,36 @@ func TestConcurrentTenantCreation(t *testing.T) {
 	for i := 1; i < len(cols); i++ {
 		if cols[i] != cols[0] {
 			t.Fatal("racing Tenant calls built different columns")
+		}
+	}
+}
+
+// TestWideExtentTenant: a tenant over an extent of 2^63 values or more
+// (where Range.Width wraps) is generated, built and answers COUNT over
+// POST /sql.
+func TestWideExtentTenant(t *testing.T) {
+	for _, ext := range []selforg.Interval{
+		{Lo: math.MinInt64, Hi: math.MaxInt64},
+		{Lo: 0, Hi: math.MaxInt64},
+	} {
+		cfg := testConfig()
+		cfg.Extent, cfg.N = ext, 2000
+		s := New(cfg)
+		ts := httptest.NewServer(s.Handler())
+		resp, err := http.Post(ts.URL+"/sql", "text/plain",
+			strings.NewReader("SELECT COUNT(*) FROM P WHERE v BETWEEN -1e19 AND 1e19"))
+		if err != nil {
+			t.Fatalf("%v: %v", ext, err)
+		}
+		var body struct {
+			Count int64 `json:"count"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		ts.Close()
+		s.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || body.Count != int64(cfg.N) {
+			t.Errorf("%v: status %d, count %d (%v), want 200 with count %d", ext, resp.StatusCode, body.Count, err, cfg.N)
 		}
 	}
 }

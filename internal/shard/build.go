@@ -1,0 +1,144 @@
+package shard
+
+import (
+	"fmt"
+
+	"selforg/internal/compress"
+	"selforg/internal/core"
+	"selforg/internal/domain"
+	"selforg/internal/durable"
+	"selforg/internal/model"
+)
+
+// Strategy selects the self-organizing technique.
+type Strategy int
+
+const (
+	// Segmentation reorganizes the column in place (§4).
+	Segmentation Strategy = iota
+	// Replication retains query results as replicas in a replica tree
+	// (§5).
+	Replication
+)
+
+func (s Strategy) String() string {
+	if names := [...]string{"segmentation", "replication"}; s >= 0 && int(s) < len(names) {
+		return names[s]
+	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
+}
+
+// Model selects the segmentation model (§3.2).
+type Model int
+
+const (
+	// APM is the deterministic Adaptive Pagination Model (§3.2.2).
+	APM Model = iota
+	// GD is the randomized Gaussian Dice (§3.2.1).
+	GD
+	// None never reorganizes: the paper's non-segmented baseline.
+	None
+)
+
+func (m Model) String() string {
+	if names := [...]string{"APM", "GD", "none"}; m >= 0 && int(m) < len(names) {
+		return names[m]
+	}
+	return fmt.Sprintf("Model(%d)", int(m))
+}
+
+// Spec is a column's strategy stack as Build constructs it. Fields are
+// taken literally — defaults are the caller's (the facade's Options, the
+// harnesses' configs) — and a zero field is the core strategies' own
+// default: no compression, adaptive parallelism, unlimited replicas,
+// merge-back triggers off.
+type Spec struct {
+	Strategy Strategy
+	Model    Model
+	// APMMin/APMMax are the APM byte bounds; with AutoTune they clamp
+	// the self-tuning variant instead.
+	APMMin, APMMax int64
+	AutoTune       bool
+	// GDSeed seeds the Gaussian Dice; shard i draws from
+	// model.ShardSeed(GDSeed, i).
+	GDSeed int64
+	// ElemSize is the accounted bytes per value.
+	ElemSize int64
+	// Tracer observes every shard's segment lifecycle (nil = none).
+	Tracer      core.Tracer
+	Compression compress.Mode
+	// Parallelism is the one-query scan fan-out (see
+	// Column.SetParallelism for how a sharded column splits it).
+	Parallelism int
+	// MaxStorageBytes is the column's replica budget, split evenly
+	// (ceiling) across the shards; MaxTreeDepth bounds every replica
+	// tree. Both only apply to Replication; 0 = unlimited.
+	MaxStorageBytes int64
+	MaxTreeDepth    int
+	// Shards range-partitions the extent (≤ 1 = one unrouted strategy).
+	Shards int
+	// DeltaMaxBytes and DeltaRatio are the resolved merge-back triggers
+	// handed to SetDeltaPolicy (0 disables each).
+	DeltaMaxBytes int64
+	DeltaRatio    float64
+}
+
+// Build constructs spec's strategy stack over vals, whose domain is
+// extent: one strategy, or a Column of spec.Shards of them. The values
+// slice is consumed. With restore non-nil (the durable rebuild), a shard
+// that has a checkpoint rebuilds from its checkpointed content instead
+// of its slice of vals; shards without one (a fresh directory, or a
+// crash that interleaved with a checkpoint) keep the initial values and
+// replay their whole log.
+func Build(spec Spec, extent domain.Range, vals []domain.Value, restore *durable.Recovered) (core.DeltaStrategy, error) {
+	// Partition clamps the shard count to the domain width; dividing by
+	// the requested count instead would silently shrink the column-wide
+	// budget (ceiling, so a positive budget never rounds to zero).
+	budget := spec.MaxStorageBytes
+	if k := int64(len(Partition(extent, spec.Shards))); budget > 0 && k > 1 {
+		budget = (budget + k - 1) / k
+	}
+	build := func(idx int, rng domain.Range, svals []domain.Value) core.DeltaStrategy {
+		if restore != nil && idx < len(restore.HasCkpt) && restore.HasCkpt[idx] {
+			svals = append([]domain.Value(nil), restore.CkptValues[idx]...)
+		}
+		// One model instance per shard: models are stateful (GD owns a
+		// random stream, AutoAPM tunes its bounds).
+		var m model.Model = model.Never{}
+		switch {
+		case spec.Model == APM && spec.AutoTune:
+			m = model.NewAutoAPM(spec.APMMin, spec.APMMax)
+		case spec.Model == APM:
+			m = model.NewAPM(spec.APMMin, spec.APMMax)
+		case spec.Model == GD:
+			m = model.NewGaussianDice(model.ShardSeed(spec.GDSeed, idx))
+		}
+		if spec.Strategy == Replication {
+			r := core.NewReplicator(rng, svals, spec.ElemSize, m, spec.Tracer)
+			r.SetStorageBudget(budget)
+			r.SetMaxDepth(spec.MaxTreeDepth)
+			r.SetCompression(spec.Compression)
+			r.SetParallelism(spec.Parallelism)
+			return r
+		}
+		s := core.NewSegmenter(rng, svals, spec.ElemSize, m, spec.Tracer)
+		s.SetCompression(spec.Compression)
+		s.SetParallelism(spec.Parallelism)
+		return s
+	}
+
+	var strat core.DeltaStrategy
+	if spec.Shards > 1 {
+		sc, err := New(extent, vals, spec.Shards, build)
+		if err != nil {
+			return nil, err
+		}
+		sc.SetParallelism(spec.Parallelism)
+		strat = sc
+	} else {
+		// Single shard: the strategy is used directly, no routing layer.
+		strat = build(0, extent, vals)
+	}
+	strat.SetDeltaPolicy(spec.DeltaMaxBytes, spec.DeltaRatio)
+	return strat, nil
+}

@@ -70,10 +70,12 @@ type Builder func(idx int, rng domain.Range, vals []domain.Value) core.DeltaStra
 
 // shardStrategy is what a Builder's result must be: the full strategy
 // surface plus stamped writes, so every shard can join the column-wide
-// commit clock (both core strategies qualify).
+// commit clock, and the scan fan-out knob the router splits (both core
+// strategies qualify).
 type shardStrategy interface {
 	core.DeltaStrategy
 	core.StampedWriter
+	SetParallelism(n int)
 }
 
 // Router is a column's partition map — the extent and the shard
@@ -263,8 +265,8 @@ func SplitValues(ranges []domain.Range, vals []domain.Value) [][]domain.Value {
 // New builds a sharded column over values, whose domain is extent, with
 // k shards built by build. Values outside extent are rejected before any
 // shard is constructed, and so is a Builder whose strategy cannot stamp
-// writes with the column-wide commit version. The values slice is
-// consumed.
+// writes with the column-wide commit version or take the router's
+// parallelism split. The values slice is consumed.
 func New(extent domain.Range, vals []domain.Value, k int, build Builder) (*Column, error) {
 	if extent.IsEmpty() {
 		return nil, fmt.Errorf("shard: empty extent %v", extent)
@@ -281,7 +283,7 @@ func New(extent domain.Range, vals []domain.Value, k int, build Builder) (*Colum
 	for i, rng := range c.ranges {
 		s, ok := build(i, rng, parts[i]).(shardStrategy)
 		if !ok {
-			return nil, fmt.Errorf("shard: shard %d's strategy cannot stamp writes (core.StampedWriter)", i)
+			return nil, fmt.Errorf("shard: shard %d's strategy is not a shard strategy (core.StampedWriter, SetParallelism)", i)
 		}
 		// One column-wide commit clock, so a cross-shard update can stamp
 		// both halves with the same version.
@@ -337,9 +339,7 @@ func (c *Column) SetParallelism(n int) {
 		}
 	}
 	for _, s := range c.shards {
-		if p, ok := s.(interface{ SetParallelism(int) }); ok {
-			p.SetParallelism(perShard)
-		}
+		s.SetParallelism(perShard)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"selforg/internal/compress"
 	"selforg/internal/domain"
 	"selforg/internal/model"
+	"selforg/internal/shard"
 	"selforg/internal/stats"
 	"selforg/internal/workload"
 )
@@ -15,8 +16,8 @@ import (
 // Figures 5–7: GD Segm, GD Repl, APM Segm, APM Repl.
 func FourStrategies(base Config) []Config {
 	out := make([]Config, 0, 4)
-	for _, m := range []ModelKind{GD, APM} {
-		for _, s := range []StrategyKind{Segmentation, Replication} {
+	for _, m := range []shard.Model{shard.GD, shard.APM} {
+		for _, s := range segmRepl {
 			c := base
 			c.Model = m
 			c.Strategy = s
@@ -121,10 +122,10 @@ func ReplicaStorage(dist workload.Kind, selectivity float64, numQueries int) []*
 	if numQueries > 0 {
 		base.NumQueries = numQueries
 	}
-	base.Strategy = Replication
+	base.Strategy = shard.Replication
 	var out []*stats.Series
 	dbSize := stats.NewSeries("DB size")
-	for _, m := range []ModelKind{GD, APM} {
+	for _, m := range []shard.Model{shard.GD, shard.APM} {
 		c := base
 		c.Model = m
 		r := Run(c)
@@ -215,11 +216,11 @@ func Experiments() []Experiment {
 		{ID: "fig8", Title: "Figure 8: replica storage, uniform", Run: runFig8},
 		{ID: "fig9", Title: "Figure 9: replica storage, Zipf", Run: runFig9},
 		{ID: "compress", Title: "Extension: adaptive per-segment compression vs plain storage", Run: runCompress},
-		{ID: "concurrent", Title: "Extension: N concurrent query streams over one shared column", Run: runConcurrentExperiment},
-		{ID: "replicated-concurrent", Title: "Extension: lock-free concurrent scans on a converged replicated column", Run: runReplicatedConcurrentExperiment},
-		{ID: "mixed", Title: "Extension: mixed read-write streams through the MVCC delta store", Run: runMixedExperiment},
-		{ID: "sharded", Title: "Extension: domain-sharded column, concurrent read scaling", Run: runShardedExperiment},
-		{ID: "sharded-mixed", Title: "Extension: domain-sharded column, mixed read-write writer scaling", Run: runShardedMixedExperiment},
+		{ID: "concurrent", Title: "Extension: N concurrent query streams over one shared column", Run: concurrentTable.run},
+		{ID: "replicated-concurrent", Title: "Extension: lock-free concurrent scans on a converged replicated column", Run: replicatedConcurrentTable.run},
+		{ID: "mixed", Title: "Extension: mixed read-write streams through the MVCC delta store", Run: mixedTable.run},
+		{ID: "sharded", Title: "Extension: domain-sharded column, concurrent read scaling", Run: shardedTable.run},
+		{ID: "sharded-mixed", Title: "Extension: domain-sharded column, mixed read-write writer scaling", Run: shardedMixedTable.run},
 		{ID: "report", Title: "Numeric digest of every §6.1 exhibit (for EXPERIMENTS.md)", Run: runReport},
 	}
 }
@@ -245,7 +246,7 @@ func runCompress(scale Scale) string {
 	tb := stats.NewTable("Adaptive compression vs plain storage (APM, uniform queries, sel 0.1)",
 		"Data", "Strategy", "Reads KB/q", "Writes KB total", "Storage KB", "Logical KB", "Ratio", "Recodes", "Encodings")
 	for _, ds := range compressDatasets {
-		for _, strat := range []StrategyKind{Segmentation, Replication} {
+		for _, strat := range segmRepl {
 			for _, mode := range []compress.Mode{compress.Off, compress.Auto} {
 				c := DefaultConfig()
 				c.NumQueries = n
@@ -277,7 +278,7 @@ func runCompress(scale Scale) string {
 // CompressedStorage runs one strategy with and without compression and
 // returns the per-query physical-storage series plus the logical
 // reference — the TSV export of the compression experiment.
-func CompressedStorage(strat StrategyKind, lowCard int, numQueries int) []*stats.Series {
+func CompressedStorage(strat shard.Strategy, lowCard int, numQueries int) []*stats.Series {
 	out := make([]*stats.Series, 0, 3)
 	for _, mode := range []compress.Mode{compress.Off, compress.Auto} {
 		c := DefaultConfig()
@@ -308,7 +309,7 @@ func EncodingTable(numQueries int) *stats.Table {
 	tb := stats.NewTable("Per-encoding storage breakdown after adaptive-compression runs",
 		"Data", "Strategy", "Encoding", "Segments", "Bytes")
 	for _, ds := range compressDatasets {
-		for _, strat := range []StrategyKind{Segmentation, Replication} {
+		for _, strat := range segmRepl {
 			c := DefaultConfig()
 			if numQueries > 0 {
 				c.NumQueries = numQueries

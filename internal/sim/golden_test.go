@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"selforg/internal/shard"
 	"selforg/internal/stats"
 	"selforg/internal/workload"
 )
@@ -68,8 +69,8 @@ func TestGoldenExhibits(t *testing.T) {
 		series("fig9_storage_zipf_"+tag, ReplicaStorage(workload.KindZipf, sel, goldenQueries))
 	}
 	series("fig7_reads_uniform_01", ReadsPerQuery(workload.KindUniform, 0.1, goldenQueries))
-	series("compress_storage_segm", CompressedStorage(Segmentation, 0, goldenQueries))
-	series("compress_storage_repl_lowcard", CompressedStorage(Replication, 64, goldenQueries))
+	series("compress_storage_segm", CompressedStorage(shard.Segmentation, 0, goldenQueries))
+	series("compress_storage_repl_lowcard", CompressedStorage(shard.Replication, 64, goldenQueries))
 	table("encodings", EncodingTable(goldenQueries))
 	table("table1", Table1(goldenQueries))
 }
@@ -128,10 +129,10 @@ func TestGoldenSingleClient(t *testing.T) {
 
 	var b strings.Builder
 	b.WriteString("Strategy\tShards\tQueries\tWrites\tMisses\tMerges\tMerged\tReads B\tWrites B\tOverlay B\tResults\tSplits\tRecodes\tSegments\n")
-	for _, strat := range []StrategyKind{Segmentation, Replication} {
+	for _, strat := range segmRepl {
 		for _, shards := range []int{1, 2, 4} {
-			cfg := MixedConfig{WriteRatio: 0.5, DeltaMaxBytes: 256}
-			cfg.Config = DefaultConfig()
+			cfg := MixedConfig{Config: DefaultConfig(), WriteRatio: 0.5}
+			cfg.DeltaMaxBytes = 256
 			cfg.NumQueries = scale.Queries
 			cfg.Strategy = strat
 			cfg.Shards = shards

@@ -6,152 +6,94 @@
 // The paper's setup, reproduced by DefaultConfig: a column of 100K values
 // drawn from a domain of 1M integers (4-byte values), 10K range-selection
 // queries with selectivity 0.1 or 0.01, uniform or Zipf query placement,
-// and APM bounds of 3KB/12KB.
+// and APM bounds of 3KB/12KB. A Config embeds the strategy stack as a
+// shard.Spec, built by shard.Build like every other column.
+//
+// Beyond the paper's single stream, RunMixed drives N clients — reads and
+// point writes — against one shared column; the five multi-client
+// experiments (concurrent, replicated-concurrent, mixed, sharded,
+// sharded-mixed) are declarations of one table writer over it.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
-	"selforg/internal/compress"
-	"selforg/internal/core"
 	"selforg/internal/domain"
-	"selforg/internal/model"
 	"selforg/internal/segment"
 	"selforg/internal/shard"
 	"selforg/internal/stats"
 	"selforg/internal/workload"
 )
 
-// StrategyKind selects the self-organizing technique.
-type StrategyKind int
-
-const (
-	// Segmentation is adaptive segmentation (§4).
-	Segmentation StrategyKind = iota
-	// Replication is adaptive replication (§5).
-	Replication
-)
-
-func (k StrategyKind) String() string {
-	switch k {
-	case Segmentation:
-		return "Segm"
-	case Replication:
-		return "Repl"
-	default:
-		return fmt.Sprintf("StrategyKind(%d)", int(k))
-	}
-}
-
-// ModelKind selects the segmentation model.
-type ModelKind int
-
-const (
-	// GD is the Gaussian Dice model (§3.2.1).
-	GD ModelKind = iota
-	// APM is the Adaptive Pagination Model (§3.2.2).
-	APM
-)
-
-func (k ModelKind) String() string {
-	switch k {
-	case GD:
-		return "GD"
-	case APM:
-		return "APM"
-	default:
-		return fmt.Sprintf("ModelKind(%d)", int(k))
-	}
-}
-
-// Config describes one simulation run.
+// Config describes one simulation run: the strategy stack it builds
+// (shard.Spec) over the data and query stream it generates.
 type Config struct {
+	// Spec is the strategy stack: strategy, model, APM bounds, GD seed
+	// (default 3), accounted bytes per value (default 4), compression,
+	// parallelism, shards and the merge-back triggers.
+	shard.Spec
 	ColumnCount int          // values in the column (default 100_000)
 	Dom         domain.Range // attribute domain (default [0, 999_999])
-	ElemSize    int64        // accounted bytes per value (default 4)
 	NumQueries  int          // queries to run (default 10_000)
 	Selectivity float64      // fraction of tuples selected (default 0.1)
 	Dist        workload.Kind
-	Strategy    StrategyKind
-	Model       ModelKind
-	APMMin      int64 // default 3 KB
-	APMMax      int64 // default 12 KB
 	DataSeed    int64
 	QuerySeed   int64
-	ModelSeed   int64 // GD randomness
-	// Compression selects the adaptive storage-encoding policy
-	// (compress.Off keeps the paper-faithful uncompressed layout).
-	Compression compress.Mode
 	// LowCardinality draws the column from a small set of distinct values
 	// (RLE/dictionary-friendly) instead of the paper's 1M-value domain —
 	// the data shape of dimension-key and categorical columns.
 	LowCardinality int
-	// Shards range-partitions the domain into this many independently
-	// locked shards (internal/shard); 0 or 1 keeps the single-shard
-	// column. Each shard gets its own model instance and delta store.
-	Shards int
 }
 
-// DefaultConfig returns the §6.1 experimental setup.
+// DefaultConfig returns the §6.1 experimental setup: adaptive
+// segmentation under APM 3 KB / 12 KB, uncompressed and unsharded.
 func DefaultConfig() Config {
 	return Config{
+		Spec: shard.Spec{
+			Strategy: shard.Segmentation,
+			Model:    shard.APM,
+			APMMin:   3 * int64(domain.KB),
+			APMMax:   12 * int64(domain.KB),
+			GDSeed:   3,
+			ElemSize: 4,
+		},
 		ColumnCount: 100_000,
 		Dom:         domain.NewRange(0, 999_999),
-		ElemSize:    4,
 		NumQueries:  10_000,
 		Selectivity: 0.1,
 		Dist:        workload.KindUniform,
-		Strategy:    Segmentation,
-		Model:       APM,
-		APMMin:      3 * int64(domain.KB),
-		APMMax:      12 * int64(domain.KB),
 		DataSeed:    1,
 		QuerySeed:   2,
-		ModelSeed:   3,
 	}
 }
 
 // withDefaults fills zero fields from DefaultConfig.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.ColumnCount == 0 {
-		c.ColumnCount = d.ColumnCount
-	}
 	if c.Dom.IsEmpty() {
 		c.Dom = d.Dom
 	}
-	if c.ElemSize == 0 {
-		c.ElemSize = d.ElemSize
-	}
-	if c.NumQueries == 0 {
-		c.NumQueries = d.NumQueries
-	}
-	if c.Selectivity == 0 {
-		c.Selectivity = d.Selectivity
-	}
-	if c.APMMin == 0 {
-		c.APMMin = d.APMMin
-	}
-	if c.APMMax == 0 {
-		c.APMMax = d.APMMax
-	}
-	if c.DataSeed == 0 {
-		c.DataSeed = d.DataSeed
-	}
-	if c.QuerySeed == 0 {
-		c.QuerySeed = d.QuerySeed
-	}
-	if c.ModelSeed == 0 {
-		c.ModelSeed = d.ModelSeed
-	}
+	c.ColumnCount = cmp.Or(c.ColumnCount, d.ColumnCount)
+	c.ElemSize = cmp.Or(c.ElemSize, d.ElemSize)
+	c.NumQueries = cmp.Or(c.NumQueries, d.NumQueries)
+	c.Selectivity = cmp.Or(c.Selectivity, d.Selectivity)
+	c.APMMin = cmp.Or(c.APMMin, d.APMMin)
+	c.APMMax = cmp.Or(c.APMMax, d.APMMax)
+	c.GDSeed = cmp.Or(c.GDSeed, d.GDSeed)
+	c.DataSeed = cmp.Or(c.DataSeed, d.DataSeed)
+	c.QuerySeed = cmp.Or(c.QuerySeed, d.QuerySeed)
 	return c
 }
 
 // StrategyName is the label used in the paper's figures, e.g. "GD Segm",
 // "APM Repl"; compressed runs are suffixed "+C", sharded ones "x<K>sh".
 func (c Config) StrategyName() string {
-	name := fmt.Sprintf("%v %v", c.Model, c.Strategy)
+	name := c.Model.String() + " Segm"
+	if c.Strategy == shard.Replication {
+		name = c.Model.String() + " Repl"
+	}
 	if c.Compression.Enabled() {
 		name += " +C"
 	}
@@ -161,53 +103,12 @@ func (c Config) StrategyName() string {
 	return name
 }
 
-// buildModel instantiates the configured segmentation model for one
-// shard (shard 0 is the whole column when unsharded); GD streams are
-// decorrelated per shard.
-func (c Config) buildModel(shardIdx int) model.Model {
-	switch c.Model {
-	case GD:
-		return model.NewGaussianDice(model.ShardSeed(c.ModelSeed, shardIdx))
-	case APM:
-		return model.NewAPM(c.APMMin, c.APMMax)
-	default:
-		panic(fmt.Sprintf("sim: unknown model kind %d", c.Model))
-	}
-}
-
 // generateValues draws the run's column data.
 func (c Config) generateValues() []domain.Value {
 	if c.LowCardinality > 0 {
 		return GenerateLowCardColumn(c.ColumnCount, c.Dom, int64(c.LowCardinality), c.DataSeed)
 	}
 	return GenerateColumn(c.ColumnCount, c.Dom, c.DataSeed)
-}
-
-// buildStrategyOver instantiates the strategy over vals (consumed: the
-// strategy takes ownership), sharding the domain when Shards > 1.
-func (c Config) buildStrategyOver(vals []domain.Value) core.DeltaStrategy {
-	buildOne := func(idx int, rng domain.Range, svals []domain.Value) core.DeltaStrategy {
-		switch c.Strategy {
-		case Segmentation:
-			s := core.NewSegmenter(rng, svals, c.ElemSize, c.buildModel(idx), nil)
-			s.SetCompression(c.Compression)
-			return s
-		case Replication:
-			r := core.NewReplicator(rng, svals, c.ElemSize, c.buildModel(idx), nil)
-			r.SetCompression(c.Compression)
-			return r
-		default:
-			panic(fmt.Sprintf("sim: unknown strategy kind %d", c.Strategy))
-		}
-	}
-	if c.Shards > 1 {
-		sc, err := shard.New(c.Dom, vals, c.Shards, buildOne)
-		if err != nil {
-			panic(fmt.Sprintf("sim: %v", err))
-		}
-		return sc
-	}
-	return buildOne(0, c.Dom, vals)
 }
 
 // stream instantiates the configured query distribution under seed.
@@ -227,9 +128,24 @@ func GenerateColumn(count int, dom domain.Range, seed int64) []domain.Value {
 	rng := rand.New(rand.NewSource(seed))
 	vals := make([]domain.Value, count)
 	for i := range vals {
-		vals[i] = dom.Lo + rng.Int63n(dom.Width())
+		vals[i] = dom.Lo + uniform(rng, dom)
 	}
 	return vals
+}
+
+// uniform draws an offset into dom uniformly. Extents of 2^63 values or
+// more, where Width wraps, draw over the uint64 width (rejecting the
+// draws past it); narrower ones keep the Int63n stream.
+func uniform(rng *rand.Rand, dom domain.Range) domain.Value {
+	if w := dom.Width(); w > 0 {
+		return rng.Int63n(w)
+	}
+	span := uint64(dom.Hi) - uint64(dom.Lo) // width-1, at least 2^63-1
+	for {
+		if u := rng.Uint64(); u <= span {
+			return domain.Value(u)
+		}
+	}
 }
 
 // GenerateLowCardColumn draws count values from card distinct values
@@ -240,13 +156,19 @@ func GenerateLowCardColumn(count int, dom domain.Range, card int64, seed int64) 
 		card = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	step := dom.Width() / card
+	// step = width/card in uint64, formed from span = width-1 so the
+	// full int64 extent (width 2^64) does not wrap.
+	span := uint64(dom.Hi) - uint64(dom.Lo)
+	step := span / uint64(card)
+	if span%uint64(card) == uint64(card)-1 {
+		step++
+	}
 	if step < 1 {
 		step = 1
 	}
 	vals := make([]domain.Value, count)
 	for i := range vals {
-		vals[i] = dom.Lo + rng.Int63n(card)*step
+		vals[i] = dom.Lo + domain.Value(uint64(rng.Int63n(card))*step)
 	}
 	return vals
 }
@@ -286,7 +208,10 @@ type Result struct {
 // Run executes the configured simulation.
 func Run(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	strat := cfg.buildStrategyOver(cfg.generateValues())
+	strat, err := shard.Build(cfg.Spec, cfg.Dom, cfg.generateValues(), nil)
+	if err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
+	}
 	gen := cfg.stream(cfg.QuerySeed)
 
 	res := &Result{

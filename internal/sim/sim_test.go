@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"selforg/internal/compress"
 	"selforg/internal/domain"
+	"selforg/internal/shard"
 	"selforg/internal/stats"
 	"selforg/internal/workload"
 )
@@ -68,6 +72,56 @@ func TestGenerateColumn(t *testing.T) {
 	}
 }
 
+// TestGenerateWideExtents: extents of 2^63 values or more, where
+// Range.Width wraps, draw over their full uint64 width, while narrower
+// extents keep the Int63n stream the goldens and the benchmark oracle
+// regenerate.
+func TestGenerateWideExtents(t *testing.T) {
+	for _, dom := range []domain.Range{
+		{Lo: math.MinInt64, Hi: math.MaxInt64},
+		{Lo: math.MinInt64 + 1, Hi: math.MaxInt64},
+		{Lo: 0, Hi: math.MaxInt64},
+		{Lo: -1, Hi: math.MaxInt64},
+	} {
+		span := uint64(dom.Hi) - uint64(dom.Lo)
+		decile := func(v domain.Value) uint64 { return (uint64(v) - uint64(dom.Lo)) / (span/10 + 1) }
+		seen := map[uint64]bool{}
+		for _, v := range GenerateColumn(2000, dom, 7) {
+			if !dom.Contains(v) {
+				t.Fatalf("%v: value %d outside the extent", dom, v)
+			}
+			seen[decile(v)] = true
+		}
+		if len(seen) != 10 {
+			t.Errorf("%v: uniform draws cover %d/10 deciles", dom, len(seen))
+		}
+		distinct := map[domain.Value]bool{}
+		for _, v := range GenerateLowCardColumn(2000, dom, 64, 7) {
+			if !dom.Contains(v) {
+				t.Fatalf("%v: low-cardinality value %d outside the extent", dom, v)
+			}
+			distinct[v] = true
+		}
+		if len(distinct) != 64 {
+			t.Errorf("%v: %d distinct low-cardinality values, want 64", dom, len(distinct))
+		}
+		hiDecile := false
+		for v := range distinct {
+			hiDecile = hiDecile || decile(v) == 9
+		}
+		if !hiDecile {
+			t.Errorf("%v: low-cardinality values never reach the top decile", dom)
+		}
+	}
+	dom := domain.NewRange(-500, 999_999)
+	rng := rand.New(rand.NewSource(9))
+	for i, v := range GenerateColumn(1000, dom, 9) {
+		if want := dom.Lo + rng.Int63n(dom.Width()); v != want {
+			t.Fatalf("narrow extent draw %d = %d, want the Int63n stream's %d", i, v, want)
+		}
+	}
+}
+
 func TestRunProducesFullSeries(t *testing.T) {
 	c := smallCfg()
 	r := Run(c)
@@ -92,12 +146,12 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestSegmentationStorageConstantReplicationVaries(t *testing.T) {
 	c := smallCfg()
-	c.Strategy = Segmentation
+	c.Strategy = shard.Segmentation
 	seg := Run(c)
 	if seg.Storage.Min() != seg.Storage.Max() {
 		t.Error("segmentation storage must be constant")
 	}
-	c.Strategy = Replication
+	c.Strategy = shard.Replication
 	rep := Run(c)
 	if rep.Storage.Max() <= float64(rep.ColumnBytes) {
 		t.Error("replication storage never exceeded the column size")
@@ -107,14 +161,14 @@ func TestSegmentationStorageConstantReplicationVaries(t *testing.T) {
 // TestReplicationWritesLess verifies the §6.1.1 headline on the scaled
 // setup for both models and both distributions.
 func TestReplicationWritesLess(t *testing.T) {
-	for _, m := range []ModelKind{GD, APM} {
+	for _, m := range []shard.Model{shard.GD, shard.APM} {
 		for _, dist := range []workload.Kind{workload.KindUniform, workload.KindZipf} {
 			c := smallCfg()
 			c.Model = m
 			c.Dist = dist
-			c.Strategy = Segmentation
+			c.Strategy = shard.Segmentation
 			seg := Run(c)
-			c.Strategy = Replication
+			c.Strategy = shard.Replication
 			rep := Run(c)
 			if rep.Writes.Sum() >= seg.Writes.Sum() {
 				t.Errorf("%v/%v: repl writes %.0f >= segm writes %.0f",
@@ -130,8 +184,8 @@ func TestReplicationWritesLess(t *testing.T) {
 func TestAPMSaturates(t *testing.T) {
 	c := smallCfg()
 	c.NumQueries = 2000
-	c.Model = APM
-	c.Strategy = Segmentation
+	c.Model = shard.APM
+	c.Strategy = shard.Segmentation
 	r := Run(c)
 	cum := r.Writes.Cumulative()
 	early := cum.At(c.NumQueries/4 - 1)
@@ -147,16 +201,16 @@ func TestAPMSaturates(t *testing.T) {
 func TestGDKeepsReorganizingLongerThanAPM(t *testing.T) {
 	c := smallCfg()
 	c.NumQueries = 2000
-	c.Strategy = Segmentation
-	frontFrac := func(m ModelKind) float64 {
+	c.Strategy = shard.Segmentation
+	frontFrac := func(m shard.Model) float64 {
 		c.Model = m
 		r := Run(c)
 		cum := r.Writes.Cumulative()
 		return cum.At(c.NumQueries/4-1) / cum.At(c.NumQueries-1)
 	}
-	apm, gd := frontFrac(APM), frontFrac(GD)
+	apm, gd := frontFrac(shard.APM), frontFrac(shard.GD)
 	if gd >= apm {
-		t.Errorf("GD front-load %.3f >= APM front-load %.3f — GD should keep splitting longer", gd, apm)
+		t.Errorf("GD front-load %.3f >= shard.APM front-load %.3f — GD should keep splitting longer", gd, apm)
 	}
 }
 
@@ -165,8 +219,8 @@ func TestGDKeepsReorganizingLongerThanAPM(t *testing.T) {
 func TestReadsConvergeTowardsResultSize(t *testing.T) {
 	c := smallCfg()
 	c.NumQueries = 1500
-	c.Strategy = Segmentation
-	c.Model = APM
+	c.Strategy = shard.Segmentation
+	c.Model = shard.APM
 	r := Run(c)
 	resultBytes := float64(c.ElemSize) * float64(c.ColumnCount) * c.Selectivity // 4 KB here
 	tail := r.Reads.Tail(300)
@@ -187,8 +241,8 @@ func TestAPMReadsBoundedByMmaxSmallSelectivity(t *testing.T) {
 	c := smallCfg()
 	c.Selectivity = 0.01
 	c.NumQueries = 2000
-	c.Strategy = Segmentation
-	c.Model = APM
+	c.Strategy = shard.Segmentation
+	c.Model = shard.APM
 	r := Run(c)
 	resultBytes := float64(c.ElemSize) * float64(c.ColumnCount) * c.Selectivity
 	tail := r.Reads.Tail(300)
@@ -204,8 +258,8 @@ func TestAPMReadsBoundedByMmaxSmallSelectivity(t *testing.T) {
 // early full-column spikes when queries hit untouched areas.
 func TestReplicationFullScanSpikes(t *testing.T) {
 	c := smallCfg()
-	c.Strategy = Replication
-	c.Model = APM
+	c.Strategy = shard.Replication
+	c.Model = shard.APM
 	r := Run(c)
 	spikes := 0
 	for i := 1; i < 100 && i < r.Reads.Len(); i++ {
@@ -223,8 +277,8 @@ func TestReplicationFullScanSpikes(t *testing.T) {
 // become fully replicated.
 func TestReplicaStoragePeaksAndDrops(t *testing.T) {
 	c := smallCfg()
-	c.Strategy = Replication
-	c.Model = APM
+	c.Strategy = shard.Replication
+	c.Model = shard.APM
 	c.NumQueries = 2000
 	r := Run(c)
 	peak := PeakExtraStorageRatio(r.Storage, r.ColumnBytes)
@@ -244,11 +298,11 @@ func TestReplicaStoragePeaksAndDrops(t *testing.T) {
 // faster with the GD model".
 func TestGDStorageFallsFasterThanAPM(t *testing.T) {
 	c := smallCfg()
-	c.Strategy = Replication
+	c.Strategy = shard.Replication
 	c.NumQueries = 2000
-	c.Model = GD
+	c.Model = shard.GD
 	gd := Run(c)
-	c.Model = APM
+	c.Model = shard.APM
 	apm := Run(c)
 	// Compare the mean storage over the last quarter of the run.
 	n := c.NumQueries / 4
@@ -342,15 +396,31 @@ func TestExperimentsRenderScaled(t *testing.T) {
 	}
 }
 
-func TestKindStrings(t *testing.T) {
-	if Segmentation.String() != "Segm" || Replication.String() != "Repl" {
-		t.Error("strategy names")
+// TestStrategyName pins the figure labels over model × strategy ×
+// compression × shards.
+func TestStrategyName(t *testing.T) {
+	var got []string
+	for _, m := range []shard.Model{shard.APM, shard.GD, shard.None} {
+		for _, strat := range segmRepl {
+			for _, mode := range []compress.Mode{compress.Off, compress.Auto} {
+				for _, shards := range []int{1, 4} {
+					c := DefaultConfig()
+					c.Model, c.Strategy, c.Compression, c.Shards = m, strat, mode, shards
+					got = append(got, c.StrategyName())
+				}
+			}
+		}
 	}
-	if GD.String() != "GD" || APM.String() != "APM" {
-		t.Error("model names")
+	want := []string{
+		"APM Segm", "APM Segm x4sh", "APM Segm +C", "APM Segm +C x4sh",
+		"APM Repl", "APM Repl x4sh", "APM Repl +C", "APM Repl +C x4sh",
+		"GD Segm", "GD Segm x4sh", "GD Segm +C", "GD Segm +C x4sh",
+		"GD Repl", "GD Repl x4sh", "GD Repl +C", "GD Repl +C x4sh",
+		"none Segm", "none Segm x4sh", "none Segm +C", "none Segm +C x4sh",
+		"none Repl", "none Repl x4sh", "none Repl +C", "none Repl +C x4sh",
 	}
-	if StrategyKind(5).String() != "StrategyKind(5)" || ModelKind(5).String() != "ModelKind(5)" {
-		t.Error("unknown kind names")
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("StrategyName labels:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"selforg/internal/bpm"
 	"selforg/internal/domain"
+	"selforg/internal/shard"
 	"selforg/internal/stats"
 	"selforg/internal/workload"
 )
@@ -23,6 +24,11 @@ import (
 
 // ClientsRunResult holds one multi-client (scheme, workload) run.
 type ClientsRunResult struct {
+	// Workload, Shards, Clients and WriteRatio are the run's coordinates.
+	Workload   WorkloadName
+	Shards     int
+	Clients    int
+	WriteRatio float64
 	// Tally is what the clients executed: queries, writes, refused
 	// update/delete attempts, summed statistics, wall time.
 	workload.Tally
@@ -41,26 +47,22 @@ type ClientsRunResult struct {
 }
 
 // RunClients replays the named workload across clients goroutines
-// against one shared column, split into shards independently locked
-// sub-columns when shards > 1 (internal/shard: each with its own model
-// instance and delta store, sharing one buffer pool and virtual clock).
-// Every run gets a fresh column copy and a fresh buffer pool, like the
-// serial Run. parallelism is the per-query scan fan-out handed to the
-// strategy (a sharded column keeps the single-knob bound across both
-// levels, see shard.Column.SetParallelism); writeRatio of each client's
+// against one shared column built from scheme — split into
+// independently locked shards when its Spec says so (internal/shard:
+// each with its own model instance and delta store, sharing one buffer
+// pool and virtual clock), its scans fanned out per its Parallelism (a
+// sharded column keeps the single-knob bound across both levels, see
+// shard.Column.SetParallelism). Every run gets a fresh column copy and a
+// fresh buffer pool, like the serial Run. writeRatio of each client's
 // operations become point writes (50% insert, 25% update, 25% delete).
-func RunClients(ds *Dataset, scheme Scheme, name WorkloadName, cfg Config, clients, parallelism, shards int, writeRatio float64) *ClientsRunResult {
+func RunClients(ds *Dataset, scheme Scheme, name WorkloadName, cfg Config, clients int, writeRatio float64) *ClientsRunResult {
 	queries := Queries(ds, name, cfg.Workload)
 	pool := bpm.New(cfg.Pool)
 	tr := &poolTracer{pool: pool}
-	seg := buildStrategy(ds, scheme, cfg, tr, shards)
-	if p, ok := seg.(interface{ SetParallelism(int) }); ok {
-		p.SetParallelism(parallelism)
+	seg, err := shard.Build(scheme.spec(cfg, tr), ds.Domain(), ds.ScaledRA(), nil)
+	if err != nil {
+		panic(fmt.Sprintf("sky: %v", err))
 	}
-	// Merge every 32 pending entries: the SkyServer workloads run only a
-	// few hundred operations, so the threshold must be small for the
-	// checkpoint churn to show up on the virtual clock.
-	seg.SetDeltaPolicy(32*cfg.ElemSize, 0)
 	tr.reset()
 
 	mix := workload.Mix{WriteRatio: writeRatio, Dom: ds.Domain()}
@@ -83,6 +85,10 @@ func RunClients(ds *Dataset, scheme Scheme, name WorkloadName, cfg Config, clien
 	}
 	dst := seg.DeltaStats()
 	return &ClientsRunResult{
+		Workload:      name,
+		Shards:        max(scheme.Shards, 1),
+		Clients:       clients,
+		WriteRatio:    writeRatio,
 		Tally:         tally,
 		SelectionMs:   float64(tr.scanTime().Microseconds()) / 1000,
 		AdaptationMs:  float64(tr.writeTime().Microseconds()) / 1000,
@@ -94,143 +100,134 @@ func RunClients(ds *Dataset, scheme Scheme, name WorkloadName, cfg Config, clien
 	}
 }
 
+// cell renders the run's value in the named table column.
+func (r *ClientsRunResult) cell(col string) string {
+	switch col {
+	case "Workload":
+		return string(r.Workload)
+	case "Shards":
+		return fmt.Sprint(r.Shards)
+	case "Clients":
+		return fmt.Sprint(r.Clients)
+	case "Write%":
+		return fmt.Sprintf("%.0f", r.WriteRatio*100)
+	case "Select ms":
+		return fmt.Sprintf("%.0f", r.SelectionMs)
+	case "Adapt ms":
+		return fmt.Sprintf("%.0f", r.AdaptationMs)
+	case "Merges":
+		return fmt.Sprint(r.Merges)
+	case "Merged":
+		return fmt.Sprint(r.MergedEntries)
+	case "Segments", "Replicas":
+		return fmt.Sprint(r.SegmentCount)
+	case "Wall ms":
+		return fmt.Sprint(r.Wall.Milliseconds())
+	case "QPS", "OPS":
+		return fmt.Sprintf("%.0f", r.OpsPerSec())
+	case "QPS/client":
+		return fmt.Sprintf("%.0f", r.OpsPerSec()/float64(r.Clients))
+	}
+	panic(fmt.Sprintf("sky: unknown column %q", col))
+}
+
 // apm15 is the scheme every multi-client table runs: the paper's best
 // converger.
 func apm15(cfg Config, replication bool) Scheme {
-	s := Scheme{Name: "APM 1-5", Kind: APMScheme, Mmin: cfg.Mmin, Mmax: cfg.MmaxSmall, Replication: replication}
+	s := Scheme{Name: "APM 1-5", Spec: apm(cfg.Mmin, cfg.MmaxSmall)}
 	if replication {
 		s.Name += " Repl"
+		s.Strategy = shard.Replication
 	}
 	return s
 }
 
-// ConcurrentTable runs the APM 1-5 segmentation scheme (the paper's best
-// converger) under 1–8 concurrent clients per workload and tabulates
-// virtual time, throughput and final layout. The virtual disk clock
-// totals stay near the serial run — the same aggregate workload drives
-// the same adaptation — while wall-clock throughput is free to scale
-// with the host's cores.
-func ConcurrentTable(ds *Dataset, cfg Config) *stats.Table {
-	tb := stats.NewTable(
-		fmt.Sprintf("Concurrent clients on the SkyServer prototype (APM 1-5, GOMAXPROCS=%d)",
-			runtime.GOMAXPROCS(0)),
-		"Workload", "Clients", "Select ms", "Adapt ms", "Segments", "Wall ms", "QPS")
-	scheme := apm15(cfg, false)
-	for _, w := range WorkloadNames() {
-		for _, clients := range []int{1, 2, 4, 8} {
-			r := RunClients(ds, scheme, w, cfg, clients, 4, 1, 0)
-			tb.AddRow(string(w), fmt.Sprint(clients),
-				fmt.Sprintf("%.0f", r.SelectionMs),
-				fmt.Sprintf("%.0f", r.AdaptationMs),
-				fmt.Sprint(r.SegmentCount),
-				fmt.Sprintf("%d", r.Wall.Milliseconds()),
-				fmt.Sprintf("%.0f", r.OpsPerSec()))
-		}
-	}
-	return tb
+// clientsTable is one multi-client experiment: a title, a column list
+// and the grid of runs. Every combination of the axes, nested Workload >
+// Shards > Clients > Write%, is one RunClients of apm15 and one row.
+type clientsTable struct {
+	title       string // formatted with GOMAXPROCS
+	cols        []string
+	replication bool
+	parallelism int
+	shards      []int
+	clients     []int
+	writes      []float64
 }
 
-// ReplicatedConcurrentTable is the serialization-win measurement of the
-// persistent replica tree on the prototype: the APM 1-5 *replication*
-// scheme under 1–8 concurrent clients per workload. Before PR 5 every
-// replication scan held the tree's writer mutex end to end, so wall-clock
-// throughput flatlined at the single-client rate; with the lock-free
-// read path the aggregate QPS is free to scale with the host's cores
-// (virtual disk-clock totals stay near the serial run — the same
-// aggregate workload drives the same adaptation either way).
-func ReplicatedConcurrentTable(ds *Dataset, cfg Config) *stats.Table {
-	tb := stats.NewTable(
-		fmt.Sprintf("Concurrent clients on a replicated SkyServer column (APM 1-5 Repl, GOMAXPROCS=%d)",
-			runtime.GOMAXPROCS(0)),
-		"Workload", "Clients", "Select ms", "Adapt ms", "Replicas", "Wall ms", "QPS", "QPS/client")
-	scheme := apm15(cfg, true)
+// table runs the grid over ds.
+func (t clientsTable) table(ds *Dataset, cfg Config) *stats.Table {
+	tb := stats.NewTable(fmt.Sprintf(t.title, runtime.GOMAXPROCS(0)), t.cols...)
+	scheme := apm15(cfg, t.replication)
+	scheme.Parallelism = t.parallelism
 	for _, w := range WorkloadNames() {
-		for _, clients := range []int{1, 2, 4, 8} {
-			r := RunClients(ds, scheme, w, cfg, clients, 0, 1, 0)
-			tb.AddRow(string(w), fmt.Sprint(clients),
-				fmt.Sprintf("%.0f", r.SelectionMs),
-				fmt.Sprintf("%.0f", r.AdaptationMs),
-				fmt.Sprint(r.SegmentCount),
-				fmt.Sprintf("%d", r.Wall.Milliseconds()),
-				fmt.Sprintf("%.0f", r.OpsPerSec()),
-				fmt.Sprintf("%.0f", r.OpsPerSec()/float64(clients)))
-		}
-	}
-	return tb
-}
-
-// ShardedTable runs the APM 1-5 scheme with 4 concurrent clients across
-// shard counts per workload — the prototype-side read-scaling check of
-// the domain-sharding extension (virtual clock totals should stay near
-// the unsharded run; the router must not inflate scan volume).
-func ShardedTable(ds *Dataset, cfg Config) *stats.Table {
-	tb := stats.NewTable(
-		fmt.Sprintf("Domain-sharded concurrent clients on the SkyServer prototype (APM 1-5, GOMAXPROCS=%d)",
-			runtime.GOMAXPROCS(0)),
-		"Workload", "Shards", "Clients", "Select ms", "Adapt ms", "Segments", "Wall ms", "QPS")
-	scheme := apm15(cfg, false)
-	for _, w := range WorkloadNames() {
-		for _, shards := range []int{1, 2, 4} {
-			r := RunClients(ds, scheme, w, cfg, 4, 0, shards, 0)
-			tb.AddRow(string(w), fmt.Sprint(shards), "4",
-				fmt.Sprintf("%.0f", r.SelectionMs),
-				fmt.Sprintf("%.0f", r.AdaptationMs),
-				fmt.Sprint(r.SegmentCount),
-				fmt.Sprintf("%d", r.Wall.Milliseconds()),
-				fmt.Sprintf("%.0f", r.OpsPerSec()))
-		}
-	}
-	return tb
-}
-
-// ShardedMixedTable runs the APM 1-5 segmentation scheme under
-// write-heavy mixed load across shard counts — the prototype-side
-// writer-scaling measurement of the domain-sharding extension. OPS is
-// the writer-throughput column; Merges shows the per-shard merge-back
-// churn.
-func ShardedMixedTable(ds *Dataset, cfg Config) *stats.Table {
-	tb := stats.NewTable(
-		fmt.Sprintf("Domain-sharded mixed read-write clients on the SkyServer prototype (APM 1-5, GOMAXPROCS=%d)",
-			runtime.GOMAXPROCS(0)),
-		"Workload", "Shards", "Clients", "Write%", "Select ms", "Adapt ms", "Merges", "Merged", "Segments", "OPS")
-	scheme := apm15(cfg, false)
-	for _, w := range WorkloadNames() {
-		for _, shards := range []int{1, 2, 4} {
-			r := RunClients(ds, scheme, w, cfg, 4, 0, shards, 0.5)
-			tb.AddRow(string(w), fmt.Sprint(shards), "4", "50",
-				fmt.Sprintf("%.0f", r.SelectionMs),
-				fmt.Sprintf("%.0f", r.AdaptationMs),
-				fmt.Sprint(r.Merges),
-				fmt.Sprint(r.MergedEntries),
-				fmt.Sprint(r.SegmentCount),
-				fmt.Sprintf("%.0f", r.OpsPerSec()))
-		}
-	}
-	return tb
-}
-
-// MixedTable runs the APM 1-5 segmentation scheme under mixed
-// read-write load per workload, across client counts and write ratios.
-func MixedTable(ds *Dataset, cfg Config) *stats.Table {
-	tb := stats.NewTable(
-		fmt.Sprintf("Mixed read-write clients on the SkyServer prototype (APM 1-5, GOMAXPROCS=%d)",
-			runtime.GOMAXPROCS(0)),
-		"Workload", "Clients", "Write%", "Select ms", "Adapt ms", "Merges", "Merged", "Segments", "OPS")
-	scheme := apm15(cfg, false)
-	for _, w := range WorkloadNames() {
-		for _, clients := range []int{1, 4} {
-			for _, ratio := range []float64{0.1, 0.3} {
-				r := RunClients(ds, scheme, w, cfg, clients, 0, 1, ratio)
-				tb.AddRow(string(w), fmt.Sprint(clients),
-					fmt.Sprintf("%.0f", ratio*100),
-					fmt.Sprintf("%.0f", r.SelectionMs),
-					fmt.Sprintf("%.0f", r.AdaptationMs),
-					fmt.Sprint(r.Merges),
-					fmt.Sprint(r.MergedEntries),
-					fmt.Sprint(r.SegmentCount),
-					fmt.Sprintf("%.0f", r.OpsPerSec()))
+		for _, shards := range t.shards {
+			scheme.Shards = shards
+			for _, clients := range t.clients {
+				for _, ratio := range t.writes {
+					r := RunClients(ds, scheme, w, cfg, clients, ratio)
+					row := make([]string, len(t.cols))
+					for i, col := range t.cols {
+						row[i] = r.cell(col)
+					}
+					tb.AddRow(row...)
+				}
 			}
 		}
 	}
 	return tb
 }
+
+// run renders the table.
+func (t clientsTable) run(ds *Dataset, cfg Config) string { return t.table(ds, cfg).Render() }
+
+// The multi-client experiments run the APM 1-5 scheme, the paper's best
+// converger. The virtual disk clock totals stay near the serial run —
+// the same aggregate workload drives the same adaptation — while
+// wall-clock throughput is free to scale with the host's cores. The
+// replicated table is the serialization-win measurement of the
+// persistent replica tree: its lock-free read path lets QPS scale where
+// a tree-wide writer mutex would flatline it at the single-client rate.
+// The sharded tables are the prototype side of the domain-sharding
+// extension: read scaling (the router must not inflate scan volume) and
+// writer scaling under write-heavy load, where Merges shows the
+// per-shard merge-back churn.
+var (
+	concurrentTable = clientsTable{
+		title:       "Concurrent clients on the SkyServer prototype (APM 1-5, GOMAXPROCS=%d)",
+		cols:        []string{"Workload", "Clients", "Select ms", "Adapt ms", "Segments", "Wall ms", "QPS"},
+		parallelism: 4,
+		shards:      []int{1},
+		clients:     []int{1, 2, 4, 8},
+		writes:      []float64{0},
+	}
+	replicatedConcurrentTable = clientsTable{
+		title:       "Concurrent clients on a replicated SkyServer column (APM 1-5 Repl, GOMAXPROCS=%d)",
+		cols:        []string{"Workload", "Clients", "Select ms", "Adapt ms", "Replicas", "Wall ms", "QPS", "QPS/client"},
+		replication: true,
+		shards:      []int{1},
+		clients:     []int{1, 2, 4, 8},
+		writes:      []float64{0},
+	}
+	mixedTable = clientsTable{
+		title:   "Mixed read-write clients on the SkyServer prototype (APM 1-5, GOMAXPROCS=%d)",
+		cols:    []string{"Workload", "Clients", "Write%", "Select ms", "Adapt ms", "Merges", "Merged", "Segments", "OPS"},
+		shards:  []int{1},
+		clients: []int{1, 4},
+		writes:  []float64{0.1, 0.3},
+	}
+	shardedTable = clientsTable{
+		title:   "Domain-sharded concurrent clients on the SkyServer prototype (APM 1-5, GOMAXPROCS=%d)",
+		cols:    []string{"Workload", "Shards", "Clients", "Select ms", "Adapt ms", "Segments", "Wall ms", "QPS"},
+		shards:  []int{1, 2, 4},
+		clients: []int{4},
+		writes:  []float64{0},
+	}
+	shardedMixedTable = clientsTable{
+		title:   "Domain-sharded mixed read-write clients on the SkyServer prototype (APM 1-5, GOMAXPROCS=%d)",
+		cols:    []string{"Workload", "Shards", "Clients", "Write%", "Select ms", "Adapt ms", "Merges", "Merged", "Segments", "OPS"},
+		shards:  []int{1, 2, 4},
+		clients: []int{4},
+		writes:  []float64{0.5},
+	}
+)

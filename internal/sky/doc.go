@@ -11,7 +11,10 @@
 //
 // Beyond the paper's serial runs, RunClients deals one workload's query
 // stream across N clients of workload.Drive against a single shared
-// column (the ConcurrentTable, MixedTable and Sharded* experiments of
-// cmd/skybench), exercising the snapshot-reader / single-writer
-// machinery of internal/core under the pool's virtual clock.
+// column — the five multi-client experiments of cmd/skybench (concurrent,
+// replicated-concurrent, mixed, sharded, sharded-mixed), each one
+// declaration of the package's one table writer — exercising the
+// snapshot-reader / single-writer machinery of internal/core under the
+// pool's virtual clock. Every column is built by shard.Build from the
+// scheme's shard.Spec.
 package sky

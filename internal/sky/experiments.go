@@ -147,15 +147,15 @@ func Experiments() []Experiment {
 		{ID: "fig10comp", Title: "Extension: Figure 10 with adaptive compression",
 			Run: func(ds *Dataset, cfg Config) string { return Fig10Compression(ds, cfg).Render() }},
 		{ID: "concurrent", Title: "Extension: N concurrent clients on one self-organizing column",
-			Run: func(ds *Dataset, cfg Config) string { return ConcurrentTable(ds, cfg).Render() }},
+			Run: concurrentTable.run},
 		{ID: "replicated-concurrent", Title: "Extension: lock-free concurrent scans on a replicated column",
-			Run: func(ds *Dataset, cfg Config) string { return ReplicatedConcurrentTable(ds, cfg).Render() }},
+			Run: replicatedConcurrentTable.run},
 		{ID: "mixed", Title: "Extension: mixed read-write clients through the MVCC delta store",
-			Run: func(ds *Dataset, cfg Config) string { return MixedTable(ds, cfg).Render() }},
+			Run: mixedTable.run},
 		{ID: "sharded", Title: "Extension: domain-sharded column, concurrent read scaling",
-			Run: func(ds *Dataset, cfg Config) string { return ShardedTable(ds, cfg).Render() }},
+			Run: shardedTable.run},
 		{ID: "sharded-mixed", Title: "Extension: domain-sharded column, mixed read-write writer scaling",
-			Run: func(ds *Dataset, cfg Config) string { return ShardedMixedTable(ds, cfg).Render() }},
+			Run: shardedMixedTable.run},
 	}
 }
 

@@ -120,10 +120,11 @@ func TestGoldenSingleClient(t *testing.T) {
 	wr.WriteString("Workload\tShards\tQueries\tWrites\tMisses\tSelect ms\tAdapt ms\tMerges\tMerged\tSegments\tStorage MB\n")
 	for _, w := range WorkloadNames() {
 		for _, shards := range []int{1, 2, 4} {
-			r := RunClients(ds, scheme, w, cfg, 1, 0, shards, 0)
+			scheme.Shards = shards
+			r := RunClients(ds, scheme, w, cfg, 1, 0)
 			fmt.Fprintf(&rd, "%s\t%d\t%d\t%.3f\t%.3f\t%d\t%.3f\n",
 				w, shards, r.Queries, r.SelectionMs, r.AdaptationMs, r.SegmentCount, r.StorageMB)
-			m := RunClients(ds, scheme, w, cfg, 1, 0, shards, 0.5)
+			m := RunClients(ds, scheme, w, cfg, 1, 0.5)
 			fmt.Fprintf(&wr, "%s\t%d\t%d\t%d\t%d\t%.3f\t%.3f\t%d\t%d\t%d\t%.3f\n",
 				w, shards, m.Queries, m.Writes, m.Misses, m.SelectionMs, m.AdaptationMs,
 				m.Merges, m.MergedEntries, m.SegmentCount, m.StorageMB)

@@ -7,9 +7,7 @@ import (
 
 	"selforg/internal/bpm"
 	"selforg/internal/compress"
-	"selforg/internal/core"
 	"selforg/internal/domain"
-	"selforg/internal/model"
 	"selforg/internal/shard"
 	"selforg/internal/stats"
 	"selforg/internal/workload"
@@ -17,47 +15,33 @@ import (
 
 // Scheme is one of the evaluated configurations of §6.2: a non-segmented
 // baseline or adaptive segmentation under GD / APM 1–25 MB / APM 1–5 MB.
-// Replication marks the extension schemes (the paper's prototype section
-// only reports adaptive segmentation; the replication run is our
-// extension experiment).
+// Schemes that replicate or compress are our extension experiments: the
+// paper's prototype section only reports adaptive segmentation over
+// plain storage.
 type Scheme struct {
-	Name        string
-	Kind        SchemeKind
-	Mmin        int64 // APM only
-	Mmax        int64 // APM only
-	GDSeed      int64 // GD only
-	Replication bool
-	// Compression attaches the adaptive per-segment encoding subsystem
-	// (compress.Off = paper-faithful plain storage).
-	Compression compress.Mode
+	Name string
+	// Spec is the scheme's strategy stack; every run sets its element
+	// size, tracer and merge-back trigger (see Scheme.spec).
+	shard.Spec
 }
 
-// SchemeKind distinguishes the model behind a scheme.
-type SchemeKind int
+// apm is an APM scheme's stack with bounds [mmin, mmax].
+func apm(mmin, mmax int64) shard.Spec {
+	return shard.Spec{Model: shard.APM, APMMin: mmin, APMMax: mmax}
+}
 
-const (
-	// NoSegm runs without segmentation: every query scans the column.
-	NoSegm SchemeKind = iota
-	// GDScheme uses the Gaussian Dice model.
-	GDScheme
-	// APMScheme uses the Adaptive Pagination Model.
-	APMScheme
-)
-
-// buildModel instantiates the scheme's model for one shard (shard 0 is
-// the whole column when unsharded); GD streams are decorrelated per
-// shard.
-func (s Scheme) buildModel(shardIdx int) model.Model {
-	switch s.Kind {
-	case NoSegm:
-		return model.Never{}
-	case GDScheme:
-		return model.NewGaussianDice(model.ShardSeed(s.GDSeed, shardIdx))
-	case APMScheme:
-		return model.NewAPM(s.Mmin, s.Mmax)
-	default:
-		panic(fmt.Sprintf("sky: unknown scheme kind %d", s.Kind))
-	}
+// spec completes the scheme's stack for one run: cfg's element size and
+// tr attached to every shard (registering the initial column advances
+// the tracer's clock; callers reset it before the first query). Writes merge every 32 pending entries: the
+// SkyServer workloads run only a few hundred operations, so the
+// threshold must be small for the checkpoint churn to show up on the
+// virtual clock.
+func (s Scheme) spec(cfg Config, tr *poolTracer) shard.Spec {
+	spec := s.Spec
+	spec.ElemSize = cfg.ElemSize
+	spec.Tracer = tr
+	spec.DeltaMaxBytes = 32 * cfg.ElemSize
+	return spec
 }
 
 // Config shapes a prototype run.
@@ -100,10 +84,10 @@ func DefaultConfig() Config {
 // NoSegm, GD, APM 1-25, APM 1-5.
 func (c Config) Schemes() []Scheme {
 	return []Scheme{
-		{Name: "NoSegm", Kind: NoSegm},
-		{Name: "GD", Kind: GDScheme, GDSeed: 99},
-		{Name: "APM 1-25", Kind: APMScheme, Mmin: c.Mmin, Mmax: c.MmaxLarge},
-		{Name: "APM 1-5", Kind: APMScheme, Mmin: c.Mmin, Mmax: c.MmaxSmall},
+		{Name: "NoSegm", Spec: shard.Spec{Model: shard.None}},
+		{Name: "GD", Spec: shard.Spec{Model: shard.GD, GDSeed: 99}},
+		{Name: "APM 1-25", Spec: apm(c.Mmin, c.MmaxLarge)},
+		{Name: "APM 1-5", Spec: apm(c.Mmin, c.MmaxSmall)},
 	}
 }
 
@@ -112,12 +96,12 @@ func (c Config) Schemes() []Scheme {
 // evaluates only segmentation on the prototype; these rows extend
 // Figure 10 to the second strategy.
 func (c Config) ReplicationSchemes() []Scheme {
-	return []Scheme{
-		{Name: "NoSegm", Kind: NoSegm},
-		{Name: "GD Repl", Kind: GDScheme, GDSeed: 99, Replication: true},
-		{Name: "APM 1-25 Repl", Kind: APMScheme, Mmin: c.Mmin, Mmax: c.MmaxLarge, Replication: true},
-		{Name: "APM 1-5 Repl", Kind: APMScheme, Mmin: c.Mmin, Mmax: c.MmaxSmall, Replication: true},
+	out := c.Schemes()
+	for i := 1; i < len(out); i++ {
+		out[i].Name += " Repl"
+		out[i].Strategy = shard.Replication
 	}
+	return out
 }
 
 // CompressionSchemes returns the compression extension configurations:
@@ -125,12 +109,14 @@ func (c Config) ReplicationSchemes() []Scheme {
 // against their plain twins. Encoding decisions piggy-back on the same
 // splits, so any time or storage difference is the subsystem's doing.
 func (c Config) CompressionSchemes() []Scheme {
-	return []Scheme{
-		{Name: "APM 1-25", Kind: APMScheme, Mmin: c.Mmin, Mmax: c.MmaxLarge},
-		{Name: "APM 1-25 +C", Kind: APMScheme, Mmin: c.Mmin, Mmax: c.MmaxLarge, Compression: compress.Auto},
-		{Name: "APM 1-5", Kind: APMScheme, Mmin: c.Mmin, Mmax: c.MmaxSmall},
-		{Name: "APM 1-5 +C", Kind: APMScheme, Mmin: c.Mmin, Mmax: c.MmaxSmall, Compression: compress.Auto},
+	var out []Scheme
+	for _, s := range c.Schemes()[2:] {
+		comp := s
+		comp.Name += " +C"
+		comp.Compression = compress.Auto
+		out = append(out, s, comp)
 	}
+	return out
 }
 
 // poolTracer routes segment lifecycle events into the buffer pool and
@@ -166,31 +152,6 @@ func (t *poolTracer) reset() {
 func (t *poolTracer) scanTime() time.Duration  { return time.Duration(t.scanNs.Load()) }
 func (t *poolTracer) writeTime() time.Duration { return time.Duration(t.writeNs.Load()) }
 
-// buildStrategy constructs the scheme's strategy over a fresh copy of
-// the dataset's ra column, domain-sharded when shards > 1, with tr
-// attached to every shard. Registering the initial column advances the
-// tracer's clock; callers reset it before the first query.
-func buildStrategy(ds *Dataset, scheme Scheme, cfg Config, tr *poolTracer, shards int) core.DeltaStrategy {
-	buildOne := func(idx int, rng domain.Range, vals []domain.Value) core.DeltaStrategy {
-		if scheme.Replication {
-			r := core.NewReplicator(rng, vals, cfg.ElemSize, scheme.buildModel(idx), tr)
-			r.SetCompression(scheme.Compression)
-			return r
-		}
-		s := core.NewSegmenter(rng, vals, cfg.ElemSize, scheme.buildModel(idx), tr)
-		s.SetCompression(scheme.Compression)
-		return s
-	}
-	if shards > 1 {
-		sc, err := shard.New(ds.Domain(), ds.ScaledRA(), shards, buildOne)
-		if err != nil {
-			panic(fmt.Sprintf("sky: %v", err))
-		}
-		return sc
-	}
-	return buildOne(0, ds.Domain(), ds.ScaledRA())
-}
-
 // RunResult holds one (scheme, workload) run of the prototype.
 type RunResult struct {
 	Scheme   string
@@ -225,7 +186,10 @@ type RunResult struct {
 func Run(ds *Dataset, scheme Scheme, queries []workload.Query, cfg Config) *RunResult {
 	pool := bpm.New(cfg.Pool)
 	tr := &poolTracer{pool: pool}
-	seg := buildStrategy(ds, scheme, cfg, tr, 1)
+	seg, err := shard.Build(scheme.spec(cfg, tr), ds.Domain(), ds.ScaledRA(), nil)
+	if err != nil {
+		panic(fmt.Sprintf("sky: %v", err))
+	}
 
 	res := &RunResult{
 		Scheme:       scheme.Name,

@@ -112,6 +112,7 @@
 package selforg
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 
@@ -120,62 +121,37 @@ import (
 	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/durable"
-	"selforg/internal/model"
 	"selforg/internal/result"
 	"selforg/internal/shard"
 )
 
 // Strategy selects the self-organizing technique.
-type Strategy int
+type Strategy = shard.Strategy
 
 const (
 	// Segmentation reorganizes the column in place (§4). Minimal storage,
 	// higher start-up cost.
-	Segmentation Strategy = iota
+	Segmentation = shard.Segmentation
 	// Replication retains query results as replicas in a replica tree
 	// (§5). Extra storage, lower reorganization overhead.
-	Replication
+	Replication = shard.Replication
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case Segmentation:
-		return "segmentation"
-	case Replication:
-		return "replication"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // Model selects the segmentation model (§3.2).
-type Model int
+type Model = shard.Model
 
 const (
 	// APM is the deterministic Adaptive Pagination Model: bounds Mmin and
 	// Mmax steer segment sizes into [Mmin, Mmax]. Best long-term overhead
 	// reduction (§8).
-	APM Model = iota
+	APM = shard.APM
 	// GD is the randomized Gaussian Dice: split probability peaks for
 	// selections halving a segment. Lowest initial overhead (§8).
-	GD
+	GD = shard.GD
 	// None disables reorganization: every query scans whole segments as
 	// they are. This is the paper's non-segmented baseline.
-	None
+	None = shard.None
 )
-
-func (m Model) String() string {
-	switch m {
-	case APM:
-		return "APM"
-	case GD:
-		return "GD"
-	case None:
-		return "none"
-	default:
-		return fmt.Sprintf("Model(%d)", int(m))
-	}
-}
 
 // Compression selects the per-segment storage-encoding policy of the
 // internal/compress subsystem. The zero value keeps the legacy
@@ -415,149 +391,48 @@ func New(extent Interval, values []int64, opts Options) (*Column, error) {
 			return nil, fmt.Errorf("selforg: value %d (index %d) outside extent %v", v, i, rng)
 		}
 	}
-	o := opts
-	if o.ElemSize == 0 {
-		o.ElemSize = 4
+	spec := opts.spec()
+	if spec.APMMin >= spec.APMMax {
+		return nil, fmt.Errorf("selforg: APMMin %d must be below APMMax %d", spec.APMMin, spec.APMMax)
 	}
-	if o.APMMin == 0 {
-		o.APMMin = 3 * 1024
-	}
-	if o.APMMax == 0 {
-		o.APMMax = 12 * 1024
-	}
-	if o.GDSeed == 0 {
-		o.GDSeed = 1
-	}
-	if o.APMMin >= o.APMMax {
-		return nil, fmt.Errorf("selforg: APMMin %d must be below APMMax %d", o.APMMin, o.APMMax)
-	}
-
-	switch o.Model {
+	switch opts.Model {
 	case APM, GD, None:
 	default:
-		return nil, fmt.Errorf("selforg: unknown model %v", o.Model)
+		return nil, fmt.Errorf("selforg: unknown model %v", opts.Model)
 	}
-	switch o.Strategy {
+	switch opts.Strategy {
 	case Segmentation, Replication:
 	default:
-		return nil, fmt.Errorf("selforg: unknown strategy %v", o.Strategy)
+		return nil, fmt.Errorf("selforg: unknown strategy %v", opts.Strategy)
 	}
-	if o.Shards < 0 {
-		return nil, fmt.Errorf("selforg: negative shard count %d", o.Shards)
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("selforg: negative shard count %d", opts.Shards)
 	}
-	if o.Durability.Dir != "" {
-		return newDurable(rng, values, o)
+	if opts.Durability.Dir != "" {
+		return newDurable(rng, values, opts)
 	}
-	strat, err := buildStrategy(o, rng, values, nil)
+	strat, err := shard.Build(spec, rng, values, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("selforg: %w", err)
 	}
-	col := &Column{strat: strat, extent: rng, opts: o}
+	col := &Column{strat: strat, extent: rng, opts: opts}
 	col.observe()
 	return col, nil
 }
 
-// buildStrategy constructs the configured strategy stack over values —
-// the shared back half of New and the durable rebuild paths (newDurable,
-// Column.Recover). o must already be normalized by New's defaulting.
-// With rec non-nil, a shard that has a checkpoint rebuilds from its
-// checkpointed content instead of its slice of the initial load; shards
-// without one (a fresh directory, or a crash that interleaved with a
-// checkpoint) keep the initial values and replay their whole log.
-func buildStrategy(o Options, rng domain.Range, values []domain.Value, rec *durable.Recovered) (core.DeltaStrategy, error) {
-	// modelFor builds one model instance per shard — models are stateful
-	// (GD owns a random stream, AutoAPM tunes its bounds), so shards must
-	// never share one. GD seeds are decorrelated per shard.
-	modelFor := func(shardIdx int) model.Model {
-		switch o.Model {
-		case APM:
-			if o.AutoTune {
-				return model.NewAutoAPM(o.APMMin, o.APMMax)
-			}
-			return model.NewAPM(o.APMMin, o.APMMax)
-		case GD:
-			return model.NewGaussianDice(model.ShardSeed(o.GDSeed, shardIdx))
-		default:
-			return model.Never{}
-		}
+// spec maps Options onto the strategy stack shard.Build constructs:
+// zero fields take their defaults, and a negative merge-back trigger
+// disables it.
+func (o Options) spec() shard.Spec {
+	return shard.Spec{
+		Strategy: o.Strategy, Model: o.Model, AutoTune: o.AutoTune,
+		APMMin: cmp.Or(o.APMMin, 3*1024), APMMax: cmp.Or(o.APMMax, 12*1024),
+		GDSeed: cmp.Or(o.GDSeed, 1), ElemSize: cmp.Or(o.ElemSize, 4), Tracer: o.Tracer,
+		Compression: o.Compression.mode(), Parallelism: o.Parallelism,
+		MaxStorageBytes: o.MaxStorageBytes, MaxTreeDepth: o.MaxTreeDepth, Shards: o.Shards,
+		DeltaMaxBytes: max(cmp.Or(o.DeltaMaxBytes, 64*1024), 0),
+		DeltaRatio:    max(cmp.Or(o.DeltaMaxRatio, 0.10), 0),
 	}
-
-	// Delta merge-back policy: defaults and explicit disables.
-	deltaMax := o.DeltaMaxBytes
-	if deltaMax == 0 {
-		deltaMax = 64 * 1024
-	} else if deltaMax < 0 {
-		deltaMax = 0
-	}
-	deltaRatio := o.DeltaMaxRatio
-	if deltaRatio == 0 {
-		deltaRatio = 0.10
-	} else if deltaRatio < 0 {
-		deltaRatio = 0
-	}
-	// Replica storage budgets are split evenly across the shards that
-	// will actually exist — Partition clamps the count to the domain
-	// width, and dividing by the requested count instead would silently
-	// shrink the column-wide budget (ceiling, so a positive column
-	// budget never rounds a shard's budget to zero).
-	nShards := 1
-	if o.Shards > 1 {
-		nShards = len(shard.Partition(rng, o.Shards))
-	}
-	shardBudget := o.MaxStorageBytes
-	if shardBudget > 0 && nShards > 1 {
-		shardBudget = (shardBudget + int64(nShards) - 1) / int64(nShards)
-	}
-	buildOne := func(idx int, srng domain.Range, svals []domain.Value) core.DeltaStrategy {
-		switch o.Strategy {
-		case Segmentation:
-			s := core.NewSegmenter(srng, svals, o.ElemSize, modelFor(idx), o.Tracer)
-			if o.Compression != CompressionOff {
-				s.SetCompression(o.Compression.mode())
-			}
-			s.SetParallelism(o.Parallelism)
-			return s
-		default:
-			r := core.NewReplicator(srng, svals, o.ElemSize, modelFor(idx), o.Tracer)
-			if shardBudget > 0 {
-				r.SetStorageBudget(shardBudget)
-			}
-			if o.MaxTreeDepth > 0 {
-				r.SetMaxDepth(o.MaxTreeDepth)
-			}
-			if o.Compression != CompressionOff {
-				r.SetCompression(o.Compression.mode())
-			}
-			r.SetParallelism(o.Parallelism)
-			return r
-		}
-	}
-
-	build := buildOne
-	if rec != nil {
-		build = func(idx int, srng domain.Range, svals []domain.Value) core.DeltaStrategy {
-			if idx < len(rec.HasCkpt) && rec.HasCkpt[idx] {
-				svals = append([]domain.Value(nil), rec.CkptValues[idx]...)
-			}
-			return buildOne(idx, srng, svals)
-		}
-	}
-
-	var strat core.DeltaStrategy
-	if o.Shards > 1 {
-		sc, err := shard.New(rng, values, o.Shards, build)
-		if err != nil {
-			return nil, fmt.Errorf("selforg: %w", err)
-		}
-		sc.SetParallelism(o.Parallelism)
-		strat = sc
-	} else {
-		// Single shard: the strategy is used directly — byte-identical to
-		// the pre-sharding column, no routing layer at all.
-		strat = build(0, rng, values)
-	}
-	strat.SetDeltaPolicy(deltaMax, deltaRatio)
-	return strat, nil
 }
 
 // shardedColumn is the optional routing capability of the shard router:

@@ -1,6 +1,7 @@
 package selforg
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -165,19 +166,39 @@ func TestGlueSmall(t *testing.T) {
 	}
 }
 
+// TestNameAndStrings pins the public enums' String() output, out-of-range
+// values included: the kinds live below the facade, which aliases them.
 func TestNameAndStrings(t *testing.T) {
 	col, _ := New(Interval{0, 9}, denseValues(10), Options{})
 	if col.Name() == "" {
 		t.Error("empty name")
 	}
-	if Segmentation.String() != "segmentation" || Replication.String() != "replication" {
-		t.Error("strategy strings")
-	}
-	if APM.String() != "APM" || GD.String() != "GD" || None.String() != "none" {
-		t.Error("model strings")
-	}
-	if Strategy(9).String() == "" || Model(9).String() == "" {
-		t.Error("unknown enum strings empty")
+	for _, c := range []struct {
+		got  fmt.Stringer
+		want string
+	}{
+		{Segmentation, "segmentation"},
+		{Replication, "replication"},
+		{Strategy(0), "segmentation"},
+		{Strategy(2), "Strategy(2)"},
+		{Strategy(-1), "Strategy(-1)"},
+		{APM, "APM"},
+		{GD, "GD"},
+		{None, "none"},
+		{Model(0), "APM"},
+		{Model(3), "Model(3)"},
+		{Model(-1), "Model(-1)"},
+		{CompressionOff, "off"},
+		{CompressionAuto, "auto"},
+		{CompressionPlain, "plain"},
+		{CompressionRLE, "rle"},
+		{CompressionDict, "dict"},
+		{CompressionFOR, "for"},
+		{Compression(6), "off"},
+	} {
+		if got := c.got.String(); got != c.want {
+			t.Errorf("%#v.String() = %q, want %q", c.got, got, c.want)
+		}
 	}
 }
 
