@@ -1,8 +1,9 @@
 // Command soserve is the query service tier over a self-organizing
 // column: SQL over the wire with a normalized-fingerprint plan cache,
 // admission control, per-tenant columns, and the full observability
-// surface of PR 6 (Prometheus metrics, phase traces, adaptation events,
-// layout breakdown, pprof).
+// surface (Prometheus metrics, phase traces, adaptation events, layout
+// breakdown, pprof). Every query applies the reorganization it triggers
+// before it answers.
 //
 //	$ soserve -n 1000000 -strategy segmentation -model apm -trace -qps 50
 //	$ curl -d 'SELECT COUNT(*) FROM P WHERE v BETWEEN 1000 AND 2000' localhost:8080/sql
@@ -65,7 +66,6 @@ func main() {
 		trace   = flag.Bool("trace", false, "per-query phase tracing")
 		sample  = flag.Int("trace-sample", 1, "trace 1 in N queries")
 		slow    = flag.Duration("slow", 0, "slow-query threshold (0 = 10ms default)")
-		drain   = flag.Duration("drain", 0, "background adaptation drain interval (0 = off)")
 		qps     = flag.Int("qps", 0, "built-in workload driver: queries per second (0 = off)")
 		selPerc = flag.Float64("sel", 0.001, "workload driver selectivity (fraction of the domain)")
 		walDir  = flag.String("wal-dir", "", "durability: per-tenant WAL directory (empty = in-memory only)")
@@ -78,10 +78,9 @@ func main() {
 		Shards:      *shards,
 		Parallelism: *par,
 		Observability: selforg.Observability{
-			Trace:           *trace,
-			TraceSample:     *sample,
-			SlowQuery:       *slow,
-			BackgroundDrain: *drain,
+			Trace:       *trace,
+			TraceSample: *sample,
+			SlowQuery:   *slow,
 		},
 	}
 	switch *strat {

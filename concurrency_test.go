@@ -31,12 +31,23 @@ func expectedCount(sorted []int64, lo, hi int64) int {
 	return b - a
 }
 
+// countingTracer sums Materialize bytes; safe for concurrent use.
+type countingTracer struct{ materialized atomic.Int64 }
+
+func (c *countingTracer) Scan(int64, int64)          {}
+func (c *countingTracer) Materialize(_, bytes int64) { c.materialized.Add(bytes) }
+func (c *countingTracer) Drop(int64, int64)          {}
+
 // TestConcurrentScannersDriveReorganization is the stress acceptance
-// test: 8 concurrent scanners hammer one column on every strategy/model
-// combination while it self-organizes. The data never changes, so every
-// query — no matter which snapshot it scans or which splits it races —
-// must return exactly the matching multiset; afterwards the layout
-// invariants must hold and a full-extent count must see every value.
+// test: 8 concurrent scanners hammer one column on every strategy/model/
+// compression combination while it self-organizes. The data never
+// changes, so every query — no matter which snapshot it scans or which
+// splits it races — must return exactly the matching multiset;
+// afterwards the layout invariants must hold and a full-extent count
+// must see every value. Accounting must be conserved: every query
+// counts its own reorganization, so the queries' summed Stats equal
+// Totals(), their splits, drops and recodes equal the event counters,
+// and their written bytes equal the Tracer's Materialize bytes.
 func TestConcurrentScannersDriveReorganization(t *testing.T) {
 	const (
 		nVals    = 30_000
@@ -50,66 +61,98 @@ func TestConcurrentScannersDriveReorganization(t *testing.T) {
 
 	for _, strat := range []Strategy{Segmentation, Replication} {
 		for _, mod := range []Model{APM, GD} {
-			for _, par := range []int{1, 4} {
-				name := strat.String() + "/" + mod.String()
-				col, err := New(Interval{0, dom - 1}, append([]int64(nil), vals...), Options{
-					Strategy:    strat,
-					Model:       mod,
-					Parallelism: par,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				var wg sync.WaitGroup
-				errs := make(chan string, scanners)
-				for g := 0; g < scanners; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						r := rand.New(rand.NewSource(int64(1000 + g)))
-						for i := 0; i < queries; i++ {
-							lo := r.Int63n(dom)
-							hi := lo + r.Int63n(dom/10)
-							if hi >= dom {
-								hi = dom - 1
-							}
-							want := expectedCount(sorted, lo, hi)
-							if i%3 == 0 {
-								n, _ := col.Count(lo, hi)
-								if int(n) != want {
-									errs <- name + ": count mismatch"
+			for _, comp := range []Compression{CompressionOff, CompressionAuto} {
+				for _, par := range []int{1, 4} {
+					name := fmt.Sprintf("%s/%s/%s par=%d", strat, mod, comp, par)
+					ob := NewObserver()
+					tr := &countingTracer{}
+					col, err := New(Interval{0, dom - 1}, append([]int64(nil), vals...), Options{
+						Strategy:      strat,
+						Model:         mod,
+						Compression:   comp,
+						Parallelism:   par,
+						Tracer:        tr,
+						Observability: Observability{Observer: ob},
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					built := tr.materialized.Load()
+					var wg sync.WaitGroup
+					errs := make(chan string, scanners)
+					sums := make([]Stats, scanners)
+					for g := 0; g < scanners; g++ {
+						wg.Add(1)
+						go func(g int) {
+							defer wg.Done()
+							r := rand.New(rand.NewSource(int64(1000 + g)))
+							for i := 0; i < queries; i++ {
+								lo := r.Int63n(dom)
+								hi := lo + r.Int63n(dom/10)
+								if hi >= dom {
+									hi = dom - 1
+								}
+								want := expectedCount(sorted, lo, hi)
+								if i%3 == 0 {
+									n, st := col.Count(lo, hi)
+									sums[g].Add(st)
+									if int(n) != want {
+										errs <- name + ": count mismatch"
+										return
+									}
+									continue
+								}
+								res, st := col.Select(lo, hi)
+								sums[g].Add(st)
+								if len(res) != want {
+									errs <- name + ": result size mismatch"
 									return
 								}
-								continue
-							}
-							res, _ := col.Select(lo, hi)
-							if len(res) != want {
-								errs <- name + ": result size mismatch"
-								return
-							}
-							for _, v := range res {
-								if v < lo || v > hi {
-									errs <- name + ": result value outside query range"
-									return
+								for _, v := range res {
+									if v < lo || v > hi {
+										errs <- name + ": result value outside query range"
+										return
+									}
 								}
 							}
-						}
-					}(g)
-				}
-				wg.Wait()
-				close(errs)
-				for e := range errs {
-					t.Fatalf("par=%d: %s", par, e)
-				}
-				if err := col.Validate(); err != nil {
-					t.Fatalf("%s par=%d: invalid layout after stress: %v", name, par, err)
-				}
-				n, _ := col.Count(0, dom-1)
-				if int(n) != nVals {
-					t.Fatalf("%s par=%d: full count = %d, want %d", name, par, n, nVals)
-				}
-				if col.SegmentCount() < 2 {
-					t.Fatalf("%s par=%d: column never reorganized", name, par)
+						}(g)
+					}
+					wg.Wait()
+					close(errs)
+					for e := range errs {
+						t.Fatal(e)
+					}
+					if err := col.Validate(); err != nil {
+						t.Fatalf("%s: invalid layout after stress: %v", name, err)
+					}
+					n, st := col.Count(0, dom-1)
+					if int(n) != nVals {
+						t.Fatalf("%s: full count = %d, want %d", name, n, nVals)
+					}
+					if col.SegmentCount() < 2 {
+						t.Fatalf("%s: column never reorganized", name)
+					}
+
+					var sum Stats
+					for _, s := range sums {
+						sum.Add(s)
+					}
+					sum.Add(st)
+					totals := col.Totals()
+					// The storage snapshot is carry-last, not additive: under
+					// concurrency "last" is whichever query finished last.
+					sum.StorageBytes, sum.CompressedBytes = totals.StorageBytes, totals.CompressedBytes
+					if sum != totals {
+						t.Errorf("%s: summed query Stats %+v, Totals %+v", name, sum, totals)
+					}
+					ev := eventCounts(t, ob)
+					if int64(sum.Splits) != ev["split"] || int64(sum.Drops) != ev["drop"] || int64(sum.Recodes) != ev["recode"] {
+						t.Errorf("%s: queries counted %d splits, %d drops, %d recodes; events %d, %d, %d",
+							name, sum.Splits, sum.Drops, sum.Recodes, ev["split"], ev["drop"], ev["recode"])
+					}
+					if w := tr.materialized.Load() - built; sum.WriteBytes != w {
+						t.Errorf("%s: queries wrote %d bytes, the Tracer saw %d materialized", name, sum.WriteBytes, w)
+					}
 				}
 			}
 		}

@@ -164,10 +164,6 @@ func (c *Column) Recover() error {
 		return fmt.Errorf("selforg: durability is not enabled")
 	}
 	c.dur.Close()
-	for _, stop := range c.stops {
-		stop()
-	}
-	c.stops = nil
 	dur, rec, err := durable.Open(durCfg(c.opts), shard.NewRouter(c.extent, c.opts.Shards))
 	if err != nil {
 		return fmt.Errorf("selforg: recover: %w", err)

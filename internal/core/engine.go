@@ -32,6 +32,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"selforg/internal/delta"
 	"selforg/internal/domain"
@@ -48,11 +49,13 @@ type published[B any] struct {
 type engine[B any] struct {
 	// Mu is the single-writer path: model decisions and every base
 	// mutation (splits, replica materialization, drops, bulk loads,
-	// merge-backs, re-encoding) happen under it. No reader scans under
-	// it: a Replicator query never takes it to read (its adaptation
-	// drain only TryLocks), a Segmenter query takes it to plan, gives it
-	// back before scanning and re-takes it only to apply the splits its
-	// plan holds; pinned views never take it.
+	// merge-backs, re-encoding) happen under it. A query takes it only
+	// through lock, and only to adapt: a Segmenter query plans under it,
+	// gives it back before scanning and re-takes it to apply the splits
+	// its plan holds; a Replicator query scans without it and takes it
+	// after the scan when its cover has adaptation work, which it then
+	// applies itself (replica materialization copies payload under it).
+	// Pinned views never take it.
 	Mu  sync.Mutex
 	cur atomic.Pointer[published[B]]
 	// Delta is the column's MVCC write store: queries pin it beside the
@@ -62,6 +65,26 @@ type engine[B any] struct {
 	// is attached; obs.Counter methods are nil-safe, so the unobserved
 	// cost is one atomic load per publication.
 	pub atomic.Pointer[obs.Counter]
+}
+
+// lock acquires Mu for a query and accounts how long the query queued
+// for it in selforg_writer_lock_wait_ns and the span's lock-wait phase.
+// It is the one way a query takes Mu, for both strategies. The
+// uncontended case is one TryLock and a zero observation — no clock
+// call; only a query that actually waits reads the clock.
+func (e *engine[B]) lock(so *strategyObs, span *obs.Span) {
+	if so == nil {
+		e.Mu.Lock()
+		return
+	}
+	var wait time.Duration
+	if !e.Mu.TryLock() {
+		t0 := time.Now()
+		e.Mu.Lock()
+		wait = time.Since(t0)
+	}
+	so.lockWait.Observe(int64(wait))
+	span.Add(obs.PhaseLockWait, wait)
 }
 
 // setPublishCounter attaches the publication counter (nil detaches).

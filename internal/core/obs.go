@@ -36,8 +36,8 @@ type strategyObs struct {
 	// by sink (op="select", "count", "sum").
 	q [3]*obs.Counter
 	d [3]*obs.Histogram
-	// lockWait: selforg_writer_lock_wait_ns — how long a Segmenter query
-	// queued for eng.Mu (the Replicator's read path never waits).
+	// lockWait: selforg_writer_lock_wait_ns — how long a query queued for
+	// eng.Mu (engine.lock).
 	lockWait *obs.Histogram
 	// writes: selforg_writes_total{op=...}, indexed by delta.OpKind.
 	w [3]*obs.Counter
@@ -49,9 +49,6 @@ type strategyObs struct {
 	// merge-back: selforg_delta_merges_total etc.
 	merges, mergedEntries *obs.Counter
 	mergeDur              *obs.Histogram
-	// queued-adaptation drains: selforg_adapt_drains_total{mode=...}.
-	drainInline, drainBg       *obs.Counter
-	drainInlineDur, drainBgDur *obs.Histogram
 }
 
 // newStrategyObs resolves every handle against ob's registry.
@@ -96,11 +93,6 @@ func newStrategyObs(ob *obs.Observer, strat string, shard int) *strategyObs {
 		merges:        reg.Counter(series("selforg_delta_merges_total", "")),
 		mergedEntries: reg.Counter(series("selforg_delta_merged_entries_total", "")),
 		mergeDur:      reg.Histogram(series("selforg_delta_merge_duration_ns", "")),
-
-		drainInline:    reg.Counter(series("selforg_adapt_drains_total", `mode="inline"`)),
-		drainBg:        reg.Counter(series("selforg_adapt_drains_total", `mode="background"`)),
-		drainInlineDur: reg.Histogram(series("selforg_adapt_drain_duration_ns", `mode="inline"`)),
-		drainBgDur:     reg.Histogram(series("selforg_adapt_drain_duration_ns", `mode="background"`)),
 	}
 	for _, k := range []sink{sinkRows, sinkCount, sinkSum} {
 		op := fmt.Sprintf("op=%q", k)
@@ -227,20 +219,4 @@ func (so *strategyObs) merged(n int, begin time.Time) {
 		After: n,
 		Note:  fmt.Sprintf("entries=%d", n),
 	})
-}
-
-// drained accounts one queued-adaptation drain (inline = piggy-backed on
-// a query's TryLock win; background = the drainer goroutine).
-func (so *strategyObs) drained(background bool, ranges int, begin time.Time) {
-	if so == nil || ranges == 0 {
-		return
-	}
-	d := int64(time.Since(begin))
-	if background {
-		so.drainBg.Inc()
-		so.drainBgDur.Observe(d)
-	} else {
-		so.drainInline.Inc()
-		so.drainInlineDur.Observe(d)
-	}
 }

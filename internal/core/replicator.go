@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"selforg/internal/compress"
 	"selforg/internal/domain"
@@ -35,15 +33,14 @@ import (
 // matter how much reorganization runs beside them.
 //
 // The adaptation half of the paper's algorithms (model decisions, replica
-// materialization, drops) is hoisted out of the read path onto the
-// single-writer pipeline: a query that detects adaptation opportunities
-// in its cover enqueues its range and the queue is drained behind the
-// writer mutex with TryLock semantics — a scanner never *blocks* on the
-// mutex; if another query (or a bulk load, or a merge-back) holds it,
-// the range stays queued and the current holder (or the next adapting
-// query) picks it up. Single-threaded use always wins the TryLock, so
-// serial behaviour — results, stats, layout evolution — is bit-for-bit
-// identical to the fully locked implementation this replaces.
+// materialization, drops) runs on the single-writer pipeline, applied by
+// the query that finds it: when the query's cover holds adaptation work
+// (a virtual leaf to materialize, a partially covered leaf the model may
+// split), the query takes the writer mutex after its scan, recomputes
+// the cover on the current root and applies Algorithm 2's analyse →
+// materialize → drop pass before it returns — the Segmenter's rule. A
+// converged cover has no such work, so its queries never touch the
+// mutex. Each query's Stats and Tracer events are therefore its own.
 //
 // With SetParallelism(n > 1) the result extraction of one query fans out
 // across the (disjoint) covering segments through FanOut, with the parts
@@ -93,42 +90,10 @@ type Replicator struct {
 	// par is the per-query extraction fan-out width (0 = adaptive,
 	// 1 = serial, n > 1 = bounded at n).
 	par atomic.Int32
-	// adapt queues the ranges whose adaptation is still pending — the
-	// hand-off from the lock-free read path to the writer pipeline.
-	adapt adaptQueue
 	// ob is the resolved observability handle set (nil = uninstrumented;
 	// the query path pays one atomic load either way).
 	ob atomic.Pointer[strategyObs]
 }
-
-// adaptQueue is the tiny pending-adaptation buffer between the lock-free
-// read path and the single-writer pipeline. Its mutex guards only the
-// slice append/swap — never any scan, model or tree work — and queries
-// with no adaptation work never touch it: emptiness is answered from an
-// atomic counter, so the converged scan path stays zero-lock.
-type adaptQueue struct {
-	mu      sync.Mutex
-	pending []domain.Range
-	n       atomic.Int64 // len(pending), readable without the mutex
-}
-
-func (a *adaptQueue) add(q domain.Range) {
-	a.mu.Lock()
-	a.pending = append(a.pending, q)
-	a.n.Store(int64(len(a.pending)))
-	a.mu.Unlock()
-}
-
-func (a *adaptQueue) drain() []domain.Range {
-	a.mu.Lock()
-	p := a.pending
-	a.pending = nil
-	a.n.Store(0)
-	a.mu.Unlock()
-	return p
-}
-
-func (a *adaptQueue) empty() bool { return a.n.Load() == 0 }
 
 // NewReplicator builds the strategy over a fresh one-segment column (the
 // replica-tree root) covering extent and holding vals. tracer may be nil.
@@ -178,7 +143,7 @@ func (r *Replicator) SetParallelism(n int) {
 
 // SetObserver attaches (or, with a nil observer, detaches) the
 // observability layer; see Segmenter.SetObserver. The replication
-// surface adds the adaptation-queue depth and declined-replica gauges.
+// surface adds the declined-replica gauge.
 // All gauge callbacks are lock-free (atomics and immutable snapshots),
 // so a scrape never orders against the writer pipeline.
 func (r *Replicator) SetObserver(ob *obs.Observer, shardIdx int) {
@@ -196,7 +161,6 @@ func (r *Replicator) SetObserver(ob *obs.Observer, shardIdx int) {
 	reg.GaugeFunc(so.seriesName("selforg_segments"), func() int64 {
 		return int64(r.SegmentCount())
 	})
-	reg.GaugeFunc(so.seriesName("selforg_adapt_queue_depth"), r.adapt.n.Load)
 	reg.GaugeFunc(so.seriesName("selforg_replicas_declined"), r.declined.Load)
 }
 
@@ -388,8 +352,8 @@ func (r *Replicator) info(sg *segment.Segment) model.SegmentInfo {
 //
 // It returns the selection result assembled from one scan per covering
 // segment, with replica materialization piggy-backed on the query (the
-// scan itself is lock-free; the materialization runs on the writer
-// pipeline).
+// scan itself is lock-free; the query applies its materialization under
+// the writer mutex before it returns).
 func (r *Replicator) Select(q domain.Range) ([]domain.Value, QueryStats) {
 	res, st := r.SelectRope(q)
 	return res.Flatten(), st
@@ -427,15 +391,17 @@ func (r *Replicator) Sum(q domain.Range) (int64, int64, QueryStats) {
 //  1. READ (lock-free): pin a consistent (root, delta) pair, compute the
 //     cover on the pinned root, scan the covering segments — serially or
 //     fanned out across the worker pool — and overlay the pinned delta.
-//  2. ADAPT (writer pipeline): if the cover shows adaptation
-//     opportunities (a virtual leaf to materialize, a partially covered
-//     leaf the model may split), enqueue the range and drain the queue
-//     behind the writer mutex with TryLock — never blocking the scan.
+//  2. ADAPT (under eng.Mu): if the cover shows adaptation opportunities
+//     (a virtual leaf to materialize, a partially covered leaf the model
+//     may split), take the writer mutex through eng.lock and apply the
+//     query's own Algorithm-2 pass (adaptLocked), which recomputes the
+//     cover on the current root. A converged cover skips this step and
+//     never touches the mutex.
 //
-// In single-threaded use step 2 always runs inline, so the serial
-// analyse → scan → materialize → drop interleaving of the paper's
-// pseudocode is reproduced exactly (model decisions in cover order,
-// byte-identical stats and layout evolution). Every sink accounts the
+// The model sees the query's leaves in cover order, so the analyse →
+// scan → materialize → drop sequence of the paper's pseudocode holds for
+// every query, and serial runs evolve stats and layout exactly as the
+// pseudocode does. Every sink accounts the
 // "single scan of the covering segment" (§5) for every cover node, so a
 // Sum reads exactly what a Count reads.
 func (r *Replicator) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, total, QueryStats) {
@@ -478,11 +444,12 @@ func (r *Replicator) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, 
 	span.EndPhase(obs.PhaseOverlay, tOv)
 
 	if coverNeedsAdaptation(cover, q) {
-		r.adapt.add(q)
+		r.eng.lock(r.ob.Load(), span)
+		tAdapt := span.StartPhase()
+		r.adaptLocked(q, &st)
+		span.EndPhase(obs.PhaseAdapt, tAdapt)
+		r.eng.Mu.Unlock()
 	}
-	tAdapt := span.StartPhase()
-	r.drainAdaptation(&st)
-	span.EndPhase(obs.PhaseAdapt, tAdapt)
 	r.snapshot(&st)
 	return rope, t, st
 }
@@ -494,8 +461,8 @@ func (r *Replicator) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, 
 // returns false, every model in the system is guaranteed to answer
 // NoSplit for every overlapping leaf (a covering query is never
 // splittable) without consuming any model state, so skipping the writer
-// pipeline is observationally identical to running it — this is what
-// makes the scan path on a converged tree completely lock-free.
+// mutex is observationally identical to taking it — this is what makes
+// the scan path on a converged tree completely lock-free.
 func coverNeedsAdaptation(cover []*node, q domain.Range) bool {
 	for _, c := range cover {
 		if leafNeedsAdaptation(c, q) {
@@ -523,62 +490,11 @@ func leafNeedsAdaptation(n *node, q domain.Range) bool {
 	return n.seg.Rng.Width() >= 2 && domain.Classify(n.seg.Rng, q) != domain.CoversAll
 }
 
-// drainAdaptation runs queued adaptation ranges on the writer pipeline
-// without ever blocking: TryLock wins → drain and apply; TryLock loses →
-// whoever holds the mutex (another adapting query, a bulk load, a
-// merge-back) leaves it soon, and the loop in *their* drainAdaptation —
-// or the next adapting query — picks the queue up. Stats of applied work
-// are attributed to the applying query (identical to the serial
-// attribution in single-threaded use, where TryLock always wins).
-func (r *Replicator) drainAdaptation(st *QueryStats) {
-	for !r.adapt.empty() {
-		if !r.eng.Mu.TryLock() {
-			return
-		}
-		so := r.ob.Load()
-		var begin time.Time
-		if so != nil {
-			begin = time.Now()
-		}
-		drained := r.adapt.drain()
-		for _, q := range drained {
-			r.adaptLocked(q, st)
-		}
-		r.eng.Mu.Unlock()
-		so.drained(false, len(drained), begin)
-	}
-}
-
-// DrainPendingAdaptation drains the queued adaptation work right now,
-// blocking on the writer mutex instead of TryLock — the background
-// drainer's entry point (see StartBackgroundDrain). It returns the
-// number of queued ranges applied; their stats are not attributed to any
-// query.
-func (r *Replicator) DrainPendingAdaptation() int {
-	if r.adapt.empty() {
-		return 0
-	}
-	so := r.ob.Load()
-	var begin time.Time
-	if so != nil {
-		begin = time.Now()
-	}
-	var st QueryStats
-	r.eng.Mu.Lock()
-	drained := r.adapt.drain()
-	for _, q := range drained {
-		r.adaptLocked(q, &st)
-	}
-	r.eng.Mu.Unlock()
-	so.drained(true, len(drained), begin)
-	return len(drained)
-}
-
 // adaptLocked is the writer half of Algorithm 2 for one query range
 // (caller holds eng.Mu): recompute the cover on the *current* root (a
-// concurrent query may have reorganized since the range was queued —
-// recomputing is the revalidation/coalescing step), run analyseRepl +
-// scanMat's materialization + check4Drop per cover node as a path-copying
+// concurrent query may have reorganized since this one pinned its
+// snapshot — recomputing is the revalidation/coalescing step), run
+// analyseRepl + scanMat's materialization + check4Drop per cover node as a path-copying
 // rebuild, and publish the new root. Skips covers with nothing to do, so
 // racing identical queries coalesce into one application.
 func (r *Replicator) adaptLocked(q domain.Range, st *QueryStats) {

@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"selforg/internal/domain"
 	"selforg/internal/model"
+	"selforg/internal/obs"
 )
 
 // figure4Setup mirrors figure3Setup for the replication walkthrough:
@@ -310,4 +312,70 @@ func TestReplicatorSelectStatsAccumulate(t *testing.T) {
 	if acc.ReadBytes == 0 || acc.ResultCount != 1000 {
 		t.Errorf("accumulated stats wrong: %+v", acc)
 	}
+}
+
+// TestReplicatorQueryAppliesOwnAdaptation: a Replication query whose
+// cover needs adaptation applies it itself before it returns. While the
+// test holds the writer lock the query cannot return; once released,
+// its Stats carry the split and the materialized bytes — exactly the
+// Materialize bytes its own Tracer stream shows — the replica is in the
+// layout, and the wait is in selforg_writer_lock_wait_ns.
+func TestReplicatorQueryAppliesOwnAdaptation(t *testing.T) {
+	q := domain.NewRange(100, 200)
+	// The query goroutine may be scheduled late and reach the lock only
+	// after the test released it; repeat until one query has
+	// demonstrably queued.
+	for attempt := 0; attempt < 50; attempt++ {
+		tr := &recTracer{}
+		r := NewReplicator(domain.NewRange(0, 999), denseColumn(1000), 1, model.Always{}, tr)
+		r.SetObserver(obs.NewObserver(), 0)
+		built := len(tr.events)
+
+		r.eng.Mu.Lock()
+		var res []domain.Value
+		var st QueryStats
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, st = r.Select(q)
+		}()
+		select {
+		case <-done:
+			r.eng.Mu.Unlock()
+			t.Fatal("Select returned while the writer lock was held: it did not apply its own adaptation")
+		case <-time.After(5 * time.Millisecond):
+		}
+		r.eng.Mu.Unlock()
+		<-done
+
+		if len(res) != 101 {
+			t.Fatalf("Select returned %d rows, want 101", len(res))
+		}
+		if st.Splits < 1 || st.WriteBytes <= 0 {
+			t.Fatalf("query stats %+v carry no adaptation", st)
+		}
+		var materialized int64
+		for _, e := range tr.events[built:] {
+			if e.kind == 'M' {
+				materialized += e.bytes
+			}
+		}
+		if st.WriteBytes != materialized {
+			t.Errorf("WriteBytes = %d, the query's Materialize events sum to %d", st.WriteBytes, materialized)
+		}
+		replica := false
+		r.eng.Base().walk(func(n *node, _ int) {
+			replica = replica || (!n.seg.Virtual && n.seg.Rng == q)
+		})
+		if !replica {
+			t.Errorf("no materialized replica of %v in the layout:\n%s", q, r.Dump())
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if r.ob.Load().lockWait.Sum() > 0 {
+			return
+		}
+	}
+	t.Fatal(`no query ever recorded a wait in selforg_writer_lock_wait_ns{strategy="repl"}`)
 }

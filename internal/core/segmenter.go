@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"selforg/internal/compress"
 	"selforg/internal/delta"
@@ -307,25 +306,6 @@ func (s *Segmenter) Sum(q domain.Range) (int64, int64, QueryStats) {
 	return t.n, t.sum, st
 }
 
-// lockWriter acquires eng.Mu and accounts how long the caller queued for
-// it. The uncontended case is one TryLock and a zero observation — no
-// clock call; only a query that actually waits reads the clock.
-func (s *Segmenter) lockWriter(span *obs.Span) {
-	so := s.ob.Load()
-	if so == nil {
-		s.eng.Mu.Lock()
-		return
-	}
-	var wait time.Duration
-	if !s.eng.Mu.TryLock() {
-		t0 := time.Now()
-		s.eng.Mu.Lock()
-		wait = time.Since(t0)
-	}
-	so.lockWait.Observe(int64(wait))
-	span.Add(obs.PhaseLockWait, wait)
-}
-
 // run is the one reorganize-while-scanning pipeline behind every sink:
 //
 //  1. Plan (under eng.Mu): pin the (list, delta) pair, walk the
@@ -353,7 +333,7 @@ func (s *Segmenter) lockWriter(span *obs.Span) {
 // Sum reads exactly what a Count reads.
 func (s *Segmenter) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, total, QueryStats) {
 	var st QueryStats
-	s.lockWriter(span)
+	s.eng.lock(s.ob.Load(), span)
 	tRoute := span.StartPhase()
 	// Pin the MVCC view: the (list snapshot, delta snapshot) pair. Both
 	// are taken under the writer lock, and merge-back publishes its
@@ -398,7 +378,7 @@ func (s *Segmenter) run(q domain.Range, k sink, span *obs.Span) (*result.Rope, t
 	// scheduling-independent.
 	FanOut(len(tasks), par, func(i int) { s.execTask(q, &tasks[i], k, codec) })
 	if splits {
-		s.lockWriter(span)
+		s.eng.lock(s.ob.Load(), span)
 	}
 	// Each task contributes one rope chunk in task order, so assembly is
 	// O(1) per segment.

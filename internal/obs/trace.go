@@ -13,9 +13,10 @@ const (
 	// PhaseRoute is planning: shard routing, cover computation, model
 	// consultation — everything before data is touched.
 	PhaseRoute Phase = iota
-	// PhaseLockWait is time queued for the strategy's writer lock before
-	// planning, and before applying the splits of a plan that splits.
-	// The Replicator only ever TryLocks, so it reports 0.
+	// PhaseLockWait is time queued for the strategy's writer lock: a
+	// Segmenter query's wait before planning and before applying the
+	// splits of a plan that splits, a Replicator query's wait before
+	// applying its adaptation.
 	PhaseLockWait
 	// PhaseScan is the data pass over the base segments. It is computed
 	// residually at Finish (total minus the other phases), so the hot
@@ -23,9 +24,8 @@ const (
 	PhaseScan
 	// PhaseOverlay is the MVCC delta overlay on top of the base result.
 	PhaseOverlay
-	// PhaseAdapt is reorganization work piggy-backed on the query:
-	// split application, replica materialization, drop passes, queued
-	// adaptation drains.
+	// PhaseAdapt is the reorganization the query applies itself: split
+	// application, replica materialization, drop passes.
 	PhaseAdapt
 	numPhases
 )

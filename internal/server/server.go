@@ -283,7 +283,8 @@ func (s *Server) InvalidatePlans() { s.cache.Invalidate() }
 // CacheStats exposes the plan cache's lifetime hit/miss/eviction counts.
 func (s *Server) CacheStats() (hits, misses, evictions int64) { return s.cache.Stats() }
 
-// Close releases every tenant column (stopping background drainers).
+// Close releases every tenant column (stopping each durable tenant's
+// WAL committer).
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

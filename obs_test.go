@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // eventCounts sums selforg_adaptation_events_total over all label sets,
@@ -275,14 +274,15 @@ func TestObsLayoutInfo(t *testing.T) {
 	}
 }
 
-// TestObsBackgroundDrainClose checks the facade lifecycle: a column
-// with a drainer starts and Close stops it without incident.
-func TestObsBackgroundDrainClose(t *testing.T) {
+// TestObsCloseShardedReplication checks the facade lifecycle on an
+// observed 2-shard Replication column: Close after adapting queries is
+// harmless, idempotent, and leaves a valid layout.
+func TestObsCloseShardedReplication(t *testing.T) {
 	ob := NewObserver()
 	col, err := New(Interval{0, 9999}, denseValues(10000), Options{
 		Strategy:      Replication,
 		Shards:        2,
-		Observability: Observability{Observer: ob, BackgroundDrain: time.Millisecond},
+		Observability: Observability{Observer: ob},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@ package selforg
 // wiring of internal/core; this file exposes the knobs and the
 // column-level aggregates:
 //
-//   - Options.Observability selects the observer, tracing and the
-//     background adaptation drainer. The zero value attaches the
-//     process-wide default observer with tracing off — counters are
-//     always cheap (pure atomic adds), so they are on by default.
+//   - Options.Observability selects the observer and tracing. The zero
+//     value attaches the process-wide default observer with tracing
+//     off — counters are always cheap (pure atomic adds), so they are
+//     on by default.
 //   - DefaultObserver().Handler() is the HTTP surface: /metrics
 //     (Prometheus text format), /debug/queries, /debug/adaptations,
 //     /debug/layout and /debug/pprof. cmd/soserve mounts it.
@@ -67,13 +67,6 @@ type Observability struct {
 	// SlowQuery sets the slow-query threshold for the dedicated slow
 	// ring (0 = the 10ms default). Only meaningful with Trace set.
 	SlowQuery time.Duration
-	// BackgroundDrain starts a per-shard background goroutine draining
-	// queued replication adaptation every interval, bounding layout
-	// staleness under read loads that never win the inline TryLock
-	// (0 = off, the default). Only Replication columns queue adaptation;
-	// the knob is a no-op for Segmentation. Columns with a drainer
-	// should be Closed.
-	BackgroundDrain time.Duration
 }
 
 // resolve maps the knob onto the observer to attach (nil = detached).
@@ -155,8 +148,8 @@ func layoutOf(idx int, rng domain.Range, s core.DeltaStrategy) LayoutInfo {
 }
 
 // observe attaches the column to its configured observer: strategy
-// metric handles, optional tracing, the layout provider, and the
-// background drainers. Called once from New on the fully built column.
+// metric handles, optional tracing and the layout provider. Called once
+// from New on the fully built column.
 func (c *Column) observe() {
 	ob := c.opts.Observability.resolve()
 	// Two observer capability shapes exist: per-shard strategies take the
@@ -186,46 +179,13 @@ func (c *Column) observe() {
 	// gauge replace semantics: a rebuilt column takes over from its
 	// predecessor on a shared observer.
 	ob.SetLayoutProvider(func() any { return c.LayoutInfo() })
-	if d := c.opts.Observability.BackgroundDrain; d > 0 {
-		c.stops = startDrainers(c.strat, d)
-	}
 }
 
-// backgroundDrainer is the optional capability of strategies that queue
-// adaptation for deferred draining (the Replicator).
-type backgroundDrainer interface {
-	StartBackgroundDrain(interval time.Duration) func()
-}
-
-// startDrainers launches one background adaptation drainer per shard
-// strategy that supports deferred draining, returning the stop funcs.
-func startDrainers(strat core.DeltaStrategy, interval time.Duration) []func() {
-	var stops []func()
-	add := func(s core.DeltaStrategy) {
-		if d, ok := s.(backgroundDrainer); ok {
-			stops = append(stops, d.StartBackgroundDrain(interval))
-		}
-	}
-	if sc, ok := strat.(shardedColumn); ok {
-		for i := 0; i < sc.Shards(); i++ {
-			add(sc.Shard(i))
-		}
-	} else {
-		add(strat)
-	}
-	return stops
-}
-
-// Close stops the column's background work: the adaptation drainer
-// goroutines started by Observability.BackgroundDrain (draining
-// anything still queued first) and the durability committer (writers
-// still queued are failed; committed groups are already on disk).
-// Columns without background work need no Close; calling it anyway —
-// or twice — is harmless.
+// Close stops the column's background work, the durability committer
+// (writers still queued are failed; committed groups are already on
+// disk). In-memory columns have no background work and need no Close;
+// calling it anyway — or twice — is harmless.
 func (c *Column) Close() {
-	for _, stop := range c.stops {
-		stop()
-	}
 	if c.dur != nil {
 		c.dur.Close()
 	}

@@ -56,9 +56,9 @@
 // A Column is safe for concurrent use: any number of goroutines may call
 // Select, Count and BulkLoad on the same column while it self-organizes.
 // Readers scan immutable segment snapshots published through an atomic
-// pointer; reorganization runs behind a single-writer path that batches
-// the piggy-backed work of concurrent scans and coalesces duplicate
-// splits. Options.Parallelism additionally fans one query's per-segment
+// pointer; every query applies the reorganization it triggers behind a
+// single-writer path, where duplicate splits of concurrent scans
+// coalesce. Options.Parallelism additionally fans one query's per-segment
 // scans out across a bounded worker pool:
 //
 //	col, _ := selforg.New(extent, values, selforg.Options{
@@ -276,8 +276,8 @@ type Options struct {
 	// Update decomposes into a delete plus an insert (two MVCC versions).
 	Shards int
 	// Observability configures the column's reporting: which Observer
-	// to attach to, per-query phase tracing, the slow-query threshold
-	// and the background adaptation drainer. The zero value attaches
+	// to attach to, per-query phase tracing and the slow-query
+	// threshold. The zero value attaches
 	// the process-wide DefaultObserver() with tracing off; see the
 	// Observability type in observe.go.
 	Observability Observability
@@ -304,10 +304,12 @@ type Stats = core.QueryStats
 // concurrent use: readers scan immutable segment-list snapshots published
 // through an atomic pointer, while reorganization — still interleaved
 // with query execution, as in the paper — runs behind a single-writer
-// path that batches and coalesces the piggy-backed work of concurrent
-// scans. See ARCHITECTURE.md ("Concurrency model") for the exact
-// guarantees: individual queries are linearizable against reorganization;
-// cross-query adaptation order under contention is not deterministic.
+// path: every query applies the reorganization it triggers before it
+// returns, revalidated against the current layout, so racing queries
+// coalesce instead of redoing each other's work. See ARCHITECTURE.md
+// ("Concurrency model") for the exact guarantees: individual queries are
+// linearizable against reorganization; cross-query adaptation order
+// under contention is not deterministic.
 type Column struct {
 	strat  core.DeltaStrategy
 	extent domain.Range
@@ -316,8 +318,6 @@ type Column struct {
 	// acct accumulates the lifetime totals lock-free; per-query stats
 	// are returned by value and need no synchronization.
 	acct totalsAcc
-	// stops terminates the background drainer goroutines (see Close).
-	stops []func()
 
 	// dur is the group-commit committer when Options.Durability is
 	// enabled, nil otherwise — the nil check is the only cost the
@@ -436,9 +436,8 @@ func (o Options) spec() shard.Spec {
 }
 
 // shardedColumn is the optional routing capability of the shard router:
-// per-shard access for diagnostics, checkpoint capture and drainer
-// wiring. The facade dispatches on it instead of on the concrete
-// *shard.Column type.
+// per-shard access for diagnostics and checkpoint capture. The facade
+// dispatches on it instead of on the concrete *shard.Column type.
 type shardedColumn interface {
 	Shards() int
 	Shard(i int) core.DeltaStrategy
