@@ -22,7 +22,7 @@ BENCH_ARGS := -run '^$$' -bench '$(BENCH_SET)' -benchtime 10x -count 3 -benchmem
 # bench-multicore, so scaling is measured rather than assumed.
 MULTICORE_SET := LargeScanParallel|ShardedScan|ShardedWriters|ShardedMixedWorkload|ConcurrentScanners
 
-.PHONY: build test race lint loc fuzz-smoke bench-module bench-smoke bench-ci bench-check bench-baseline bench-multicore ci
+.PHONY: build test race lint deps loc fuzz-smoke bench-module bench-smoke bench-ci bench-check bench-baseline bench-multicore ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,18 @@ race:
 lint:
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 	$(GO) vet ./...
+
+# deps guards the engine boundary: the query service links one engine,
+# the facade — not the paper's MAL stack (mal, opt, bpm, sql/malgen),
+# which only the figure harnesses use — and the SQL front end imports
+# nothing of the module.
+deps:
+	@bad=$$($(GO) list -deps ./cmd/soserve ./internal/server \
+		| grep -E '^selforg/internal/(mal|opt|bpm|sql/malgen)$$'); \
+	if [ -n "$$bad" ]; then echo "soserve links the MAL stack:" $$bad; exit 1; fi
+	@bad=$$($(GO) list -deps ./internal/sql | grep -E '^selforg(/|$$)' \
+		| grep -v '^selforg/internal/sql$$'); \
+	if [ -n "$$bad" ]; then echo "internal/sql imports" $$bad; exit 1; fi
 
 # loc prints the non-test Go lines per package and in total (benchmark/,
 # its own module, excluded) — the figure a simplicity PR's "net-negative
@@ -55,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz FuzzCodecRange -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzWireEnvelope -fuzztime 30s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzPlanCache -fuzztime 30s
 	$(GO) test ./internal/segment/ -run '^$$' -fuzz FuzzSplit -fuzztime 30s
 
 # bench-module compiles, vets and tests benchmark/ — its own Go module,
@@ -100,4 +113,4 @@ bench-baseline:
 	$(GO) test $(BENCH_ARGS) -json $(BENCH_PKGS) > /tmp/bench_raw.jsonl
 	/tmp/benchdiff -parse -out BENCH_baseline.json < /tmp/bench_raw.jsonl
 
-ci: build lint test race bench-module bench-check
+ci: build lint deps test race bench-module bench-check

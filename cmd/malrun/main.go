@@ -22,6 +22,7 @@ import (
 	"selforg/internal/model"
 	"selforg/internal/opt"
 	"selforg/internal/sql"
+	"selforg/internal/sql/malgen"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 	switch {
 	case *sqlSrc != "":
 		var q *sql.Query
-		q, prog, err = sql.Compile(*sqlSrc, cat)
+		q, prog, err = malgen.Compile(*sqlSrc, cat)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "malrun:", err)
 			os.Exit(1)

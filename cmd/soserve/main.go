@@ -12,14 +12,14 @@
 //	$ curl -d 'INSERT INTO P VALUES (1234)' localhost:8080/sql
 //	$ curl localhost:8080/debug/queries | jq .
 //
-// POST /sql is the one way in. Every statement takes one path —
-// normalize → plan cache → parse → bind → run: constants are lifted
-// into bind values, the canonical fingerprint keys a sharded LRU of
-// bound physical plans (SELECT shapes on the served table; the cached
-// plan is the operator that executes), and a warm request costs one lex
-// pass plus a cache hit before it touches the column. The paper's MAL
-// plan for a statement is shown by ?explain=1 and executes only for
-// CREATE TABLE-d tables. Requests beyond the admission gate's
+// POST /sql is the one way in, and every tenant serves one table,
+// sys.P(v). Every statement takes one path — normalize → plan cache →
+// parse → bind → run: constants are lifted into bind values, the
+// canonical fingerprint keys a sharded LRU of bound physical plans
+// (SELECT shapes; the cached plan is the operator that executes), and a
+// warm request costs one lex pass plus a cache hit before it touches
+// the column. ?explain=1 adds that plan to the answer. Any other table,
+// and CREATE TABLE, is a 400. Requests beyond the admission gate's
 // workers+backlog budget are shed with 429 and a Retry-After hint.
 //
 // The optional built-in workload driver (-qps) issues random range
@@ -62,7 +62,6 @@ func main() {
 		backlog = flag.Int("backlog", 0, "admitted requests waiting for a worker (0 = 2x workers)")
 		plans   = flag.Int("plans", 0, "plan cache capacity (0 = 1024)")
 		maxRows = flag.Int("maxrows", 1000, "rows a SELECT returns over the wire")
-		column  = flag.String("column", "v", "served column name (sys.P.<column>)")
 		trace   = flag.Bool("trace", false, "per-query phase tracing")
 		sample  = flag.Int("trace-sample", 1, "trace 1 in N queries")
 		slow    = flag.Duration("slow", 0, "slow-query threshold (0 = 10ms default)")
@@ -119,7 +118,6 @@ func main() {
 		N:             *n,
 		Seed:          *seed,
 		Options:       opts,
-		Column:        *column,
 		CacheCapacity: *plans,
 		Workers:       *workers,
 		Backlog:       *backlog,
@@ -133,7 +131,7 @@ func main() {
 		srv.Close()
 		log.Fatalf("soserve: %v", err)
 	}
-	log.Printf("serving sys.P.%s (%s) over %d values on %s", *column, col.Name(), *n, *addr)
+	log.Printf("serving sys.P.v (%s) over %d values on %s", col.Name(), *n, *addr)
 	if col.Durable() {
 		mode := "no fsync"
 		if *walSync {

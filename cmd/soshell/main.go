@@ -92,8 +92,7 @@ func (sh *shell) exec(line string) error {
                             column served as sys.P(v): SELECT v / count(*) /
                             sum(v) ... WHERE v BETWEEN, INSERT INTO P VALUES (..),
                             UPDATE P SET v=.., DELETE FROM P WHERE v=..,
-                            CREATE TABLE t (a, b) for session-local tables,
-                            EXPLAIN SELECT .. for the MAL plan
+                            EXPLAIN SELECT .. for the plan it runs
   merge                     force the delta merge-back into the base
   delta                     show the write store's counters
   wal on DIR [fsync]        enable durability on the next build: group-commit
@@ -607,15 +606,15 @@ func (sh *shell) exec(line string) error {
 
 // sql runs one statement through the server tier's statement path
 // (server.Exec: normalize → plan cache → parse → bind → run) over the
-// shell's column, served as sys.P(v); a leading EXPLAIN prints the MAL
-// plan of a SELECT instead of running it.
+// shell's column, served as sys.P(v); a leading EXPLAIN prints the plan
+// a SELECT binds to (server.Explain) instead of running it.
 func (sh *shell) sql(stmt string) error {
 	if len(stmt) > 8 && strings.EqualFold(stmt[:8], "EXPLAIN ") {
 		plan, err := sh.srv.Explain(stmt[8:])
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(sh.out, plan)
+		fmt.Fprintln(sh.out, plan)
 		return nil
 	}
 	res, err := sh.srv.Exec("", stmt)
@@ -628,21 +627,10 @@ func (sh *shell) sql(stmt string) error {
 	case "sum":
 		fmt.Fprintf(sh.out, "sum %d over %d rows; read %d B\n", res.Sum, res.Count, res.Stats.ReadBytes)
 	case "select":
-		// A table of the session's own (CREATE TABLE) answers in tuples,
-		// the served column in rows; both are capped at maxShown.
-		if res.Tuples != nil {
-			fmt.Fprintf(sh.out, "# %s\n", strings.Join(res.Columns, ", "))
-			for _, tup := range res.Tuples {
-				fmt.Fprintf(sh.out, "%d\n", tup)
-			}
-		} else {
-			for _, v := range res.Rows.Values() {
-				fmt.Fprintf(sh.out, "[ %d ]\n", v)
-			}
+		for _, v := range res.Rows.Values() {
+			fmt.Fprintf(sh.out, "[ %d ]\n", v)
 		}
 		fmt.Fprintf(sh.out, "# %d rows; read %d B\n", res.Count, res.Stats.ReadBytes)
-	case "create":
-		fmt.Fprintln(sh.out, "table created")
 	default: // insert, update, delete
 		rows := "rows"
 		if res.Count == 1 {

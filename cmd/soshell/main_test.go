@@ -304,12 +304,11 @@ func TestShellSQL(t *testing.T) {
 		{"sql SELECT v FROM P WHERE v BETWEEN 102 AND 102", "[ 102 ]", false},
 		{"sql SELECT v FROM P WHERE v BETWEEN 0 AND 999", "# 1001 rows; read", false},
 		{"sql SELECT SUM(v) FROM P WHERE v BETWEEN 102 AND 102", "over", false},
-		{"sql EXPLAIN SELECT COUNT(*) FROM P WHERE v BETWEEN 7 AND 9", "aggr.count", false},
-		// Tables of the session's own run on the server's tenant catalog.
-		{"sql CREATE TABLE m (a, b)", "table created", false},
-		{"sql INSERT INTO m VALUES (1, 10), (2, 20)", "2 rows inserted", false},
-		{"sql SELECT a, b FROM m WHERE a BETWEEN 2 AND 2", "[2 20]", false},
-		{"sql CREATE TABLE P (a)", "already exists", true},
+		{"sql EXPLAIN SELECT COUNT(*) FROM P WHERE v BETWEEN 7 AND 9", "count sys.P.v [7, 9]: Column.Count\n", false},
+		// The session serves one table: no DDL, and no other table.
+		{"sql CREATE TABLE m (a, b)", "at offset 0", true},
+		{"sql INSERT INTO m VALUES (1, 10), (2, 20)", "unknown table sys.m", true},
+		{"sql SELECT a, b FROM m WHERE a BETWEEN 2 AND 2", "unknown table sys.m", true},
 		{"sql SELECT nope FROM P WHERE v BETWEEN 1 AND 2", "unknown column", true},
 		{"sql SELECT a FROM nope WHERE a BETWEEN 1 AND 2", "nope", true},
 		{"sql DELETE FROM P WHERE v =", "", true},

@@ -29,30 +29,15 @@ type Column struct {
 	Segmented string
 }
 
-// WriteCatalog is the write surface of a catalog: the delta-bat append
-// operations the DML builtins (sql.insertRow, sql.updateRows,
-// sql.deleteRows) call into. A Catalog without it is read-only — write
-// plans executed against it fail at the builtin, not silently.
-type WriteCatalog interface {
-	Catalog
-	InsertRow(schema, table string, vals map[string]bat.Value) (uint64, error)
-	UpdateRow(schema, table string, oid uint64, column string, v bat.Value) error
-	DeleteRow(schema, table string, oid uint64) error
-}
-
 // Table groups columns plus the deletion bat.
 type Table struct {
 	Schema, Name string
 	Cols         map[string]*Column
-	// Order is the declared column order (CREATE TABLE position), used
-	// to resolve INSERTs without an explicit column list. Tables built
-	// directly from the Cols map may leave it nil.
-	Order   []string
-	Deletes *bat.BAT // [oid, oid] of deleted rows
+	Deletes      *bat.BAT // [oid, oid] of deleted rows
 }
 
-// MemCatalog is the in-memory Catalog used by tests, examples and the
-// shell.
+// MemCatalog is the in-memory Catalog used by tests, examples and
+// cmd/malrun.
 type MemCatalog struct {
 	tables map[string]*Table
 }
@@ -77,42 +62,6 @@ func (c *MemCatalog) AddTable(t *Table) {
 		t.Deletes = bat.Empty(bat.KOid, bat.KOid)
 	}
 	c.tables[t.Schema+"."+t.Name] = t
-}
-
-// CreateTable registers a new all-bigint table with the given declared
-// column order — the DDL entry point of the SQL write path. It fails on
-// an existing table, an empty column list or a duplicate column.
-func (c *MemCatalog) CreateTable(schema, table string, columns []string) error {
-	if len(columns) == 0 {
-		return fmt.Errorf("mal: create table %s.%s without columns", schema, table)
-	}
-	if _, ok := c.tables[schema+"."+table]; ok {
-		return fmt.Errorf("mal: table %s.%s already exists", schema, table)
-	}
-	cols := make(map[string]*Column, len(columns))
-	for _, name := range columns {
-		if _, dup := cols[name]; dup {
-			return fmt.Errorf("mal: create table %s.%s: duplicate column %s", schema, table, name)
-		}
-		cols[name] = &Column{Base: bat.Empty(bat.KOid, bat.KLng)}
-	}
-	c.AddTable(&Table{
-		Schema: schema,
-		Name:   table,
-		Cols:   cols,
-		Order:  append([]string(nil), columns...),
-	})
-	return nil
-}
-
-// ColumnsOf returns the declared column order of a table ("" table →
-// nil), falling back to nil when the table predates Order tracking.
-func (c *MemCatalog) ColumnsOf(schema, table string) []string {
-	t, ok := c.tables[schema+"."+table]
-	if !ok {
-		return nil
-	}
-	return t.Order
 }
 
 func (c *MemCatalog) table(schema, table string) (*Table, error) {

@@ -58,10 +58,6 @@ type Context struct {
 	Results []*ResultSet
 	// AdaptedBytes totals the bytes rewritten by bpm.adapt calls.
 	AdaptedBytes int64
-	// Affected counts the rows written by the DML builtins
-	// (sql.insertRow, sql.updateRows, sql.deleteRows) — the SQL tier's
-	// "N rows affected" answer.
-	Affected int64
 
 	iters map[iterKey]*segIter
 }

@@ -138,27 +138,6 @@ func coerceBound(b *bat.BAT, arg any, pos int) (bat.Value, error) {
 	}
 }
 
-// writeTarget unpacks the (schema, table) prefix of a DML builtin's
-// arguments and asserts the context's catalog is writable.
-func writeTarget(ctx *Context, args []any) (WriteCatalog, string, string, error) {
-	schema, err := argStr(args, 0)
-	if err != nil {
-		return nil, "", "", err
-	}
-	table, err := argStr(args, 1)
-	if err != nil {
-		return nil, "", "", err
-	}
-	if ctx.Catalog == nil {
-		return nil, "", "", fmt.Errorf("no catalog attached")
-	}
-	wc, ok := ctx.Catalog.(WriteCatalog)
-	if !ok {
-		return nil, "", "", fmt.Errorf("catalog %T is read-only", ctx.Catalog)
-	}
-	return wc, schema, table, nil
-}
-
 // --- sql module ---
 
 func registerSQL(r *Registry) {
@@ -207,101 +186,6 @@ func registerSQL(r *Registry) {
 			return nil, fmt.Errorf("no catalog attached")
 		}
 		return ctx.Catalog.BindDBat(schema, table, int(slot))
-	})
-	// --- DML builtins (the write surface of the SQL tier) ---
-	//
-	// All three require a WriteCatalog; they count written rows into
-	// ctx.Affected and are registered impure with the tactical optimizer
-	// (internal/opt), so dead-code elimination and CSE leave them alone.
-	r.Register("sql", "insertRow", func(ctx *Context, args []any) (any, error) {
-		// insertRow(schema, table, col1, v1, col2, v2, ...) -> oid as lng
-		if len(args) < 4 || len(args)%2 != 0 {
-			return nil, fmt.Errorf("sql.insertRow wants (schema, table, col, val, ...)")
-		}
-		wc, schema, table, err := writeTarget(ctx, args)
-		if err != nil {
-			return nil, err
-		}
-		vals := make(map[string]bat.Value, (len(args)-2)/2)
-		for i := 2; i < len(args); i += 2 {
-			col, err := argStr(args, i)
-			if err != nil {
-				return nil, err
-			}
-			base, err := wc.Bind(schema, table, col, 0)
-			if err != nil {
-				return nil, err
-			}
-			v, err := coerceBound(base, args[i+1], i+2)
-			if err != nil {
-				return nil, err
-			}
-			vals[col] = v
-		}
-		oid, err := wc.InsertRow(schema, table, vals)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Affected++
-		return int64(oid), nil
-	})
-	r.Register("sql", "updateRows", func(ctx *Context, args []any) (any, error) {
-		// updateRows(schema, table, setCol, setVal, qualified) -> affected
-		// as lng; qualified is the [oid, value] bat of the rows to touch
-		// (the masked delta chain of the write plan's predicate).
-		if len(args) != 5 {
-			return nil, fmt.Errorf("sql.updateRows wants (schema, table, col, val, rows)")
-		}
-		wc, schema, table, err := writeTarget(ctx, args)
-		if err != nil {
-			return nil, err
-		}
-		col, err := argStr(args, 2)
-		if err != nil {
-			return nil, err
-		}
-		base, err := wc.Bind(schema, table, col, 0)
-		if err != nil {
-			return nil, err
-		}
-		v, err := coerceBound(base, args[3], 4)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := argBAT(args, 4)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < rows.Len(); i++ {
-			h, _ := rows.Row(i)
-			if err := wc.UpdateRow(schema, table, h.AsOid(), col, v); err != nil {
-				return nil, err
-			}
-		}
-		ctx.Affected += int64(rows.Len())
-		return int64(rows.Len()), nil
-	})
-	r.Register("sql", "deleteRows", func(ctx *Context, args []any) (any, error) {
-		// deleteRows(schema, table, qualified) -> affected as lng
-		if len(args) != 3 {
-			return nil, fmt.Errorf("sql.deleteRows wants (schema, table, rows)")
-		}
-		wc, schema, table, err := writeTarget(ctx, args)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := argBAT(args, 2)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < rows.Len(); i++ {
-			h, _ := rows.Row(i)
-			if err := wc.DeleteRow(schema, table, h.AsOid()); err != nil {
-				return nil, err
-			}
-		}
-		ctx.Affected += int64(rows.Len())
-		return int64(rows.Len()), nil
 	})
 	r.Register("sql", "resultSet", func(ctx *Context, args []any) (any, error) {
 		// resultSet(nCols, nDims, firstColumnBat) — only the shape matters.

@@ -43,7 +43,9 @@ func (a *APM) Decide(q domain.Range, seg SegmentInfo) Decision {
 	if !splittable(q, seg) {
 		return Decision{Action: NoSplit}
 	}
-	// Rule 1: small segments are never split.
+	// Rule 1: small segments are never split. Rules 2 and 3 imply it
+	// (every piece of a segment below Mmin is below Mmin, and Mmin <
+	// Mmax), so it only spares the estimates.
 	if seg.Bytes < a.Mmin {
 		return Decision{Action: NoSplit}
 	}

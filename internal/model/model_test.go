@@ -208,6 +208,33 @@ func TestAPMRule3MeanFallback(t *testing.T) {
 	}
 }
 
+// TestAPMExactBoundaries pins APM's rules at exactly Mmin and Mmax,
+// where a `<` ↔ `<=` slip in apm.go changes the decision.
+func TestAPMExactBoundaries(t *testing.T) {
+	a := NewAPM(1000, 4000)
+	for _, c := range []struct {
+		name string
+		seg  SegmentInfo
+		q    domain.Range
+		want Action
+	}{
+		// Rule 1 leaves only SizeS < Mmin intact. At SizeS == Mmin it
+		// does not apply, and rules 2 and 3 keep the segment intact: every
+		// piece is estimated below Mmin, and SizeS <= Mmax.
+		{"SizeS == Mmin", seg(0, 999, 1000, 100_000), domain.NewRange(0, 499), NoSplit},
+		// Rule 3 reorganizes only SizeS > Mmax.
+		{"SizeS == Mmax", seg(0, 3999, 4000, 100_000), domain.NewRange(1500, 1509), NoSplit},
+		{"SizeS == Mmax+1", seg(0, 4000, 4001, 100_000), domain.NewRange(1500, 1509), SplitPoint},
+		// Rule 2: three pieces of exactly Mmin bytes each are all large.
+		{"pieces == Mmin", seg(0, 2999, 3000, 100_000), domain.NewRange(1000, 1999), SplitBounds},
+	} {
+		if d := a.Decide(c.q, c.seg); d.Action != c.want {
+			t.Errorf("%s: query %v on %v (%d B) = %v, want %v",
+				c.name, c.q, c.seg.Rng, c.seg.Bytes, d.Action, c.want)
+		}
+	}
+}
+
 func TestAPMCoversAllNoSplit(t *testing.T) {
 	a := NewAPM(1000, 4000)
 	s := seg(100, 199, 5000, 100_000)

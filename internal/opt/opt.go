@@ -134,9 +134,6 @@ var impure = map[string]bool{
 	"sql.rsColumn":     true,
 	"sql.exportResult": true,
 	"sql.resultSet":    false, // pure allocation
-	"sql.insertRow":    true,  // DML builtins mutate the catalog's delta bats
-	"sql.updateRows":   true,
-	"sql.deleteRows":   true,
 	"io.print":         true,
 	"bpm.addSegment":   true,
 	"bpm.adapt":        true,

@@ -20,18 +20,24 @@ const (
 	opInsert opKind = "insert"
 	opUpdate opKind = "update"
 	opDelete opKind = "delete"
-	opCreate opKind = "create"
 )
 
-// plan is one bound statement: the operator that runs and where. A
-// served plan reads every constant from the fingerprint's bind slots, so
+// The one served column: every tenant's facade column is sys.P(v).
+const servedSchema, servedTable, servedColumn = "sys", "P", "v"
+
+// readMethod names the facade call run makes for each read operator.
+var readMethod = map[opKind]string{
+	opSelect: "Column.SelectRows",
+	opCount:  "Column.Count",
+	opSum:    "Column.Sum",
+}
+
+// plan is one bound statement: the operator that runs on the tenant's
+// column. It reads every constant from the fingerprint's bind slots, so
 // one plan serves every tenant and every constant instantiation of its
-// shape — what the cache holds is what executes. A tenant-table plan
-// keeps the parsed statement: its executor lowers it to MAL per call.
+// shape — what the cache holds is what executes.
 type plan struct {
-	op     opKind
-	served bool
-	stmt   sql.Stmt
+	op opKind
 }
 
 // CompileError wraps a bind-side failure that is not a syntax error —
@@ -57,47 +63,30 @@ type Result struct {
 	// (omitted on the wire) when the result has no rows, matching the
 	// empty-slice omission of the flat encoding it replaced.
 	Rows *Rows `json:"rows,omitempty"`
-	// Columns and Tuples carry multi-column SELECT results (tenant
-	// tables); single-column results use Rows.
+	// Columns and Tuples are the wire form of a multi-column result.
+	// The served column is one column, so the server never sets them;
+	// clients that decode them keep building.
 	Columns []string  `json:"columns,omitempty"`
 	Tuples  [][]int64 `json:"tuples,omitempty"`
-	// Truncated reports that Rows/Tuples was capped at Config.MaxRows;
+	// Truncated reports that Rows was capped at Config.MaxRows;
 	// Count still carries the full cardinality.
 	Truncated   bool          `json:"truncated,omitempty"`
 	Stats       selforg.Stats `json:"stats"`
 	Cached      bool          `json:"cached"`
 	Fingerprint string        `json:"fingerprint"`
 	Tenant      string        `json:"tenant"`
-	// Plan is the optimized MAL text ?explain=1 asks for.
+	// Plan is the bound plan ?explain=1 asks for (see Explain).
 	Plan string `json:"plan,omitempty"`
 }
 
 // Exec runs one statement for the named tenant — the single statement
-// path: normalize (one lex pass: fingerprint + binds) → plan cache → on
-// a miss parse and bind once → run. It is the admission-free core: the
-// HTTP layer adds the gate, Exec is what benchmarks and in-process
-// callers use. Only SELECT shapes consult the cache; a write's
-// constants are the write, so writes compile per call and their
-// fingerprints exist for observability.
+// path: prepare (normalize → plan cache → parse → bind) → run. It is the
+// admission-free core: the HTTP layer adds the gate, Exec is what
+// benchmarks and in-process callers use.
 func (s *Server) Exec(tenant, src string) (*Result, error) {
-	n, err := sql.Normalize(src)
+	n, p, cached, err := s.prepare(src)
 	if err != nil {
 		return nil, err
-	}
-	var (
-		p      plan
-		cached bool
-	)
-	if strings.HasPrefix(n.Fingerprint, "SELECT ") {
-		var v any
-		if v, cached = s.cache.Get(n.Fingerprint); cached {
-			p = v.(plan)
-		}
-	}
-	if !cached {
-		if p, err = s.compile(src, n.Fingerprint); err != nil {
-			return nil, err
-		}
 	}
 	t, err := s.tenantEntry(tenant)
 	if err != nil {
@@ -111,33 +100,47 @@ func (s *Server) Exec(tenant, src string) (*Result, error) {
 	return res, nil
 }
 
-// compile is the cold path: one parse, one bind, and — for reads of the
-// served table — publication under the fingerprint, stamped with the
-// epoch captured before compilation so a racing InvalidatePlans refuses
-// it. Tenant catalogs diverge, so one fingerprint would not mean one
-// plan there; those statements are never published.
-func (s *Server) compile(src, fingerprint string) (plan, error) {
+// prepare is the front of the statement path: one lex pass
+// (fingerprint + binds), then the plan cache. Only SELECT shapes consult
+// the cache; a write's constants are the write, so writes compile per
+// call and their fingerprints exist for observability. A cold read is
+// parsed and bound once and published under its fingerprint, stamped
+// with the epoch captured before compilation so a racing InvalidatePlans
+// refuses it.
+func (s *Server) prepare(src string) (n *sql.Normalized, p plan, cached bool, err error) {
+	if n, err = sql.Normalize(src); err != nil {
+		return nil, plan{}, false, err
+	}
+	read := strings.HasPrefix(n.Fingerprint, "SELECT ")
+	if read {
+		var v any
+		if v, cached = s.cache.Get(n.Fingerprint); cached {
+			return n, v.(plan), true, nil
+		}
+	}
 	epoch := s.cache.Epoch()
+	if p, err = compile(src); err != nil {
+		return nil, plan{}, false, err
+	}
+	if read {
+		s.cache.Put(n.Fingerprint, p, epoch)
+	}
+	return n, p, false, nil
+}
+
+// compile is the cold path: one parse, one bind.
+func compile(src string) (plan, error) {
 	stmt, err := sql.ParseStmt(src)
 	if err != nil {
 		return plan{}, err
 	}
-	p, err := s.bind(stmt)
-	if err != nil {
-		return plan{}, err
-	}
-	if _, read := stmt.(*sql.Query); read && p.served {
-		s.cache.Put(fingerprint, p, epoch)
-	}
-	return p, nil
+	return bind(stmt)
 }
 
-// bind resolves the statement's target and picks its operator. Against
-// the served table it validates every name and the row arity here, so a
-// served plan cannot fail on anything but its bind values; names of a
-// tenant's own table resolve under that catalog's lock when the plan
-// runs.
-func (s *Server) bind(stmt sql.Stmt) (plan, error) {
+// bind checks the statement against the served table and picks its
+// operator. Every name and the row arity are validated here, so a plan
+// cannot fail on anything but its bind values.
+func bind(stmt sql.Stmt) (plan, error) {
 	var (
 		op            opKind
 		schema, table string
@@ -161,17 +164,12 @@ func (s *Server) bind(stmt sql.Stmt) (plan, error) {
 		op, schema, table, cols = opUpdate, st.Schema, st.Table, []string{st.SetCol, st.PredCol}
 	case *sql.Delete:
 		op, schema, table, cols = opDelete, st.Schema, st.Table, []string{st.PredCol}
-	case *sql.CreateTable:
-		op, schema, table = opCreate, st.Schema, st.Table
 	}
-	if schema != s.cfg.Schema || table != s.cfg.Table {
-		return plan{op: op, stmt: stmt}, nil
-	}
-	if op == opCreate {
-		return plan{}, compileErrorf("table %s.%s already exists", schema, table)
+	if schema != servedSchema || table != servedTable {
+		return plan{}, compileErrorf("unknown table %s.%s", schema, table)
 	}
 	for _, col := range cols {
-		if col != s.cfg.Column {
+		if col != servedColumn {
 			return plan{}, compileErrorf("unknown column %s.%s.%s", schema, table, col)
 		}
 	}
@@ -180,16 +178,13 @@ func (s *Server) bind(stmt sql.Stmt) (plan, error) {
 		return plan{}, compileErrorf("table %s.%s has 1 column, row has %d values",
 			schema, table, len(ins.Rows[0]))
 	}
-	return plan{op: op, served: true}, nil
+	return plan{op: op}, nil
 }
 
 // run executes a plan with the statement's bind values. Cold and warm
 // executions share this function, so cached execution is byte-identical
 // to uncached execution by construction.
 func (s *Server) run(t *tenant, p plan, binds []float64) (*Result, error) {
-	if !p.served {
-		return s.runTenant(t, p)
-	}
 	res := &Result{}
 	var err error
 	switch p.op {
@@ -215,8 +210,7 @@ func (s *Server) run(t *tenant, p plan, binds []float64) (*Result, error) {
 
 // bindBounds maps a read's two float binds onto the facade's inclusive
 // integer interval: the integers inside [lo, hi] are ceil(lo) ..
-// floor(hi), matching the MAL plan's dbl-typed A0/A1 parameters
-// evaluated over integer values.
+// floor(hi).
 func bindBounds(binds []float64) (lo, hi int64) {
 	return saturate(math.Ceil(binds[0])), saturate(math.Floor(binds[1]))
 }
@@ -235,35 +229,23 @@ func saturate(f float64) int64 {
 	return int64(f)
 }
 
-// Explain returns the optimized MAL text the paper's pipeline compiles
-// the default tenant's SELECT src to. Nothing on the served path
-// executes or keeps this program; it is generated on request only.
-func (s *Server) Explain(src string) (string, error) { return s.explain("", src) }
-
-// explain is Explain for a named tenant (the ?explain= form of /sql).
-// Statements other than SELECT have no read plan and explain as "".
-func (s *Server) explain(tenant, src string) (string, error) {
-	stmt, err := sql.ParseStmt(src)
+// Explain prepares src exactly as Exec does and renders the plan run
+// would execute for it: the operator, the served column, the integer
+// interval the bind values map to and the facade method, e.g.
+//
+//	count sys.P.v [7, 9]: Column.Count
+//
+// Nothing runs. Statements other than SELECT explain as "".
+func (s *Server) Explain(src string) (string, error) {
+	n, p, _, err := s.prepare(src)
 	if err != nil {
 		return "", err
 	}
-	q, ok := stmt.(*sql.Query)
-	if !ok {
+	method, read := readMethod[p.op]
+	if !read {
 		return "", nil
 	}
-	cat := s.cat
-	if q.Schema != s.cfg.Schema || q.Table != s.cfg.Table {
-		t, err := s.tenantEntry(tenant)
-		if err != nil {
-			return "", err
-		}
-		t.cmu.RLock()
-		defer t.cmu.RUnlock()
-		cat = t.cat
-	}
-	prog, err := lower(q, cat)
-	if err != nil {
-		return "", err
-	}
-	return prog.String(), nil
+	lo, hi := bindBounds(n.Binds)
+	return fmt.Sprintf("%s %s.%s.%s [%d, %d]: %s",
+		p.op, servedSchema, servedTable, servedColumn, lo, hi, method), nil
 }

@@ -59,7 +59,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	tenant, src := q.Get("tenant"), string(body)
 	res, err := s.Exec(tenant, src)
 	if err == nil && q.Get("explain") != "" {
-		res.Plan, err = s.explain(tenant, src)
+		res.Plan, err = s.Explain(src)
 	}
 	switch {
 	case err == nil:

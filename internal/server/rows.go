@@ -19,8 +19,7 @@ type Rows struct {
 	flat    []int64       // decoded or explicitly-built form
 }
 
-// NewRows wraps an already-flat row slice (multi-column results project
-// their single column through here).
+// NewRows wraps an already-flat row slice.
 func NewRows(flat []int64) *Rows { return &Rows{flat: flat} }
 
 // Len returns the number of rows the result carries (after truncation).

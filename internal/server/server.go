@@ -1,24 +1,21 @@
 // Package server is the query service tier on top of the selforg
 // facade: SQL over the wire, every statement through one path (Exec in
-// exec.go) — normalize → plan cache → parse → bind → plan → run:
+// exec.go) — normalize → plan cache → parse → bind → run — onto one
+// executor, the tenant's facade column, served as sys.P(v):
 //
 //   - internal/sql.Normalize lexes the statement once, lifting its
 //     constants into bind values and producing the canonical
 //     fingerprint — the cache key and the Result's fingerprint.
 //   - internal/plancache holds bound plans in a bounded, sharded LRU
-//     stamped with the catalog epoch. A plan for the served table is the
-//     physical operator that executes (select | count | sum over bind
-//     slots), so a warm request is one lex pass plus a map hit, and what
-//     is cached is what runs. Writes and statements on a tenant's own
-//     tables compile per call.
-//   - bind resolves the target: the served column (names and arity
-//     checked against its one-column schema) or a CREATE TABLE-d table of
-//     the tenant's private catalog.
-//   - run executes the plan on one of two executors (write.go): facade
-//     calls on the tenant's column, or — for tenant tables only — the
-//     paper's SQL → MAL → optimizer → interpreter stack. The MAL plan of
-//     a served statement is generated on request (Explain, ?explain=),
-//     never on the serving path.
+//     stamped with the catalog epoch. A plan is the physical operator
+//     that executes (select | count | sum over bind slots), so a warm
+//     request is one lex pass plus a map hit, and what is cached is
+//     what runs. Writes compile per call.
+//   - bind checks the statement against sys.P(v) — any other table or
+//     column is a CompileError — and picks the operator.
+//   - run calls the facade: Column.SelectRows/Count/Sum for reads,
+//     Column.Insert/Update/Delete for writes (write.go). Explain (and
+//     ?explain=1) renders the same bound plan with its bind values.
 //   - one hand-written encoder (wire.go) appends the compact answer,
 //     rows straight from the result rope, into a pooled 32 KB buffer:
 //     Content-Length up to one buffer, bounded flushes beyond it.
@@ -45,9 +42,7 @@ import (
 	"sync"
 
 	"selforg"
-	"selforg/internal/bat"
 	"selforg/internal/domain"
-	"selforg/internal/mal"
 	"selforg/internal/plancache"
 	"selforg/internal/sim"
 	"selforg/internal/sql"
@@ -67,9 +62,6 @@ type Config struct {
 	// Options configures every tenant column (strategy, model, shards,
 	// compression, parallelism, observability).
 	Options selforg.Options
-	// Schema, Table and Column name the single served column in the SQL
-	// catalog (defaults sys, P, v).
-	Schema, Table, Column string
 	// CacheCapacity bounds the plan cache (default
 	// plancache.DefaultCapacity).
 	CacheCapacity int
@@ -99,15 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.Schema == "" {
-		c.Schema = "sys"
-	}
-	if c.Table == "" {
-		c.Table = "P"
-	}
-	if c.Column == "" {
-		c.Column = "v"
-	}
 	if c.MaxRows == 0 {
 		c.MaxRows = 1000
 	}
@@ -132,7 +115,6 @@ func (c Config) withDefaults() Config {
 // concurrent use.
 type Server struct {
 	cfg   Config
-	cat   *mal.MemCatalog
 	cache *plancache.Cache
 	gate  *gate
 
@@ -141,38 +123,19 @@ type Server struct {
 	closed  bool
 }
 
-// tenant is one isolated facade instance. All tenants share the SQL
-// catalog (one schema) and the plan cache; each owns its column plus a
-// private catalog of CREATE TABLE-d multi-column tables (in-memory,
-// per-tenant — the durable write path is the facade column).
+// tenant is one isolated facade column, served as sys.P(v). All
+// tenants share the plan cache.
 type tenant struct {
 	name string
 	col  *selforg.Column
-	// cat holds the tenant's own tables; cmu serializes access to it
-	// (MemCatalog is not safe for concurrent mutation — writes take the
-	// write lock, tenant-table SELECTs the read lock).
-	cat *mal.MemCatalog
-	cmu sync.RWMutex
 }
 
 // New builds a Server. The default tenant's column is built lazily on
 // first use, like every other tenant's.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// The served schema as a MAL catalog: one table, one bigint column
-	// over empty base bats. Only Explain reads it — execution binds the
-	// tenant's facade column.
-	cat := mal.NewMemCatalog()
-	cat.AddTable(&mal.Table{
-		Schema: cfg.Schema,
-		Name:   cfg.Table,
-		Cols: map[string]*mal.Column{
-			cfg.Column: {Base: bat.Empty(bat.KOid, bat.KLng)},
-		},
-	})
 	s := &Server{
 		cfg:     cfg,
-		cat:     cat,
 		cache:   plancache.New(cfg.CacheCapacity),
 		gate:    newGate(cfg.Workers, cfg.Backlog),
 		tenants: make(map[string]*tenant),
@@ -183,13 +146,13 @@ func New(cfg Config) *Server {
 }
 
 // NewOver builds a Server whose default tenant is col — an existing
-// column served as cfg.Schema.cfg.Table, under col's extent — instead of
+// column served as sys.P(v), under col's extent — instead of
 // a generated one: cmd/soshell runs its `sql` command through here over
 // the column the session built. Close closes col with the other tenants.
 func NewOver(cfg Config, col *selforg.Column) *Server {
 	cfg.Extent = col.Extent()
 	s := New(cfg)
-	s.tenants["default"] = &tenant{name: "default", col: col, cat: mal.NewMemCatalog()}
+	s.tenants["default"] = &tenant{name: "default", col: col}
 	return s
 }
 
@@ -246,7 +209,7 @@ func (s *Server) tenantEntry(name string) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q: %w", name, err)
 	}
-	t := &tenant{name: name, col: col, cat: mal.NewMemCatalog()}
+	t := &tenant{name: name, col: col}
 	s.tenants[name] = t
 	return t, nil
 }
@@ -312,9 +275,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // isClientError classifies an Exec failure for the HTTP layer: every
-// compile-side problem (lexing, parsing, unknown column, unsupported
-// shape), every malformed tenant name, and every client-fault write
-// rejection maps to 400.
+// compile-side problem (lexing, parsing, unknown table or column,
+// unsupported shape), every malformed tenant name, and every
+// client-fault write rejection maps to 400.
 func isClientError(err error) bool {
 	var se *sql.SyntaxError
 	var ce *CompileError

@@ -86,7 +86,7 @@ func TestSQLWriteRoundTrip(t *testing.T) {
 		"INSERT INTO P VALUES (1, 2)",       // arity
 		"INSERT INTO P VALUES (1.5)",        // not a bigint
 		"UPDATE P SET v = 1 WHERE nope = 2", // unknown predicate column
-		"CREATE TABLE P (a)",                // the served table exists
+		"CREATE TABLE P (a)",                // no DDL
 		"INSERT INTO P VALUES (-1)",         // outside the column extent
 		"DELETE FROM P WHERE v =",           // syntax
 	} {
@@ -101,141 +101,84 @@ func TestSQLWriteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSQLTenantTables exercises the multi-column path: CREATE TABLE
-// into the tenant's private catalog, DML through MAL write plans,
-// SELECT with positional rejoin — and isolation between tenants.
-func TestSQLTenantTables(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
-
-	exec := func(tenant, src string) *Result {
-		t.Helper()
-		res, err := s.Exec(tenant, src)
-		if err != nil {
-			t.Fatalf("Exec(%q, %q): %v", tenant, src, err)
-		}
-		return res
-	}
-
-	res := exec("alpha", "CREATE TABLE m (a, b, c)")
-	if res.Op != "create" {
-		t.Fatalf("create result = %+v", res)
-	}
-	if _, err := s.Exec("alpha", "CREATE TABLE m (x)"); err == nil || !isClientError(err) {
-		t.Fatalf("redefining m: err = %v", err)
-	}
-
-	res = exec("alpha", "INSERT INTO m VALUES (1, 10, 100), (2, 20, 200), (3, 30, 300)")
-	if res.Count != 3 {
-		t.Fatalf("insert affected %d, want 3", res.Count)
-	}
-	// Explicit column list in another order.
-	exec("alpha", "INSERT INTO m (c, a, b) VALUES (400, 4, 40)")
-
-	res = exec("alpha", "UPDATE m SET b = 99 WHERE a = 2")
-	if res.Count != 1 {
-		t.Fatalf("update affected %d, want 1", res.Count)
-	}
-	res = exec("alpha", "DELETE FROM m WHERE a = 1")
-	if res.Count != 1 {
-		t.Fatalf("delete affected %d, want 1", res.Count)
-	}
-
-	// Multi-column SELECT: the surviving rows, positionally rejoined.
-	res = exec("alpha", "SELECT a, b, c FROM m WHERE a BETWEEN 0 AND 50")
-	if res.Op != "select" || res.Cached {
-		t.Fatalf("select result = %+v", res)
-	}
-	if !reflect.DeepEqual(res.Columns, []string{"a", "b", "c"}) {
-		t.Fatalf("columns = %v", res.Columns)
-	}
-	want := [][]int64{{2, 99, 200}, {3, 30, 300}, {4, 40, 400}}
-	if !reflect.DeepEqual(res.Tuples, want) {
-		t.Fatalf("tuples = %v, want %v", res.Tuples, want)
-	}
-	if res.Count != 3 {
-		t.Fatalf("select count = %d, want 3", res.Count)
-	}
-
-	// Aggregates against the tenant table.
-	if res = exec("alpha", "SELECT COUNT(*) FROM m WHERE a BETWEEN 0 AND 50"); res.Count != 3 {
-		t.Fatalf("count = %+v", res)
-	}
-	if res = exec("alpha", "SELECT SUM(b) FROM m WHERE a BETWEEN 0 AND 50"); res.Sum != 99+30+40 {
-		t.Fatalf("sum = %+v", res)
-	}
-
-	// Isolation: beta has no table m, in either direction.
-	if _, err := s.Exec("beta", "SELECT a FROM m WHERE a BETWEEN 0 AND 50"); err == nil || !isClientError(err) {
-		t.Fatalf("beta read alpha's table: err = %v", err)
-	}
-	if _, err := s.Exec("beta", "INSERT INTO m VALUES (1, 2, 3)"); err == nil || !isClientError(err) {
-		t.Fatalf("beta wrote alpha's table: err = %v", err)
-	}
-	// And beta may reuse the name independently.
-	exec("beta", "CREATE TABLE m (x)")
-	exec("beta", "INSERT INTO m VALUES (7)")
-	if res = exec("beta", "SELECT COUNT(*) FROM m WHERE x BETWEEN 0 AND 10"); res.Count != 1 {
-		t.Fatalf("beta's m count = %+v", res)
-	}
-}
-
-// TestHandlerSQLWrites drives the same flows over real HTTP: CREATE,
-// INSERT, UPDATE, DELETE and SELECT against POST /sql, with client
-// faults mapped to 400.
+// TestHandlerSQLWrites drives the write flows over real HTTP: INSERT,
+// UPDATE, DELETE and SELECT on sys.P against POST /sql, with client
+// faults mapped to 400 — CREATE TABLE a syntax error at offset 0, any
+// other table unknown at bind.
 func TestHandlerSQLWrites(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	post := func(tenant, stmt string) (int, *Result) {
+	post := func(stmt string) (int, *Result, errorBody) {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/sql?tenant="+tenant, "text/plain", strings.NewReader(stmt))
+		resp, err := http.Post(srv.URL+"/sql?tenant=w", "text/plain", strings.NewReader(stmt))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var res Result
+		var (
+			res Result
+			eb  errorBody
+		)
 		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-				t.Fatal(err)
-			}
+			err = json.NewDecoder(resp.Body).Decode(&res)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&eb)
 		}
-		return resp.StatusCode, &res
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, &res, eb
+	}
+	count := func() int64 {
+		t.Helper()
+		code, res, _ := post("SELECT COUNT(*) FROM P WHERE v BETWEEN 42 AND 43")
+		if code != 200 {
+			t.Fatalf("count: %d", code)
+		}
+		return res.Count
 	}
 
-	if code, res := post("w", "CREATE TABLE pairs (k, v)"); code != 200 || res.Op != "create" {
-		t.Fatalf("create: %d %+v", code, res)
-	}
-	if code, res := post("w", "INSERT INTO pairs VALUES (1, 2), (3, 4)"); code != 200 || res.Count != 2 {
+	base := count()
+	if code, res, _ := post("INSERT INTO P VALUES (42), (42)"); code != 200 || res.Count != 2 {
 		t.Fatalf("insert: %d %+v", code, res)
 	}
-	if code, res := post("w", "UPDATE pairs SET v = 9 WHERE k = 1"); code != 200 || res.Count != 1 {
+	if code, res, _ := post("UPDATE P SET v = 43 WHERE v = 42"); code != 200 || res.Count != 1 {
 		t.Fatalf("update: %d %+v", code, res)
 	}
-	if code, res := post("w", "DELETE FROM pairs WHERE k = 3"); code != 200 || res.Count != 1 {
+	if code, res, _ := post("DELETE FROM P WHERE v = 42"); code != 200 || res.Count != 1 {
 		t.Fatalf("delete: %d %+v", code, res)
 	}
-	code, res := post("w", "SELECT k, v FROM pairs WHERE k BETWEEN 0 AND 10")
-	if code != 200 || !reflect.DeepEqual(res.Tuples, [][]int64{{1, 9}}) {
+	if got := count(); got != base+1 {
+		t.Fatalf("count after writes = %d, want %d", got, base+1)
+	}
+	code, res, _ := post("SELECT v FROM P WHERE v BETWEEN 43 AND 43")
+	if code != 200 || res.Rows.Len() == 0 || res.Columns != nil || res.Tuples != nil {
 		t.Fatalf("select: %d %+v", code, res)
 	}
-	// The served table accepts DML over the wire too.
-	if code, res := post("w", "INSERT INTO P VALUES (42)"); code != 200 || res.Count != 1 {
-		t.Fatalf("facade insert: %d %+v", code, res)
+
+	// CREATE TABLE fails at its first token.
+	code, _, eb := post("CREATE TABLE pairs (k, v)")
+	if code != http.StatusBadRequest || eb.Offset == nil || *eb.Offset != 0 {
+		t.Errorf("CREATE TABLE: %d %+v, want 400 at offset 0", code, eb)
 	}
-	// Client faults are 400, not 500.
-	for _, bad := range []string{
-		"INSERT INTO pairs VALUES (1)",       // arity vs table
-		"INSERT INTO missing VALUES (1)",     // unknown table
-		"UPDATE pairs SET z = 1 WHERE k = 1", // unknown column
-		"INSERT INTO P VALUES (1.5)",         // not a bigint
-		"DELETE FROM pairs WHERE",            // syntax
+	// Every other client fault is a 400 too, and applies nothing.
+	for _, c := range []struct{ stmt, frag string }{
+		{"INSERT INTO pairs VALUES (1, 2)", "unknown table sys.pairs"},
+		{"SELECT k FROM pairs WHERE k BETWEEN 0 AND 10", "unknown table sys.pairs"},
+		{"UPDATE other.P SET v = 1 WHERE v = 42", "unknown table other.P"},
+		{"DELETE FROM P WHERE z = 1", "unknown column"},
+		{"INSERT INTO P VALUES (1.5)", "not a bigint"},
+		{"DELETE FROM P WHERE", "expected identifier"},
 	} {
-		if code, _ := post("w", bad); code != http.StatusBadRequest {
-			t.Errorf("POST %q = %d, want 400", bad, code)
+		if code, _, eb := post(c.stmt); code != http.StatusBadRequest || !strings.Contains(eb.Error, c.frag) {
+			t.Errorf("POST %q = %d %q, want 400 with %q", c.stmt, code, eb.Error, c.frag)
 		}
+	}
+	if got := count(); got != base+1 {
+		t.Errorf("count after rejected statements = %d, want %d", got, base+1)
 	}
 }
 

@@ -1,4 +1,4 @@
-package sql
+package sql_test
 
 import (
 	"strings"
@@ -6,6 +6,7 @@ import (
 
 	"selforg/internal/bat"
 	"selforg/internal/mal"
+	"selforg/internal/sql/malgen"
 )
 
 // freshDB builds a base-only sys.P table (empty delta bats), to be
@@ -24,7 +25,7 @@ func freshDB() *mal.MemCatalog {
 
 func runPlan(t *testing.T, cat *mal.MemCatalog, src string, lo, hi float64) *mal.ResultSet {
 	t.Helper()
-	_, prog, err := Compile(src, cat)
+	_, prog, err := malgen.Compile(src, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,20 @@
-package sql
+// Package malgen is the SQL → MAL code generator of the paper's
+// compilation stack (§2): "The compilation stack consists of three
+// components: SQL-MAL code generator, a tactical optimizer, and the run
+// time engine." It compiles the range-selection query class that
+// internal/sql parses —
+//
+//	SELECT objid FROM P WHERE ra BETWEEN 205.1 AND 205.12
+//	SELECT COUNT(*) FROM P WHERE ra BETWEEN 205.1 AND 205.12
+//	SELECT SUM(dec) FROM P WHERE ra BETWEEN 205.1 AND 205.12
+//
+// — into MAL plans of exactly the Figure-1 shape (delta-bat merge,
+// deletion masking, oid renumbering, per-column rejoin, result export).
+// The generated plan then flows through the tactical optimizer
+// (internal/opt), where the segment pass applies the §3.1 rewriting if
+// the predicate column is segmented. cmd/malrun is its driver; the
+// query service never links it.
+package malgen
 
 import (
 	"fmt"
@@ -6,6 +22,7 @@ import (
 
 	"selforg/internal/bat"
 	"selforg/internal/mal"
+	"selforg/internal/sql"
 )
 
 // Generate compiles the query into a MAL plan of the Figure-1 shape. The
@@ -13,14 +30,14 @@ import (
 // names for the result-set metadata. The produced plan is a
 // two-parameter function (A0, A1 — the predicate bounds), exactly like
 // the cached plan of Figure 1; execute it with Interp.Run(prog, lo, hi).
-func Generate(q *Query, cat mal.Catalog) (*mal.Program, error) {
-	g := &gen{q: q, schema: q.Schema, table: q.Table, selLo: "A0", selHi: "A1", cat: cat}
+func Generate(q *sql.Query, cat mal.Catalog) (*mal.Program, error) {
+	g := &gen{q: q, cat: cat}
 	return g.generate()
 }
 
 // Compile is the whole §2 stack front half: parse + generate.
-func Compile(src string, cat mal.Catalog) (*Query, *mal.Program, error) {
-	q, err := Parse(src)
+func Compile(src string, cat mal.Catalog) (*sql.Query, *mal.Program, error) {
+	q, err := sql.Parse(src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -32,14 +49,10 @@ func Compile(src string, cat mal.Catalog) (*Query, *mal.Program, error) {
 }
 
 type gen struct {
-	q             *Query // nil for write plans (dml.go)
-	schema, table string
-	// selLo/selHi are the plan arguments bounding predicate selections
-	// ("A0"/"A1"; write plans with equality predicates use "A0"/"A0").
-	selLo, selHi string
-	cat          mal.Catalog
-	b            strings.Builder
-	next         int
+	q    *sql.Query
+	cat  mal.Catalog
+	b    strings.Builder
+	next int
 }
 
 // v allocates a fresh plan variable.
@@ -54,7 +67,7 @@ func (g *gen) emitf(format string, args ...any) {
 
 // columnKind validates the column and returns its tail kind.
 func (g *gen) columnKind(col string) (bat.Kind, error) {
-	b, err := g.cat.Bind(g.schema, g.table, col, 0)
+	b, err := g.cat.Bind(g.q.Schema, g.q.Table, col, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -83,19 +96,19 @@ func sqlTypeName(k bat.Kind) string {
 // every leg to the selection bounds first (the Figure-1 pattern).
 func (g *gen) deltaChain(col string, sel bool) string {
 	base, ins, upd := g.v(), g.v(), g.v()
-	g.emitf("%s := sql.bind(%q,%q,%q,0);", base, g.schema, g.table, col)
-	g.emitf("%s := sql.bind(%q,%q,%q,1);", ins, g.schema, g.table, col)
-	g.emitf("%s := sql.bind(%q,%q,%q,2);", upd, g.schema, g.table, col)
+	g.emitf("%s := sql.bind(%q,%q,%q,0);", base, g.q.Schema, g.q.Table, col)
+	g.emitf("%s := sql.bind(%q,%q,%q,1);", ins, g.q.Schema, g.q.Table, col)
+	g.emitf("%s := sql.bind(%q,%q,%q,2);", upd, g.q.Schema, g.q.Table, col)
 	if sel {
 		sb, si := g.v(), g.v()
-		g.emitf("%s := algebra.uselect(%s,%s,%s,true,true);", sb, base, g.selLo, g.selHi)
-		g.emitf("%s := algebra.uselect(%s,%s,%s,true,true);", si, ins, g.selLo, g.selHi)
+		g.emitf("%s := algebra.uselect(%s,A0,A1,true,true);", sb, base)
+		g.emitf("%s := algebra.uselect(%s,A0,A1,true,true);", si, ins)
 		u := g.v()
 		g.emitf("%s := algebra.kunion(%s,%s);", u, sb, si)
 		masked := g.v()
 		g.emitf("%s := algebra.kdifference(%s,%s);", masked, u, upd)
 		su := g.v()
-		g.emitf("%s := algebra.uselect(%s,%s,%s,true,true);", su, upd, g.selLo, g.selHi)
+		g.emitf("%s := algebra.uselect(%s,A0,A1,true,true);", su, upd)
 		out := g.v()
 		g.emitf("%s := algebra.kunion(%s,%s);", out, masked, su)
 		return out
@@ -141,7 +154,7 @@ func (g *gen) generate() (*mal.Program, error) {
 
 	default:
 		if len(q.Projections) == 0 {
-			return nil, fmt.Errorf("sql: no projections")
+			return nil, fmt.Errorf("malgen: no projections")
 		}
 		kinds := make([]bat.Kind, len(q.Projections))
 		for i, col := range q.Projections {
@@ -174,7 +187,7 @@ func (g *gen) generate() (*mal.Program, error) {
 // dbat kdifferenced away from the qualifying rows.
 func (g *gen) maskDeletes(qualified string) string {
 	dbat, rev, live := g.v(), g.v(), g.v()
-	g.emitf("%s := sql.bind_dbat(%q,%q,1);", dbat, g.schema, g.table)
+	g.emitf("%s := sql.bind_dbat(%q,%q,1);", dbat, g.q.Schema, g.q.Table)
 	g.emitf("%s := bat.reverse(%s);", rev, dbat)
 	g.emitf("%s := algebra.kdifference(%s,%s);", live, qualified, rev)
 	return live
@@ -188,4 +201,14 @@ func (g *gen) renumber(live string) string {
 	g.emitf("%s := algebra.markT(%s,%s);", marked, live, zero)
 	g.emitf("%s := bat.reverse(%s);", out, marked)
 	return out
+}
+
+// parse turns the emitted text into a program; a failure is a bug in
+// the generator, reported with the text.
+func (g *gen) parse() (*mal.Program, error) {
+	prog, err := mal.Parse(g.b.String())
+	if err != nil {
+		return nil, fmt.Errorf("malgen: generated invalid MAL: %w\n%s", err, g.b.String())
+	}
+	return prog, nil
 }

@@ -9,9 +9,8 @@ import (
 // fingerprint with every literal replaced by a placeholder, plus the
 // lifted constants in source order. Statements differing only in
 // whitespace, keyword case, identifier quoting style or literal values
-// share a fingerprint — the plan-cache key of the query service tier —
-// and compile to MAL plans of identical shape (the generated plan is
-// already a two-parameter function; the bounds bind at execution).
+// share a fingerprint — the plan-cache key of the query service tier,
+// whose plans read their constants from the bind slots.
 type Normalized struct {
 	// Fingerprint is the canonical statement text: single-spaced,
 	// keywords uppercased, literals replaced by '?', trailing semicolon

@@ -1,28 +1,23 @@
-// Package sql implements the first component of the paper's compilation
-// stack (§2): "The compilation stack consists of three components: SQL-MAL
-// code generator, a tactical optimizer, and the run time engine." It
-// compiles the range-selection query class the paper studies —
+// Package sql is the SQL front end: a lexer, the parsers of the
+// statement classes the engine serves, and Normalize. Reads are the
+// range-selection class the paper studies (§2) —
 //
 //	SELECT objid FROM P WHERE ra BETWEEN 205.1 AND 205.12
 //	SELECT COUNT(*) FROM P WHERE ra BETWEEN 205.1 AND 205.12
 //	SELECT SUM(dec) FROM P WHERE ra BETWEEN 205.1 AND 205.12
 //
-// — into MAL plans of exactly the Figure-1 shape (delta-bat merge,
-// deletion masking, oid renumbering, per-column rejoin, result export).
-// The generated plan then flows through the tactical optimizer
-// (internal/opt), where the segment pass applies the §3.1 rewriting if
-// the predicate column is segmented.
-//
-// The write grammar (stmt.go) extends the front end to DML and DDL —
-// CREATE TABLE, INSERT, UPDATE, DELETE — parsed by ParseStmt and
-// lowered (dml.go) onto the same delta-bat machinery: write predicates
-// evaluate through the Figure-1 merge, and the qualifying oids feed the
-// catalog's write surface.
+// — and the write grammar (stmt.go) adds INSERT, UPDATE and DELETE,
+// parsed by ParseStmt. There is no DDL: a statement starting with
+// CREATE is a syntax error at offset 0.
 //
 // Normalize (normalize.go) additionally produces the canonical
 // constant-lifted fingerprint of a statement, the key of the query
 // tier's plan cache (internal/plancache). Write statements normalize
 // too (for observability) but are never cached.
+//
+// The package imports nothing of the engine: the query service
+// (internal/server) binds parsed statements to the facade, and the
+// paper's SQL → MAL code generator lives in internal/sql/malgen.
 package sql
 
 import (
@@ -282,6 +277,9 @@ func (p *parser) number() (float64, error) {
 	return t.f, nil
 }
 
+// isKeyword lists the reserved words. CREATE and TABLE stay reserved
+// though no statement uses them, so fingerprints and identifier quoting
+// do not depend on which statement classes are served.
 func isKeyword(s string) bool {
 	switch strings.ToUpper(s) {
 	case "SELECT", "FROM", "WHERE", "BETWEEN", "AND", "COUNT", "SUM",
@@ -358,7 +356,10 @@ func (p *parser) parseQuery() (*Query, error) {
 	if err := p.keyword("between"); err != nil {
 		return nil, err
 	}
-	boundsOff := p.peek().off
+	// Inverted bounds are legal and select nothing (SQL's asymmetric
+	// BETWEEN): rejecting them here would make the answer depend on
+	// whether the shape's plan is cached, since a cached plan takes any
+	// constants.
 	if q.Lo, err = p.number(); err != nil {
 		return nil, err
 	}
@@ -367,9 +368,6 @@ func (p *parser) parseQuery() (*Query, error) {
 	}
 	if q.Hi, err = p.number(); err != nil {
 		return nil, err
-	}
-	if q.Hi < q.Lo {
-		return nil, errAt(boundsOff, "BETWEEN bounds inverted (%g > %g)", q.Lo, q.Hi)
 	}
 	if err := p.finish(); err != nil {
 		return nil, err

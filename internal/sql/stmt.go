@@ -1,11 +1,10 @@
 package sql
 
-// DML and DDL statements. The write grammar mirrors the read side's
+// DML statements. The write grammar mirrors the read side's
 // deliberately small surface: equality predicates only (UPDATE and
 // DELETE address rows by value, the way the facade's point writes do),
 // numeric literals only, and single-assignment SET clauses:
 //
-//	CREATE TABLE t (a, b, c)
 //	INSERT INTO t (a, b, c) VALUES (1, 2, 3), (4, 5, 6)
 //	UPDATE t SET a = 7 WHERE b = 2
 //	DELETE FROM t WHERE c = 6
@@ -21,31 +20,22 @@ import (
 	"strings"
 )
 
-// Stmt is one parsed statement: *Query (SELECT), *CreateTable, *Insert,
-// *Update or *Delete. String renders a canonical form that re-parses to
+// Stmt is one parsed statement: *Query (SELECT), *Insert, *Update or
+// *Delete. String renders a canonical form that re-parses to
 // an equal statement.
 type Stmt interface {
 	fmt.Stringer
 	stmt()
 }
 
-func (*Query) stmt()       {}
-func (*CreateTable) stmt() {}
-func (*Insert) stmt()      {}
-func (*Update) stmt()      {}
-func (*Delete) stmt()      {}
-
-// CreateTable declares a new multi-column table. Every column is a
-// bigint (the engine's single value type); an optional per-column type
-// token is accepted and validated but carries no information.
-type CreateTable struct {
-	Schema, Table string
-	Columns       []string // declared order, preserved by the catalog
-}
+func (*Query) stmt()  {}
+func (*Insert) stmt() {}
+func (*Update) stmt() {}
+func (*Delete) stmt() {}
 
 // Insert appends whole rows. Columns is the optional explicit column
-// list (nil = the table's declared column order); every row supplies
-// one numeric value per listed column.
+// list (nil = the table's column order); every row supplies one numeric
+// value per listed column.
 type Insert struct {
 	Schema, Table string
 	Columns       []string
@@ -67,15 +57,6 @@ type Delete struct {
 	Schema, Table string
 	PredCol       string
 	PredVal       float64
-}
-
-func (s *CreateTable) String() string {
-	cols := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		cols[i] = quoteIdent(c)
-	}
-	return fmt.Sprintf("CREATE TABLE %s (%s)",
-		renderTableRef(s.Schema, s.Table), strings.Join(cols, ", "))
 }
 
 func (s *Insert) String() string {
@@ -136,8 +117,6 @@ func ParseStmt(src string) (Stmt, error) {
 	p := &parser{toks: toks, eof: len(src)}
 	if t := p.peek(); t.kind == "ident" && !t.quoted {
 		switch strings.ToUpper(t.s) {
-		case "CREATE":
-			return p.parseCreateTable()
 		case "INSERT":
 			return p.parseInsert()
 		case "UPDATE":
@@ -173,59 +152,6 @@ func (p *parser) finish() error {
 		return errAt(p.peek().off, "trailing input at %s", describe(p.peek()))
 	}
 	return nil
-}
-
-// parseCreateTable: CREATE TABLE t (col [type] [, col [type]]...).
-func (p *parser) parseCreateTable() (*CreateTable, error) {
-	s := &CreateTable{}
-	if err := p.keyword("create"); err != nil {
-		return nil, err
-	}
-	if err := p.keyword("table"); err != nil {
-		return nil, err
-	}
-	var err error
-	if s.Schema, s.Table, err = p.tableName(); err != nil {
-		return nil, err
-	}
-	if err := p.punct("("); err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	for {
-		off := p.peek().off
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if seen[col] {
-			return nil, errAt(off, "duplicate column %q", col)
-		}
-		seen[col] = true
-		s.Columns = append(s.Columns, col)
-		// Optional type token: every column is a bigint, but the
-		// conventional spellings are accepted so dumps re-load.
-		if t := p.peek(); t.kind == "ident" && !t.quoted {
-			switch strings.ToUpper(t.s) {
-			case "BIGINT", "INT", "INTEGER", "LNG":
-				p.next()
-			default:
-				return nil, errAt(t.off, "unsupported column type %q (bigint only)", t.s)
-			}
-		}
-		if p.peek().kind == "punct" && p.peek().s == "," {
-			p.next()
-			continue
-		}
-		break
-	}
-	if err := p.punct(")"); err != nil {
-		return nil, err
-	}
-	if err := p.finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // parseInsert: INSERT INTO t [(c1, ...)] VALUES (v1, ...) [, (...)]...
