@@ -38,13 +38,17 @@ lint:
 	$(GO) vet ./...
 
 # deps guards the engine boundary: the query service links one engine,
-# the facade — not the paper's MAL stack (mal, opt, bpm, sql/malgen),
-# which only the figure harnesses use — and the SQL front end imports
+# the facade — not the paper's MAL stack (bat, bpm, mal, opt,
+# sql/malgen), which only the figure harnesses use — the engine's own
+# packages reach none of that stack, and the SQL front end imports
 # nothing of the module.
 deps:
 	@bad=$$($(GO) list -deps ./cmd/soserve ./internal/server \
-		| grep -E '^selforg/internal/(mal|opt|bpm|sql/malgen)$$'); \
+		| grep -E '^selforg/internal/(bat|mal|opt|bpm|sql/malgen)$$'); \
 	if [ -n "$$bad" ]; then echo "soserve links the MAL stack:" $$bad; exit 1; fi
+	@bad=$$($(GO) list -deps ./internal/compress ./internal/segment ./internal/core ./internal/shard \
+		| grep -E '^selforg/internal/(bat|bpm|mal|opt)$$'); \
+	if [ -n "$$bad" ]; then echo "the engine links the MAL stack:" $$bad; exit 1; fi
 	@bad=$$($(GO) list -deps ./internal/sql | grep -E '^selforg(/|$$)' \
 		| grep -v '^selforg/internal/sql$$'); \
 	if [ -n "$$bad" ]; then echo "internal/sql imports" $$bad; exit 1; fi

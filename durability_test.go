@@ -3,6 +3,8 @@ package selforg_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -270,5 +272,77 @@ func TestDurableRefusedInsertNotLogged(t *testing.T) {
 				t.Errorf("DeleteMisses = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestDurableCheckpointCrashWindowReplaysOnce pins recovery across the
+// crash window between a checkpoint's manifest rename and its log
+// truncation: the logs still hold every batch the checkpoint covers,
+// the last one carrying the checkpoint's own seq. Reopening must replay
+// none of them, so every acked write is present exactly once.
+func TestDurableCheckpointCrashWindowReplaysOnce(t *testing.T) {
+	const lo, hi = 0, 9_999
+	opts := selforg.Options{Model: selforg.APM, Shards: 2, DeltaMaxBytes: -1, DeltaMaxRatio: -1}
+	durOpts := opts
+	dir := t.TempDir()
+	durOpts.Durability = selforg.Durability{Dir: dir}
+	col, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(7, 1_000, lo, hi), durOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(7, 1_000, lo, hi), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	// Inserts on both shards, an update and a delete; the last write is
+	// an insert, so a replayed final batch would show as a duplicate.
+	for _, c := range []*selforg.Column{col, ref} {
+		for v := int64(0); v < 20; v++ {
+			if _, err := c.Insert(v*500 + 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ok, _, err := c.Update(503, 9_503); !ok || err != nil {
+			t.Fatalf("update: %v %v", ok, err)
+		}
+		if ok, _, err := c.Delete(1_003); !ok || err != nil {
+			t.Fatalf("delete: %v %v", ok, err)
+		}
+		if _, err := c.Insert(9_997); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The crash window: copy the logs aside, checkpoint (which truncates
+	// them), close, and put the pre-truncation logs back.
+	logs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(logs) != 2 {
+		t.Fatalf("logs %v: %v", logs, err)
+	}
+	saved := make(map[string][]byte, len(logs))
+	for _, p := range logs {
+		if saved[p], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := col.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	col.Close()
+	for p, b := range saved {
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	re, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(7, 1_000, lo, hi), durOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireSameContent(t, lo, hi, re, ref)
+	if st, _ := re.WALStats(); st.Replayed != 0 {
+		t.Fatalf("replayed %d batches the checkpoint covers", st.Replayed)
 	}
 }

@@ -26,22 +26,6 @@ func Sum(b *BAT) Value {
 			s += v
 		}
 		return Dbl(s)
-	}
-	// Generic path: any other Vector implementation (notably the
-	// compressed encodings of internal/compress) sums through Get.
-	switch b.TailKind() {
-	case KLng:
-		var s int64
-		for i := 0; i < b.Len(); i++ {
-			s += b.Tail.Get(i).AsLng()
-		}
-		return Lng(s)
-	case KDbl:
-		var s float64
-		for i := 0; i < b.Len(); i++ {
-			s += b.Tail.Get(i).AsDbl()
-		}
-		return Dbl(s)
 	default:
 		panic(fmt.Sprintf("bat: sum over %v tail", b.TailKind()))
 	}

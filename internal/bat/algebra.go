@@ -6,16 +6,6 @@ import "fmt"
 // (Figure 1 and the §3.1 segment-iterator rewrite): selections, the
 // k-operators keyed on head values, reverse/mirror/mark and the join.
 
-// RangeSpanner is implemented by vectors (notably the compressed
-// encodings of internal/compress) that can enumerate the maximal
-// half-open row spans [start, end) whose values all lie in [lo, hi]
-// without decompressing: RLE walks run headers, Dict walks a code
-// interval, FOR prunes on its min-max frame. RangeSelect uses it as a
-// fast path.
-type RangeSpanner interface {
-	RangeSpans(lo, hi Value, f func(start, end int))
-}
-
 // RangeSelect returns the associations whose tail lies in [lo, hi]
 // (bounds inclusive per flag) — MAL's algebra.select(b, lo, hi) /
 // algebra.uselect(b, lo, hi, li, hi).
@@ -24,16 +14,6 @@ func RangeSelect(b *BAT, lo, hi Value, loIncl, hiIncl bool) *BAT {
 		panic(fmt.Sprintf("bat: select bounds %v/%v against tail %v", lo.K, hi.K, b.TailKind()))
 	}
 	out := Empty(b.HeadKind(), b.TailKind())
-	// Fast path for compressed tails on the dominant inclusive form: the
-	// qualifying row spans come straight off the encoded representation.
-	if rs, ok := b.Tail.(RangeSpanner); ok && loIncl && hiIncl {
-		rs.RangeSpans(lo, hi, func(start, end int) {
-			for i := start; i < end; i++ {
-				out.AppendRow(b.Head.Get(i), b.Tail.Get(i))
-			}
-		})
-		return out
-	}
 	inLo := func(v Value) bool {
 		if loIncl {
 			return !v.Less(lo)

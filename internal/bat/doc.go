@@ -7,8 +7,8 @@
 // (kunion/kdifference/kintersect), reverse/mirror/mark, joins and
 // aggregates.
 //
-// Columns are typed through the Vector interface; the compressed
-// encodings of internal/compress implement it too, so every operator
-// runs over compressed data transparently (RangeSelect additionally
-// picks up their compressed-form span fast path through RangeSpanner).
+// Columns are typed through the Vector interface, implemented by the
+// uncompressed LngVector, DblVector, OidVector, StrVector and BitVector
+// only: the MAL stack is the figures' harness, and the engine's
+// per-segment compression (internal/compress) does not reach it.
 package bat

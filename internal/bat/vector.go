@@ -2,14 +2,11 @@ package bat
 
 import "fmt"
 
-// Vector is one column of a BAT: a contiguous, typed sequence of atoms.
-// It is the substrate's extension point — the plain slice-backed vectors
-// below and the compressed encodings of internal/compress both implement
-// it, so every algebra operator and aggregate runs over either
-// transparently. Implementations are value containers, not synchronized
-// structures: concurrent readers are safe on a vector nobody appends to
-// (the parallel operators rely on this), while mutation needs external
-// ownership.
+// Vector is one column of a BAT: a contiguous, typed sequence of atoms,
+// implemented by the slice-backed vectors below. Implementations are
+// value containers, not synchronized structures: concurrent readers are
+// safe on a vector nobody appends to (the parallel operators rely on
+// this), while mutation needs external ownership.
 type Vector interface {
 	Kind() Kind
 	Len() int

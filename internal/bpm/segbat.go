@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"selforg/internal/bat"
-	"selforg/internal/compress"
 	"selforg/internal/domain"
 	"selforg/internal/model"
 )
@@ -33,67 +32,24 @@ type BATSegment struct {
 // the segmentation models reason about.
 func (s *BATSegment) bytes(elemSize int64) int64 { return int64(s.B.Len()) * elemSize }
 
-// storedBytes returns the accounted physical size: the compressed tail
-// footprint when the tail is encoded, the logical size otherwise.
-func (s *BATSegment) storedBytes(elemSize int64) int64 {
-	if cv, ok := s.B.Tail.(interface{ StoredBytes() int64 }); ok {
-		return cv.StoredBytes()
-	}
-	return s.bytes(elemSize)
-}
-
 // SegmentedBAT is a column organized as adjacent value-ranged segments,
 // registered under a name in the Store ("bpm.take(\"sys_P_ra\")").
 //
+// Its segment tails are plain dbl vectors: the engine's per-segment
+// compression (internal/compress) serves internal/core, not this
+// figure harness.
+//
 // It is safe for concurrent use: the segment list is guarded by a
 // read-write lock — lookups, iteration and statistics take the read side,
-// while the reorganizing module (Adapt) and SetCompression take the write
-// side. Individual segment BATs are immutable once published; Adapt
-// replaces split segments with fresh ones instead of rewriting payloads.
+// while the reorganizing module (Adapt) takes the write side. Individual
+// segment BATs are immutable once published; Adapt replaces split
+// segments with fresh ones instead of rewriting payloads.
 type SegmentedBAT struct {
 	Name     string
 	ElemSize int64
 
-	mu    sync.RWMutex
-	segs  []*BATSegment // ascending by [Lo, Hi)
-	codec *compress.Codec
-}
-
-// SetCompression attaches the compression subsystem to the column: the
-// current segment tails are re-encoded immediately and every tail the
-// reorganizing module materializes afterwards (splitSegment pieces) goes
-// through the codec's advisor — encoding decisions piggy-back on
-// adaptation exactly as in internal/core. The compressed tails implement
-// bat.Vector, so the MAL operators and the predicate-enhanced iterator
-// keep working transparently; bat.RangeSelect additionally picks up their
-// compressed-form span fast path.
-func (s *SegmentedBAT) SetCompression(mode compress.Mode) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.codec = compress.NewCodec(mode, s.ElemSize)
-	if s.codec.Enabled() {
-		for _, sg := range s.segs {
-			s.encodeTail(sg)
-		}
-	}
-}
-
-// Compression returns the active compression mode.
-func (s *SegmentedBAT) Compression() compress.Mode {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.codec.Mode()
-}
-
-// encodeTail re-encodes one segment's tail under the codec (no-op when
-// compression is off or the tail is already encoded). Caller holds mu.
-func (s *SegmentedBAT) encodeTail(sg *BATSegment) {
-	if !s.codec.Enabled() {
-		return
-	}
-	if dt, ok := sg.B.Tail.(*bat.DblVector); ok {
-		sg.B.Tail = s.codec.EncodeDbls(dt.Dbls())
-	}
+	mu   sync.RWMutex
+	segs []*BATSegment // ascending by [Lo, Hi)
 }
 
 // NewSegmentedBAT wraps a single [oid,dbl] BAT into a one-segment column
@@ -179,18 +135,6 @@ func (s *SegmentedBAT) totalBytes() int64 {
 	return n
 }
 
-// TotalStoredBytes returns the accounted physical storage (equal to
-// TotalBytes without compression).
-func (s *SegmentedBAT) TotalStoredBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, sg := range s.segs {
-		n += sg.storedBytes(s.ElemSize)
-	}
-	return n
-}
-
 // Flatten concatenates all segments into one BAT (diagnostics/tests).
 func (s *SegmentedBAT) Flatten() *bat.BAT {
 	s.mu.RLock()
@@ -244,7 +188,8 @@ func (s *SegmentedBAT) Dump() string {
 
 // splitSegment replaces segment i by pieces cut at the given interior
 // bounds (ascending, strictly inside the segment range). Data rows are
-// partitioned by value. Returns the bytes rewritten. Caller holds mu.
+// partitioned by value. Returns the bytes rewritten: the split segment's
+// logical size. Caller holds mu.
 func (s *SegmentedBAT) splitSegment(i int, cuts ...float64) int64 {
 	sg := s.segs[i]
 	for j, c := range cuts {
@@ -272,17 +217,12 @@ func (s *SegmentedBAT) splitSegment(i int, cuts ...float64) int64 {
 		p := sort.Search(len(pieces), func(x int) bool { return v < pieces[x].Hi })
 		pieces[p].B.AppendRow(h, t)
 	}
-	// Materialization is where encoding decisions piggy-back: each fresh
-	// piece is handed to the codec's advisor.
-	for _, p := range pieces {
-		s.encodeTail(p)
-	}
 	out := make([]*BATSegment, 0, len(s.segs)+len(pieces)-1)
 	out = append(out, s.segs[:i]...)
 	out = append(out, pieces...)
 	out = append(out, s.segs[i+1:]...)
 	s.segs = out
-	return sg.storedBytes(s.ElemSize)
+	return sg.bytes(s.ElemSize)
 }
 
 // Adapt runs the §3.3 reorganizing module over the segments overlapping

@@ -92,17 +92,26 @@ func TestFlattenPreservesRows(t *testing.T) {
 	}
 }
 
+// TestAdaptWithAlwaysSplitsAtBounds also pins Adapt's return value: the
+// logical bytes (count × ElemSize) of every segment it split.
 func TestAdaptWithAlwaysSplitsAtBounds(t *testing.T) {
 	sb := testSegBAT(5, 25, 45, 65, 85)
-	rw := sb.Adapt(30, 60, model.Always{})
-	if rw == 0 {
-		t.Fatal("no rewrite happened")
+	if rw := sb.Adapt(30, 60, model.Always{}); rw != 5*sb.ElemSize {
+		t.Fatalf("rewrote %d bytes, want %d (the one 5-row segment)", rw, 5*sb.ElemSize)
 	}
 	if sb.SegmentCount() != 3 {
 		t.Fatalf("segments = %d: %s", sb.SegmentCount(), sb.Dump())
 	}
 	if err := sb.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// [20, 70] cuts [0,30) at 20 and [60,100) at 70 — two rows each —
+	// and leaves [30,60), which it swallows, alone.
+	if rw := sb.Adapt(20, 70, model.Always{}); rw != 4*sb.ElemSize {
+		t.Fatalf("rewrote %d bytes, want %d (two 2-row segments): %s", rw, 4*sb.ElemSize, sb.Dump())
+	}
+	if got, want := sb.Dump(), "[0,20)#1 | [20,30)#1 | [30,60)#1 | [60,70)#1 | [70,100)#1"; got != want {
+		t.Fatalf("layout %s, want %s", got, want)
 	}
 }
 

@@ -134,9 +134,9 @@ func (a Advisor) choose(p Profile, elemSize int64) Encoding {
 }
 
 // Codec bundles a compression mode, an advisor and the column's accounted
-// element width — the object the storage layers (Segmenter, Replicator,
-// SegmentedBAT) consult whenever a segment is materialized or split. A
-// nil *Codec means compression off.
+// element width — the object the storage layers (Segmenter, Replicator)
+// consult whenever a segment is materialized or split. A nil *Codec
+// means compression off.
 type Codec struct {
 	mode     Mode
 	advisor  Advisor
@@ -175,19 +175,12 @@ func (c *Codec) ElemSize() int64 {
 // only when the chosen encoding is Plain. Under Auto the result is
 // guaranteed no larger than Plain: the advisor's sampled estimate picks
 // the candidate, and an actual-size check falls back to Plain when the
-// estimate was too optimistic.
+// estimate was too optimistic. The profile's exact extremes are FOR's
+// frame, so a FOR choice reads the values once more only to pack them.
 func (c *Codec) Encode(vals []int64) Vector {
-	e, forced := c.mode.Forced()
-	if forced {
+	if e, forced := c.mode.Forced(); forced {
 		return Encode(vals, e, c.elemSize)
 	}
-	return c.encodeAuto(vals)
-}
-
-// encodeAuto encodes under the advisor's choice with the Plain fallback
-// guarantee. The profile's exact extremes are FOR's frame, so a FOR
-// choice reads the values once more only to pack them.
-func (c *Codec) encodeAuto(vals []int64) Vector {
 	p := c.advisor.Profile(vals)
 	e := c.advisor.choose(p, c.elemSize)
 	var v Vector
@@ -200,18 +193,4 @@ func (c *Codec) encodeAuto(vals []int64) Vector {
 		return NewPlain(vals, c.elemSize)
 	}
 	return v
-}
-
-// EncodeDbls compresses a float64 tail under the codec's policy via the
-// order-preserving mapping, with the same Plain fallback under Auto.
-func (c *Codec) EncodeDbls(vals []float64) *DblVector {
-	e, forced := c.mode.Forced()
-	if forced {
-		return EncodeDbls(vals, e, c.elemSize)
-	}
-	mapped := make([]int64, len(vals))
-	for i, f := range vals {
-		mapped[i] = mapDbl(f)
-	}
-	return &DblVector{inner: c.encodeAuto(mapped)}
 }

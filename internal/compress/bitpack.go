@@ -65,23 +65,6 @@ func (p *packed) packBlock(b int, src *[blockLen]uint64) {
 	}
 }
 
-// get returns the i-th packed value (point access; scans use a decoder).
-func (p packed) get(i int) uint64 {
-	if p.width == 0 {
-		return 0
-	}
-	off := uint(i) * p.width
-	w, s := off/64, off%64
-	v := p.words[w] >> s
-	if s+p.width > 64 {
-		v |= p.words[w+1] << (64 - s)
-	}
-	if p.width == 64 {
-		return v
-	}
-	return v & (1<<p.width - 1)
-}
-
 // unpack decodes block b (values [64b, 64b+64)) into dst with a running
 // bit cursor that walks the block's w words once: every value lying
 // wholly inside a word costs one mask and one shift, and only a value
@@ -120,31 +103,27 @@ func (p *packed) unpack(b int, dst *[blockLen]uint64) {
 	}
 }
 
-// decoder walks rows [row, end) of a packed array one block at a time —
-// the block kernel every Dict and FOR scan loop runs on.
+// decoder walks a packed array one block at a time — the block kernel
+// every Dict and FOR scan loop runs on.
 type decoder struct {
-	p        *packed
-	row, end int
-	buf      [blockLen]uint64
+	p   *packed
+	b   int // the next block to decode
+	buf [blockLen]uint64
 }
 
-// decode returns a decoder over rows [i, j).
-func (p *packed) decode(i, j int) *decoder {
-	return &decoder{p: p, row: i, end: j}
-}
+// decode returns a decoder over every row.
+func (p *packed) decode() *decoder { return &decoder{p: p} }
 
-// next decodes the rest of the current block and returns it — the values
-// of rows [row, row+len) for the row it was called at — or nil once the
-// range is exhausted. The slice is valid until the following call.
+// next decodes the next block and returns its values, or nil once every
+// row is decoded. The slice is valid until the following call.
 func (d *decoder) next() []uint64 {
-	if d.row >= d.end {
+	start := d.b * blockLen
+	if start >= d.p.n {
 		return nil
 	}
-	b := d.row / blockLen
-	d.p.unpack(b, &d.buf)
-	lo, hi := d.row-b*blockLen, min(blockLen, d.end-b*blockLen)
-	d.row = b*blockLen + hi
-	return d.buf[lo:hi]
+	d.p.unpack(d.b, &d.buf)
+	d.b++
+	return d.buf[:min(blockLen, d.p.n-start)]
 }
 
 // bytes returns the accounted physical size of the packed values.

@@ -4,22 +4,20 @@
 // frame-of-reference with bit-packed deltas — alongside an uncompressed
 // Plain form.
 //
-// Every encoding implements bat.Vector, so BAT algebra, aggregation and
-// the MAL operators work transparently over compressed data, and each
-// offers range fast paths — select, count, sum, row spans — that operate
-// on the compressed form: RLE skips or emits whole runs without
-// expansion, Dict prunes through a binary search of the sorted
-// dictionary, and FOR prunes through its min/max frame before touching a
-// single delta.
+// The encodings serve the engine's segments (internal/segment) only: a
+// Vector is read whole (AppendTo) or through its range kernels — select,
+// count, sum — which operate on the compressed form: RLE skips or emits
+// whole runs without expansion, Dict prunes through a binary search of
+// the sorted dictionary, and FOR prunes through its min/max frame before
+// touching a single delta. The package imports nothing of the module.
 //
 // # The block kernel
 //
 // Dict codes and FOR deltas are bit-packed at a fixed width. Every scan
-// loop over them — CountRange, SelectRange, SumRange, Spans, AppendTo,
-// Slice — runs on one kernel, packed's decoder: it unpacks 64 values per
-// call (exactly `width` words, so every block is word-aligned) with a
-// running bit cursor, and the loop body then works on a plain []uint64.
-// Point access (At) is the only per-value unpack left.
+// loop over them — CountRange, SelectRange, SumRange, AppendTo — runs on
+// one kernel, packed's decoder: it unpacks 64 values per call (exactly
+// `width` words, so every block is word-aligned) with a running bit
+// cursor, and the loop body then works on a plain []uint64.
 //
 // The rule the loops follow: compare on codes or deltas, never on
 // decoded values. A predicate [lo, hi] is translated once per call —
@@ -46,11 +44,7 @@
 // within the paper's cost model.
 package compress
 
-import (
-	"fmt"
-
-	"selforg/internal/bat"
-)
+import "fmt"
 
 // Encoding identifies one storage encoding.
 type Encoding uint8
@@ -150,25 +144,17 @@ func (m Mode) Forced() (Encoding, bool) {
 	}
 }
 
-// Vector is a compressed int64 column vector. It extends bat.Vector — so
-// a compressed vector slots into a BAT tail and every kernel operator
-// keeps working — with raw accessors and the compressed-form fast paths.
-//
-// Append and Slice follow bat.Vector's replace semantics: they return a
-// Plain vector holding the decoded result, since point mutation defeats
-// the encodings; re-encoding after a batch of appends is the caller's
-// (usually the Codec's) job.
+// Vector is a compressed int64 column vector: its size, a whole-vector
+// decode, and the range kernels the engine answers queries with.
 type Vector interface {
-	bat.Vector
-
+	// Len returns the number of values.
+	Len() int
 	// Encoding identifies the storage format.
 	Encoding() Encoding
 	// StoredBytes is the accounted physical size of the encoded form,
 	// measured against the accounted element width the vector was encoded
 	// with. Plain's StoredBytes equals Len()*elemSize exactly.
 	StoredBytes() int64
-	// At returns the i-th value without bat.Value boxing.
-	At(i int) int64
 	// AppendTo appends every value, in order, to dst and returns it.
 	AppendTo(dst []int64) []int64
 	// SelectRange appends the values lying in [lo, hi] (inclusive), in
@@ -182,11 +168,6 @@ type Vector interface {
 	// multiplies run values by clipped run lengths, FOR adds n·ref to the
 	// qualifying deltas, Dict looks up only qualifying codes.
 	SumRange(lo, hi int64) (n, sum int64)
-	// Spans calls f(start, end) for every maximal half-open row span
-	// [start, end) whose values all lie in [lo, hi], in ascending order.
-	// Positional selections (BAT head/tail association) build on it; the
-	// bat.Value-typed RangeSpans adapters expose it as bat.RangeSpanner.
-	Spans(lo, hi int64, f func(start, end int))
 	// MinMax returns the extreme values; ok is false for empty vectors.
 	MinMax() (min, max int64, ok bool)
 }
@@ -210,30 +191,5 @@ func Encode(vals []int64, e Encoding, elemSize int64) Vector {
 		return NewFOR(vals, elemSize)
 	default:
 		panic(fmt.Sprintf("compress: unknown encoding %v", e))
-	}
-}
-
-// spanner coalesces a row-by-row match stream into maximal half-open
-// spans — the shared tail of every encoding's row-wise Spans loop.
-type spanner struct {
-	start int
-	open  bool
-}
-
-// add feeds row's verdict, reporting the span it closes, if any.
-func (s *spanner) add(row int, match bool, f func(start, end int)) {
-	switch {
-	case match && !s.open:
-		s.start, s.open = row, true
-	case !match && s.open:
-		f(s.start, row)
-		s.open = false
-	}
-}
-
-// done closes a span still open at the end of n rows.
-func (s *spanner) done(n int, f func(start, end int)) {
-	if s.open {
-		f(s.start, n)
 	}
 }

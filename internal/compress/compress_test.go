@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"selforg/internal/bat"
 )
 
 // inputs returns the property-test corpus: random, constant, sorted,
@@ -63,7 +61,7 @@ func inputs() map[string][]int64 {
 }
 
 // TestRoundTrip asserts every encoding reproduces every corpus input
-// exactly, in order, through every read path.
+// exactly, in order.
 func TestRoundTrip(t *testing.T) {
 	for name, vals := range inputs() {
 		for _, e := range Encodings {
@@ -77,17 +75,6 @@ func TestRoundTrip(t *testing.T) {
 			got := v.AppendTo(nil)
 			if len(vals) > 0 && !reflect.DeepEqual(got, vals) {
 				t.Fatalf("%s/%v: AppendTo mismatch", name, e)
-			}
-			for i, want := range vals {
-				if v.At(i) != want {
-					t.Fatalf("%s/%v: At(%d) = %d, want %d", name, e, i, v.At(i), want)
-				}
-				if v.Get(i).AsLng() != want {
-					t.Fatalf("%s/%v: Get(%d) mismatch", name, e, i)
-				}
-			}
-			if v.Kind() != bat.KLng {
-				t.Fatalf("%s/%v: kind = %v", name, e, v.Kind())
 			}
 		}
 	}
@@ -146,8 +133,8 @@ func queryBounds(vals []int64) [][2]int64 {
 	return qs
 }
 
-// TestRangeFastPaths asserts SelectRange, CountRange and RangeSpans agree
-// with the brute-force reference on every encoding, corpus and query.
+// TestRangeFastPaths asserts SelectRange and CountRange agree with the
+// brute-force reference on every encoding, corpus and query.
 func TestRangeFastPaths(t *testing.T) {
 	for name, vals := range inputs() {
 		for _, q := range queryBounds(vals) {
@@ -167,45 +154,7 @@ func TestRangeFastPaths(t *testing.T) {
 				if c := v.CountRange(lo, hi); c != int64(len(want)) {
 					t.Fatalf("%s/%v [%d,%d]: CountRange = %d, want %d", name, e, lo, hi, c, len(want))
 				}
-				var spanned []int64
-				prevEnd := -1
-				v.Spans(lo, hi, func(s, end int) {
-					if s >= end || s < prevEnd {
-						t.Fatalf("%s/%v [%d,%d]: bad span [%d,%d) after %d", name, e, lo, hi, s, end, prevEnd)
-					}
-					prevEnd = end
-					for i := s; i < end; i++ {
-						spanned = append(spanned, v.At(i))
-					}
-				})
-				if !reflect.DeepEqual(spanned, want) {
-					t.Fatalf("%s/%v [%d,%d]: RangeSpans mismatch", name, e, lo, hi)
-				}
 			}
-		}
-	}
-}
-
-// TestBatVectorSemantics asserts the bat.Vector surface: Append decays to
-// a working vector, Slice decodes the window, Empty is empty.
-func TestBatVectorSemantics(t *testing.T) {
-	vals := []int64{5, 5, 5, 9, 2, 2, 7}
-	for _, e := range Encodings {
-		v := Encode(append([]int64(nil), vals...), e, 4)
-		app := v.Append(bat.Lng(11))
-		if app.Len() != len(vals)+1 || app.Get(app.Len()-1).AsLng() != 11 {
-			t.Fatalf("%v: Append failed", e)
-		}
-		sl := v.Slice(2, 5)
-		if sl.Len() != 3 || sl.Get(0).AsLng() != 5 || sl.Get(1).AsLng() != 9 || sl.Get(2).AsLng() != 2 {
-			t.Fatalf("%v: Slice = %v", e, sl)
-		}
-		if v.Empty().Len() != 0 {
-			t.Fatalf("%v: Empty not empty", e)
-		}
-		// The original is untouched by Append/Slice.
-		if !reflect.DeepEqual(v.AppendTo(nil), vals) {
-			t.Fatalf("%v: mutated by Append/Slice", e)
 		}
 	}
 }
@@ -235,161 +184,6 @@ func TestStoredBytes(t *testing.T) {
 	}
 	if f := Encode(narrow, FOR, elem); f.StoredBytes() >= p.StoredBytes() {
 		t.Errorf("for on narrow = %d, plain %d", f.StoredBytes(), p.StoredBytes())
-	}
-}
-
-// TestBitpack exercises the packed array across widths including the
-// 64-bit and word-straddling cases.
-func TestBitpack(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, width := range []uint{0, 1, 3, 7, 8, 13, 31, 33, 63, 64} {
-		vals := make([]uint64, 257)
-		for i := range vals {
-			if width == 64 {
-				vals[i] = rng.Uint64()
-			} else {
-				vals[i] = rng.Uint64() & (1<<width - 1)
-			}
-		}
-		if width == 0 {
-			for i := range vals {
-				vals[i] = 0
-			}
-		}
-		p := packAll(vals, width)
-		for i, want := range vals {
-			if got := p.get(i); got != want {
-				t.Fatalf("width %d: get(%d) = %d, want %d", width, i, got, want)
-			}
-		}
-	}
-}
-
-// TestDblMappingMonotone asserts the float64<->int64 mapping is
-// order-preserving and lossless, including infinities.
-func TestDblMappingMonotone(t *testing.T) {
-	vals := []float64{math.Inf(-1), -1e300, -2.5, -1.0, -1e-300,
-		0, 1e-300, 1.0, 2.5, 1e300, math.Inf(1)}
-	for i, f := range vals {
-		if got := unmapDbl(mapDbl(f)); math.Float64bits(got) != math.Float64bits(f) {
-			t.Errorf("roundtrip %g -> %g", f, got)
-		}
-		if i > 0 && mapDbl(vals[i-1]) >= mapDbl(f) {
-			t.Errorf("order broken at %g >= %g", vals[i-1], f)
-		}
-	}
-	// Negative zero collapses onto +0.0 (equal under float comparison),
-	// so a 0.0 predicate bound treats both identically.
-	if mapDbl(math.Copysign(0, -1)) != mapDbl(0) {
-		t.Error("-0.0 and +0.0 map differently")
-	}
-	if got := unmapDbl(mapDbl(math.Copysign(0, -1))); got != 0 || math.Signbit(got) {
-		t.Errorf("-0.0 decodes to %g", got)
-	}
-	// NaN maps strictly outside [-Inf, +Inf], so ordered predicates
-	// exclude it just as float comparison does.
-	if nan := mapDbl(math.NaN()); nan <= mapDbl(math.Inf(1)) && nan >= mapDbl(math.Inf(-1)) {
-		t.Error("NaN maps inside the ordered interval")
-	}
-}
-
-// TestDblVector asserts the adapter round-trips and selects correctly on
-// a SkyServer-shaped ra column.
-func TestDblVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = rng.Float64() * 360
-	}
-	for _, e := range Encodings {
-		d := EncodeDbls(vals, e, 4)
-		if d.Kind() != bat.KDbl || d.Len() != len(vals) {
-			t.Fatalf("%v: kind/len wrong", e)
-		}
-		for i, want := range vals {
-			if d.AtDbl(i) != want {
-				t.Fatalf("%v: AtDbl(%d) = %g, want %g", e, i, d.AtDbl(i), want)
-			}
-		}
-		lo, hi := 100.0, 200.0
-		var wantCount int64
-		for _, f := range vals {
-			if f >= lo && f <= hi {
-				wantCount++
-			}
-		}
-		if c := d.CountRangeDbl(lo, hi); c != wantCount {
-			t.Fatalf("%v: CountRangeDbl = %d, want %d", e, c, wantCount)
-		}
-		var spanned int64
-		d.RangeSpans(bat.Dbl(lo), bat.Dbl(hi), func(s, end int) {
-			for i := s; i < end; i++ {
-				if f := d.AtDbl(i); f < lo || f > hi {
-					t.Fatalf("%v: span value %g outside [%g, %g]", e, f, lo, hi)
-				}
-				spanned++
-			}
-		})
-		if spanned != wantCount {
-			t.Fatalf("%v: spans covered %d rows, want %d", e, spanned, wantCount)
-		}
-	}
-}
-
-// TestDblNaNBoundsMatchNothing: a NaN bound compares false with every
-// value, so a range with one matches no row — under every encoding, for
-// counts and spans alike — while ordinary bounds over the same vector,
-// infinities included, still match.
-func TestDblNaNBoundsMatchNothing(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	vals := []float64{-1, 0, 1, 2.5, inf}
-	for _, c := range []struct {
-		name   string
-		lo, hi float64
-		want   int64
-	}{
-		{"hi NaN", 0, nan, 0},
-		{"lo -NaN", math.Copysign(nan, -1), 1, 0},
-		{"lo NaN", nan, 1, 0},
-		{"both NaN", nan, nan, 0},
-		{"NaN to +Inf", nan, inf, 0},
-		{"-Inf to NaN", math.Inf(-1), nan, 0},
-		{"ordinary", 0, 2.5, 3},
-		{"to +Inf", 0, inf, 4},
-		{"inverted", 1, 0, 0},
-	} {
-		for _, e := range Encodings {
-			d := EncodeDbls(vals, e, 4)
-			if got := d.CountRangeDbl(c.lo, c.hi); got != c.want {
-				t.Errorf("%s/%v: CountRangeDbl(%g, %g) = %d, want %d", c.name, e, c.lo, c.hi, got, c.want)
-			}
-			var spanned int64
-			d.RangeSpans(bat.Dbl(c.lo), bat.Dbl(c.hi), func(s, end int) { spanned += int64(end - s) })
-			if spanned != c.want {
-				t.Errorf("%s/%v: RangeSpans(%g, %g) covered %d rows, want %d", c.name, e, c.lo, c.hi, spanned, c.want)
-			}
-		}
-	}
-}
-
-// TestDblDecodePaths: AppendToDbl and Slice decode through the inner
-// encoding's kernel and agree with point access.
-func TestDblDecodePaths(t *testing.T) {
-	vals := []float64{math.Inf(-1), -2.5, 0, 1e-300, 3, 3, 3, math.Inf(1)}
-	for _, e := range Encodings {
-		d := EncodeDbls(vals, e, 4)
-		if got := d.AppendToDbl([]float64{9}); !reflect.DeepEqual(got, append([]float64{9}, vals...)) {
-			t.Errorf("%v: AppendToDbl = %v", e, got)
-		}
-		sl := d.Slice(1, 6)
-		for i := 0; i < sl.Len(); i++ {
-			if got := sl.Get(i).AsDbl(); got != vals[1+i] || got != d.AtDbl(1+i) {
-				t.Errorf("%v: Slice(1, 6)[%d] = %g, want %g", e, i, got, vals[1+i])
-			}
-		}
-		if sl.Len() != 5 || sl.Kind() != bat.KDbl {
-			t.Errorf("%v: Slice(1, 6) has len %d kind %v", e, sl.Len(), sl.Kind())
-		}
 	}
 }
 
@@ -449,9 +243,40 @@ func TestCodec(t *testing.T) {
 	if c := NewCodec(Auto, 4); c.Encode(vals).Encoding() != RLE {
 		t.Error("Auto on constant input did not pick rle")
 	}
-	dbl := make([]float64, 500)
-	if c := NewCodec(Auto, 4); c.EncodeDbls(dbl).Encoding() != RLE {
-		t.Error("Auto on constant dbl input did not pick rle")
+}
+
+// TestBitpack round-trips random values through the block packer and the
+// block decoder at widths on and off the word boundary, over a row count
+// that ends in a partial block.
+func TestBitpack(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, width := range []uint{0, 1, 3, 7, 8, 13, 31, 33, 63, 64} {
+		vals := make([]int64, 257)
+		for i := range vals {
+			v := rng.Uint64()
+			if width < 64 {
+				v &= 1<<width - 1
+			}
+			vals[i] = int64(v)
+		}
+		p := pack(vals, width, func(dst []uint64, src []int64) {
+			for i, v := range src {
+				dst[i] = uint64(v)
+			}
+		})
+		row := 0
+		dec := p.decode()
+		for blk := dec.next(); blk != nil; blk = dec.next() {
+			for _, got := range blk {
+				if want := uint64(vals[row]); got != want {
+					t.Fatalf("width %d: row %d = %d, want %d", width, row, got, want)
+				}
+				row++
+			}
+		}
+		if row != len(vals) {
+			t.Fatalf("width %d: decoded %d rows, want %d", width, row, len(vals))
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"slices"
-
-	"selforg/internal/bat"
-)
+import "slices"
 
 // DictVector is dictionary encoding: the distinct values, sorted
 // ascending, plus one bit-packed dictionary code per row. Because the
@@ -77,27 +73,8 @@ func cacheSlot(v int64, bits uint) uint64 {
 	return uint64(v) * 0x9E3779B97F4A7C15 >> (64 - bits)
 }
 
-// Kind implements bat.Vector.
-func (d *DictVector) Kind() bat.Kind { return bat.KLng }
-
-// Len implements bat.Vector.
+// Len implements Vector.
 func (d *DictVector) Len() int { return d.codes.n }
-
-// Get implements bat.Vector.
-func (d *DictVector) Get(i int) bat.Value { return bat.Lng(d.At(i)) }
-
-// Append implements bat.Vector by decaying to Plain (see Vector docs).
-func (d *DictVector) Append(v bat.Value) bat.Vector {
-	return NewPlain(append(d.AppendTo(nil), v.AsLng()), d.elemSize)
-}
-
-// Slice implements bat.Vector by decoding the window into Plain.
-func (d *DictVector) Slice(i, j int) bat.Vector {
-	return NewPlain(d.appendRows(i, j, make([]int64, 0, j-i)), d.elemSize)
-}
-
-// Empty implements bat.Vector.
-func (d *DictVector) Empty() bat.Vector { return NewPlain(nil, d.elemSize) }
 
 // Encoding implements Vector.
 func (d *DictVector) Encoding() Encoding { return Dict }
@@ -115,18 +92,10 @@ func (d *DictVector) StoredBytes() int64 {
 	return dictHeaderBytes + int64(len(d.dict))*d.elemSize + d.codes.bytes()
 }
 
-// At implements Vector.
-func (d *DictVector) At(i int) int64 { return d.dict[d.codes.get(i)] }
-
 // AppendTo implements Vector.
 func (d *DictVector) AppendTo(dst []int64) []int64 {
-	return d.appendRows(0, d.codes.n, dst)
-}
-
-// appendRows appends the decoded values of rows [i, j) to dst.
-func (d *DictVector) appendRows(i, j int, dst []int64) []int64 {
-	dst = slices.Grow(dst, j-i)
-	dec := d.codes.decode(i, j)
+	dst = slices.Grow(dst, d.codes.n)
+	dec := d.codes.decode()
 	for codes := dec.next(); codes != nil; codes = dec.next() {
 		for _, c := range codes {
 			dst = append(dst, d.dict[c])
@@ -160,7 +129,7 @@ func (d *DictVector) SelectRange(lo, hi int64, dst []int64) []int64 {
 		return d.AppendTo(dst)
 	}
 	span := cHi - cLo
-	dec := d.codes.decode(0, d.codes.n)
+	dec := d.codes.decode()
 	base := dst
 	for codes := dec.next(); codes != nil; codes = dec.next() {
 		dst = slices.Grow(dst, len(codes))
@@ -190,7 +159,7 @@ func (d *DictVector) CountRange(lo, hi int64) int64 {
 	}
 	span := cHi - cLo
 	var n int64
-	dec := d.codes.decode(0, d.codes.n)
+	dec := d.codes.decode()
 	for codes := dec.next(); codes != nil; codes = dec.next() {
 		for _, c := range codes {
 			if c-cLo < span {
@@ -210,7 +179,7 @@ func (d *DictVector) SumRange(lo, hi int64) (int64, int64) {
 	}
 	span := cHi - cLo
 	var n, sum int64
-	dec := d.codes.decode(0, d.codes.n)
+	dec := d.codes.decode()
 	for codes := dec.next(); codes != nil; codes = dec.next() {
 		for _, c := range codes {
 			// Load before the test: a load under the branch keeps the
@@ -223,35 +192,6 @@ func (d *DictVector) SumRange(lo, hi int64) (int64, int64) {
 		}
 	}
 	return n, sum
-}
-
-// Spans implements Vector.
-func (d *DictVector) Spans(lo, hi int64, f func(start, end int)) {
-	cLo, cHi := d.codeRange(lo, hi)
-	if cLo >= cHi {
-		return
-	}
-	if cLo == 0 && cHi == uint64(len(d.dict)) {
-		if d.codes.n > 0 {
-			f(0, d.codes.n)
-		}
-		return
-	}
-	span := cHi - cLo
-	var sp spanner
-	dec := d.codes.decode(0, d.codes.n)
-	for row, codes := 0, dec.next(); codes != nil; codes = dec.next() {
-		for _, c := range codes {
-			sp.add(row, c-cLo < span, f)
-			row++
-		}
-	}
-	sp.done(d.codes.n, f)
-}
-
-// RangeSpans implements bat.RangeSpanner.
-func (d *DictVector) RangeSpans(lo, hi bat.Value, f func(start, end int)) {
-	d.Spans(lo.AsLng(), hi.AsLng(), f)
 }
 
 // MinMax implements Vector: free from the sorted dictionary.

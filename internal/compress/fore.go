@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"slices"
-
-	"selforg/internal/bat"
-)
+import "slices"
 
 // FORVector is frame-of-reference encoding: the minimum value is the
 // frame, every row stores its bit-packed delta from it. The frame and the
@@ -52,27 +48,8 @@ func newFOR(vals []int64, lo, hi, elemSize int64) *FORVector {
 	return f
 }
 
-// Kind implements bat.Vector.
-func (f *FORVector) Kind() bat.Kind { return bat.KLng }
-
-// Len implements bat.Vector.
+// Len implements Vector.
 func (f *FORVector) Len() int { return f.deltas.n }
-
-// Get implements bat.Vector.
-func (f *FORVector) Get(i int) bat.Value { return bat.Lng(f.At(i)) }
-
-// Append implements bat.Vector by decaying to Plain (see Vector docs).
-func (f *FORVector) Append(v bat.Value) bat.Vector {
-	return NewPlain(append(f.AppendTo(nil), v.AsLng()), f.elemSize)
-}
-
-// Slice implements bat.Vector by decoding the window into Plain.
-func (f *FORVector) Slice(i, j int) bat.Vector {
-	return NewPlain(f.appendRows(i, j, make([]int64, 0, j-i)), f.elemSize)
-}
-
-// Empty implements bat.Vector.
-func (f *FORVector) Empty() bat.Vector { return NewPlain(nil, f.elemSize) }
 
 // Encoding implements Vector.
 func (f *FORVector) Encoding() Encoding { return FOR }
@@ -90,24 +67,11 @@ func (f *FORVector) StoredBytes() int64 {
 	return forHeaderBytes + 2*f.elemSize + f.deltas.bytes()
 }
 
-// Width returns the delta bit width (diagnostics, advisor validation).
-func (f *FORVector) Width() uint { return f.deltas.width }
-
-// At implements Vector.
-func (f *FORVector) At(i int) int64 {
-	return int64(uint64(f.ref) + f.deltas.get(i))
-}
-
 // AppendTo implements Vector.
 func (f *FORVector) AppendTo(dst []int64) []int64 {
-	return f.appendRows(0, f.deltas.n, dst)
-}
-
-// appendRows appends the decoded values of rows [i, j) to dst.
-func (f *FORVector) appendRows(i, j int, dst []int64) []int64 {
-	dst = slices.Grow(dst, j-i)
+	dst = slices.Grow(dst, f.deltas.n)
 	ref := uint64(f.ref)
-	dec := f.deltas.decode(i, j)
+	dec := f.deltas.decode()
 	for ds := dec.next(); ds != nil; ds = dec.next() {
 		for _, d := range ds {
 			dst = append(dst, int64(ref+d))
@@ -150,7 +114,7 @@ func (f *FORVector) SelectRange(lo, hi int64, dst []int64) []int64 {
 		return f.AppendTo(dst)
 	}
 	ref := uint64(f.ref)
-	dec := f.deltas.decode(0, f.deltas.n)
+	dec := f.deltas.decode()
 	base := dst
 	for ds := dec.next(); ds != nil; ds = dec.next() {
 		dst = slices.Grow(dst, len(ds))
@@ -179,7 +143,7 @@ func (f *FORVector) CountRange(lo, hi int64) int64 {
 		return int64(f.deltas.n)
 	}
 	var n int64
-	dec := f.deltas.decode(0, f.deltas.n)
+	dec := f.deltas.decode()
 	for ds := dec.next(); ds != nil; ds = dec.next() {
 		for _, d := range ds {
 			if d-dLo <= span {
@@ -202,7 +166,7 @@ func (f *FORVector) SumRange(lo, hi int64) (int64, int64) {
 		dLo, span = 0, ^uint64(0)
 	}
 	var n, sum uint64
-	dec := f.deltas.decode(0, f.deltas.n)
+	dec := f.deltas.decode()
 	for ds := dec.next(); ds != nil; ds = dec.next() {
 		for _, d := range ds {
 			if d-dLo <= span {
@@ -212,32 +176,6 @@ func (f *FORVector) SumRange(lo, hi int64) (int64, int64) {
 		}
 	}
 	return int64(n), int64(n*uint64(f.ref) + sum)
-}
-
-// Spans implements Vector.
-func (f *FORVector) Spans(lo, hi int64, fn func(start, end int)) {
-	dLo, span, cover := f.deltaRange(lo, hi)
-	switch cover {
-	case -1:
-		return
-	case 1:
-		fn(0, f.deltas.n)
-		return
-	}
-	var sp spanner
-	dec := f.deltas.decode(0, f.deltas.n)
-	for row, ds := 0, dec.next(); ds != nil; ds = dec.next() {
-		for _, d := range ds {
-			sp.add(row, d-dLo <= span, fn)
-			row++
-		}
-	}
-	sp.done(f.deltas.n, fn)
-}
-
-// RangeSpans implements bat.RangeSpanner.
-func (f *FORVector) RangeSpans(lo, hi bat.Value, fn func(start, end int)) {
-	f.Spans(lo.AsLng(), hi.AsLng(), fn)
 }
 
 // MinMax implements Vector: free from the frame.

@@ -36,38 +36,15 @@ func (r refKernels) sum(lo, hi int64) (n, sum int64) {
 	return n, sum
 }
 
-func (r refKernels) spans(lo, hi int64) [][2]int {
-	var out [][2]int
-	for i, v := range r.vals {
-		if !r.match(v, lo, hi) {
-			continue
-		}
-		if k := len(out) - 1; k >= 0 && out[k][1] == i {
-			out[k][1] = i + 1
-		} else {
-			out = append(out, [2]int{i, i + 1})
-		}
-	}
-	return out
-}
-
 // checkKernels encodes vals every way and holds every kernel to the
-// reference on every range in qs, and Slice to the reference on the
-// windows in wins.
-func checkKernels(t *testing.T, name string, vals []int64, qs, wins [][2]int64) {
+// reference on every range in qs.
+func checkKernels(t *testing.T, name string, vals []int64, qs [][2]int64) {
 	t.Helper()
 	ref := refKernels{vals}
 	for _, e := range Encodings {
 		v := Encode(append([]int64(nil), vals...), e, 4)
 		if got := v.AppendTo(nil); len(vals) > 0 && !reflect.DeepEqual(got, vals) {
 			t.Fatalf("%s/%v: AppendTo differs from the input", name, e)
-		}
-		for _, w := range wins {
-			i, j := int(w[0]), int(w[1])
-			got := v.Slice(i, j).(*PlainVector).Raw()
-			if want := vals[i:j]; len(want) > 0 && !reflect.DeepEqual(got, want) || len(got) != len(want) {
-				t.Fatalf("%s/%v: Slice(%d, %d) = %v, want %v", name, e, i, j, got, want)
-			}
 		}
 		for _, q := range qs {
 			lo, hi := q[0], q[1]
@@ -84,11 +61,6 @@ func checkKernels(t *testing.T, name string, vals []int64, qs, wins [][2]int64) 
 			wn, ws := ref.sum(lo, hi)
 			if n, s := v.SumRange(lo, hi); n != wn || s != ws {
 				t.Fatalf("%s/%v [%d,%d]: SumRange = (%d, %d), want (%d, %d)", name, e, lo, hi, n, s, wn, ws)
-			}
-			var spans [][2]int
-			v.Spans(lo, hi, func(s, end int) { spans = append(spans, [2]int{s, end}) })
-			if want := ref.spans(lo, hi); !reflect.DeepEqual(spans, want) {
-				t.Fatalf("%s/%v [%d,%d]: Spans = %v, want %v", name, e, lo, hi, spans, want)
 			}
 		}
 	}
@@ -120,21 +92,10 @@ func kernelRanges(vals []int64) [][2]int64 {
 	return qs
 }
 
-// sliceWindows lists Slice windows straddling block boundaries.
-func sliceWindows(n int) [][2]int64 {
-	var ws [][2]int64
-	for _, w := range [][2]int{{0, n}, {0, 0}, {n, n}, {0, 1}, {63, 65}, {1, 64}, {64, 128}, {n / 3, n - n/3}, {n - 1, n}} {
-		if w[0] >= 0 && w[0] <= w[1] && w[1] <= n {
-			ws = append(ws, [2]int64{int64(w[0]), int64(w[1])})
-		}
-	}
-	return ws
-}
-
-// TestCodecKernelsMatchPlain holds CountRange, SelectRange, SumRange,
-// Spans, AppendTo and Slice of every encoding to the plain reference
-// loop, across every bit-packing width 0–64, row counts around the
-// 64-value block, and frames pinned at both ends of int64.
+// TestCodecKernelsMatchPlain holds CountRange, SelectRange, SumRange and
+// AppendTo of every encoding to the plain reference loop, across every
+// bit-packing width 0–64, row counts around the 64-value block, and
+// frames pinned at both ends of int64.
 func TestCodecKernelsMatchPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for w := uint(0); w <= 64; w++ {
@@ -157,7 +118,7 @@ func TestCodecKernelsMatchPlain(t *testing.T) {
 					// Pin the frame: the width is exactly w.
 					vals[0], vals[n-1] = int64(base), int64(base+mask)
 				}
-				checkKernels(t, fmt.Sprintf("w%d/n%d/%s", w, n, bname), vals, kernelRanges(vals), sliceWindows(n))
+				checkKernels(t, fmt.Sprintf("w%d/n%d/%s", w, n, bname), vals, kernelRanges(vals))
 			}
 		}
 	}
@@ -170,12 +131,12 @@ func TestCodecKernelsMatchPlain(t *testing.T) {
 				vals[i] = vals[i-1]
 			}
 		}
-		checkKernels(t, fmt.Sprintf("card%d", card), vals, kernelRanges(vals), sliceWindows(len(vals)))
+		checkKernels(t, fmt.Sprintf("card%d", card), vals, kernelRanges(vals))
 	}
 }
 
-// TestPackedDecoder holds the block decoder to point access for every
-// width and for row windows starting and ending mid-block.
+// TestPackedDecoder holds the block decoder to the input for every width
+// and for row counts around the block.
 func TestPackedDecoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for w := uint(0); w <= 64; w++ {
@@ -191,20 +152,18 @@ func TestPackedDecoder(t *testing.T) {
 			if got, want := p.bytes(), packedBytesFor(int64(n), w); got != want {
 				t.Fatalf("w%d n%d: bytes = %d, want %d", w, n, got, want)
 			}
-			for _, win := range [][2]int{{0, n}, {n / 2, n}, {min(3, n), n - n/4}} {
-				row := win[0]
-				dec := p.decode(win[0], win[1])
-				for blk := dec.next(); blk != nil; blk = dec.next() {
-					for _, got := range blk {
-						if got != vals[row] || got != p.get(row) {
-							t.Fatalf("w%d n%d %v: row %d = %d, want %d", w, n, win, row, got, vals[row])
-						}
-						row++
+			row := 0
+			dec := p.decode()
+			for blk := dec.next(); blk != nil; blk = dec.next() {
+				for _, got := range blk {
+					if got != vals[row] {
+						t.Fatalf("w%d n%d: row %d = %d, want %d", w, n, row, got, vals[row])
 					}
+					row++
 				}
-				if row != win[1] {
-					t.Fatalf("w%d n%d %v: decoded through row %d", w, n, win, row)
-				}
+			}
+			if row != n {
+				t.Fatalf("w%d n%d: decoded through row %d", w, n, row)
 			}
 		}
 	}
@@ -313,6 +272,6 @@ func FuzzCodecRange(f *testing.F) {
 			vals = append(vals, base+int64(binary.LittleEndian.Uint64(word[:])>>(shift%64)))
 		}
 		qs := append(kernelRanges(vals), [2]int64{lo, hi})
-		checkKernels(t, "fuzz", vals, qs, sliceWindows(len(vals)))
+		checkKernels(t, "fuzz", vals, qs)
 	})
 }

@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"slices"
-
-	"selforg/internal/bat"
-)
+import "slices"
 
 // PlainVector is the uncompressed encoding: a raw int64 slice plus the
 // accounted element width. It exists so that "compression on, encoding
@@ -23,39 +19,14 @@ func NewPlain(vals []int64, elemSize int64) *PlainVector {
 	return &PlainVector{vals: vals, elemSize: elemSize}
 }
 
-// Kind implements bat.Vector.
-func (p *PlainVector) Kind() bat.Kind { return bat.KLng }
-
-// Len implements bat.Vector.
+// Len implements Vector.
 func (p *PlainVector) Len() int { return len(p.vals) }
-
-// Get implements bat.Vector.
-func (p *PlainVector) Get(i int) bat.Value { return bat.Lng(p.vals[i]) }
-
-// Append implements bat.Vector. The payload is copied: a PlainVector
-// usually aliases a segment's storage, which must not grow underfoot.
-func (p *PlainVector) Append(v bat.Value) bat.Vector {
-	vals := make([]int64, 0, len(p.vals)+1)
-	vals = append(append(vals, p.vals...), v.AsLng())
-	return &PlainVector{vals: vals, elemSize: p.elemSize}
-}
-
-// Slice implements bat.Vector.
-func (p *PlainVector) Slice(i, j int) bat.Vector {
-	return &PlainVector{vals: p.vals[i:j], elemSize: p.elemSize}
-}
-
-// Empty implements bat.Vector.
-func (p *PlainVector) Empty() bat.Vector { return &PlainVector{elemSize: p.elemSize} }
 
 // Encoding implements Vector.
 func (p *PlainVector) Encoding() Encoding { return Plain }
 
 // StoredBytes implements Vector: exactly the uncompressed accounting.
 func (p *PlainVector) StoredBytes() int64 { return int64(len(p.vals)) * p.elemSize }
-
-// At implements Vector.
-func (p *PlainVector) At(i int) int64 { return p.vals[i] }
 
 // Raw exposes the underlying slice without copying — the zero-copy
 // borrow the rope result path takes for plain-encoded segments. Callers
@@ -143,24 +114,6 @@ func SumPlain(vals []int64, lo, hi int64) (n, sum int64) {
 		}
 	}
 	return n, sum
-}
-
-// Spans implements Vector.
-func (p *PlainVector) Spans(lo, hi int64, f func(start, end int)) {
-	if lo > hi {
-		return
-	}
-	span := uint64(hi) - uint64(lo)
-	var sp spanner
-	for i, v := range p.vals {
-		sp.add(i, uint64(v)-uint64(lo) <= span, f)
-	}
-	sp.done(len(p.vals), f)
-}
-
-// RangeSpans implements bat.RangeSpanner.
-func (p *PlainVector) RangeSpans(lo, hi bat.Value, f func(start, end int)) {
-	p.Spans(lo.AsLng(), hi.AsLng(), f)
 }
 
 // MinMax implements Vector.

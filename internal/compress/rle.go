@@ -1,16 +1,10 @@
 package compress
 
-import (
-	"sort"
-
-	"selforg/internal/bat"
-)
-
 // RLEVector is run-length encoding: maximal runs of equal adjacent values
-// stored as a value plus the run's cumulative end offset. Point access
-// binary-searches the run ends; range selection touches each run header
-// exactly once and never expands a run it can skip, so scans over sorted
-// or low-run-count data cost O(runs), not O(rows).
+// stored as a value plus the run's cumulative end offset. Range
+// selection touches each run header exactly once and never expands a run
+// it can skip, so scans over sorted or low-run-count data cost O(runs),
+// not O(rows).
 type RLEVector struct {
 	vals     []int64 // run values, in sequence order
 	ends     []int32 // cumulative exclusive end row of each run
@@ -79,41 +73,13 @@ func appendRepeat(dst []int64, v int64, count int) []int64 {
 	return dst
 }
 
-// Kind implements bat.Vector.
-func (r *RLEVector) Kind() bat.Kind { return bat.KLng }
-
-// Len implements bat.Vector.
+// Len implements Vector.
 func (r *RLEVector) Len() int {
 	if len(r.ends) == 0 {
 		return 0
 	}
 	return int(r.ends[len(r.ends)-1])
 }
-
-// Get implements bat.Vector.
-func (r *RLEVector) Get(i int) bat.Value { return bat.Lng(r.At(i)) }
-
-// Append implements bat.Vector by decaying to Plain (see Vector docs).
-func (r *RLEVector) Append(v bat.Value) bat.Vector {
-	return NewPlain(append(r.AppendTo(nil), v.AsLng()), r.elemSize)
-}
-
-// Slice implements bat.Vector by decoding the window into Plain: one
-// binary search finds the run holding row i, then whole runs are
-// expanded, clipped to the window.
-func (r *RLEVector) Slice(i, j int) bat.Vector {
-	out := make([]int64, 0, j-i)
-	for k := r.runOf(i); i < j; k++ {
-		_, end := r.run(k)
-		end = min(end, j)
-		out = appendRepeat(out, r.vals[k], end-i)
-		i = end
-	}
-	return NewPlain(out, r.elemSize)
-}
-
-// Empty implements bat.Vector.
-func (r *RLEVector) Empty() bat.Vector { return NewPlain(nil, r.elemSize) }
 
 // Encoding implements Vector.
 func (r *RLEVector) Encoding() Encoding { return RLE }
@@ -126,17 +92,6 @@ func (r *RLEVector) StoredBytes() int64 {
 	}
 	return rleHeaderBytes + int64(len(r.vals))*(r.elemSize+rleRunBytes)
 }
-
-// Runs returns the number of runs (diagnostics, advisor validation).
-func (r *RLEVector) Runs() int { return len(r.vals) }
-
-// runOf returns the index of the run holding row i.
-func (r *RLEVector) runOf(i int) int {
-	return sort.Search(len(r.ends), func(k int) bool { return int(r.ends[k]) > i })
-}
-
-// At implements Vector.
-func (r *RLEVector) At(i int) int64 { return r.vals[r.runOf(i)] }
 
 // AppendTo implements Vector.
 func (r *RLEVector) AppendTo(dst []int64) []int64 {
@@ -206,36 +161,6 @@ func (r *RLEVector) SumRange(lo, hi int64) (int64, int64) {
 		prev = end
 	}
 	return n, sum
-}
-
-// Spans implements Vector: adjacent qualifying runs coalesce into one
-// span.
-func (r *RLEVector) Spans(lo, hi int64, f func(start, end int)) {
-	if hi < r.min || lo > r.max {
-		return
-	}
-	spanStart := -1
-	for k, v := range r.vals {
-		start, _ := r.run(k)
-		if v >= lo && v <= hi {
-			if spanStart < 0 {
-				spanStart = start
-			}
-			continue
-		}
-		if spanStart >= 0 {
-			f(spanStart, start)
-			spanStart = -1
-		}
-	}
-	if spanStart >= 0 {
-		f(spanStart, r.Len())
-	}
-}
-
-// RangeSpans implements bat.RangeSpanner.
-func (r *RLEVector) RangeSpans(lo, hi bat.Value, f func(start, end int)) {
-	r.Spans(lo.AsLng(), hi.AsLng(), f)
 }
 
 // MinMax implements Vector.
