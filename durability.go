@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"time"
 
-	"selforg/internal/core"
 	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/durable"
@@ -77,17 +76,12 @@ func (t *durTarget) ApplyOps(ops []delta.Op) ([]bool, error) {
 
 func (t *durTarget) MergeCount() int64 { return t.c.strat.DeltaStats().Merges }
 
+// CaptureShard captures shard i's full logical content (base plus
+// visible delta) through a pinned MVCC view — no adaptation, no stats.
+// The committer calls it between batches, so no cross-shard update holds
+// the pin sweep's lock.
 func (t *durTarget) CaptureShard(i int) []domain.Value {
-	if sc, ok := t.c.strat.(shardedColumn); ok {
-		return pinSelect(sc.Shard(i), sc.ShardRange(i))
-	}
-	return pinSelect(t.c.strat, t.c.extent)
-}
-
-// pinSelect captures a shard's full logical content (base plus visible
-// delta) through a pinned MVCC view — no adaptation, no stats.
-func pinSelect(s core.DeltaStrategy, rng domain.Range) []domain.Value {
-	return s.PinView().Select(rng)
+	return t.c.strat.Pin().SelectRope(t.c.strat.ShardRange(i)).Flatten()
 }
 
 // newDurable is New's durable back half: open the logs, rebuild the

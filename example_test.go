@@ -2,6 +2,7 @@ package selforg_test
 
 import (
 	"fmt"
+	"math/rand"
 
 	"selforg"
 )
@@ -80,4 +81,198 @@ func ExampleColumn_BulkLoad() {
 	fmt.Println(n)
 	// Output:
 	// 4
+}
+
+// Example_quickstart builds a self-organizing column, runs a few range
+// queries and watches the layout converge. It mirrors the paper's
+// headline scenario: a read-mostly column (§1) whose physical
+// organization adapts to the query load — no DBA, no CREATE INDEX, the
+// queries themselves reorganize the data.
+func Example_quickstart() {
+	// A column of 200K 4-byte values over a 2M-value domain.
+	const (
+		n      = 200_000
+		domain = 2_000_000
+	)
+	rng := rand.New(rand.NewSource(7))
+	values := make([]int64, n)
+	for i := range values {
+		values[i] = rng.Int63n(domain)
+	}
+
+	col, err := selforg.New(selforg.Interval{Lo: 0, Hi: domain - 1}, values, selforg.Options{
+		Strategy: selforg.Segmentation, // reorganize in place (§4)
+		Model:    selforg.APM,          // deterministic model, bounds below (§3.2.2)
+		APMMin:   8 << 10,              // segments never smaller than 8 KB ...
+		APMMax:   32 << 10,             // ... and queried segments never larger than 32 KB
+		// Two more knobs worth knowing:
+		//   Compression: selforg.CompressionAuto — let the advisor pick
+		//     each segment's storage encoding as queries materialize it
+		//     (results identical, storage and read volumes shrink);
+		//   Parallelism: 4 — fan one query's segment scans across
+		//     workers; a Column is safe for concurrent use either way.
+	})
+	if err != nil {
+		panic(err)
+	}
+
+	fmt.Printf("column: %s, %d values, storage %d KB\n\n",
+		col.Name(), n, col.StorageBytes()>>10)
+
+	// A workload with a hot range: the same analytical window queried
+	// repeatedly, plus background noise.
+	hotLo, hotHi := int64(800_000), int64(899_999)
+	for q := 1; q <= 12; q++ {
+		var lo, hi int64
+		if q%2 == 1 {
+			lo, hi = hotLo, hotHi
+		} else {
+			lo = rng.Int63n(domain - 150_000)
+			hi = lo + 149_999
+		}
+		res, st := col.Select(lo, hi)
+		fmt.Printf("q%02d select [%7d, %7d]: %6d rows, read %4d KB, wrote %4d KB, %d splits\n",
+			q, lo, hi, len(res), st.ReadBytes>>10, st.WriteBytes>>10, st.Splits)
+	}
+
+	fmt.Printf("\nafter %d queries: %d segments, total read %d KB, total written %d KB\n",
+		col.Queries(), col.SegmentCount(),
+		col.Totals().ReadBytes>>10, col.Totals().WriteBytes>>10)
+
+	// The first hot-range query scanned the whole column (800 KB); by now
+	// the same query touches only the segments overlapping the range.
+	_, st := col.Select(hotLo, hotHi)
+	fmt.Printf("hot range now reads %d KB per query (column is %d KB)\n",
+		st.ReadBytes>>10, col.StorageBytes()>>10)
+	// Output:
+	// column: APM 8.00KB-32.00KB Segm, 200000 values, storage 781 KB
+	//
+	// q01 select [ 800000,  899999]:  10079 rows, read  781 KB, wrote  781 KB, 1 splits
+	// q02 select [1732239, 1882238]:  15015 rows, read  430 KB, wrote  430 KB, 1 splits
+	// q03 select [ 800000,  899999]:  10079 rows, read   39 KB, wrote    0 KB, 0 splits
+	// q04 select [1513291, 1663290]:  15192 rows, read  325 KB, wrote  325 KB, 1 splits
+	// q05 select [ 800000,  899999]:  10079 rows, read   39 KB, wrote    0 KB, 0 splits
+	// q06 select [1483612, 1633611]:  15157 rows, read  298 KB, wrote  298 KB, 2 splits
+	// q07 select [ 800000,  899999]:  10079 rows, read   39 KB, wrote    0 KB, 0 splits
+	// q08 select [ 795530,  945529]:  14958 rows, read  578 KB, wrote  538 KB, 2 splits
+	// q09 select [ 800000,  899999]:  10079 rows, read   39 KB, wrote    0 KB, 0 splits
+	// q10 select [1540975, 1690974]:  15097 rows, read   86 KB, wrote   74 KB, 2 splits
+	// q11 select [ 800000,  899999]:  10079 rows, read   39 KB, wrote    0 KB, 0 splits
+	// q12 select [ 157436,  307435]:  14976 rows, read  156 KB, wrote  156 KB, 1 splits
+	//
+	// after 12 queries: 15 segments, total read 2852 KB, total written 2605 KB
+	// hot range now reads 39 KB per query (column is 781 KB)
+}
+
+// Example_replication walks through the paper's Figure 4: the replica
+// tree of adaptive replication (§5) — materialized replicas of query
+// results, virtual complement segments, and the storage release when a
+// fully replicated parent is dropped (Algorithm 5).
+func Example_replication() {
+	// A dense 1000-value column over [0, 999], 1 byte per value, so the
+	// numbers are easy to follow (the same setup as the core tests'
+	// Figure-3/4 walkthrough).
+	values := make([]int64, 1000)
+	for i := range values {
+		values[i] = int64(i)
+	}
+	col, err := selforg.New(selforg.Interval{Lo: 0, Hi: 999}, values, selforg.Options{
+		Strategy: selforg.Replication,
+		Model:    selforg.APM,
+		APMMin:   100,
+		APMMax:   350,
+		ElemSize: 1,
+	})
+	if err != nil {
+		panic(err)
+	}
+	show := func(label string) {
+		fmt.Printf("--- %s ---\n", label)
+		fmt.Printf("storage %4d B, %d materialized + %d virtual segments, depth %d\n",
+			col.StorageBytes(), col.SegmentCount(), col.VirtualCount(), col.TreeDepth())
+		fmt.Println(col.Layout())
+	}
+
+	show("initial state: the column is the replica-tree root")
+
+	// Q1 [300,599]: the selection is kept as a replica; two virtual
+	// segments complete the domain (Figure 4, after Q1).
+	_, st := col.Select(300, 599)
+	fmt.Printf("Q1 [300,599]: read %d B, wrote %d B (only the selection!)\n", st.ReadBytes, st.WriteBytes)
+	show("after Q1: one replica, two virtual complements")
+
+	// Q2 [100,349] overlaps a virtual segment: the whole column is
+	// scanned again, and the virtual piece [100,299] materializes.
+	_, st = col.Select(100, 349)
+	fmt.Printf("Q2 [100,349]: read %d B (full scan — virtual segment hit), wrote %d B\n",
+		st.ReadBytes, st.WriteBytes)
+	show("after Q2")
+
+	// Q3 [600,619] hits the virtual tail: case 4 splits it at the mean
+	// and materializes the lower super-set of the selection.
+	_, st = col.Select(600, 619)
+	fmt.Printf("Q3 [600,619]: read %d B, wrote %d B\n", st.ReadBytes, st.WriteBytes)
+	show("after Q3 (storage is now column + 3 replicas)")
+
+	// Sweep the remaining virtual ranges: once every child of the root is
+	// materialized, the root is dropped and its storage released —
+	// the big drops of Figure 8.
+	fmt.Println(">>> sweeping the remaining virtual ranges ...")
+	var drops int
+	for _, q := range [][2]int64{{0, 99}, {600, 999}, {800, 999}, {350, 599}, {100, 299}, {620, 799}} {
+		_, st = col.Select(q[0], q[1])
+		drops += st.Drops
+	}
+	fmt.Printf("drops so far: %d\n", drops)
+	show("after the sweep: root dropped, flat forest, no virtual segments")
+
+	fmt.Printf("final storage %d B = column size — the tree converged to the\n", col.StorageBytes())
+	fmt.Println("segment list adaptive segmentation would have produced (§6.1.3).")
+	// Output:
+	// --- initial state: the column is the replica-tree root ---
+	// storage 1000 B, 1 materialized + 0 virtual segments, depth 1
+	// mat [0, 999] #1000
+	//
+	// Q1 [300,599]: read 1000 B, wrote 300 B (only the selection!)
+	// --- after Q1: one replica, two virtual complements ---
+	// storage 1300 B, 2 materialized + 2 virtual segments, depth 2
+	// mat [0, 999] #1000
+	//   vir [0, 299] #300
+	//   mat [300, 599] #300
+	//   vir [600, 999] #400
+	//
+	// Q2 [100,349]: read 1000 B (full scan — virtual segment hit), wrote 200 B
+	// --- after Q2 ---
+	// storage 1500 B, 3 materialized + 3 virtual segments, depth 3
+	// mat [0, 999] #1000
+	//   vir [0, 299] #300
+	//     vir [0, 99] #100
+	//     mat [100, 299] #200
+	//   mat [300, 599] #300
+	//   vir [600, 999] #400
+	//
+	// Q3 [600,619]: read 1000 B, wrote 200 B
+	// --- after Q3 (storage is now column + 3 replicas) ---
+	// storage 1700 B, 4 materialized + 4 virtual segments, depth 3
+	// mat [0, 999] #1000
+	//   vir [0, 299] #300
+	//     vir [0, 99] #100
+	//     mat [100, 299] #200
+	//   mat [300, 599] #300
+	//   vir [600, 999] #400
+	//     mat [600, 799] #200
+	//     vir [800, 999] #200
+	//
+	// >>> sweeping the remaining virtual ranges ...
+	// drops so far: 1
+	// --- after the sweep: root dropped, flat forest, no virtual segments ---
+	// storage 1000 B, 5 materialized + 0 virtual segments, depth 1
+	// mat [0, 99] #100
+	// mat [100, 299] #200
+	// mat [300, 599] #300
+	// mat [600, 799] #200
+	// mat [800, 999] #200
+	//
+	// final storage 1000 B = column size — the tree converged to the
+	// segment list adaptive segmentation would have produced (§6.1.3).
 }

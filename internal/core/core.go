@@ -272,24 +272,6 @@ type DeltaStrategy interface {
 	// merging extension. It returns the bytes rewritten and whether the
 	// strategy supports gluing at all (replica trees do not).
 	GlueSmall(minBytes int64) (int64, bool)
-	// PinView pins a consistent read-only MVCC view: writes, splits,
-	// bulk loads and merge-backs after the pin are invisible through it.
-	PinView() PinnedView
-}
-
-// PinnedView is the read surface of a pinned MVCC view — the common
-// shape of core.View and the shard router's multi-shard view, so
-// facade-level code can dispatch on the interface instead of on the
-// concrete strategy type.
-type PinnedView interface {
-	// Select returns the values in q as of the pin (order unspecified).
-	Select(q domain.Range) []domain.Value
-	RopeView
-	// Count returns the cardinality of q as of the pin.
-	Count(q domain.Range) int64
-	// Watermark returns the pinned MVCC version: writes stamped above
-	// it are invisible.
-	Watermark() int64
 }
 
 // RopeSelector is the zero-copy read half of Strategy: every strategy
@@ -304,36 +286,12 @@ type RopeSelector interface {
 	SelectRope(q domain.Range) (*result.Rope, QueryStats)
 }
 
-// RopeView is the rope-returning half of PinnedView: Select with the
-// result left as per-segment chunks.
-type RopeView interface {
-	// SelectRope returns the values in q as of the pin, as a rope.
-	SelectRope(q domain.Range) *result.Rope
-}
-
-// TreeShaped is the optional capability of strategies organized as a
-// replica tree (the Replicator, and the shard router when any shard
-// replicates): depth and virtual-segment inspection.
+// TreeShaped is the capability of strategies organized as a replica
+// tree (the Replicator): depth and virtual-segment inspection.
 type TreeShaped interface {
-	// TreeDepth returns the replica tree depth (max over shards).
+	// TreeDepth returns the replica tree depth.
 	TreeDepth() int
 	// VirtualCount returns the number of virtual (unmaterialized)
-	// segments (summed over shards).
+	// segments.
 	VirtualCount() int
-}
-
-// StampedWriter is the optional capability behind cross-shard update
-// atomicity: stamp a single write with an externally minted column-wide
-// commit version (one delta.Clock shared across every shard's store),
-// so an update's delete half and insert half — applied to two different
-// stores — carry the SAME timestamp.
-type StampedWriter interface {
-	// ShareDeltaClock rebinds the strategy's write store to a shared
-	// commit clock. Call once, at build time, before concurrent writers.
-	ShareDeltaClock(c *delta.Clock)
-	// InsertStamped inserts v stamped with ver (minted from the shared
-	// clock by the coordinator).
-	InsertStamped(ver int64, v domain.Value) (QueryStats, error)
-	// DeleteStamped deletes one occurrence of v stamped with ver.
-	DeleteStamped(ver int64, v domain.Value) (bool, QueryStats, error)
 }

@@ -4,7 +4,7 @@ package core
 // this file adds the single-row half on top of the immutable-snapshot
 // substrate, and it does so ONCE for both strategies: deltaWriter, which
 // the Segmenter and the Replicator embed, is the whole write surface of
-// core.DeltaStrategy and core.StampedWriter. A delta.Op — arriving alone
+// core.DeltaStrategy and the stamped writes. A delta.Op — arriving alone
 // (Insert/Delete/Update and their stamped forms) or in a group-committed
 // batch (ApplyOps) — is screened against the extent, lands in the
 // per-column write store (internal/delta), is accounted, and may trip the
@@ -91,8 +91,8 @@ func (w *deltaWriter) SetDeltaPolicy(maxBytes int64, ratio float64) {
 // DeltaStats implements DeltaStrategy.
 func (w *deltaWriter) DeltaStats() delta.Stats { return w.store.Stats() }
 
-// ShareDeltaClock implements StampedWriter: rebinds the write store to a
-// column-wide commit clock shared with sibling shards.
+// ShareDeltaClock rebinds the write store to a column-wide commit clock
+// shared with sibling shards.
 func (w *deltaWriter) ShareDeltaClock(c *delta.Clock) { w.store.ShareClock(c) }
 
 // Insert implements DeltaStrategy: one row lands in the write store and
@@ -102,9 +102,8 @@ func (w *deltaWriter) Insert(v domain.Value) (QueryStats, error) {
 	return w.InsertStamped(0, v)
 }
 
-// InsertStamped implements StampedWriter: Insert with an externally
-// minted commit version, so a cross-shard update's two halves share one
-// timestamp.
+// InsertStamped is Insert with an externally minted commit version, so
+// a cross-shard update's two halves share one timestamp.
 func (w *deltaWriter) InsertStamped(ver int64, v domain.Value) (QueryStats, error) {
 	ok, st, err := w.write(ver, delta.Op{Kind: delta.OpInsert, V: v})
 	if !ok && err == nil {
@@ -121,8 +120,7 @@ func (w *deltaWriter) Delete(v domain.Value) (bool, QueryStats, error) {
 	return w.DeleteStamped(0, v)
 }
 
-// DeleteStamped implements StampedWriter: Delete with an externally
-// minted commit version.
+// DeleteStamped is Delete with an externally minted commit version.
 func (w *deltaWriter) DeleteStamped(ver int64, v domain.Value) (bool, QueryStats, error) {
 	return w.write(ver, delta.Op{Kind: delta.OpDelete, V: v})
 }
@@ -526,7 +524,7 @@ func (r *Replicator) applyDeltaLocked(ins, del []domain.Value) (*node, QueryStat
 				// encoding supports it and the codec's policy keeps it.
 				// The result is identical to re-encoding the decoded
 				// values plus the inserts.
-				if len(del) == 0 && seg.Enc != nil && !r.noEncodedSplice {
+				if len(del) == 0 && seg.Enc != nil {
 					if enc, ok := compress.ExtendEncoded(seg.Enc, ins); ok && codec.Allows(enc.Encoding()) {
 						repl = seg.FilledEncoded(enc)
 						recoded = true

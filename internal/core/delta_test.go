@@ -172,11 +172,11 @@ func TestDeltaViewPinsVisibility(t *testing.T) {
 	seg.Update(300, 301)
 	after := seg.Pin()
 
-	if got := sortedVals(before.Select(extent)); !valsEq(got, []domain.Value{100, 200, 300}) {
+	if got := sortedVals(before.SelectRope(extent).Flatten()); !valsEq(got, []domain.Value{100, 200, 300}) {
 		t.Fatalf("pre-write view sees writes: %v", got)
 	}
 	want := []domain.Value{100, 150, 301}
-	if got := sortedVals(after.Select(extent)); !valsEq(got, want) {
+	if got := sortedVals(after.SelectRope(extent).Flatten()); !valsEq(got, want) {
 		t.Fatalf("post-write view = %v, want %v", got, want)
 	}
 	// A merge-back must not disturb either pinned view (segmentation
@@ -184,10 +184,10 @@ func TestDeltaViewPinsVisibility(t *testing.T) {
 	if _, err := seg.MergeDeltas(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedVals(before.Select(extent)); !valsEq(got, []domain.Value{100, 200, 300}) {
+	if got := sortedVals(before.SelectRope(extent).Flatten()); !valsEq(got, []domain.Value{100, 200, 300}) {
 		t.Fatalf("pre-write view changed by merge: %v", got)
 	}
-	if got := sortedVals(after.Select(extent)); !valsEq(got, want) {
+	if got := sortedVals(after.SelectRope(extent).Flatten()); !valsEq(got, want) {
 		t.Fatalf("post-write view changed by merge: %v", got)
 	}
 	if before.Count(extent) != 3 || after.Count(extent) != 3 {
@@ -205,7 +205,7 @@ func TestDeltaViewReplicatorStableAcrossMerges(t *testing.T) {
 	repl := NewReplicator(extent, []domain.Value{100, 200}, 4, model.NewAPM(32, 128), nil)
 	v := repl.Pin()
 	repl.Insert(150)
-	if got := sortedVals(v.Select(extent)); !valsEq(got, []domain.Value{100, 200}) {
+	if got := sortedVals(v.SelectRope(extent).Flatten()); !valsEq(got, []domain.Value{100, 200}) {
 		t.Fatalf("pinned view sees later insert: %v", got)
 	}
 	if _, err := repl.MergeDeltas(); err != nil {
@@ -213,7 +213,7 @@ func TestDeltaViewReplicatorStableAcrossMerges(t *testing.T) {
 	}
 	// The merge-back drained the insert into the tree; the pinned view
 	// must keep serving its snapshot, not the merged content.
-	if got := sortedVals(v.Select(extent)); !valsEq(got, []domain.Value{100, 200}) {
+	if got := sortedVals(v.SelectRope(extent).Flatten()); !valsEq(got, []domain.Value{100, 200}) {
 		t.Fatalf("view changed by merge-back: %v", got)
 	}
 	if n := v.Count(extent); n != 2 {
@@ -225,7 +225,7 @@ func TestDeltaViewReplicatorStableAcrossMerges(t *testing.T) {
 	if _, err := repl.BulkLoad([]domain.Value{500}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedVals(v2.Select(extent)); !valsEq(got, []domain.Value{100, 150, 200}) {
+	if got := sortedVals(v2.SelectRope(extent).Flatten()); !valsEq(got, []domain.Value{100, 150, 200}) {
 		t.Fatalf("view changed by bulk load: %v", got)
 	}
 	// Fresh reads see everything.

@@ -138,7 +138,7 @@ func TestReplicatorPinnedScanDuringReorganization(t *testing.T) {
 	}
 	r := NewReplicator(domain.NewRange(0, 9999), vals, 4, model.NewAPM(256, 1024), nil)
 	v := r.Pin()
-	want := v.Select(domain.NewRange(0, 9999))
+	want := v.SelectRope(domain.NewRange(0, 9999)).Flatten()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -156,7 +156,7 @@ func TestReplicatorPinnedScanDuringReorganization(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got := v.Select(domain.NewRange(0, 9999))
+	got := v.SelectRope(domain.NewRange(0, 9999)).Flatten()
 	equalMultiset(t, got, want)
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)

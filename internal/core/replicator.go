@@ -82,11 +82,6 @@ type Replicator struct {
 	maxDepth int
 	// declined counts replicas refused by the budget or depth guards.
 	declined atomic.Int64
-	// noEncodedSplice forces the decode → re-encode path where a replica
-	// would be cut or extended in its encoded form. The in-package
-	// equivalence test sets it, right after construction, to prove both
-	// paths produce identical columns.
-	noEncodedSplice bool
 	// par is the per-query extraction fan-out width (0 = adaptive,
 	// 1 = serial, n > 1 = bounded at n).
 	par atomic.Int32
@@ -669,7 +664,7 @@ func (r *Replicator) materialize(c *node, virt *segment.Segment, st *QueryStats)
 	// size-identical to the decoded path re-encoded under the same
 	// encoding; the codec's policy gate keeps forced modes honest. It
 	// still counts as a recode: a fresh encoded replica was produced.
-	if codec.Enabled() && c.seg.Enc != nil && !r.noEncodedSplice {
+	if codec.Enabled() && c.seg.Enc != nil {
 		if enc, ok := compress.SpliceRange(c.seg.Enc, virt.Rng.Lo, virt.Rng.Hi); ok && codec.Allows(enc.Encoding()) {
 			filled := virt.FilledEncoded(enc)
 			st.Recodes++

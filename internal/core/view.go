@@ -41,25 +41,14 @@ func (r *Replicator) Pin() *View {
 	return &View{root: root, dsnap: dsnap}
 }
 
-// PinView implements DeltaStrategy.
-func (s *Segmenter) PinView() PinnedView { return s.Pin() }
-
-// PinView implements DeltaStrategy.
-func (r *Replicator) PinView() PinnedView { return r.Pin() }
-
 // Watermark returns the version high-water mark pinned by the view:
 // writes stamped above it are invisible.
 func (v *View) Watermark() int64 { return v.dsnap.Watermark() }
 
-// Select returns the values matching q as of the pinned view (order
-// unspecified).
-func (v *View) Select(q domain.Range) []domain.Value {
-	return v.SelectRope(q).Flatten()
-}
-
-// SelectRope implements RopeView: Select with the result assembled as a
-// rope of per-segment chunks — fully covered segments whose storage form
-// holds a materialized slice contribute zero-copy borrowed chunks.
+// SelectRope returns the values matching q as of the pinned view (order
+// unspecified) as a rope of per-segment chunks — fully covered segments
+// whose storage form holds a materialized slice contribute zero-copy
+// borrowed chunks.
 func (v *View) SelectRope(q domain.Range) *result.Rope {
 	rope, _ := v.read(q, sinkRows)
 	return rope

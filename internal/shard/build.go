@@ -68,14 +68,14 @@ type Spec struct {
 	Tracer      core.Tracer
 	Compression compress.Mode
 	// Parallelism is the one-query scan fan-out (see
-	// Column.SetParallelism for how a sharded column splits it).
+	// Column.SetParallelism for how the router splits it).
 	Parallelism int
 	// MaxStorageBytes is the column's replica budget, split evenly
 	// (ceiling) across the shards; MaxTreeDepth bounds every replica
 	// tree. Both only apply to Replication; 0 = unlimited.
 	MaxStorageBytes int64
 	MaxTreeDepth    int
-	// Shards range-partitions the extent (≤ 1 = one unrouted strategy).
+	// Shards range-partitions the extent (≤ 1 = one shard).
 	Shards int
 	// DeltaMaxBytes and DeltaRatio are the resolved merge-back triggers
 	// handed to SetDeltaPolicy (0 disables each).
@@ -84,13 +84,14 @@ type Spec struct {
 }
 
 // Build constructs spec's strategy stack over vals, whose domain is
-// extent: one strategy, or a Column of spec.Shards of them. The values
-// slice is consumed. With restore non-nil (the durable rebuild), a shard
-// that has a checkpoint rebuilds from its checkpointed content instead
-// of its slice of vals; shards without one (a fresh directory, or a
-// crash that interleaved with a checkpoint) keep the initial values and
-// replay their whole log.
-func Build(spec Spec, extent domain.Range, vals []domain.Value, restore *durable.Recovered) (core.DeltaStrategy, error) {
+// extent: a Column of spec.Shards strategies, one for Shards ≤ 1, so
+// every column has the one routed shape. The values slice is consumed.
+// With restore non-nil (the durable rebuild), a shard that has a
+// checkpoint rebuilds from its checkpointed content instead of its
+// slice of vals; shards without one (a fresh directory, or a crash that
+// interleaved with a checkpoint) keep the initial values and replay
+// their whole log.
+func Build(spec Spec, extent domain.Range, vals []domain.Value, restore *durable.Recovered) (*Column, error) {
 	// Partition clamps the shard count to the domain width; dividing by
 	// the requested count instead would silently shrink the column-wide
 	// budget (ceiling, so a positive budget never rounds to zero).
@@ -118,27 +119,18 @@ func Build(spec Spec, extent domain.Range, vals []domain.Value, restore *durable
 			r.SetStorageBudget(budget)
 			r.SetMaxDepth(spec.MaxTreeDepth)
 			r.SetCompression(spec.Compression)
-			r.SetParallelism(spec.Parallelism)
 			return r
 		}
 		s := core.NewSegmenter(rng, svals, spec.ElemSize, m, spec.Tracer)
 		s.SetCompression(spec.Compression)
-		s.SetParallelism(spec.Parallelism)
 		return s
 	}
 
-	var strat core.DeltaStrategy
-	if spec.Shards > 1 {
-		sc, err := New(extent, vals, spec.Shards, build)
-		if err != nil {
-			return nil, err
-		}
-		sc.SetParallelism(spec.Parallelism)
-		strat = sc
-	} else {
-		// Single shard: the strategy is used directly, no routing layer.
-		strat = build(0, extent, vals)
+	c, err := New(extent, vals, spec.Shards, build)
+	if err != nil {
+		return nil, err
 	}
-	strat.SetDeltaPolicy(spec.DeltaMaxBytes, spec.DeltaRatio)
-	return strat, nil
+	c.SetParallelism(spec.Parallelism)
+	c.SetDeltaPolicy(spec.DeltaMaxBytes, spec.DeltaRatio)
+	return c, nil
 }

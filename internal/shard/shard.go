@@ -15,10 +15,11 @@
 // core.FanOut, the engine's one bounded worker pool) and concatenates the
 // sub-results in shard order, so results are deterministic.
 //
-// A single-shard Column is a pure pass-through: every call delegates to
-// the one underlying strategy, so K=1 is byte-identical — results, stats
-// and layout evolution — to using the strategy directly. That is the
-// compatibility anchor the facade's Options.Shards default rests on.
+// Every column is a Column: Build makes a one-shard router for a Spec of
+// zero or one shards, and a single-shard Column is a pure pass-through —
+// every call delegates to the one underlying strategy, so K=1 is
+// byte-identical (results, stats and layout evolution) to using the
+// strategy directly.
 //
 // # Locking invariants
 //
@@ -68,13 +69,21 @@ import (
 // shard its own model instance — models are stateful.
 type Builder func(idx int, rng domain.Range, vals []domain.Value) core.DeltaStrategy
 
-// shardStrategy is what a Builder's result must be: the full strategy
-// surface plus stamped writes, so every shard can join the column-wide
-// commit clock, and the scan fan-out knob the router splits (both core
+// shardStrategy is what a Builder's result must be, and everything the
+// router calls on a shard: the full strategy surface, pinned views, the
+// shard-labeled observer, stamped writes on the column-wide commit
+// clock and the scan fan-out knob the router splits (both core
 // strategies qualify).
 type shardStrategy interface {
 	core.DeltaStrategy
-	core.StampedWriter
+	Pin() *core.View
+	SetObserver(ob *obs.Observer, shardIdx int)
+	// ShareDeltaClock rebinds the shard's write store to the column-wide
+	// commit clock; InsertStamped and DeleteStamped write with a version
+	// minted from it, so a cross-shard update's two halves share one.
+	ShareDeltaClock(c *delta.Clock)
+	InsertStamped(ver int64, v domain.Value) (core.QueryStats, error)
+	DeleteStamped(ver int64, v domain.Value) (bool, core.QueryStats, error)
 	SetParallelism(n int)
 }
 
@@ -145,22 +154,6 @@ type Column struct {
 	// uninstrumented); per-shard metrics live on the shard strategies
 	// themselves, labeled shard="i".
 	ob atomic.Pointer[routerObs]
-	// stor caches each shard's (logical, physical) storage counters.
-	// Per-query stats snapshot the whole column, but asking an untouched
-	// Replicator shard for its counters takes that shard's writer mutex —
-	// which would couple every operation to every other shard's in-flight
-	// queries and merges, exactly the serialization sharding removes. So
-	// an operation refreshes only the shards it touched and reads the
-	// rest from this cache: lock-free, possibly a few operations stale
-	// (per-query storage snapshots under concurrency are documented as
-	// racy already), never torn.
-	stor []storCell
-}
-
-// storCell is one shard's cached storage counters.
-type storCell struct {
-	logical atomic.Int64
-	phys    atomic.Int64
 }
 
 // routerObs is the router's resolved metric handle set: routed query
@@ -171,12 +164,6 @@ type routerObs struct {
 	span *obs.Histogram
 }
 
-// observable is the shard-strategy observer surface (both core
-// strategies implement it).
-type observable interface {
-	SetObserver(ob *obs.Observer, shardIdx int)
-}
-
 // SetObserver attaches (or, with nil, detaches) the observability layer:
 // the router registers its routing counters and forwards the observer to
 // every shard strategy, labeling each with its shard index.
@@ -184,9 +171,7 @@ func (c *Column) SetObserver(ob *obs.Observer) {
 	if ob == nil {
 		c.ob.Store(nil)
 		for _, s := range c.shards {
-			if o, ok := s.(observable); ok {
-				o.SetObserver(nil, 0)
-			}
+			s.SetObserver(nil, 0)
 		}
 		return
 	}
@@ -196,9 +181,7 @@ func (c *Column) SetObserver(ob *obs.Observer) {
 	}
 	c.ob.Store(ro)
 	for i, s := range c.shards {
-		if o, ok := s.(observable); ok {
-			o.SetObserver(ob, i)
-		}
+		s.SetObserver(ob, i)
 	}
 }
 
@@ -263,10 +246,10 @@ func SplitValues(ranges []domain.Range, vals []domain.Value) [][]domain.Value {
 }
 
 // New builds a sharded column over values, whose domain is extent, with
-// k shards built by build. Values outside extent are rejected before any
-// shard is constructed, and so is a Builder whose strategy cannot stamp
-// writes with the column-wide commit version or take the router's
-// parallelism split. The values slice is consumed.
+// k shards built by build (k ≤ 1 is one shard). Values outside extent are
+// rejected before any shard is constructed — the one extent check of a
+// column's construction — and so is a Builder whose strategy is not a
+// shard strategy. The values slice is consumed.
 func New(extent domain.Range, vals []domain.Value, k int, build Builder) (*Column, error) {
 	if extent.IsEmpty() {
 		return nil, fmt.Errorf("shard: empty extent %v", extent)
@@ -279,27 +262,17 @@ func New(extent domain.Range, vals []domain.Value, k int, build Builder) (*Colum
 	c := &Column{Router: NewRouter(extent, k), clock: delta.NewClock()}
 	parts := SplitValues(c.ranges, vals)
 	c.shards = make([]shardStrategy, len(c.ranges))
-	c.stor = make([]storCell, len(c.ranges))
 	for i, rng := range c.ranges {
 		s, ok := build(i, rng, parts[i]).(shardStrategy)
 		if !ok {
-			return nil, fmt.Errorf("shard: shard %d's strategy is not a shard strategy (core.StampedWriter, SetParallelism)", i)
+			return nil, fmt.Errorf("shard: shard %d's strategy is not a shard strategy (Pin, SetObserver, stamped writes, SetParallelism)", i)
 		}
 		// One column-wide commit clock, so a cross-shard update can stamp
 		// both halves with the same version.
 		s.ShareDeltaClock(c.clock)
 		c.shards[i] = s
-		c.refresh(i)
 	}
 	return c, nil
-}
-
-// refresh re-reads shard i's storage counters into the cache (the only
-// place a shard's lock may be taken for accounting — callers refresh
-// exactly the shards their operation touched).
-func (c *Column) refresh(i int) {
-	c.stor[i].logical.Store(int64(c.shards[i].UncompressedBytes()))
-	c.stor[i].phys.Store(int64(c.shards[i].StorageBytes()))
 }
 
 // ShardRange returns shard i's sub-domain.
@@ -324,8 +297,8 @@ func (c *Column) Extent() domain.Range { return c.extent }
 // n/K — the price of a static split; prefer the adaptive default when
 // queries are span-skewed. The policy is forwarded to the shard
 // strategies, overriding whatever the Builder set; a single-shard
-// column forwards n unchanged — there is no router level to spend the
-// budget on.
+// column (every column built with Shards ≤ 1) forwards n unchanged, so
+// its one strategy spends the whole budget, exactly as unsharded.
 func (c *Column) SetParallelism(n int) {
 	if n < 0 {
 		n = 1
@@ -365,19 +338,17 @@ func spanOf(ranges []domain.Range, q domain.Range) (int, int) {
 
 // snapshot overwrites the storage measures of st with the column-wide
 // sums, so sharded per-query stats snapshot the whole column exactly as
-// unsharded ones do. The shards the operation touched — the half-open
-// span [lo, hi) — are re-read (their counters just changed); the rest
-// come from the lock-free cache, so an operation never takes an
-// untouched shard's lock. (For a single-shard column the sums equal the
-// shard's own snapshot, so delegated stats are unchanged bit for bit.)
-func (c *Column) snapshot(st *core.QueryStats, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		c.refresh(i)
-	}
+// unsharded ones do. Each shard's counters are single atomic loads, so
+// an operation never takes another shard's lock; under concurrency the
+// sum is a cut of possibly different instants (per-query storage
+// snapshots are racy already), never torn per shard. For a single-shard
+// column the sums equal the shard's own snapshot, so delegated stats are
+// unchanged bit for bit.
+func (c *Column) snapshot(st *core.QueryStats) {
 	var logical, phys int64
-	for i := range c.stor {
-		logical += c.stor[i].logical.Load()
-		phys += c.stor[i].phys.Load()
+	for _, s := range c.shards {
+		logical += int64(s.UncompressedBytes())
+		phys += int64(s.StorageBytes())
 	}
 	st.StorageBytes = logical
 	st.CompressedBytes = phys
@@ -458,7 +429,7 @@ func (c *Column) query(q domain.Range, op readOp) shardOut {
 	switch n {
 	case 0:
 		out := shardOut{rope: result.New()}
-		c.snapshot(&out.st, 0, 0)
+		c.snapshot(&out.st)
 		return out
 	case 1:
 		// Single-shard fast path: pure delegation, no merge step. This is
@@ -466,7 +437,7 @@ func (c *Column) query(q domain.Range, op readOp) shardOut {
 		// unsharded strategy) and the common path of point-ish queries on
 		// K-shard columns.
 		out := read(c.shards[lo], q, op)
-		c.snapshot(&out.st, lo, hi)
+		c.snapshot(&out.st)
 		return out
 	}
 
@@ -484,7 +455,7 @@ func (c *Column) query(q domain.Range, op readOp) shardOut {
 		out.n += outs[i].n
 		out.sum += outs[i].sum
 	}
-	c.snapshot(&out.st, lo, hi)
+	c.snapshot(&out.st)
 	return out
 }
 
@@ -512,7 +483,7 @@ func (c *Column) Insert(v domain.Value) (core.QueryStats, error) {
 	}
 	i, _ := c.Route(delta.Op{Kind: delta.OpInsert, V: v})
 	st, err := c.shards[i].Insert(v)
-	c.snapshot(&st, i, i+1)
+	c.snapshot(&st)
 	return st, err
 }
 
@@ -520,7 +491,7 @@ func (c *Column) Insert(v domain.Value) (core.QueryStats, error) {
 func (c *Column) Delete(v domain.Value) (bool, core.QueryStats, error) {
 	i, _ := c.Route(delta.Op{Kind: delta.OpDelete, V: v})
 	ok, st, err := c.shards[i].Delete(v)
-	c.snapshot(&st, i, i+1)
+	c.snapshot(&st)
 	return ok, st, err
 }
 
@@ -537,7 +508,7 @@ func (c *Column) Update(old, new domain.Value) (bool, core.QueryStats, error) {
 	i, j := c.Route(delta.Op{Kind: delta.OpUpdate, V: old, New: new})
 	if i == j {
 		ok, st, err := c.shards[i].Update(old, new)
-		c.snapshot(&st, i, i+1)
+		c.snapshot(&st)
 		return ok, st, err
 	}
 	c.xmu.Lock()
@@ -545,13 +516,12 @@ func (c *Column) Update(old, new domain.Value) (bool, core.QueryStats, error) {
 	ver := c.clock.Next()
 	ok, st, err := c.shards[i].DeleteStamped(ver, old)
 	if !ok || err != nil {
-		c.snapshot(&st, i, i+1)
+		c.snapshot(&st)
 		return false, st, err
 	}
 	ist, err := c.shards[j].InsertStamped(ver, new)
 	st.Add(ist)
-	c.refresh(i)
-	c.snapshot(&st, j, j+1)
+	c.snapshot(&st)
 	return true, st, err
 }
 
@@ -575,15 +545,6 @@ func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 		ops    []delta.Op
 		origin []int
 	}, len(c.shards))
-	loT, hiT := len(c.shards), 0 // touched shard span for the final snapshot
-	touch := func(i int) {
-		if i < loT {
-			loT = i
-		}
-		if i+1 > hiT {
-			hiT = i + 1
-		}
-	}
 	flush := func() error {
 		for i := range table {
 			sub := &table[i]
@@ -592,7 +553,6 @@ func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 			}
 			out, sst, err := c.shards[i].ApplyOps(sub.ops)
 			st.Add(sst)
-			touch(i)
 			for j, ok := range out {
 				res[sub.origin[j]] = ok
 			}
@@ -616,16 +576,14 @@ func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 			var ust core.QueryStats
 			res[k], ust, err = c.Update(op.V, op.New)
 			st.Add(ust)
-			touch(i)
-			touch(j)
 		}
 		if err != nil {
-			c.snapshot(&st, loT, hiT)
+			c.snapshot(&st)
 			return res, st, err
 		}
 	}
 	err := flush()
-	c.snapshot(&st, loT, hiT)
+	c.snapshot(&st)
 	return res, st, err
 }
 
@@ -634,15 +592,15 @@ func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 // each shard's thresholds trigger independently.
 func (c *Column) MergeDeltas() (core.QueryStats, error) {
 	var st core.QueryStats
-	for i, s := range c.shards {
+	for _, s := range c.shards {
 		mst, err := s.MergeDeltas()
 		st.Add(mst)
 		if err != nil {
-			c.snapshot(&st, 0, i+1)
+			c.snapshot(&st)
 			return st, err
 		}
 	}
-	c.snapshot(&st, 0, len(c.shards))
+	c.snapshot(&st)
 	return st, nil
 }
 
@@ -775,9 +733,8 @@ func (c *Column) BulkLoad(vals []domain.Value) (core.QueryStats, error) {
 		if err != nil {
 			return st, err
 		}
-		c.refresh(i)
 	}
-	c.snapshot(&st, 0, 0)
+	c.snapshot(&st)
 	return st, nil
 }
 
@@ -787,13 +744,12 @@ func (c *Column) BulkLoad(vals []domain.Value) (core.QueryStats, error) {
 // declines the capability (replica-tree shards do).
 func (c *Column) GlueSmall(minBytes int64) (int64, bool) {
 	var rewritten int64
-	for i, s := range c.shards {
+	for _, s := range c.shards {
 		n, ok := s.GlueSmall(minBytes)
 		if !ok {
 			return rewritten, false
 		}
 		rewritten += n
-		c.refresh(i)
 	}
 	return rewritten, true
 }

@@ -11,8 +11,10 @@ import (
 
 	"selforg/internal/compress"
 	"selforg/internal/core"
+	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/model"
+	"selforg/internal/result"
 	"selforg/internal/workload"
 )
 
@@ -162,13 +164,101 @@ func TestShardSplitValuesPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestShardSingleShardByteIdentical is the single-shard fallback
-// guarantee: a 1-shard Column is byte-identical — results, stats, layout
-// — to using the strategy directly.
+// singleShardIn is one step's input, drawn once and handed to both
+// sides of TestShardSingleShardByteIdentical.
+type singleShardIn struct {
+	q     domain.Range
+	v, w  domain.Value
+	batch []domain.Value
+	ops   []delta.Op
+}
+
+// singleShardOut is one step's outcome: every result and stat a step
+// can produce, compared whole.
+type singleShardOut struct {
+	vals   []domain.Value
+	n, sum int64
+	ok     bool
+	oks    []bool
+	st     core.QueryStats
+	err    string
+}
+
+// singleShardSteps is the surface a facade column always routes through
+// its one shard, one row per operation.
+var singleShardSteps = []struct {
+	name string
+	do   func(s core.DeltaStrategy, in singleShardIn) singleShardOut
+}{
+	{"select", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		o.vals, o.st = s.Select(in.q)
+		return o
+	}},
+	{"select-rope", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		var r *result.Rope
+		r, o.st = s.SelectRope(in.q)
+		o.vals = r.Flatten()
+		return o
+	}},
+	{"count", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		o.n, o.st = s.Count(in.q)
+		return o
+	}},
+	{"sum", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		o.n, o.sum, o.st = s.Sum(in.q)
+		return o
+	}},
+	{"insert", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		var err error
+		o.st, err = s.Insert(in.v)
+		o.err = fmt.Sprint(err)
+		return o
+	}},
+	{"delete", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		var err error
+		o.ok, o.st, err = s.Delete(in.v)
+		o.err = fmt.Sprint(err)
+		return o
+	}},
+	{"update", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		var err error
+		o.ok, o.st, err = s.Update(in.v, in.w)
+		o.err = fmt.Sprint(err)
+		return o
+	}},
+	{"apply-ops", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		var err error
+		o.oks, o.st, err = s.ApplyOps(in.ops)
+		o.err = fmt.Sprint(err)
+		return o
+	}},
+	{"bulk-load", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		var err error
+		o.st, err = s.BulkLoad(in.batch)
+		o.err = fmt.Sprint(err)
+		return o
+	}},
+	{"merge-deltas", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		var err error
+		o.st, err = s.MergeDeltas()
+		o.err = fmt.Sprint(err)
+		return o
+	}},
+	{"glue-small", func(s core.DeltaStrategy, in singleShardIn) (o singleShardOut) {
+		o.n, o.ok = s.GlueSmall(600)
+		return o
+	}},
+}
+
+// TestShardSingleShardByteIdentical is the single-shard guarantee every
+// facade column rests on (Build makes a one-shard Column for Shards ≤ 1):
+// a 1-shard Column is byte-identical to using the strategy directly —
+// per-step results and stats of every read and write, pinned views, and
+// the layout, delta and encoding state they leave.
 func TestShardSingleShardByteIdentical(t *testing.T) {
 	type mk struct {
 		name  string
-		bare  func(vals []domain.Value) core.DeltaStrategy
+		bare  func(vals []domain.Value) shardStrategy
 		build Builder
 	}
 	cases := []mk{}
@@ -177,7 +267,7 @@ func TestShardSingleShardByteIdentical(t *testing.T) {
 		cases = append(cases,
 			mk{
 				name: fmt.Sprintf("segm/compress=%v", mode),
-				bare: func(vals []domain.Value) core.DeltaStrategy {
+				bare: func(vals []domain.Value) shardStrategy {
 					s := core.NewSegmenter(testDom, vals, 4, model.NewAPM(600, 2400), nil)
 					s.SetCompression(mode)
 					return s
@@ -186,7 +276,7 @@ func TestShardSingleShardByteIdentical(t *testing.T) {
 			},
 			mk{
 				name: fmt.Sprintf("repl/compress=%v", mode),
-				bare: func(vals []domain.Value) core.DeltaStrategy {
+				bare: func(vals []domain.Value) shardStrategy {
 					r := core.NewReplicator(testDom, vals, 4, model.NewAPM(600, 2400), nil)
 					r.SetCompression(mode)
 					return r
@@ -195,7 +285,7 @@ func TestShardSingleShardByteIdentical(t *testing.T) {
 			},
 			mk{
 				name: fmt.Sprintf("segm-gd/compress=%v", mode),
-				bare: func(vals []domain.Value) core.DeltaStrategy {
+				bare: func(vals []domain.Value) shardStrategy {
 					s := core.NewSegmenter(testDom, vals, 4, model.NewGaussianDice(7), nil)
 					s.SetCompression(mode)
 					return s
@@ -234,6 +324,54 @@ func TestShardSingleShardByteIdentical(t *testing.T) {
 						t.Fatalf("query %d: count %d != %d", q, gotN, wantN)
 					}
 				}
+			}
+			// Every step of the routed surface, with a small delta budget
+			// so merge-backs fire, and views pinned a round earlier read
+			// alike after the round's writes.
+			bare.SetDeltaPolicy(2048, 0)
+			col.SetDeltaPolicy(2048, 0)
+			rng := rand.New(rand.NewSource(3))
+			draw := func() domain.Value { return testDom.Lo + rng.Int63n(testDom.Width()) }
+			bview, cview := bare.Pin(), col.Pin()
+			for round := 0; round < 12; round++ {
+				for _, step := range singleShardSteps {
+					in := singleShardIn{q: gen.Next().Range(), v: vals[rng.Intn(len(vals))], w: draw()}
+					if step.name == "insert" {
+						in.v = draw()
+					}
+					for i := 0; i < 20; i++ {
+						in.batch = append(in.batch, draw())
+					}
+					for i := 0; i < 8; i++ {
+						op := delta.Op{Kind: delta.OpKind(i % 3), V: vals[rng.Intn(len(vals))], New: draw()}
+						if op.Kind == delta.OpInsert {
+							op.V = draw()
+						}
+						in.ops = append(in.ops, op)
+					}
+					want, got := step.do(bare, in), step.do(col, in)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("round %d %s %+v: diverges\nbare:  %+v\nshard: %+v", round, step.name, in.q, want, got)
+					}
+				}
+				q := gen.Next().Range()
+				if !reflect.DeepEqual(bview.SelectRope(q).Flatten(), cview.SelectRope(q).Flatten()) ||
+					bview.Count(q) != cview.Count(q) || bview.Watermark() != cview.Watermark() {
+					t.Fatalf("round %d: pinned views diverge on %v", round, q)
+				}
+				bview, cview = bare.Pin(), col.Pin()
+			}
+			if ds := col.DeltaStats(); ds.Merges == 0 || ds.Deletes == 0 || ds.Updates == 0 {
+				t.Fatalf("the steps left merge-backs, deletes or updates untested: %+v", ds)
+			}
+			if bare.Layout() != col.Layout() {
+				t.Fatalf("layouts diverge:\nbare:\n%s\nshard:\n%s", bare.Layout(), col.Layout())
+			}
+			if bare.DeltaStats() != col.DeltaStats() {
+				t.Fatalf("delta stats diverge: %+v != %+v", col.DeltaStats(), bare.DeltaStats())
+			}
+			if !reflect.DeepEqual(bare.EncodingStats(), col.EncodingStats()) {
+				t.Fatalf("encoding stats diverge: %+v != %+v", col.EncodingStats(), bare.EncodingStats())
 			}
 			if bare.SegmentCount() != col.SegmentCount() {
 				t.Fatalf("segment counts diverge: %d != %d", col.SegmentCount(), bare.SegmentCount())

@@ -18,7 +18,7 @@ import (
 // Reads route exactly like Column queries and drive no adaptation.
 type View struct {
 	ranges []domain.Range
-	views  []core.PinnedView
+	views  []*core.View
 }
 
 // Pin returns a read-only view of the column. The pin sweep holds xmu's
@@ -27,26 +27,16 @@ type View struct {
 func (c *Column) Pin() *View {
 	c.xmu.RLock()
 	defer c.xmu.RUnlock()
-	v := &View{ranges: c.ranges, views: make([]core.PinnedView, len(c.shards))}
+	v := &View{ranges: c.ranges, views: make([]*core.View, len(c.shards))}
 	for i, s := range c.shards {
-		v.views[i] = s.PinView()
+		v.views[i] = s.Pin()
 	}
 	return v
 }
 
-// PinView implements core.DeltaStrategy.
-func (c *Column) PinView() core.PinnedView { return c.Pin() }
-
-// Select returns the values matching q as of the per-shard pins,
-// concatenated in shard order.
-func (v *View) Select(q domain.Range) []domain.Value {
-	return v.SelectRope(q).Flatten()
-}
-
-// SelectRope implements core.RopeView: the per-shard view results
-// spliced chunk-wise in shard order, so a multi-shard view scan copies
-// each value at most once (in the final Flatten) instead of re-copying
-// earlier shards' values as the flat result grew.
+// SelectRope returns the values matching q as of the per-shard pins:
+// the per-shard view results spliced chunk-wise in shard order, so a
+// multi-shard view scan copies no value at the router layer.
 func (v *View) SelectRope(q domain.Range) *result.Rope {
 	rope := result.New()
 	lo, hi := spanOf(v.ranges, q)

@@ -14,10 +14,6 @@ package selforg
 //     /debug/layout and /debug/pprof. cmd/soserve mounts it.
 //   - Column.LayoutInfo is the structured layout breakdown behind
 //     /debug/layout.
-//
-// The column's own Totals accounting is also defined here: an
-// all-atomic accumulator (totalsAcc) replacing the former mutex'd
-// Stats, so the facade adds zero lock acquisitions on the query path.
 
 import (
 	"time"
@@ -106,14 +102,11 @@ type LayoutInfo struct {
 // counters only, so it is safe to call concurrently with queries and
 // never blocks a writer.
 func (c *Column) LayoutInfo() []LayoutInfo {
-	if sc, ok := c.strat.(shardedColumn); ok {
-		out := make([]LayoutInfo, sc.Shards())
-		for i := range out {
-			out[i] = layoutOf(i, sc.ShardRange(i), sc.Shard(i))
-		}
-		return out
+	out := make([]LayoutInfo, c.strat.Shards())
+	for i := range out {
+		out[i] = layoutOf(i, c.strat.ShardRange(i), c.strat.Shard(i))
 	}
-	return []LayoutInfo{layoutOf(0, c.extent, c.strat)}
+	return out
 }
 
 // layoutOf snapshots one shard strategy into a LayoutInfo row. The
@@ -152,16 +145,7 @@ func layoutOf(idx int, rng domain.Range, s core.DeltaStrategy) LayoutInfo {
 // from New on the fully built column.
 func (c *Column) observe() {
 	ob := c.opts.Observability.resolve()
-	// Two observer capability shapes exist: per-shard strategies take the
-	// shard index to label their metrics, the router labels its shards
-	// itself.
-	if s, ok := c.strat.(interface {
-		SetObserver(ob *obs.Observer, shardIdx int)
-	}); ok {
-		s.SetObserver(ob, 0)
-	} else if s, ok := c.strat.(interface{ SetObserver(ob *obs.Observer) }); ok {
-		s.SetObserver(ob)
-	}
+	c.strat.SetObserver(ob)
 	if c.dur != nil {
 		if ob != nil {
 			c.dur.Observe(ob.Registry)

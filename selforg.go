@@ -96,8 +96,8 @@
 // to the minimal shard subset overlapping their predicate and merge
 // sub-results in shard order; point writes touch exactly one shard's
 // locks, so concurrent writers on disjoint ranges no longer contend, and
-// delta merge-backs trigger per shard. Shards: 1 (the default) is the
-// unsharded column, byte-identical to previous releases:
+// delta merge-backs trigger per shard. Shards: 1 (the default) is a
+// one-shard router, byte-identical to its one unsharded strategy:
 //
 //	col, _ := selforg.New(extent, values, selforg.Options{
 //		Model:  selforg.APM,
@@ -114,7 +114,6 @@ package selforg
 import (
 	"cmp"
 	"fmt"
-	"sync/atomic"
 
 	"selforg/internal/compress"
 	"selforg/internal/core"
@@ -266,11 +265,12 @@ type Options struct {
 	// Shards range-partitions the column domain into this many
 	// independently locked shards (internal/shard), each owning its own
 	// segment list, model state, compression advisor and MVCC delta
-	// store. 0 or 1 (the default) keeps today's single-shard column.
-	// With K > 1, queries route to the minimal shard subset overlapping
-	// the predicate and merge sub-results in shard order; point writes
-	// touch exactly one shard's locks, so concurrent writers on disjoint
-	// ranges no longer contend, and delta merge-backs trigger per shard.
+	// store. 0 or 1 (the default) is one shard — the same router over a
+	// single strategy, byte-identical to it. With K > 1, queries route to
+	// the minimal shard subset overlapping the predicate and merge
+	// sub-results in shard order; point writes touch exactly one shard's
+	// locks, so concurrent writers on disjoint ranges no longer contend,
+	// and delta merge-backs trigger per shard.
 	// Each shard gets its own model instance (GDSeed is offset per shard)
 	// and MaxStorageBytes is split evenly across shards; a cross-shard
 	// Update decomposes into a delete plus an insert (two MVCC versions).
@@ -294,12 +294,6 @@ type Options struct {
 // id and byte size, used to attach buffer managers or measurement probes.
 type Tracer = core.Tracer
 
-// Stats aggregates per-query costs, mirroring the paper's measures:
-// memory reads, memory writes due to segment materialization, result
-// cardinality, reorganization activity and the storage snapshot after
-// the query. It is core.QueryStats, where the fields are documented.
-type Stats = core.QueryStats
-
 // Column is a self-organizing column of int64 values. It is safe for
 // concurrent use: readers scan immutable segment-list snapshots published
 // through an atomic pointer, while reorganization — still interleaved
@@ -311,7 +305,7 @@ type Stats = core.QueryStats
 // linearizable against reorganization; cross-query adaptation order
 // under contention is not deterministic.
 type Column struct {
-	strat  core.DeltaStrategy
+	strat  *shard.Column
 	extent domain.Range
 	opts   Options
 
@@ -328,69 +322,15 @@ type Column struct {
 	initVals []domain.Value
 }
 
-// totalsAcc is the column's lifetime Stats accumulator: one atomic per
-// additive measure, plus carry-last cells for the storage snapshot,
-// mirroring Stats.Add exactly. All-atomic so the facade adds no lock
-// acquisition to the query path and scrapes never contend with queries.
-type totalsAcc struct {
-	readBytes, writeBytes, resultCount atomic.Int64
-	splits, drops, recodes             atomic.Int64
-	deltaReadBytes, merged             atomic.Int64
-	storageBytes, compressedBytes      atomic.Int64
-	nq                                 atomic.Int64
-}
-
-// add accumulates one operation's stats (the atomic Stats.Add).
-func (a *totalsAcc) add(st Stats) {
-	a.readBytes.Add(st.ReadBytes)
-	a.writeBytes.Add(st.WriteBytes)
-	a.resultCount.Add(st.ResultCount)
-	a.splits.Add(int64(st.Splits))
-	a.drops.Add(int64(st.Drops))
-	a.recodes.Add(int64(st.Recodes))
-	a.deltaReadBytes.Add(st.DeltaReadBytes)
-	a.merged.Add(int64(st.Merged))
-	// Carry-last semantics: the storage snapshot of the latest
-	// operation wins, as in Stats.Add.
-	a.storageBytes.Store(st.StorageBytes)
-	a.compressedBytes.Store(st.CompressedBytes)
-}
-
-// query accumulates one read query's stats and bumps the query count.
-func (a *totalsAcc) query(st Stats) {
-	a.add(st)
-	a.nq.Add(1)
-}
-
-// snapshot assembles the accumulated Stats value.
-func (a *totalsAcc) snapshot() Stats {
-	return Stats{
-		ReadBytes:       a.readBytes.Load(),
-		WriteBytes:      a.writeBytes.Load(),
-		ResultCount:     a.resultCount.Load(),
-		Splits:          int(a.splits.Load()),
-		Drops:           int(a.drops.Load()),
-		Recodes:         int(a.recodes.Load()),
-		DeltaReadBytes:  a.deltaReadBytes.Load(),
-		Merged:          int(a.merged.Load()),
-		StorageBytes:    a.storageBytes.Load(),
-		CompressedBytes: a.compressedBytes.Load(),
-	}
-}
-
 // New builds an adaptive column over values, whose domain is extent.
-// Values outside extent are rejected. The values slice is consumed: the
-// column takes ownership.
+// Values outside extent are rejected (by shard.New, naming the first such
+// value and its index). The values slice is consumed: the column takes
+// ownership.
 func New(extent Interval, values []int64, opts Options) (*Column, error) {
 	if extent.Lo > extent.Hi {
 		return nil, fmt.Errorf("selforg: inverted extent [%d, %d]", extent.Lo, extent.Hi)
 	}
 	rng := domain.NewRange(extent.Lo, extent.Hi)
-	for i, v := range values {
-		if !rng.Contains(v) {
-			return nil, fmt.Errorf("selforg: value %d (index %d) outside extent %v", v, i, rng)
-		}
-	}
 	spec := opts.spec()
 	if spec.APMMin >= spec.APMMax {
 		return nil, fmt.Errorf("selforg: APMMin %d must be below APMMax %d", spec.APMMin, spec.APMMax)
@@ -435,22 +375,8 @@ func (o Options) spec() shard.Spec {
 	}
 }
 
-// shardedColumn is the optional routing capability of the shard router:
-// per-shard access for diagnostics and checkpoint capture. The facade
-// dispatches on it instead of on the concrete *shard.Column type.
-type shardedColumn interface {
-	Shards() int
-	Shard(i int) core.DeltaStrategy
-	ShardRange(i int) domain.Range
-}
-
 // Shards returns the configured shard count (1 for unsharded columns).
-func (c *Column) Shards() int {
-	if sc, ok := c.strat.(shardedColumn); ok {
-		return sc.Shards()
-	}
-	return 1
-}
+func (c *Column) Shards() int { return c.strat.Shards() }
 
 // Select answers the range query `value between lo and hi` (inclusive) and
 // piggy-backs reorganization on the scan, per the configured strategy and
@@ -584,19 +510,6 @@ func (c *Column) SegmentSizes() []float64 { return c.strat.SegmentSizes() }
 // Extent returns the column's value domain.
 func (c *Column) Extent() Interval { return Interval{c.extent.Lo, c.extent.Hi} }
 
-// Totals returns the accumulated statistics over all queries. The
-// accumulator is all-atomic: under concurrent queries each additive
-// field is exact, while the snapshot as a whole is a consistent-enough
-// cut (fields are loaded one by one, not under one lock).
-func (c *Column) Totals() Stats {
-	return c.acct.snapshot()
-}
-
-// Queries returns the number of Select, Count and Sum calls served.
-func (c *Column) Queries() int {
-	return int(c.acct.nq.Load())
-}
-
 // Name describes the configured strategy/model, in the labels the paper
 // uses ("APM 3.00KB-12.00KB Segm").
 func (c *Column) Name() string { return c.strat.Name() }
@@ -612,27 +525,13 @@ func (c *Column) Layout() string { return c.strat.Layout() }
 // method exists for tests and operational health checks.
 func (c *Column) Validate() error { return c.strat.Validate() }
 
-// Replication-specific inspection: Depth and VirtualCount return the
-// replica tree shape, or zero for segmentation columns. Both dispatch on
-// the optional core.TreeShaped capability.
-
 // TreeDepth returns the replica tree depth (0 for segmentation; the
 // maximum over the shards when sharded).
-func (c *Column) TreeDepth() int {
-	if t, ok := c.strat.(core.TreeShaped); ok {
-		return t.TreeDepth()
-	}
-	return 0
-}
+func (c *Column) TreeDepth() int { return c.strat.TreeDepth() }
 
 // VirtualCount returns the number of virtual segments (0 for
 // segmentation; summed over the shards when sharded).
-func (c *Column) VirtualCount() int {
-	if t, ok := c.strat.(core.TreeShaped); ok {
-		return t.VirtualCount()
-	}
-	return 0
-}
+func (c *Column) VirtualCount() int { return c.strat.VirtualCount() }
 
 // GlueSmall merges adjacent segments smaller than minBytes (segmentation
 // only) — the complementary merging strategy sketched in §8 against GD
@@ -758,7 +657,7 @@ func (c *Column) DeltaStats() DeltaStats { return c.strat.DeltaStats() }
 // persistent-tree root exactly as a Segmentation view pins an immutable
 // segment list, so snapshot isolation holds across any later write.
 func (c *Column) View() *View {
-	return &View{v: c.strat.PinView()}
+	return &View{v: c.strat.Pin()}
 }
 
 // View is a pinned read-only MVCC view of a Column. For sharded columns
@@ -768,7 +667,7 @@ func (c *Column) View() *View {
 // entirely or not at all. Single-shard writes may still land between
 // two shard pins of one sweep.
 type View struct {
-	v core.PinnedView
+	v *shard.View
 }
 
 // Select returns the values in [lo, hi] as of the pinned view (order
@@ -777,7 +676,7 @@ func (v *View) Select(lo, hi int64) []int64 {
 	if lo > hi {
 		return nil
 	}
-	return v.v.Select(domain.Range{Lo: lo, Hi: hi})
+	return v.v.SelectRope(domain.Range{Lo: lo, Hi: hi}).Flatten()
 }
 
 // SelectRows returns the values in [lo, hi] as of the pinned view, in

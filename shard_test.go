@@ -39,9 +39,11 @@ func sortedVals(vals []int64) []int64 {
 	return out
 }
 
-// TestShardedFacadeShardsOneIsUnsharded: Options.Shards 1 (and 0) build
-// the exact pre-sharding column — same strategy object graph, so results,
-// stats and layout are byte-identical over any query stream.
+// TestShardedFacadeShardsOneIsUnsharded: Options.Shards 1 and 0 build
+// the same column — a one-shard router over one strategy — so results,
+// stats and layout are byte-identical over any query stream (the router
+// itself is held to the bare strategy by internal/shard's
+// TestShardSingleShardByteIdentical).
 func TestShardedFacadeShardsOneIsUnsharded(t *testing.T) {
 	for _, strat := range []Strategy{Segmentation, Replication} {
 		for _, m := range []Model{APM, GD} {
