@@ -84,31 +84,14 @@ func (t *durTarget) CaptureShard(i int) []domain.Value {
 	return t.c.strat.Pin().SelectRope(t.c.strat.ShardRange(i)).Flatten()
 }
 
-// newDurable is New's durable back half: open the logs, rebuild the
-// strategy over checkpoint-or-initial content, replay the recovered
-// batches, then start the commit loop.
+// newDurable is New's durable back half: the column keeps a copy of the
+// initial load, so Recover (and a reopened New) can rebuild shards that
+// have no checkpoint yet, and opens over values.
 func newDurable(rng domain.Range, values []domain.Value, o Options) (*Column, error) {
-	col := &Column{extent: rng, opts: o}
-	// Retained so Recover (and a reopened New) can rebuild shards that
-	// have no checkpoint yet from the original load.
-	col.initVals = append([]domain.Value(nil), values...)
-	dur, rec, err := durable.Open(durCfg(o), shard.NewRouter(rng, o.Shards))
-	if err != nil {
-		return nil, fmt.Errorf("selforg: durability: %w", err)
-	}
-	strat, err := shard.Build(o.spec(), rng, values, rec)
-	if err != nil {
-		dur.Close()
-		return nil, fmt.Errorf("selforg: %w", err)
-	}
-	col.strat = strat
-	col.dur = dur
-	col.observe()
-	if err := col.replay(rec); err != nil {
-		dur.Close()
+	col := &Column{extent: rng, opts: o, initVals: append([]domain.Value(nil), values...)}
+	if err := col.open(values); err != nil {
 		return nil, err
 	}
-	dur.Start(&durTarget{col})
 	return col, nil
 }
 
@@ -121,18 +104,33 @@ func durCfg(o Options) durable.Config {
 	}
 }
 
-// replay drives the recovered batches through the strategy in commit
-// order. The strategy already reflects the checkpoints; after replay it
-// reflects every committed write.
-func (c *Column) replay(rec *durable.Recovered) error {
+// open is the one durable open path, behind New and Recover: open the
+// logs, rebuild the strategy over checkpoint-or-initial content (vals
+// is consumed), replay the recovered batches through it in commit order
+// — after which it reflects every committed write — then start the
+// commit loop.
+func (c *Column) open(vals []domain.Value) error {
+	dur, rec, err := durable.Open(durCfg(c.opts), shard.NewRouter(c.extent, c.opts.Shards))
+	if err != nil {
+		return fmt.Errorf("selforg: durability: %w", err)
+	}
+	strat, err := shard.Build(c.opts.spec(), c.extent, vals, rec)
+	if err != nil {
+		dur.Close()
+		return fmt.Errorf("selforg: %w", err)
+	}
+	c.strat, c.dur = strat, dur
+	c.observe()
 	for _, b := range rec.Batches {
-		_, qs, err := c.strat.ApplyOps(b.Ops)
+		_, qs, err := strat.ApplyOps(b.Ops)
 		if err != nil {
+			dur.Close()
 			return fmt.Errorf("selforg: recovery replay seq %d: %w", b.Seq, err)
 		}
 		c.acct.add(qs)
 	}
-	c.dur.CountReplayed(len(rec.Batches))
+	dur.CountReplayed(len(rec.Batches))
+	dur.Start(&durTarget{c})
 	return nil
 }
 
@@ -158,24 +156,7 @@ func (c *Column) Recover() error {
 		return fmt.Errorf("selforg: durability is not enabled")
 	}
 	c.dur.Close()
-	dur, rec, err := durable.Open(durCfg(c.opts), shard.NewRouter(c.extent, c.opts.Shards))
-	if err != nil {
-		return fmt.Errorf("selforg: recover: %w", err)
-	}
-	strat, err := shard.Build(c.opts.spec(), c.extent, append([]domain.Value(nil), c.initVals...), rec)
-	if err != nil {
-		dur.Close()
-		return fmt.Errorf("selforg: %w", err)
-	}
-	c.strat = strat
-	c.dur = dur
-	c.observe()
-	if err := c.replay(rec); err != nil {
-		dur.Close()
-		return err
-	}
-	dur.Start(&durTarget{c})
-	return nil
+	return c.open(append([]domain.Value(nil), c.initVals...))
 }
 
 // WALStats is the committer's lifetime counters (durable.Stats).

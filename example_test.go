@@ -3,8 +3,12 @@ package selforg_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"selforg"
+	"selforg/internal/domain"
+	"selforg/internal/sim"
+	"selforg/internal/workload"
 )
 
 // ExampleNew builds an adaptive column and shows a query both answering
@@ -275,4 +279,79 @@ func Example_replication() {
 	//
 	// final storage 1000 B = column size — the tree converged to the
 	// segment list adaptive segmentation would have produced (§6.1.3).
+}
+
+// Example_changingWorkload demonstrates adaptivity under a shifting
+// workload — the scenario of the paper's Figures 15/16: four phases of
+// queries, each focused on a different region of the domain. Every
+// phase shift triggers a burst of reorganization that quickly evens out.
+func Example_changingWorkload() {
+	dom := domain.NewRange(0, 999_999)
+	values := sim.GenerateColumn(100_000, dom, 11)
+
+	col, err := selforg.New(selforg.Interval{Lo: dom.Lo, Hi: dom.Hi}, values, selforg.Options{
+		Strategy: selforg.Segmentation,
+		Model:    selforg.APM,
+		APMMin:   3 << 10,
+		APMMax:   12 << 10,
+	})
+	if err != nil {
+		panic(err)
+	}
+
+	// Four access regions, 30 queries each, like the paper's changing
+	// workload (scaled from 4x50).
+	centers := []int64{100_000, 400_000, 700_000, 950_000}
+	phases := make([]workload.Generator, len(centers))
+	for i, c := range centers {
+		area := domain.NewRange(c-20_000, c+20_000)
+		phases[i] = workload.NewSkewed(dom, 10_000,
+			[]workload.HotSpot{{Area: area, Weight: 1}}, int64(i+1))
+	}
+	gen := workload.NewChanging(30, phases...)
+
+	fmt.Println("phase | query | rows | read KB | wrote KB | splits | segments")
+	fmt.Println(strings.Repeat("-", 66))
+	var phaseWrites int64
+	for q := 0; q < 120; q++ {
+		query := gen.Next()
+		res, st := col.Select(query.Lo, query.Hi)
+		phaseWrites += st.WriteBytes
+		// Print the first few queries of each phase, where the shift hits.
+		if q%30 < 3 {
+			fmt.Printf("  %d   |  %3d  | %4d | %7d | %8d | %6d | %d\n",
+				q/30+1, q+1, len(res), st.ReadBytes>>10, st.WriteBytes>>10,
+				st.Splits, col.SegmentCount())
+		}
+		if q%30 == 29 {
+			fmt.Printf("  %d   | phase total writes: %d KB\n", q/30+1, phaseWrites>>10)
+			phaseWrites = 0
+		}
+	}
+
+	fmt.Printf("\nfinal: %d segments, %d KB written in total over %d queries\n",
+		col.SegmentCount(), col.Totals().WriteBytes>>10, col.Queries())
+	fmt.Println("note the write bursts at each phase start — reorganization follows the workload.")
+	// Output:
+	// phase | query | rows | read KB | wrote KB | splits | segments
+	// ------------------------------------------------------------------
+	//   1   |    1  | 1011 |     390 |      390 |      1 | 3
+	//   1   |    2  | 1014 |      45 |       41 |      1 | 4
+	//   1   |    3  | 1022 |      24 |       20 |      1 | 5
+	//   1   | phase total writes: 980 KB
+	//   2   |   31  | 1017 |     167 |      167 |      1 | 10
+	//   2   |   32  | 1055 |     111 |      107 |      1 | 11
+	//   2   |   33  | 1024 |      58 |       54 |      1 | 12
+	//   2   | phase total writes: 482 KB
+	//   3   |   61  |  986 |     173 |      173 |      1 | 20
+	//   3   |   62  |  972 |     110 |      106 |      1 | 21
+	//   3   |   63  | 1053 |      66 |       62 |      1 | 22
+	//   3   | phase total writes: 523 KB
+	//   4   |   91  | 1009 |      53 |       53 |      1 | 31
+	//   4   |   92  | 1013 |      19 |       15 |      1 | 32
+	//   4   |   93  | 1016 |      11 |        0 |      0 | 32
+	//   4   | phase total writes: 154 KB
+	//
+	// final: 36 segments, 2140 KB written in total over 120 queries
+	// note the write bursts at each phase start — reorganization follows the workload.
 }

@@ -240,9 +240,9 @@ type DeltaStrategy interface {
 	// snapshot sees either the old row or the new one, never both. The
 	// false/error split follows Delete's.
 	Update(old, new domain.Value) (bool, QueryStats, error)
-	// ApplyOps applies a group-committed batch of writes under one
-	// version bump and one snapshot publication — the group-commit
-	// apply unit. Per-op acceptance follows the single-op rules; the
+	// ApplyOps applies a batch of writes under one version bump and one
+	// snapshot publication (none when every op is refused) — the one
+	// write unit: Insert, Delete and Update are batches of one. The
 	// error only reports a merge-back failure.
 	ApplyOps(ops []delta.Op) ([]bool, QueryStats, error)
 	// BulkLoad appends a batch of values through the single-writer

@@ -4,18 +4,19 @@ package core
 // this file adds the single-row half on top of the immutable-snapshot
 // substrate, and it does so ONCE for both strategies: deltaWriter, which
 // the Segmenter and the Replicator embed, is the whole write surface of
-// core.DeltaStrategy and the stamped writes. A delta.Op — arriving alone
-// (Insert/Delete/Update and their stamped forms) or in a group-committed
-// batch (ApplyOps) — is screened against the extent, lands in the
-// per-column write store (internal/delta), is accounted, and may trip the
-// self-organizing merge-back, which drains accumulated writes into the
-// base through the strategy's single-writer rewrite. A bulk load enters
-// the same rewrite with no tombstones and no store to commit. Merged
-// rows then flow through the ordinary reorganization loop: later queries
-// split, glue and re-encode them as the models dictate. What genuinely
-// differs per strategy is behind writeHooks: how to count a value's base
-// rows, how to rewrite the base with drained entries, and how to
-// snapshot the storage counters.
+// core.DeltaStrategy and the stamped batch. Every write is a batch: a
+// single op (Insert/Delete/Update) is a batch of one, and every batch —
+// ApplyOps, or ApplyStamped under a cross-shard stamp — runs the one
+// body, ApplyStamped. Its ops are screened against the extent, land in
+// the per-column write store (internal/delta) under one version, are
+// accounted, and may trip the self-organizing merge-back, which drains
+// accumulated writes into the base through the strategy's single-writer
+// rewrite. A bulk load enters the same rewrite with no tombstones and no
+// store to commit. Merged rows then flow through the ordinary
+// reorganization loop: later queries split, glue and re-encode them as
+// the models dictate. What genuinely differs per strategy is behind
+// writeHooks: how to count a value's base rows, how to rewrite the base
+// with drained entries, and how to snapshot the storage counters.
 //
 // Lock order: the delta store's mutex is always taken before the
 // strategy's writer lock (Store.Merge holds its mutex across the apply
@@ -25,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -97,15 +99,10 @@ func (w *deltaWriter) ShareDeltaClock(c *delta.Clock) { w.store.ShareClock(c) }
 
 // Insert implements DeltaStrategy: one row lands in the write store and
 // becomes visible to every query pinned afterwards. The write may
-// trigger a merge-back; its cost is folded into the returned stats.
+// trigger a merge-back; its cost is folded into the returned stats. An
+// insert outside the extent is an error.
 func (w *deltaWriter) Insert(v domain.Value) (QueryStats, error) {
-	return w.InsertStamped(0, v)
-}
-
-// InsertStamped is Insert with an externally minted commit version, so
-// a cross-shard update's two halves share one timestamp.
-func (w *deltaWriter) InsertStamped(ver int64, v domain.Value) (QueryStats, error) {
-	ok, st, err := w.write(ver, delta.Op{Kind: delta.OpInsert, V: v})
+	ok, st, err := w.one(delta.Op{Kind: delta.OpInsert, V: v})
 	if !ok && err == nil {
 		return QueryStats{}, fmt.Errorf("core: insert value %d outside extent %v", v, w.extent)
 	}
@@ -117,19 +114,26 @@ func (w *deltaWriter) InsertStamped(ver int64, v domain.Value) (QueryStats, erro
 // reports false when no visible row carries v; the error reports a
 // merge-back failure of a delete that was accepted.
 func (w *deltaWriter) Delete(v domain.Value) (bool, QueryStats, error) {
-	return w.DeleteStamped(0, v)
-}
-
-// DeleteStamped is Delete with an externally minted commit version.
-func (w *deltaWriter) DeleteStamped(ver int64, v domain.Value) (bool, QueryStats, error) {
-	return w.write(ver, delta.Op{Kind: delta.OpDelete, V: v})
+	return w.one(delta.Op{Kind: delta.OpDelete, V: v})
 }
 
 // Update implements DeltaStrategy: atomically replaces one occurrence of
 // old with new under a single version — every snapshot sees either the
 // old row or the new one.
 func (w *deltaWriter) Update(old, new domain.Value) (bool, QueryStats, error) {
-	return w.write(0, delta.Op{Kind: delta.OpUpdate, V: old, New: new})
+	return w.one(delta.Op{Kind: delta.OpUpdate, V: old, New: new})
+}
+
+// one writes a single op as a batch of one.
+func (w *deltaWriter) one(op delta.Op) (bool, QueryStats, error) {
+	res, st, err := w.ApplyStamped(0, []delta.Op{op})
+	return res[0], st, err
+}
+
+// ApplyOps implements DeltaStrategy: the batch under a version the store
+// mints.
+func (w *deltaWriter) ApplyOps(ops []delta.Op) ([]bool, QueryStats, error) {
+	return w.ApplyStamped(0, ops)
 }
 
 // screen is the extent rule, applied to every op exactly once at this
@@ -164,66 +168,38 @@ func (w *deltaWriter) writeBytes(op delta.Op) int64 {
 	return w.elem
 }
 
-// write is the single-op body: screen, store (the op lands in the
-// store's unsorted tail under its own version — ver when stamped), write
-// accounting, at most one merge-back threshold check, stats stamp, obs.
-// A refused op returns false with a nil error and has not touched the
-// store beyond the miss counter.
-func (w *deltaWriter) write(ver int64, op delta.Op) (bool, QueryStats, error) {
-	var st QueryStats
-	ok := w.screen(op)
-	if ok {
-		switch op.Kind {
-		case delta.OpInsert:
-			w.store.Insert(ver, op.V)
-		case delta.OpDelete:
-			ok = w.store.Delete(ver, op.V, w.hooks.baseCount)
-		case delta.OpUpdate:
-			ok = w.store.Update(op.V, op.New, w.hooks.baseCount)
-		}
-	}
-	if !ok {
-		w.hooks.snapshot(&st)
-		return false, st, nil
-	}
-	st.WriteBytes += w.writeBytes(op)
-	err := w.maybeMerge(&st)
-	w.hooks.snapshot(&st)
-	var n [3]int
-	n[op.Kind]++
-	w.stratOb.Load().writes(n, &st)
-	return true, st, err
-}
-
-// ApplyOps implements DeltaStrategy — the group-commit apply path: the
-// whole batch lands in the write store under ONE version bump and ONE
-// snapshot publication (delta.ApplyBatch, which seals it as one sorted
-// run), then at most one merge-back threshold check runs for the batch.
-// Per-op acceptance follows exactly the single-op rules — the same
-// screen, then in-extent deletes/updates validate against visible rows
-// in op order; a refused insert is a false entry, not an error. The
+// ApplyStamped is the one write body, behind every single op and every
+// group-committed batch: screen, store, write accounting, at most one
+// merge-back threshold check, stats stamp, obs. The ops the screen
+// passes land in the write store as one batch (delta.Store.Apply): ONE
+// version and ONE snapshot publication, and only if an op is accepted.
+// ver == 0 lets the store mint the version; a non-zero ver is a
+// cross-shard commit stamp from the column-wide clock, so an update's
+// two halves in two shards share one version. Per-op acceptance is the
+// screen, then in-extent deletes and updates validate against visible
+// rows in op order; a refused op is a false entry, not an error. The
 // returned error only reports a merge-back failure.
-func (w *deltaWriter) ApplyOps(ops []delta.Op) ([]bool, QueryStats, error) {
+func (w *deltaWriter) ApplyStamped(ver int64, ops []delta.Op) ([]bool, QueryStats, error) {
 	var st QueryStats
-	res := make([]bool, len(ops))
-	if len(ops) == 0 {
-		w.hooks.snapshot(&st)
-		return res, st, nil
-	}
-	accepted := make([]delta.Op, 0, len(ops))
-	origin := make([]int, 0, len(ops)) // accepted index -> ops index
+	// An op the screen refuses goes on to the store as an OpSkip, so the
+	// store's answer lines up with ops; ops is copied only once the
+	// screen refuses one.
+	batch, copied := ops, false
 	for i, op := range ops {
 		if w.screen(op) {
-			accepted = append(accepted, op)
-			origin = append(origin, i)
+			continue
 		}
+		if !copied {
+			batch, copied = slices.Clone(ops), true
+		}
+		batch[i].Kind = delta.OpSkip
 	}
+	res := w.store.Apply(ver, batch, w.hooks.baseCount)
 	var n [3]int // accepted ops by kind
-	for j, ok := range w.store.ApplyBatch(accepted, w.hooks.baseCount) {
+	for i, ok := range res {
 		if ok {
-			res[origin[j]] = true
-			st.WriteBytes += w.writeBytes(accepted[j])
-			n[accepted[j].Kind]++
+			st.WriteBytes += w.writeBytes(ops[i])
+			n[ops[i].Kind]++
 		}
 	}
 	err := w.maybeMerge(&st)

@@ -1,7 +1,7 @@
 // Package delta implements the MVCC write store that gives the
-// self-organizing column a point-write path: single-row Insert, Update
-// and Delete with snapshot visibility over the read-optimized,
-// bulk-load-shaped base the paper describes (§7).
+// self-organizing column a point-write path: batched Insert, Update and
+// Delete ops (one op is a batch of one) with snapshot visibility over
+// the read-optimized, bulk-load-shaped base the paper describes (§7).
 //
 // The design realizes, in memory, the delta-BAT merge the paper's §2
 // query plans already assume: MonetDB keeps per-column insert/update
@@ -14,7 +14,7 @@
 //
 // # Visibility rule
 //
-// Every write is stamped with a monotonically increasing version. A
+// Every batch is stamped with one monotonically increasing version. A
 // query pins a Snapshot at start; the snapshot carries the watermark —
 // the highest version published at pin time — and the pinned entry set.
 // An insert entry is visible iff its version is at or below the
@@ -27,14 +27,15 @@
 //
 // # Sorted runs (LSM level 0)
 //
-// The pending set is organized as a tiny LSM level 0: recent writes
-// accumulate in an unsorted tail; once the tail reaches a threshold it
-// is sealed into an immutable run sorted by value, and when too many
-// runs pile up they compact into one. Batch writes (ApplyBatch — the
-// group-commit unit) seal directly into one run per batch. Overlay
-// reads binary-search each run's value window instead of scanning every
-// pending entry, so a query touching a narrow range pays for the
-// entries in that range (plus the small tail), not for the whole delta.
+// The pending set is organized as a tiny LSM level 0 with one placement
+// rule: every fresh entry — from a single op or a group-committed batch
+// alike — is appended to an unsorted tail (the memtable); once a batch
+// leaves the tail holding tailSealLen entries or more, the tail is
+// sealed into one immutable run sorted by value, and when too many runs
+// pile up they compact into one. Overlay reads binary-search each run's
+// value window instead of scanning every pending entry, so a query
+// touching a narrow range pays for the entries in that range (plus the
+// small tail), not for the whole delta.
 //
 // # Merge-back
 //
@@ -77,7 +78,7 @@ const (
 )
 
 // Entry is one version-stamped write. Entries are immutable after
-// publication except for deletedAt, which a later Delete may set on an
+// publication except for deletedAt, which a later delete may set on an
 // insert entry (atomically — pinned snapshots read it through the
 // visibility rule, so older watermarks keep seeing the insert).
 type Entry struct {
@@ -88,7 +89,7 @@ type Entry struct {
 	// entries in exact write order regardless of which run they sorted
 	// into.
 	ord int64
-	// deletedAt is the version of the Delete that cancelled this insert
+	// deletedAt is the version of the delete that cancelled this insert
 	// entry (0 = live). Only meaningful for KInsert.
 	deletedAt atomic.Int64
 }
@@ -100,8 +101,8 @@ type run struct {
 	lo, hi domain.Value
 }
 
-// Op is one record of a batch write — the unit the WAL logs and
-// ApplyBatch applies under a single version.
+// Op is one record of a batch write — the unit the WAL logs and Apply
+// applies under its batch's single version.
 type Op struct {
 	Kind OpKind
 	// V is the inserted value (OpInsert), the deleted value (OpDelete),
@@ -121,6 +122,10 @@ const (
 	OpDelete
 	// OpUpdate replaces one occurrence of V with New.
 	OpUpdate
+	// OpSkip is refused by Apply without counting a miss: a caller that
+	// has refused an op itself passes it on as OpSkip, so the batch keeps
+	// its indices.
+	OpSkip
 )
 
 // Clock is a monotonically increasing commit-version source. Every
@@ -207,7 +212,7 @@ func (s *Snapshot) Bytes() int64 {
 
 // forRange calls fn for every pinned entry whose value lies in q: each
 // sorted run contributes its binary-searched value window, the unsorted
-// tail is scanned linearly (it is at most tailSealLen entries).
+// tail is scanned linearly (it holds fewer than tailSealLen entries).
 func (s *Snapshot) forRange(q domain.Range, fn func(*Entry)) {
 	for _, r := range s.runs {
 		if r.hi < q.Lo || r.lo > q.Hi {
@@ -317,7 +322,7 @@ func (s *Snapshot) Overlay(q domain.Range, base []domain.Value) []domain.Value {
 // q, as a cardinality and a value sum: visible inserts minus visible
 // tombstones inside q. The counting and summing paths add it to the base
 // aggregate — tombstones always mask an existing base row carrying their
-// value (Delete validates existence), so both totals are exact.
+// value (a delete validates existence), so both totals are exact.
 func (s *Snapshot) CountDelta(q domain.Range) (n, sum int64) {
 	if s.Len() == 0 {
 		return 0, 0
@@ -338,7 +343,7 @@ func (s *Snapshot) CountDelta(q domain.Range) (n, sum int64) {
 // Stats aggregates the store's lifetime counters.
 type Stats struct {
 	// Inserts, Updates and Deletes count the accepted write operations;
-	// DeleteMisses the Delete/Update calls refused because no visible
+	// DeleteMisses the delete and update ops refused because no visible
 	// row carried the value.
 	Inserts, Updates, Deletes, DeleteMisses int64
 	// Pending is the current unmerged entry count, PendingBytes its
@@ -353,7 +358,7 @@ type Stats struct {
 	Merges        int64
 	MergedEntries int64
 	// Publications counts snapshot publications since the store was
-	// built — per-write without group commit, per-batch with it.
+	// built: one per batch that accepted an op, one per merge-back.
 	Publications int64
 	// Watermark is the current version high-water mark.
 	Watermark int64
@@ -383,10 +388,10 @@ type Store struct {
 	// count is the total pending entry count across runs and tail
 	// (cancelled insert/delete pairs included, as before).
 	count int
-	// liveIns indexes pending live insert entries by value, so Delete
+	// liveIns indexes pending live insert entries by value, so a delete
 	// can cancel a not-yet-merged insert in O(1).
 	liveIns map[domain.Value][]*Entry
-	// tombs counts pending tombstones by value, for Delete validation
+	// tombs counts pending tombstones by value, for delete validation
 	// against the base.
 	tombs map[domain.Value]int
 	snap  atomic.Pointer[Snapshot]
@@ -460,48 +465,40 @@ func (d *Store) publish() {
 	})
 }
 
-// newEntry mints a pending entry at version ver and counts it (caller
-// holds mu; the caller is responsible for placing it in the tail or a
-// run).
-func (d *Store) newEntry(ver int64, k Kind, v domain.Value) *Entry {
+// add mints a pending entry at version ver and appends it to the
+// unsorted tail, indexing a live insert for cancellation (caller holds
+// mu). Every fresh entry lands here, whatever the batch size.
+func (d *Store) add(ver int64, k Kind, v domain.Value) {
 	d.ord++
 	e := &Entry{Version: ver, Kind: k, Value: v, ord: d.ord}
 	d.count++
-	return e
-}
-
-// newInsert mints a live insert entry and indexes it for cancellation.
-func (d *Store) newInsert(ver int64, v domain.Value) *Entry {
-	e := d.newEntry(ver, KInsert, v)
-	d.liveIns[v] = append(d.liveIns[v], e)
-	return e
-}
-
-// addTail appends one entry to the unsorted tail, sealing it into a
-// sorted run when it reaches the threshold.
-func (d *Store) addTail(e *Entry) {
 	d.tail = append(d.tail, e)
-	if len(d.tail) >= tailSealLen {
-		d.sealTail()
+	if k == KInsert {
+		d.liveIns[v] = append(d.liveIns[v], e)
 	}
 }
 
-// sealTail freezes the current tail as a sorted run. The tail slice is
-// copied first: published snapshots hold views of it in arrival order.
-func (d *Store) sealTail() {
-	if len(d.tail) == 0 {
+// remove deletes one visible occurrence of v at version ver (caller
+// holds mu and has checked that one exists): the youngest pending
+// insert of v is cancelled in place — older watermarks keep seeing it —
+// otherwise a tombstone masks one base row.
+func (d *Store) remove(ver int64, v domain.Value) {
+	if live := d.liveIns[v]; len(live) > 0 {
+		live[len(live)-1].deletedAt.Store(ver)
+		d.liveIns[v] = live[:len(live)-1]
 		return
 	}
-	ents := make([]*Entry, len(d.tail))
-	copy(ents, d.tail)
-	d.tail = nil
-	d.pushRun(ents)
+	d.tombs[v]++
+	d.add(ver, KTombstone, v)
 }
 
-// pushRun sorts ents by value (stably — equal values keep write order)
-// into a new level-0 run, compacting the level when it grows past
-// maxRuns. ents must be owned by the caller.
-func (d *Store) pushRun(ents []*Entry) {
+// sealTail freezes the tail as one run sorted by value (stably — equal
+// values keep write order), compacting level 0 when it grows past
+// maxRuns. The tail is copied first: published snapshots hold views of
+// it in arrival order.
+func (d *Store) sealTail() {
+	ents := append([]*Entry(nil), d.tail...)
+	d.tail = nil
 	sort.SliceStable(ents, func(i, j int) bool { return ents[i].Value < ents[j].Value })
 	d.runs = append(d.runs, &run{ents: ents, lo: ents[0].Value, hi: ents[len(ents)-1].Value})
 	if len(d.runs) > maxRuns {
@@ -524,142 +521,66 @@ func (d *Store) compactRuns() {
 	d.runs = []*run{{ents: all, lo: all[0].Value, hi: all[len(all)-1].Value}}
 }
 
-// Insert records a single-row insert and returns its version. With
-// ver == 0 the store mints the version; a non-zero ver is an externally
-// minted stamp — the insert half of a cross-shard update, whose delete
-// half (in another store sharing the clock) carries the SAME version;
-// the caller must hold such versions in commit order and exclude
-// concurrent pin sweeps around the pair. The value becomes visible to
-// every query that pins a snapshot afterwards; queries already in flight
-// keep their watermark and never see it.
-func (d *Store) Insert(ver int64, v domain.Value) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ver = d.stamp(ver)
-	d.addTail(d.newInsert(ver, v))
-	d.inserts++
-	d.publish()
-	return ver
-}
-
-// Delete removes one occurrence of v: a pending insert carrying v is
-// cancelled in place (older watermarks keep seeing it), otherwise a
-// tombstone against the base is recorded. baseCount must report, free of
-// side effects, how many base rows currently carry a value; Delete
-// refuses (returns false) when no visible row exists. ver follows
-// Insert's rule: 0 mints a version, and only once the delete is
-// accepted; a supplied stamp is recorded either way.
-func (d *Store) Delete(ver int64, v domain.Value, baseCount func(domain.Value) int64) bool {
+// Apply applies a batch of write operations — one op or a group commit —
+// under ONE version and ONE snapshot publication, and reports per-op
+// acceptance. Inserts always succeed; a delete or update refuses when no
+// visible row carries its value (evaluated in op order, so an op sees
+// the batch's earlier ops); OpSkip and unknown kinds are refused. A value
+// inserted and deleted within one batch is visible at no watermark.
+//
+// ver == 0 mints the batch's version at its first accepted op, and the
+// batch publishes only if it accepted an op: a batch refused whole
+// leaves the watermark and the publication count alone. A non-zero ver
+// is an externally minted stamp — a half of a cross-shard update, whose
+// other half (in another store sharing the clock) carries the SAME
+// version — recorded as this store's high-water mark either way; the
+// caller must hold such versions in commit order and exclude concurrent
+// pin sweeps around the pair. baseCount must report, free of side
+// effects, how many base rows currently carry a value.
+//
+// Fresh entries are appended to the unsorted tail, which seals into one
+// sorted run once the batch leaves it holding tailSealLen entries or
+// more.
+func (d *Store) Apply(ver int64, ops []Op, baseCount func(domain.Value) int64) []bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if ver != 0 {
 		d.stamp(ver)
 	}
-	ok, tomb := d.deleteLocked(ver, v, baseCount)
-	if !ok {
-		d.misses++
-		return false
-	}
-	if tomb != nil {
-		d.addTail(tomb)
-	}
-	d.deletes++
-	d.publish()
-	return true
-}
-
-// deleteLocked is the one delete rule, shared by Delete, Update and
-// ApplyBatch (caller holds mu): cancel the youngest pending insert of v
-// in place, else tombstone a base row, else refuse. ver == 0 mints the
-// version on acceptance; the batch path passes the group's version. It
-// returns the minted tombstone when the delete hit the base (nil when it
-// cancelled a pending insert); the caller places it in the tail or the
-// batch run.
-func (d *Store) deleteLocked(ver int64, v domain.Value, baseCount func(domain.Value) int64) (bool, *Entry) {
-	live := d.liveIns[v]
-	if len(live) == 0 && baseCount(v)-int64(d.tombs[v]) <= 0 {
-		return false, nil
-	}
-	if ver == 0 {
-		ver = d.stamp(0)
-	}
-	if len(live) > 0 {
-		live[len(live)-1].deletedAt.Store(ver)
-		d.liveIns[v] = live[:len(live)-1]
-		return true, nil
-	}
-	d.tombs[v]++
-	return true, d.newEntry(ver, KTombstone, v)
-}
-
-// Update atomically replaces one occurrence of old with new: both halves
-// share a single version, so every watermark sees either the old row or
-// the new one, never both or neither. It refuses (returns false) when no
-// visible row carries old.
-func (d *Store) Update(old, new domain.Value, baseCount func(domain.Value) int64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ok, tomb := d.deleteLocked(0, old, baseCount)
-	if !ok {
-		d.misses++
-		return false
-	}
-	if tomb != nil {
-		d.addTail(tomb)
-	}
-	// The delete minted d.version; the insert reuses it — one version
-	// covers the whole update.
-	d.addTail(d.newInsert(d.version, new))
-	d.updates++
-	d.publish()
-	return true
-}
-
-// ApplyBatch applies a group of write operations under ONE version bump
-// and ONE snapshot publication — the group-commit unit. Every op shares
-// the batch version, so readers see the whole group or none of it (a
-// value inserted and deleted within one batch is never visible). Fresh
-// entries seal directly into one sorted run, making the batch itself
-// the level-0 component the WAL logged. The returned slice reports
-// per-op acceptance with exactly Insert/Delete/Update's rules: inserts
-// always succeed, deletes and updates refuse when no visible row
-// carries the value (evaluated in op order within the batch).
-func (d *Store) ApplyBatch(ops []Op, baseCount func(domain.Value) int64) []bool {
-	if len(ops) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ver := d.stamp(0)
 	res := make([]bool, len(ops))
-	var fresh []*Entry
+	accepted := false
 	for i, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			fresh = append(fresh, d.newInsert(ver, op.V))
-			d.inserts++
-		case OpDelete, OpUpdate:
-			ok, tomb := d.deleteLocked(ver, op.V, baseCount)
-			if !ok {
-				d.misses++
-				continue
-			}
-			if tomb != nil {
-				fresh = append(fresh, tomb)
-			}
-			if op.Kind == OpUpdate {
-				fresh = append(fresh, d.newInsert(ver, op.New))
-				d.updates++
-			} else {
-				d.deletes++
-			}
-		default:
+		if op.Kind > OpUpdate {
 			continue
 		}
-		res[i] = true
+		// A delete or update needs a visible row: a pending live insert,
+		// or a base row no pending tombstone already masks.
+		if op.Kind != OpInsert && len(d.liveIns[op.V]) == 0 && baseCount(op.V) <= int64(d.tombs[op.V]) {
+			d.misses++
+			continue
+		}
+		if ver == 0 {
+			ver = d.stamp(0)
+		}
+		switch op.Kind {
+		case OpInsert:
+			d.add(ver, KInsert, op.V)
+			d.inserts++
+		case OpDelete:
+			d.remove(ver, op.V)
+			d.deletes++
+		case OpUpdate:
+			d.remove(ver, op.V)
+			d.add(ver, KInsert, op.New)
+			d.updates++
+		}
+		res[i], accepted = true, true
 	}
-	if len(fresh) > 0 {
-		d.pushRun(fresh)
+	if !accepted {
+		return res
+	}
+	if len(d.tail) >= tailSealLen {
+		d.sealTail()
 	}
 	d.publish()
 	return res
@@ -672,7 +593,7 @@ func (d *Store) PendingBytes() int64 {
 }
 
 // RecordMiss counts a refused write that never reached the store — the
-// core layer reports extent-rejected Delete/Update calls here so
+// core layer reports extent-rejected delete and update ops here so
 // Stats.DeleteMisses covers every refusal uniformly.
 func (d *Store) RecordMiss() {
 	d.mu.Lock()

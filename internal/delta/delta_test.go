@@ -21,6 +21,18 @@ func sorted(vs []domain.Value) []domain.Value {
 	return out
 }
 
+// insertOne, deleteOne and updateOne write one op through Apply, the
+// store's one write body, as a batch of one.
+func insertOne(d *Store, v domain.Value) { d.Apply(0, []Op{{Kind: OpInsert, V: v}}, nil) }
+
+func deleteOne(d *Store, v domain.Value, baseCount func(domain.Value) int64) bool {
+	return d.Apply(0, []Op{{Kind: OpDelete, V: v}}, baseCount)[0]
+}
+
+func updateOne(d *Store, old, new domain.Value, baseCount func(domain.Value) int64) bool {
+	return d.Apply(0, []Op{{Kind: OpUpdate, V: old, New: new}}, baseCount)[0]
+}
+
 func eq(a, b []domain.Value) bool {
 	if len(a) != len(b) {
 		return false
@@ -36,7 +48,7 @@ func eq(a, b []domain.Value) bool {
 func TestDeltaInsertVisibility(t *testing.T) {
 	d := NewStore(4)
 	before := d.Snapshot()
-	d.Insert(0, 10)
+	insertOne(d, 10)
 	after := d.Snapshot()
 
 	if got := overlayAll(before, nil); len(got) != 0 {
@@ -62,17 +74,17 @@ func TestDeltaDeleteMasksOneOccurrence(t *testing.T) {
 		}
 		return n
 	}
-	if !d.Delete(0, 5, count) {
+	if !deleteOne(d, 5, count) {
 		t.Fatal("delete of existing base value refused")
 	}
 	got := sorted(overlayAll(d.Snapshot(), base))
 	if !eq(got, []domain.Value{5, 7}) {
 		t.Fatalf("overlay after one delete = %v, want [5 7]", got)
 	}
-	if !d.Delete(0, 5, count) {
+	if !deleteOne(d, 5, count) {
 		t.Fatal("second delete of duplicated value refused")
 	}
-	if d.Delete(0, 5, count) {
+	if deleteOne(d, 5, count) {
 		t.Fatal("third delete accepted but only two base rows carry 5")
 	}
 	got = sorted(overlayAll(d.Snapshot(), base))
@@ -88,9 +100,9 @@ func TestDeltaDeleteMasksOneOccurrence(t *testing.T) {
 func TestDeltaDeleteCancelsPendingInsert(t *testing.T) {
 	d := NewStore(4)
 	none := func(domain.Value) int64 { return 0 }
-	d.Insert(0, 42)
+	insertOne(d, 42)
 	mid := d.Snapshot() // pinned while the insert is live
-	if !d.Delete(0, 42, none) {
+	if !deleteOne(d, 42, none) {
 		t.Fatal("delete of pending insert refused")
 	}
 	// The older watermark still sees the insert; the newer does not.
@@ -124,7 +136,7 @@ func TestDeltaUpdateIsAtomic(t *testing.T) {
 		return 0
 	}
 	before := d.Snapshot()
-	if !d.Update(1, 9, one) {
+	if !updateOne(d, 1, 9, one) {
 		t.Fatal("update refused")
 	}
 	after := d.Snapshot()
@@ -134,7 +146,7 @@ func TestDeltaUpdateIsAtomic(t *testing.T) {
 	if got := sorted(overlayAll(after, base)); !eq(got, []domain.Value{9}) {
 		t.Fatalf("post-update snapshot = %v, want [9]", got)
 	}
-	if d.Update(3, 4, one) {
+	if updateOne(d, 3, 4, one) {
 		t.Fatal("update of absent value accepted")
 	}
 }
@@ -151,8 +163,8 @@ func TestDeltaCountDelta(t *testing.T) {
 		}
 		return n
 	}
-	d.Insert(0, 15)
-	d.Delete(0, 20, cnt)
+	insertOne(d, 15)
+	deleteOne(d, 20, cnt)
 	s := d.Snapshot()
 	for _, c := range []struct {
 		q      domain.Range
@@ -171,8 +183,8 @@ func TestDeltaCountDelta(t *testing.T) {
 
 func TestDeltaMergeAbortLeavesStoreIntact(t *testing.T) {
 	d := NewStore(4)
-	d.Insert(0, 1)
-	d.Insert(0, 2)
+	insertOne(d, 1)
+	insertOne(d, 2)
 	_, err := d.Merge(func(ins, del []domain.Value, commit func()) error {
 		return errBoom
 	})
@@ -233,9 +245,9 @@ func TestDeltaConcurrentWritersAndReaders(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
 				v := domain.Value(w*1000 + i)
-				d.Insert(0, v)
+				insertOne(d, v)
 				if i%3 == 0 {
-					d.Delete(0, v, none)
+					deleteOne(d, v, none)
 				}
 			}
 		}(w)

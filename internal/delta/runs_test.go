@@ -24,7 +24,7 @@ func TestApplyBatchSingleVersionAndPublication(t *testing.T) {
 		return 0
 	}
 	before := d.Stats()
-	res := d.ApplyBatch([]Op{
+	res := d.Apply(0, []Op{
 		{Kind: OpInsert, V: 1},
 		{Kind: OpInsert, V: 2},
 		{Kind: OpDelete, V: 100},       // hits the base
@@ -64,7 +64,7 @@ func TestApplyBatchAtomicVisibility(t *testing.T) {
 	d := NewStore(4)
 	none := func(domain.Value) int64 { return 0 }
 	pre := d.Snapshot()
-	d.ApplyBatch([]Op{
+	d.Apply(0, []Op{
 		{Kind: OpInsert, V: 5},
 		{Kind: OpInsert, V: 6},
 		{Kind: OpDelete, V: 5}, // cancels the batch's own insert
@@ -92,10 +92,10 @@ func TestSortedRunsEquivalence(t *testing.T) {
 		v := domain.Value(rng.Intn(500))
 		switch rng.Intn(3) {
 		case 0, 1:
-			d.Insert(0, v)
+			insertOne(d, v)
 			model[v]++
 		case 2:
-			ok := d.Delete(0, v, baseCount)
+			ok := deleteOne(d, v, baseCount)
 			if ok != (model[v] > 0) {
 				t.Fatalf("step %d: delete(%d) = %v, model count %d", i, v, ok, model[v])
 			}
@@ -148,7 +148,7 @@ func TestOverlayBytesWindowed(t *testing.T) {
 	// 2*tailSealLen entries spread over a wide domain → 2 sealed runs,
 	// empty tail.
 	for i := 0; i < 2*tailSealLen; i++ {
-		d.Insert(0, domain.Value(i*100))
+		insertOne(d, domain.Value(i*100))
 	}
 	s := d.Snapshot()
 	full := s.Bytes()
@@ -168,7 +168,7 @@ func TestMergeDrainsInWriteOrder(t *testing.T) {
 	d := NewStore(4)
 	// Descending inserts so value order ≠ write order once sealed.
 	for i := tailSealLen; i > 0; i-- {
-		d.Insert(0, domain.Value(i))
+		insertOne(d, domain.Value(i))
 	}
 	var got []domain.Value
 	if _, err := d.Merge(func(ins, del []domain.Value, commit func()) error {

@@ -3,10 +3,10 @@
 // single operations, one committer goroutine gathers them into batches,
 // appends each batch's per-shard slices to the shard logs, fsyncs,
 // applies the whole batch to the column under one version bump and one
-// snapshot publication per touched shard, and only then acknowledges
-// every writer in the batch. Recovery replays the logs onto the last
-// checkpoint; checkpoints piggy-back on delta merge-back (when the
-// write store drains into the base, the logs behind it become
+// snapshot publication per touched shard that accepted an op, and only
+// then acknowledges every writer in the batch. Recovery replays the logs
+// onto the last checkpoint; checkpoints piggy-back on delta merge-back
+// (when the write store drains into the base, the logs behind it become
 // redundant) and truncate the logs.
 //
 // # Commit protocol
@@ -23,8 +23,8 @@
 //     kernel before anyone was acked).
 //  4. Apply: the whole batch is applied through the column's batch
 //     write path — one version bump, one snapshot publication per
-//     touched shard (the write-amplification fix this subsystem rides
-//     on).
+//     touched shard that accepted an op (the write-amplification fix
+//     this subsystem rides on).
 //  5. Ack: every writer in the batch gets its per-op result. An append
 //     or sync error fails the whole batch WITHOUT applying it — no
 //     write is ever visible unless it is logged. The failed batch's

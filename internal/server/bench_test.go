@@ -72,8 +72,9 @@ func BenchmarkSQLColdVsWarmPlan(b *testing.B) {
 }
 
 // BenchmarkSQLInsertThroughput measures the SQL write path end to end:
-// ParseStmt → facade lowering → MVCC delta store, one INSERT statement
-// per iteration (no plan cache by design — writes compile per call).
+// normalize → plan cache → facade → MVCC delta store, one INSERT
+// statement per iteration. Every iteration has the same shape, so all
+// but the first hit the cached plan.
 func BenchmarkSQLInsertThroughput(b *testing.B) {
 	s := benchServer(b)
 	b.ResetTimer()

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"selforg"
 	"selforg/internal/sql"
@@ -101,30 +100,24 @@ func (s *Server) Exec(tenant, src string) (*Result, error) {
 }
 
 // prepare is the front of the statement path: one lex pass
-// (fingerprint + binds), then the plan cache. Only SELECT shapes consult
-// the cache; a write's constants are the write, so writes compile per
-// call and their fingerprints exist for observability. A cold read is
-// parsed and bound once and published under its fingerprint, stamped
-// with the epoch captured before compilation so a racing InvalidatePlans
-// refuses it.
+// (fingerprint + binds), then the plan cache, for reads and writes
+// alike — a plan takes every constant from the bind slots, so one
+// fingerprint is one executable plan. A cold statement is parsed and
+// bound once and published under its fingerprint, stamped with the
+// epoch captured before compilation so a racing InvalidatePlans refuses
+// it.
 func (s *Server) prepare(src string) (n *sql.Normalized, p plan, cached bool, err error) {
 	if n, err = sql.Normalize(src); err != nil {
 		return nil, plan{}, false, err
 	}
-	read := strings.HasPrefix(n.Fingerprint, "SELECT ")
-	if read {
-		var v any
-		if v, cached = s.cache.Get(n.Fingerprint); cached {
-			return n, v.(plan), true, nil
-		}
+	if v, ok := s.cache.Get(n.Fingerprint); ok {
+		return n, v.(plan), true, nil
 	}
 	epoch := s.cache.Epoch()
 	if p, err = compile(src); err != nil {
 		return nil, plan{}, false, err
 	}
-	if read {
-		s.cache.Put(n.Fingerprint, p, epoch)
-	}
+	s.cache.Put(n.Fingerprint, p, epoch)
 	return n, p, false, nil
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strings"
 	"testing"
 
 	"selforg/internal/sql"
@@ -39,18 +38,18 @@ var planCacheSeeds = []string{
 }
 
 // FuzzPlanCache holds the plan cache's invariant on what it holds: a
-// cached plan is found by fingerprint alone, so every statement with a
-// SELECT fingerprint must compile to the same plan as the fingerprint
-// with fresh constants restored — or both must fail with the same error
-// kind. Otherwise a warm request would answer what a cold one rejects,
-// or run another operator.
+// cached plan is found by fingerprint alone, so every statement — read
+// or write — must compile to the same plan as its fingerprint with fresh
+// constants restored, or both must fail with the same error kind.
+// Otherwise a warm request would answer what a cold one rejects, or run
+// another operator.
 func FuzzPlanCache(f *testing.F) {
 	for _, s := range planCacheSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := sql.Normalize(src)
-		if err != nil || !strings.HasPrefix(n.Fingerprint, "SELECT ") {
+		if err != nil {
 			return
 		}
 		fresh := make([]float64, len(n.Binds))

@@ -8,9 +8,9 @@
 //     fingerprint — the cache key and the Result's fingerprint.
 //   - internal/plancache holds bound plans in a bounded, sharded LRU
 //     stamped with the catalog epoch. A plan is the physical operator
-//     that executes (select | count | sum over bind slots), so a warm
-//     request is one lex pass plus a map hit, and what is cached is
-//     what runs. Writes compile per call.
+//     that executes (select | count | sum | insert | update | delete
+//     over bind slots), so a warm request — read or write — is one lex
+//     pass plus a map hit, and what is cached is what runs.
 //   - bind checks the statement against sys.P(v) — any other table or
 //     column is a CompileError — and picks the operator.
 //   - run calls the facade: Column.SelectRows/Count/Sum for reads,

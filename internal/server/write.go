@@ -4,10 +4,9 @@
 // the group committer — a 200 means the write is in the WAL and
 // survives SIGKILL.
 //
-// Write statements are never plan-cached: constants are part of the
-// write, so one fingerprint does not mean one executable plan, and a
-// stale cached write would be a correctness bug rather than a slow
-// query. Their fingerprints are still computed for observability.
+// Write statements are plan-cached like reads: a write plan is only its
+// operator, and runWrite takes every value from the bind slots, so one
+// fingerprint is one executable plan.
 package server
 
 import (

@@ -16,10 +16,10 @@
 // sub-results in shard order, so results are deterministic.
 //
 // Every column is a Column: Build makes a one-shard router for a Spec of
-// zero or one shards, and a single-shard Column is a pure pass-through —
-// every call delegates to the one underlying strategy, so K=1 is
-// byte-identical (results, stats and layout evolution) to using the
-// strategy directly.
+// zero or one shards. A single-shard Column's reads delegate to the one
+// underlying strategy and its writes take ApplyOps' routed body with
+// every op owned by shard 0, so K=1 is byte-identical (results, stats
+// and layout evolution) to using the strategy directly.
 //
 // # Locking invariants
 //
@@ -29,12 +29,14 @@
 //     (two shards' stores mutate under one commit stamp) and in read
 //     mode only by Pin's multi-shard pin sweep. Single-shard writes and
 //     live queries never touch it.
-//   - Every shard's delta store stamps writes from ONE shared
+//   - Every shard's delta store stamps its batches from ONE shared
 //     column-wide commit clock (delta.Clock), so a cross-shard update's
 //     delete half and insert half carry the same version.
 //   - Which shard a write belongs to is decided in exactly one place,
-//     Router.Route, for the single-op methods, for ApplyOps and — through
-//     durable.Router — for the group committer's log fan-out.
+//     Router.Route, for ApplyOps — the router's one write body, behind
+//     the single-op methods too — and, through durable.Router, for the
+//     group committer's log fan-out. A cross-shard update is one stamped
+//     delete/insert pair under xmu.
 //   - A live query pins each touched shard's (segment snapshot, delta
 //     watermark) pair independently, in shard order. Consistency is
 //     therefore per shard: a concurrent writer may land between two
@@ -71,7 +73,7 @@ type Builder func(idx int, rng domain.Range, vals []domain.Value) core.DeltaStra
 
 // shardStrategy is what a Builder's result must be, and everything the
 // router calls on a shard: the full strategy surface, pinned views, the
-// shard-labeled observer, stamped writes on the column-wide commit
+// shard-labeled observer, the stamped batch on the column-wide commit
 // clock and the scan fan-out knob the router splits (both core
 // strategies qualify).
 type shardStrategy interface {
@@ -79,11 +81,10 @@ type shardStrategy interface {
 	Pin() *core.View
 	SetObserver(ob *obs.Observer, shardIdx int)
 	// ShareDeltaClock rebinds the shard's write store to the column-wide
-	// commit clock; InsertStamped and DeleteStamped write with a version
-	// minted from it, so a cross-shard update's two halves share one.
+	// commit clock; ApplyStamped writes a batch with a version minted
+	// from it, so a cross-shard update's two halves share one.
 	ShareDeltaClock(c *delta.Clock)
-	InsertStamped(ver int64, v domain.Value) (core.QueryStats, error)
-	DeleteStamped(ver int64, v domain.Value) (bool, core.QueryStats, error)
+	ApplyStamped(ver int64, ops []delta.Op) ([]bool, core.QueryStats, error)
 	SetParallelism(n int)
 }
 
@@ -265,7 +266,7 @@ func New(extent domain.Range, vals []domain.Value, k int, build Builder) (*Colum
 	for i, rng := range c.ranges {
 		s, ok := build(i, rng, parts[i]).(shardStrategy)
 		if !ok {
-			return nil, fmt.Errorf("shard: shard %d's strategy is not a shard strategy (Pin, SetObserver, stamped writes, SetParallelism)", i)
+			return nil, fmt.Errorf("shard: shard %d's strategy is not a shard strategy (Pin, SetObserver, stamped batches, SetParallelism)", i)
 		}
 		// One column-wide commit clock, so a cross-shard update can stamp
 		// both halves with the same version.
@@ -475,67 +476,51 @@ func (c *Column) fanout() int {
 	return par
 }
 
-// Insert implements core.DeltaStrategy: the row lands in the owning
-// shard's delta store, contending only with writers of that shard.
+// Insert implements core.DeltaStrategy: ApplyOps with one op. The row
+// lands in the owning shard's delta store, contending only with writers
+// of that shard; a value outside the extent is an error.
 func (c *Column) Insert(v domain.Value) (core.QueryStats, error) {
-	if !c.extent.Contains(v) {
+	ok, st, err := c.one(delta.Op{Kind: delta.OpInsert, V: v})
+	if !ok && err == nil {
 		return core.QueryStats{}, fmt.Errorf("shard: insert value %d outside extent %v", v, c.extent)
 	}
-	i, _ := c.Route(delta.Op{Kind: delta.OpInsert, V: v})
-	st, err := c.shards[i].Insert(v)
-	c.snapshot(&st)
 	return st, err
 }
 
-// Delete implements core.DeltaStrategy: routed to the shard owning v.
+// Delete implements core.DeltaStrategy: ApplyOps with one op, routed to
+// the shard owning v.
 func (c *Column) Delete(v domain.Value) (bool, core.QueryStats, error) {
-	i, _ := c.Route(delta.Op{Kind: delta.OpDelete, V: v})
-	ok, st, err := c.shards[i].Delete(v)
-	c.snapshot(&st)
-	return ok, st, err
+	return c.one(delta.Op{Kind: delta.OpDelete, V: v})
 }
 
-// Update implements core.DeltaStrategy. When old and new fall into the
-// same shard the update is single-version atomic exactly as unsharded.
-// A cross-shard update stamps its delete half (owning shard) and its
-// insert half (target shard) with ONE version minted from the shared
-// column-wide commit clock, under xmu's write half — so a pinned View,
-// whose pin sweep holds xmu's read half, observes the update entirely
-// or not at all (live multi-shard scans pin per shard and remain
-// per-shard consistent only). DeltaStats counts such an update as one
-// delete plus one insert.
+// Update implements core.DeltaStrategy: ApplyOps with one op — see
+// ApplyOps for the cross-shard case.
 func (c *Column) Update(old, new domain.Value) (bool, core.QueryStats, error) {
-	i, j := c.Route(delta.Op{Kind: delta.OpUpdate, V: old, New: new})
-	if i == j {
-		ok, st, err := c.shards[i].Update(old, new)
-		c.snapshot(&st)
-		return ok, st, err
-	}
-	c.xmu.Lock()
-	defer c.xmu.Unlock()
-	ver := c.clock.Next()
-	ok, st, err := c.shards[i].DeleteStamped(ver, old)
-	if !ok || err != nil {
-		c.snapshot(&st)
-		return false, st, err
-	}
-	ist, err := c.shards[j].InsertStamped(ver, new)
-	st.Add(ist)
-	c.snapshot(&st)
-	return true, st, err
+	return c.one(delta.Op{Kind: delta.OpUpdate, V: old, New: new})
 }
 
-// ApplyOps applies a group-committed batch of writes: ops are
-// partitioned to their owning shards in arrival order and each touched
-// shard applies its sub-batch under ONE version bump and ONE snapshot
-// publication (core's ApplyOps). Ops owned by different shards commute —
-// they touch disjoint stores and disjoint base ranges — so the per-shard
-// partition preserves every ordering that matters. The one exception is
-// a cross-shard update: it cannot share a publication, so the batch is
-// split at it and the update runs through the live Update path (the
-// group committer isolates such ops as singleton batches, making the
-// split a no-op in the durable pipeline). Per-op results follow
-// Insert/Delete/Update's acceptance rules; out-of-extent inserts are
+// one writes a single op as a batch of one.
+func (c *Column) one(op delta.Op) (bool, core.QueryStats, error) {
+	res, st, err := c.ApplyOps([]delta.Op{op})
+	return res[0], st, err
+}
+
+// ApplyOps is the router's one write body: ops are partitioned to their
+// owning shards in arrival order and each touched shard applies its
+// sub-batch under ONE version bump and ONE snapshot publication (core's
+// ApplyOps). Ops owned by different shards commute — they touch disjoint
+// stores and disjoint base ranges — so the per-shard partition preserves
+// every ordering that matters. The one exception is a cross-shard update
+// (old and new owned by different shards): the batch is split at it, and
+// it runs as a stamped delete in the owning shard and a stamped insert
+// in the target shard, both carrying ONE version minted from the shared
+// column-wide commit clock, under xmu's write half — so a pinned View,
+// whose pin sweep holds xmu's read half, observes the update entirely or
+// not at all (live multi-shard scans pin per shard and remain per-shard
+// consistent only). DeltaStats counts such an update as one delete plus
+// one insert. The group committer isolates cross-shard updates as
+// singleton batches, making the split a no-op in the durable pipeline.
+// Per-op results follow core's acceptance rules; out-of-extent ops are
 // refused (by shard 0's screen) without an error.
 func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 	var st core.QueryStats
@@ -570,11 +555,10 @@ func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 			table[i].origin = append(table[i].origin, k)
 			continue
 		}
-		// Cross-shard update: flush what's queued, run it live.
 		err := flush()
 		if err == nil {
 			var ust core.QueryStats
-			res[k], ust, err = c.Update(op.V, op.New)
+			res[k], ust, err = c.crossUpdate(i, j, op)
 			st.Add(ust)
 		}
 		if err != nil {
@@ -585,6 +569,22 @@ func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 	err := flush()
 	c.snapshot(&st)
 	return res, st, err
+}
+
+// crossUpdate applies a cross-shard update as its stamped pair under
+// xmu: the delete half in owner shard i, then — if it was accepted — the
+// insert half in target shard j.
+func (c *Column) crossUpdate(i, j int, op delta.Op) (bool, core.QueryStats, error) {
+	c.xmu.Lock()
+	defer c.xmu.Unlock()
+	ver := c.clock.Next()
+	ok, st, err := c.shards[i].ApplyStamped(ver, []delta.Op{{Kind: delta.OpDelete, V: op.V}})
+	if !ok[0] || err != nil {
+		return false, st, err
+	}
+	_, ist, err := c.shards[j].ApplyStamped(ver, []delta.Op{{Kind: delta.OpInsert, V: op.New}})
+	st.Add(ist)
+	return true, st, err
 }
 
 // MergeDeltas implements core.DeltaStrategy: force-drains every shard's

@@ -12,8 +12,8 @@
 //
 // Normalize (normalize.go) additionally produces the canonical
 // constant-lifted fingerprint of a statement, the key of the query
-// tier's plan cache (internal/plancache). Write statements normalize
-// too (for observability) but are never cached.
+// tier's plan cache (internal/plancache), for write statements as for
+// reads.
 //
 // The package imports nothing of the engine: the query service
 // (internal/server) binds parsed statements to the facade, and the

@@ -108,7 +108,7 @@
 // internal/sim (§6.1) and internal/sky (§6.2), runnable through
 // cmd/sosim and cmd/skybench; the MonetDB-style substrate (BATs, MAL, the
 // tactical segment optimizer, the buffer pool) lives under internal/ and
-// is demonstrated by examples/malplan.
+// is demonstrated by internal/opt's ExampleOptimizer_Optimize.
 package selforg
 
 import (
@@ -605,7 +605,7 @@ func (c *Column) Update(old, new int64) (bool, Stats, error) {
 // reach Totals through the commit, so the per-call Stats are zero); the
 // committer's failures surface as the error, and are also counted in
 // WALStats.WriteErrors/LastError. Otherwise the op goes straight to the
-// strategy's single-op path.
+// strategy's batch path as a batch of one, as a committed group does.
 func (c *Column) write(op delta.Op) (bool, Stats, error) {
 	if op.Kind == delta.OpInsert && !c.extent.Contains(op.V) {
 		return false, Stats{}, fmt.Errorf("selforg: insert %d outside extent %v", op.V, c.extent)
@@ -617,19 +617,9 @@ func (c *Column) write(op delta.Op) (bool, Stats, error) {
 		}
 		return ok, Stats{}, nil
 	}
-	ok := true
-	var st Stats
-	var err error
-	switch op.Kind {
-	case delta.OpInsert:
-		st, err = c.strat.Insert(op.V)
-	case delta.OpDelete:
-		ok, st, err = c.strat.Delete(op.V)
-	case delta.OpUpdate:
-		ok, st, err = c.strat.Update(op.V, op.New)
-	}
+	res, st, err := c.strat.ApplyOps([]delta.Op{op})
 	c.acct.add(st)
-	return ok, st, err
+	return res[0], st, err
 }
 
 // MergeDeltas force-drains the pending writes into the base segments

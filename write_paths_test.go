@@ -51,14 +51,27 @@ var writeScriptStats = map[int]delta.Stats{
 	4: {Inserts: 3, Updates: 1, Deletes: 4, DeleteMisses: 4, Runs: 0, Publications: 8, Watermark: 7},
 }
 
+// writeScriptBatchPlacement pins the placement of the script applied as
+// ONE ApplyOps call at the strategy: each shard sub-batch that accepts
+// an op mints one version and publishes once, into the tail. Unsharded,
+// that is the whole script. With four shards the cross-shard update
+// splits the batch: ops 0–6 (shard 0, version 1), the update's stamped
+// pair (shards 0 and 3, version 2, two publications), then ops 8–11 —
+// shard 0's two refused updates publish nothing, shard 2's insert and
+// delete of 600 take version 3.
+var writeScriptBatchPlacement = map[int]delta.Stats{
+	1: {Runs: 0, Publications: 1, Watermark: 1},
+	4: {Runs: 0, Publications: 4, Watermark: 3},
+}
+
 // writeEntry is one way into the write path.
 type writeEntry struct {
 	apply   func(ops []delta.Op) ([]bool, error) // nil: nothing to apply (recovered state)
 	content func() []int64
 	stats   func() delta.Stats
-	// singleOps: the strategy sees one op at a time, so the placement
-	// pins of writeScriptStats hold.
-	singleOps bool
+	// place pins Runs, Publications and Watermark by shard count (nil:
+	// not pinned — the committer's grouping depends on timing).
+	place map[int]delta.Stats
 }
 
 // TestWriteEntryPointsAgree runs the one script through every way in —
@@ -161,7 +174,7 @@ func TestWriteEntryPointsAgree(t *testing.T) {
 				{"strategy-single-ops", func(t *testing.T) writeEntry {
 					s := bare(t)
 					e := overStrategy(s)
-					e.singleOps = true
+					e.place = writeScriptStats
 					e.apply = singly(
 						func(v int64) error { _, err := s.Insert(v); return err },
 						func(v int64) (bool, error) { ok, _, err := s.Delete(v); return ok, err },
@@ -172,12 +185,13 @@ func TestWriteEntryPointsAgree(t *testing.T) {
 				{"strategy-ApplyOps", func(t *testing.T) writeEntry {
 					s := bare(t)
 					e := overStrategy(s)
+					e.place = writeScriptBatchPlacement
 					e.apply = func(ops []delta.Op) ([]bool, error) { res, _, err := s.ApplyOps(ops); return res, err }
 					return e
 				}},
 				{"facade-memory", func(t *testing.T) writeEntry {
 					e := overFacade(facade(t, ""))
-					e.singleOps = true
+					e.place = writeScriptStats
 					return e
 				}},
 				{"facade-durable", func(t *testing.T) writeEntry {
@@ -221,9 +235,9 @@ func TestWriteEntryPointsAgree(t *testing.T) {
 					if counts(got) != counts(want) {
 						t.Errorf("DeltaStats{Inserts, Updates, Deletes, DeleteMisses} = %v, want %v", counts(got), counts(want))
 					}
-					if e.singleOps && (got.Runs != want.Runs || got.Publications != want.Publications || got.Watermark != want.Watermark) {
-						t.Errorf("single-op placement: Runs/Publications/Watermark = %d/%d/%d, want %d/%d/%d",
-							got.Runs, got.Publications, got.Watermark, want.Runs, want.Publications, want.Watermark)
+					if place, ok := e.place[shards]; ok && (got.Runs != place.Runs || got.Publications != place.Publications || got.Watermark != place.Watermark) {
+						t.Errorf("placement: Runs/Publications/Watermark = %d/%d/%d, want %d/%d/%d",
+							got.Runs, got.Publications, got.Watermark, place.Runs, place.Publications, place.Watermark)
 					}
 				})
 			}
