@@ -14,7 +14,7 @@ import (
 	"selforg/internal/sim"
 )
 
-func benchColumn(b *testing.B, opts selforg.Options) *selforg.Column {
+func benchColumn(b testing.TB, opts selforg.Options) *selforg.Column {
 	b.Helper()
 	rnd := rand.New(rand.NewSource(1))
 	vals := make([]int64, 100_000)

@@ -295,3 +295,28 @@ func TestDeltaAdaptiveParallelismEquivalence(t *testing.T) {
 			adaptive.SegmentCount(), serial.SegmentCount())
 	}
 }
+
+// raceEnabled is set by race_test.go under -race, which changes what
+// allocates.
+var raceEnabled bool
+
+// TestPointWriteAllocations pins what BenchmarkDeltaInsert's in-memory
+// point write costs on the heap: the delta entry, its live-insert index
+// slot and the snapshot the store publishes, plus the router's result
+// slice and its one sub-batch buffer — at most 5 allocations a write,
+// with one write body per layer.
+func TestPointWriteAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	col := benchColumn(t, selforg.Options{DeltaMaxBytes: -1, DeltaMaxRatio: -1})
+	rnd := rand.New(rand.NewSource(2))
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := col.Insert(rnd.Int63n(1_000_000)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("a point insert makes %.0f allocations, want at most 5", allocs)
+	}
+}

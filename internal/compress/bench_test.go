@@ -102,11 +102,12 @@ func BenchmarkCountRange(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelWidths sweeps the block kernel across bit widths: FOR
+// BenchmarkKernelWidths sweeps the range kernels across bit widths: FOR
 // data spanning 2^w values (and Dict data with 2^w distinct values, where
 // n rows can hold that many), against Plain on the same rows, under a
-// predicate covering the middle half of the frame. ns/op over n is the
-// per-value cost; the Plain row is the bar.
+// predicate covering the middle half of the frame. ns/value is the
+// per-value cost, the unit of the benchmark's compress.*_ns_per_val
+// rungs; the Plain row is the bar.
 func BenchmarkKernelWidths(b *testing.B) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewSource(1))
@@ -131,18 +132,26 @@ func BenchmarkKernelWidths(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					v.CountRange(qlo, qhi)
 				}
+				perValue(b, n)
 			})
 			b.Run(name+"/select", func(b *testing.B) {
 				dst := make([]int64, 0, n)
 				for i := 0; i < b.N; i++ {
 					dst = v.SelectRange(qlo, qhi, dst[:0])
 				}
+				perValue(b, n)
 			})
 			b.Run(name+"/sum", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					v.SumRange(qlo, qhi)
 				}
+				perValue(b, n)
 			})
 		}
 	}
+}
+
+// perValue reports b's time per value scanned, at n values an op.
+func perValue(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
 }

@@ -1,15 +1,17 @@
 package compress
 
-// blockLen is the block kernel's unit: 64 values at width w occupy
-// exactly w words, so every block starts word-aligned and decodes
-// without touching its neighbours.
+import "slices"
+
+// blockLen is the packing unit: 64 values at width w occupy exactly w
+// words, so every block starts word-aligned and a walk's bit cursor
+// crosses a block boundary with nothing carried.
 const blockLen = 64
 
 // packed is a fixed-width bit-packed array of n unsigned values, the
 // storage substrate of the Dict codes and FOR deltas. Width 0 encodes an
 // all-zero array in zero words. The words are padded to whole blocks, so
-// the block kernel never needs a bounds case for the last one; the
-// padding is not accounted (bytes sizes the n values only).
+// a walk never needs a bounds case for the last one; the padding is not
+// accounted (bytes sizes the n values only).
 type packed struct {
 	width uint // bits per value, 0..64
 	n     int
@@ -37,7 +39,7 @@ func pack(vals []int64, width uint, code func(dst []uint64, src []int64)) packed
 	return p
 }
 
-// packBlock writes block b (values [64b, 64b+64)) from src — unpack's
+// packBlock writes block b (values [64b, 64b+64)) from src — the walks'
 // inverse: an accumulator takes each value at the running bit cursor and
 // is stored whenever a word fills, carrying the straddling value's high
 // bits into the next word.
@@ -65,65 +67,164 @@ func (p *packed) packBlock(b int, src *[blockLen]uint64) {
 	}
 }
 
-// unpack decodes block b (values [64b, 64b+64)) into dst with a running
-// bit cursor that walks the block's w words once: every value lying
-// wholly inside a word costs one mask and one shift, and only a value
-// straddling two words joins the carried low bits with the next word's
-// head — no per-value multiply, divide or word-index arithmetic. (The
-// shift counts are masked with &63, always a no-op here, so the compiler
-// drops its oversized-shift fix-ups; i&63 does the same for bounds.)
-func (p *packed) unpack(b int, dst *[blockLen]uint64) {
+// The walks below read a packed array with one running bit cursor: a
+// value lying wholly inside a word costs one mask and one shift, and only
+// a value straddling two words joins the carried low bits with the next
+// word's head — no per-value multiply, divide or word-index arithmetic.
+// Each value is tested against "v - lo <= span" in registers the moment
+// the cursor extracts it; no value is staged in a buffer before its
+// test. (Shift
+// counts are masked with &63, always a no-op here, so the compiler drops
+// its oversized-shift fix-ups; k&63 does the same for bounds.) A walk
+// visits the zero padding of the last block and, at width 0, no value at
+// all; unwalked corrects for both.
+
+// count returns how many of the n values v satisfy v-lo <= span.
+func (p *packed) count(lo, span uint64) int64 {
 	w := p.width
-	switch w {
-	case 0:
-		*dst = [blockLen]uint64{}
-		return
-	case 64:
-		copy(dst[:], p.words[b*blockLen:])
-		return
-	}
 	mask := uint64(1)<<w - 1
-	var carry uint64 // low bits of the value straddling into this word
-	have := uint(0)  // how many of its bits carry holds
-	i := 0
-	for _, word := range p.words[b*int(w) : (b+1)*int(w)] {
+	var n int64
+	var carry uint64
+	have := uint(0) // how many bits of the straddling value carry holds
+	for _, word := range p.words {
 		bits := uint(64)
 		if have > 0 {
-			dst[i&63] = (carry | word<<(have&63)) & mask
-			i++
+			if (carry|word<<(have&63))&mask-lo <= span {
+				n++
+			}
 			word >>= (w - have) & 63
 			bits -= w - have
 		}
 		for ; bits >= w; bits -= w {
-			dst[i&63] = word & mask
+			if word&mask-lo <= span {
+				n++
+			}
 			word >>= w & 63
-			i++
 		}
 		carry, have = word, bits
 	}
-}
-
-// decoder walks a packed array one block at a time — the block kernel
-// every Dict and FOR scan loop runs on.
-type decoder struct {
-	p   *packed
-	b   int // the next block to decode
-	buf [blockLen]uint64
-}
-
-// decode returns a decoder over every row.
-func (p *packed) decode() *decoder { return &decoder{p: p} }
-
-// next decodes the next block and returns its values, or nil once every
-// row is decoded. The slice is valid until the following call.
-func (d *decoder) next() []uint64 {
-	start := d.b * blockLen
-	if start >= d.p.n {
-		return nil
+	if -lo <= span {
+		n += p.unwalked()
 	}
-	d.p.unpack(d.b, &d.buf)
-	d.b++
-	return d.buf[:min(blockLen, d.p.n-start)]
+	return n
+}
+
+// sum returns how many of the n values v satisfy v-lo <= span, and
+// their (wrapping) sum.
+func (p *packed) sum(lo, span uint64) (n, sum uint64) {
+	w := p.width
+	mask := uint64(1)<<w - 1
+	var carry uint64
+	have := uint(0)
+	for _, word := range p.words {
+		bits := uint(64)
+		if have > 0 {
+			if v := (carry | word<<(have&63)) & mask; v-lo <= span {
+				n++
+				sum += v
+			}
+			word >>= (w - have) & 63
+			bits -= w - have
+		}
+		for ; bits >= w; bits -= w {
+			if v := word & mask; v-lo <= span {
+				n++
+				sum += v
+			}
+			word >>= w & 63
+		}
+		carry, have = word, bits
+	}
+	if -lo <= span {
+		n += uint64(p.unwalked()) // a zero adds nothing to the sum
+	}
+	return n, sum
+}
+
+// appendRange appends the values v with v-lo <= span to dst, in order,
+// and returns dst; when none does, dst comes back untouched. A full
+// block is selected straight into dst's spare capacity, the last,
+// partial one through a stack array, so dst grows by no more than it
+// keeps. decode then rewrites each block's kept values into the
+// vector's domain (adds the frame, looks up the dictionary) while they
+// are still in cache.
+func (p *packed) appendRange(lo, span uint64, dst []int64, decode func(kept []int64)) []int64 {
+	base := dst
+	var tail [blockLen]int64
+	for b := 0; b*blockLen < p.n; b++ {
+		out := &tail
+		if p.n-b*blockLen >= blockLen {
+			dst = slices.Grow(dst, blockLen)
+			out = (*[blockLen]int64)(dst[len(dst) : len(dst)+blockLen])
+		}
+		k := p.selectBlock(b, lo, span, out)
+		if out == &tail {
+			dst = append(dst, tail[:k]...)
+		} else {
+			dst = dst[:len(dst)+k]
+		}
+		decode(dst[len(dst)-k:])
+	}
+	if len(dst) == len(base) {
+		return base // nothing qualified: dst comes back untouched
+	}
+	return dst
+}
+
+// selectBlock writes block b's values v with v-lo <= span to the front
+// of out, in order, and returns how many it wrote: every value is stored
+// at the output cursor, which advances only past qualifying ones. Its
+// own small frame keeps the cursor, the word and the output index in
+// registers.
+func (p *packed) selectBlock(b int, lo, span uint64, out *[blockLen]int64) int {
+	w := p.width
+	rows := min(blockLen, p.n-b*blockLen)
+	if w == 0 { // no words: every value is 0
+		clear(out[:rows])
+		if -lo <= span {
+			return rows
+		}
+		return 0
+	}
+	mask := uint64(1)<<w - 1
+	k := 0
+	var carry uint64
+	have := uint(0)
+	for _, word := range p.words[b*int(w) : (b+1)*int(w)] {
+		bits := uint(64)
+		if have > 0 {
+			v := (carry | word<<(have&63)) & mask
+			out[k&63] = int64(v)
+			if v-lo <= span {
+				k++
+			}
+			word >>= (w - have) & 63
+			bits -= w - have
+		}
+		for ; bits >= w; bits -= w {
+			v := word & mask
+			out[k&63] = int64(v)
+			if v-lo <= span {
+				k++
+			}
+			word >>= w & 63
+		}
+		carry, have = word, bits
+	}
+	if rows < blockLen && -lo <= span {
+		k -= blockLen - rows // the padding zeros qualified too
+	}
+	return k
+}
+
+// unwalked is the row count minus the values a walk over every word
+// visits: minus the last block's padding, or every row at width 0. The
+// values it stands for are all zero.
+func (p *packed) unwalked() int64 {
+	if p.width == 0 {
+		return int64(p.n)
+	}
+	return int64(p.n) - int64(len(p.words))*blockLen/int64(p.width)
 }
 
 // bytes returns the accounted physical size of the packed values.

@@ -11,15 +11,17 @@
 // the sorted dictionary, and FOR prunes through its min/max frame before
 // touching a single delta. The package imports nothing of the module.
 //
-// # The block kernel
+// # The fused walks
 //
-// Dict codes and FOR deltas are bit-packed at a fixed width. Every scan
-// loop over them — CountRange, SelectRange, SumRange, AppendTo — runs on
-// one kernel, packed's decoder: it unpacks 64 values per call (exactly
-// `width` words, so every block is word-aligned) with a running bit
-// cursor, and the loop body then works on a plain []uint64.
+// Dict codes and FOR deltas are bit-packed at a fixed width, 64 values
+// to exactly `width` words, so every block is word-aligned. Every scan
+// over them — CountRange, SelectRange, SumRange, AppendTo — is one walk
+// of a running bit cursor over the words that tests each value in
+// registers the moment it is extracted: count and sum keep their totals
+// there, and select writes each value straight into the caller's dst at
+// a branch-free output cursor. No value is staged in a block buffer.
 //
-// The rule the loops follow: compare on codes or deltas, never on
+// The rule the walks follow: compare on codes or deltas, never on
 // decoded values. A predicate [lo, hi] is translated once per call —
 // Dict maps it to a code interval through the sorted dictionary, FOR
 // subtracts the frame — into "x - base <= span", one unsigned compare per

@@ -246,7 +246,7 @@ func TestCodec(t *testing.T) {
 }
 
 // TestBitpack round-trips random values through the block packer and the
-// block decoder at widths on and off the word boundary, over a row count
+// selecting walk at widths on and off the word boundary, over a row count
 // that ends in a partial block.
 func TestBitpack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -264,18 +264,8 @@ func TestBitpack(t *testing.T) {
 				dst[i] = uint64(v)
 			}
 		})
-		row := 0
-		dec := p.decode()
-		for blk := dec.next(); blk != nil; blk = dec.next() {
-			for _, got := range blk {
-				if want := uint64(vals[row]); got != want {
-					t.Fatalf("width %d: row %d = %d, want %d", width, row, got, want)
-				}
-				row++
-			}
-		}
-		if row != len(vals) {
-			t.Fatalf("width %d: decoded %d rows, want %d", width, row, len(vals))
+		if got := p.appendRange(0, math.MaxUint64, nil, func([]int64) {}); !reflect.DeepEqual(got, vals) {
+			t.Fatalf("width %d: unpacked %v, want %v", width, got, vals)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package compress
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // DictVector is dictionary encoding: the distinct values, sorted
 // ascending, plus one bit-packed dictionary code per row. Because the
@@ -94,19 +97,12 @@ func (d *DictVector) StoredBytes() int64 {
 
 // AppendTo implements Vector.
 func (d *DictVector) AppendTo(dst []int64) []int64 {
-	dst = slices.Grow(dst, d.codes.n)
-	dec := d.codes.decode()
-	for codes := dec.next(); codes != nil; codes = dec.next() {
-		for _, c := range codes {
-			dst = append(dst, d.dict[c])
-		}
-	}
-	return dst
+	return d.SelectRange(math.MinInt64, math.MaxInt64, dst)
 }
 
 // codeRange maps [lo, hi] onto the half-open qualifying code interval
 // [cLo, cHi); cLo >= cHi means no code qualifies (inverted bounds
-// included).
+// included). A code c then qualifies iff c-cLo <= cHi-cLo-1.
 func (d *DictVector) codeRange(lo, hi int64) (uint64, uint64) {
 	cLo, _ := slices.BinarySearch(d.dict, lo)
 	cHi, found := slices.BinarySearch(d.dict, hi)
@@ -117,35 +113,21 @@ func (d *DictVector) codeRange(lo, hi int64) (uint64, uint64) {
 }
 
 // SelectRange implements Vector: binary-search the dictionary once, then
-// filter rows by code interval — one unsigned compare per code. Each
-// block is written branch-free: every row's value is stored at the
-// output cursor, which advances only past qualifying ones.
+// filter rows by code interval — one unsigned compare per code as it is
+// unpacked — and look up only the kept codes.
 func (d *DictVector) SelectRange(lo, hi int64, dst []int64) []int64 {
 	cLo, cHi := d.codeRange(lo, hi)
 	if cLo >= cHi {
 		return dst
 	}
-	if cLo == 0 && cHi == uint64(len(d.dict)) {
-		return d.AppendTo(dst)
+	if cLo == 0 && cHi == uint64(len(d.dict)) { // every row: one allocation for all of them
+		dst = slices.Grow(dst, d.codes.n)
 	}
-	span := cHi - cLo
-	dec := d.codes.decode()
-	base := dst
-	for codes := dec.next(); codes != nil; codes = dec.next() {
-		dst = slices.Grow(dst, len(codes))
-		out, k := dst[len(dst):len(dst)+len(codes)], 0
-		for _, c := range codes {
-			out[k] = d.dict[c]
-			if c-cLo < span {
-				k++
-			}
+	return d.codes.appendRange(cLo, cHi-cLo-1, dst, func(kept []int64) {
+		for i, c := range kept {
+			kept[i] = d.dict[c]
 		}
-		dst = dst[:len(dst)+k]
-	}
-	if len(dst) == len(base) {
-		return base // nothing qualified: dst comes back untouched
-	}
-	return dst
+	})
 }
 
 // CountRange implements Vector.
@@ -157,39 +139,21 @@ func (d *DictVector) CountRange(lo, hi int64) int64 {
 	if cLo == 0 && cHi == uint64(len(d.dict)) {
 		return int64(d.codes.n)
 	}
-	span := cHi - cLo
-	var n int64
-	dec := d.codes.decode()
-	for codes := dec.next(); codes != nil; codes = dec.next() {
-		for _, c := range codes {
-			if c-cLo < span {
-				n++
-			}
-		}
-	}
-	return n
+	return d.codes.count(cLo, cHi-cLo-1)
 }
 
-// SumRange implements Vector: codes are compared, and only a qualifying
-// code is looked up in the dictionary.
-func (d *DictVector) SumRange(lo, hi int64) (int64, int64) {
+// SumRange implements Vector: the codes are compared as they are
+// unpacked, a block's qualifying ones selected into a stack array, and
+// only those are looked up in the dictionary.
+func (d *DictVector) SumRange(lo, hi int64) (n, sum int64) {
 	cLo, cHi := d.codeRange(lo, hi)
-	if cLo >= cHi {
-		return 0, 0
-	}
-	span := cHi - cLo
-	var n, sum int64
-	dec := d.codes.decode()
-	for codes := dec.next(); codes != nil; codes = dec.next() {
-		for _, c := range codes {
-			// Load before the test: a load under the branch keeps the
-			// compiler from making the loop branch-free.
-			x := d.dict[c]
-			if c-cLo < span {
-				n++
-				sum += x
-			}
+	var kept [blockLen]int64
+	for b := 0; cLo < cHi && b*blockLen < d.codes.n; b++ {
+		k := d.codes.selectBlock(b, cLo, cHi-cLo-1, &kept)
+		for _, c := range kept[:k] {
+			sum += d.dict[c]
 		}
+		n += int64(k)
 	}
 	return n, sum
 }

@@ -68,17 +68,7 @@ func (f *FORVector) StoredBytes() int64 {
 }
 
 // AppendTo implements Vector.
-func (f *FORVector) AppendTo(dst []int64) []int64 {
-	dst = slices.Grow(dst, f.deltas.n)
-	ref := uint64(f.ref)
-	dec := f.deltas.decode()
-	for ds := dec.next(); ds != nil; ds = dec.next() {
-		for _, d := range ds {
-			dst = append(dst, int64(ref+d))
-		}
-	}
-	return dst
-}
+func (f *FORVector) AppendTo(dst []int64) []int64 { return f.SelectRange(f.ref, f.max, dst) }
 
 // deltaRange translates [lo, hi] into the delta domain once: a row
 // qualifies iff its delta d satisfies d-dLo <= span, one unsigned
@@ -103,34 +93,22 @@ func (f *FORVector) deltaRange(lo, hi int64) (dLo, span uint64, cover int) {
 }
 
 // SelectRange implements Vector with min-max pruning before any unpack,
-// then one unsigned compare per delta; blocks are written branch-free,
-// as in DictVector.SelectRange.
+// then one unsigned compare per delta as it is unpacked; the frame is
+// added to the kept deltas only (two's-complement wrapping, so the full
+// int64 span cannot overflow).
 func (f *FORVector) SelectRange(lo, hi int64, dst []int64) []int64 {
 	dLo, span, cover := f.deltaRange(lo, hi)
-	switch cover {
-	case -1:
+	if cover < 0 {
 		return dst
-	case 1:
-		return f.AppendTo(dst)
 	}
-	ref := uint64(f.ref)
-	dec := f.deltas.decode()
-	base := dst
-	for ds := dec.next(); ds != nil; ds = dec.next() {
-		dst = slices.Grow(dst, len(ds))
-		out, k := dst[len(dst):len(dst)+len(ds)], 0
-		for _, d := range ds {
-			out[k] = int64(ref + d)
-			if d-dLo <= span {
-				k++
-			}
+	if cover > 0 { // every row: one allocation for all of them
+		dLo, span, dst = 0, ^uint64(0), slices.Grow(dst, f.deltas.n)
+	}
+	return f.deltas.appendRange(dLo, span, dst, func(kept []int64) {
+		for i := range kept {
+			kept[i] += f.ref
 		}
-		dst = dst[:len(dst)+k]
-	}
-	if len(dst) == len(base) {
-		return base // nothing qualified: dst comes back untouched
-	}
-	return dst
+	})
 }
 
 // CountRange implements Vector.
@@ -142,16 +120,7 @@ func (f *FORVector) CountRange(lo, hi int64) int64 {
 	case 1:
 		return int64(f.deltas.n)
 	}
-	var n int64
-	dec := f.deltas.decode()
-	for ds := dec.next(); ds != nil; ds = dec.next() {
-		for _, d := range ds {
-			if d-dLo <= span {
-				n++
-			}
-		}
-	}
-	return n
+	return f.deltas.count(dLo, span)
 }
 
 // SumRange implements Vector: the qualifying deltas are summed and the
@@ -165,16 +134,7 @@ func (f *FORVector) SumRange(lo, hi int64) (int64, int64) {
 	if cover > 0 {
 		dLo, span = 0, ^uint64(0)
 	}
-	var n, sum uint64
-	dec := f.deltas.decode()
-	for ds := dec.next(); ds != nil; ds = dec.next() {
-		for _, d := range ds {
-			if d-dLo <= span {
-				n++
-				sum += d
-			}
-		}
-	}
+	n, sum := f.deltas.sum(dLo, span)
 	return int64(n), int64(n*uint64(f.ref) + sum)
 }
 

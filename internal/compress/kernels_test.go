@@ -135,35 +135,94 @@ func TestCodecKernelsMatchPlain(t *testing.T) {
 	}
 }
 
-// TestPackedDecoder holds the block decoder to the input for every width
-// and for row counts around the block.
-func TestPackedDecoder(t *testing.T) {
+// TestPackedWalksMatchPackAll holds every fused walk — count, sum and
+// appendRange (selectBlock) — to a plain loop over the input of the
+// reference packer, at every width and for row counts around the block.
+// Three of the predicates admit code 0, so a walk that counts, sums or
+// emits the last block's zero padding (or drops width 0's rows) fails.
+func TestPackedWalksMatchPackAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for w := uint(0); w <= 64; w++ {
+		mask := uint64(math.MaxUint64)
+		if w < 64 {
+			mask = 1<<w - 1
+		}
 		for _, n := range []int{0, 1, 63, 64, 65, 200} {
 			vals := make([]uint64, n)
 			for i := range vals {
-				vals[i] = rng.Uint64()
-				if w < 64 {
-					vals[i] &= 1<<w - 1
-				}
+				vals[i] = rng.Uint64() & mask
 			}
 			p := packAll(vals, w)
 			if got, want := p.bytes(), packedBytesFor(int64(n), w); got != want {
 				t.Fatalf("w%d n%d: bytes = %d, want %d", w, n, got, want)
 			}
-			row := 0
-			dec := p.decode()
-			for blk := dec.next(); blk != nil; blk = dec.next() {
-				for _, got := range blk {
-					if got != vals[row] {
-						t.Fatalf("w%d n%d: row %d = %d, want %d", w, n, row, got, vals[row])
+			preds := [][2]uint64{
+				{0, math.MaxUint64}, // every value
+				{0, mask / 3},       // from 0 up
+				{mask / 2, mask / 4},
+				{math.MaxUint64, 1 + mask/2}, // wraps round to admit 0
+				{1, 0},                       // only 1: the zeros must not count
+			}
+			for _, pr := range preds {
+				lo, span := pr[0], pr[1]
+				var wantN, wantSum uint64
+				var wantSel []int64
+				for _, v := range vals {
+					if v-lo <= span {
+						wantN++
+						wantSum += v
+						wantSel = append(wantSel, int64(v))
 					}
-					row++
+				}
+				name := fmt.Sprintf("w%d n%d [%d +%d]", w, n, lo, span)
+				if got := p.count(lo, span); got != int64(wantN) {
+					t.Fatalf("%s: count = %d, want %d", name, got, wantN)
+				}
+				if gn, gs := p.sum(lo, span); gn != wantN || gs != wantSum {
+					t.Fatalf("%s: sum = (%d, %d), want (%d, %d)", name, gn, gs, wantN, wantSum)
+				}
+				got := p.appendRange(lo, span, []int64{-7}, func([]int64) {})
+				if !reflect.DeepEqual(got, append([]int64{-7}, wantSel...)) {
+					t.Fatalf("%s: appendRange = %v, want %v", name, got[1:], wantSel)
 				}
 			}
-			if row != n {
-				t.Fatalf("w%d n%d: decoded through row %d", w, n, row)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go under -race, which changes what
+// allocates.
+var raceEnabled bool
+
+// TestKernelsDoNotAllocate pins every encoding's CountRange and SumRange
+// at zero allocations, at widths 1, 15 and 64, and SelectRange at zero
+// once dst holds SelectCap of the result.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	rng := rand.New(rand.NewSource(65))
+	for _, w := range []uint{1, 15, 64} {
+		vals := make([]int64, 1000)
+		for i := range vals {
+			vals[i] = int64(rng.Uint64() >> (64 - w))
+		}
+		lo, hi := vals[0], vals[0]
+		for _, v := range vals {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		qlo, qhi := lo/2+hi/4, hi/2+hi/4 // inside the frame: every kernel scans
+		for _, e := range Encodings {
+			v := Encode(append([]int64(nil), vals...), e, 4)
+			dst := make([]int64, 0, SelectCap(int64(len(vals))))
+			for op, f := range map[string]func(){
+				"CountRange":  func() { v.CountRange(qlo, qhi) },
+				"SumRange":    func() { v.SumRange(qlo, qhi) },
+				"SelectRange": func() { v.SelectRange(qlo, qhi, dst[:0]) },
+			} {
+				if got := testing.AllocsPerRun(20, f); got != 0 {
+					t.Errorf("w%d/%v: %s allocates %.0f times, want 0", w, e, op, got)
+				}
 			}
 		}
 	}

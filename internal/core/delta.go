@@ -51,8 +51,9 @@ type writeHooks interface {
 	// the drained store appear atomically to lock-free pinners. A bulk
 	// load calls it with sorted inserts, no tombstones and a nil commit.
 	applyDrained(st *QueryStats, ins, del []domain.Value, commit func()) error
-	// snapshot stamps the column's storage measures onto st.
-	snapshot(st *QueryStats)
+	// storageBytes reports the column's storage measures: logical and
+	// physical bytes held (QueryStats.StorageBytes, CompressedBytes).
+	storageBytes() (logical, physical int64)
 }
 
 // deltaWriter is the write half of a strategy: the MVCC write store, the
@@ -126,14 +127,22 @@ func (w *deltaWriter) Update(old, new domain.Value) (bool, QueryStats, error) {
 
 // one writes a single op as a batch of one.
 func (w *deltaWriter) one(op delta.Op) (bool, QueryStats, error) {
-	res, st, err := w.ApplyStamped(0, []delta.Op{op})
+	var res [1]bool
+	st, err := w.ApplyStamped(0, []delta.Op{op}, res[:])
 	return res[0], st, err
 }
 
 // ApplyOps implements DeltaStrategy: the batch under a version the store
 // mints.
 func (w *deltaWriter) ApplyOps(ops []delta.Op) ([]bool, QueryStats, error) {
-	return w.ApplyStamped(0, ops)
+	res := make([]bool, len(ops))
+	st, err := w.ApplyStamped(0, ops, res)
+	return res, st, err
+}
+
+// snapshot stamps the column's storage measures onto st.
+func (w *deltaWriter) snapshot(st *QueryStats) {
+	st.StorageBytes, st.CompressedBytes = w.hooks.storageBytes()
 }
 
 // screen is the extent rule, applied to every op exactly once at this
@@ -177,9 +186,11 @@ func (w *deltaWriter) writeBytes(op delta.Op) int64 {
 // cross-shard commit stamp from the column-wide clock, so an update's
 // two halves in two shards share one version. Per-op acceptance is the
 // screen, then in-extent deletes and updates validate against visible
-// rows in op order; a refused op is a false entry, not an error. The
-// returned error only reports a merge-back failure.
-func (w *deltaWriter) ApplyStamped(ver int64, ops []delta.Op) ([]bool, QueryStats, error) {
+// rows in op order; a refused op is a false entry, not an error. Op i's
+// acceptance lands in res[i] (len(res) == len(ops)), so one result slice
+// runs from the caller through to the store. The returned error only
+// reports a merge-back failure.
+func (w *deltaWriter) ApplyStamped(ver int64, ops []delta.Op, res []bool) (QueryStats, error) {
 	var st QueryStats
 	// An op the screen refuses goes on to the store as an OpSkip, so the
 	// store's answer lines up with ops; ops is copied only once the
@@ -194,7 +205,7 @@ func (w *deltaWriter) ApplyStamped(ver int64, ops []delta.Op) ([]bool, QueryStat
 		}
 		batch[i].Kind = delta.OpSkip
 	}
-	res := w.store.Apply(ver, batch, w.hooks.baseCount)
+	w.store.Apply(ver, batch, res, w.hooks.baseCount)
 	var n [3]int // accepted ops by kind
 	for i, ok := range res {
 		if ok {
@@ -203,9 +214,9 @@ func (w *deltaWriter) ApplyStamped(ver int64, ops []delta.Op) ([]bool, QueryStat
 		}
 	}
 	err := w.maybeMerge(&st)
-	w.hooks.snapshot(&st)
+	w.snapshot(&st)
 	w.stratOb.Load().writes(n, &st)
-	return res, st, err
+	return st, err
 }
 
 // BulkLoad implements DeltaStrategy: a bulk load is the merge-back
@@ -230,7 +241,7 @@ func (w *deltaWriter) BulkLoad(vals []domain.Value) (QueryStats, error) {
 	if err := w.hooks.applyDrained(&st, sorted, nil, nil); err != nil {
 		return st, err
 	}
-	w.hooks.snapshot(&st)
+	w.snapshot(&st)
 	if so := w.stratOb.Load(); so != nil {
 		so.volumes(&st)
 		so.event(so.evBulkload, "bulkload", obs.Event{
@@ -249,19 +260,24 @@ func (w *deltaWriter) BulkLoad(vals []domain.Value) (QueryStats, error) {
 func (w *deltaWriter) MergeDeltas() (QueryStats, error) {
 	var st QueryStats
 	err := w.merge(&st)
-	w.hooks.snapshot(&st)
+	w.snapshot(&st)
 	if so := w.stratOb.Load(); so != nil {
 		so.volumes(&st)
 	}
 	return st, err
 }
 
-// maybeMerge drains the write store when a threshold trips.
+// maybeMerge drains the write store when a threshold trips. The merge
+// accounts into its own stats, which escape into the strategy's rewrite:
+// only a write that merges pays their allocation.
 func (w *deltaWriter) maybeMerge(st *QueryStats) error {
 	if !deltaOverThreshold(w.store.PendingBytes(), w.maxBytes.Load(), w.ratioBP.Load(), w.baseBytes.Load()) {
 		return nil
 	}
-	return w.merge(st)
+	var mst QueryStats
+	err := w.merge(&mst)
+	st.Add(mst)
+	return err
 }
 
 // merge drains the store through the strategy's single-writer rewrite

@@ -790,11 +790,8 @@ func rebuildAt(root, target *node, repl []*node) (*node, bool) {
 	return nil, false
 }
 
-// snapshot fills the per-query storage measures — atomic loads, no lock.
-func (r *Replicator) snapshot(st *QueryStats) {
-	st.StorageBytes = r.storage.Load()
-	st.CompressedBytes = r.stored.Load()
-}
+// storageBytes reports the storage measures — atomic loads, no lock.
+func (r *Replicator) storageBytes() (int64, int64) { return r.storage.Load(), r.stored.Load() }
 
 // newVirtualNode creates a virtual child segment of parent covering rng,
 // with its size estimated from the parent's (possibly itself estimated)

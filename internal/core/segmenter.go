@@ -234,12 +234,9 @@ func (s *Segmenter) info(sg *segment.Segment, elem int64) model.SegmentInfo {
 	}
 }
 
-// snapshot fills the per-query storage measures from the maintained
-// counters — O(1), no list sweep on the query path.
-func (s *Segmenter) snapshot(st *QueryStats) {
-	st.StorageBytes = s.totalBytes.Load()
-	st.CompressedBytes = s.stored.Load()
-}
+// storageBytes reports the storage measures from the maintained counters —
+// O(1), no list sweep on the query path.
+func (s *Segmenter) storageBytes() (int64, int64) { return s.totalBytes.Load(), s.stored.Load() }
 
 // segTask is one unit of per-segment work for a query. The plan fills
 // the snapshot segment to scan and the model's verdict on it, in visit

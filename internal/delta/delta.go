@@ -522,8 +522,8 @@ func (d *Store) compactRuns() {
 }
 
 // Apply applies a batch of write operations — one op or a group commit —
-// under ONE version and ONE snapshot publication, and reports per-op
-// acceptance. Inserts always succeed; a delete or update refuses when no
+// under ONE version and ONE snapshot publication, and reports op i's
+// acceptance in res[i] (len(res) == len(ops)). Inserts always succeed; a delete or update refuses when no
 // visible row carries its value (evaluated in op order, so an op sees
 // the batch's earlier ops); OpSkip and unknown kinds are refused. A value
 // inserted and deleted within one batch is visible at no watermark.
@@ -541,15 +541,15 @@ func (d *Store) compactRuns() {
 // Fresh entries are appended to the unsorted tail, which seals into one
 // sorted run once the batch leaves it holding tailSealLen entries or
 // more.
-func (d *Store) Apply(ver int64, ops []Op, baseCount func(domain.Value) int64) []bool {
+func (d *Store) Apply(ver int64, ops []Op, res []bool, baseCount func(domain.Value) int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if ver != 0 {
 		d.stamp(ver)
 	}
-	res := make([]bool, len(ops))
 	accepted := false
 	for i, op := range ops {
+		res[i] = false
 		if op.Kind > OpUpdate {
 			continue
 		}
@@ -577,13 +577,12 @@ func (d *Store) Apply(ver int64, ops []Op, baseCount func(domain.Value) int64) [
 		res[i], accepted = true, true
 	}
 	if !accepted {
-		return res
+		return
 	}
 	if len(d.tail) >= tailSealLen {
 		d.sealTail()
 	}
 	d.publish()
-	return res
 }
 
 // PendingBytes returns the logical size of the unmerged entries — the

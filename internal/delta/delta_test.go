@@ -23,14 +23,20 @@ func sorted(vs []domain.Value) []domain.Value {
 
 // insertOne, deleteOne and updateOne write one op through Apply, the
 // store's one write body, as a batch of one.
-func insertOne(d *Store, v domain.Value) { d.Apply(0, []Op{{Kind: OpInsert, V: v}}, nil) }
+func insertOne(d *Store, v domain.Value) { applyOne(d, Op{Kind: OpInsert, V: v}, nil) }
 
 func deleteOne(d *Store, v domain.Value, baseCount func(domain.Value) int64) bool {
-	return d.Apply(0, []Op{{Kind: OpDelete, V: v}}, baseCount)[0]
+	return applyOne(d, Op{Kind: OpDelete, V: v}, baseCount)
 }
 
 func updateOne(d *Store, old, new domain.Value, baseCount func(domain.Value) int64) bool {
-	return d.Apply(0, []Op{{Kind: OpUpdate, V: old, New: new}}, baseCount)[0]
+	return applyOne(d, Op{Kind: OpUpdate, V: old, New: new}, baseCount)
+}
+
+func applyOne(d *Store, op Op, baseCount func(domain.Value) int64) bool {
+	var res [1]bool
+	d.Apply(0, []Op{op}, res[:], baseCount)
+	return res[0]
 }
 
 func eq(a, b []domain.Value) bool {

@@ -205,7 +205,7 @@ func TestApplyPlacement(t *testing.T) {
 				d := NewStore(4)
 				script := row.script
 				for i, k := range cuts {
-					d.Apply(row.ver, script[:k], baseCount)
+					d.Apply(row.ver, script[:k], make([]bool, k), baseCount)
 					script = script[k:]
 					st := d.Stats()
 					if got := (state{st.Runs, st.Pending, st.Publications, st.Watermark}); got != m.after[i] {

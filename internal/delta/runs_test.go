@@ -24,13 +24,14 @@ func TestApplyBatchSingleVersionAndPublication(t *testing.T) {
 		return 0
 	}
 	before := d.Stats()
-	res := d.Apply(0, []Op{
+	res := make([]bool, 5)
+	d.Apply(0, []Op{
 		{Kind: OpInsert, V: 1},
 		{Kind: OpInsert, V: 2},
 		{Kind: OpDelete, V: 100},       // hits the base
 		{Kind: OpDelete, V: 999},       // no visible row — refused
 		{Kind: OpUpdate, V: 1, New: 7}, // replaces the batch's own insert
-	}, base)
+	}, res, base)
 	want := []bool{true, true, true, false, true}
 	for i, ok := range res {
 		if ok != want[i] {
@@ -68,7 +69,7 @@ func TestApplyBatchAtomicVisibility(t *testing.T) {
 		{Kind: OpInsert, V: 5},
 		{Kind: OpInsert, V: 6},
 		{Kind: OpDelete, V: 5}, // cancels the batch's own insert
-	}, none)
+	}, make([]bool, 3), none)
 	post := d.Snapshot()
 	q := domain.Range{Lo: 0, Hi: 10}
 	if got := pre.Overlay(q, nil); len(got) != 0 {

@@ -84,7 +84,7 @@ type shardStrategy interface {
 	// commit clock; ApplyStamped writes a batch with a version minted
 	// from it, so a cross-shard update's two halves share one.
 	ShareDeltaClock(c *delta.Clock)
-	ApplyStamped(ver int64, ops []delta.Op) ([]bool, core.QueryStats, error)
+	ApplyStamped(ver int64, ops []delta.Op, res []bool) (core.QueryStats, error)
 	SetParallelism(n int)
 }
 
@@ -524,38 +524,19 @@ func (c *Column) one(op delta.Op) (bool, core.QueryStats, error) {
 // refused (by shard 0's screen) without an error.
 func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 	var st core.QueryStats
-	res := make([]bool, len(ops))
-	// table[i] is shard i's sub-batch: its ops and their indices in ops.
-	table := make([]struct {
-		ops    []delta.Op
-		origin []int
-	}, len(c.shards))
-	flush := func() error {
-		for i := range table {
-			sub := &table[i]
-			if len(sub.ops) == 0 {
-				continue
-			}
-			out, sst, err := c.shards[i].ApplyOps(sub.ops)
-			st.Add(sst)
-			for j, ok := range out {
-				res[sub.origin[j]] = ok
-			}
-			sub.ops, sub.origin = nil, nil
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	// One allocation holds the results and, behind them, the answers of
+	// the sub-batch in flight; sub is the one buffer every shard's
+	// sub-batch is gathered into.
+	buf := make([]bool, 2*len(ops))
+	res, out := buf[:len(ops):len(ops)], buf[len(ops):]
+	sub := make([]delta.Op, 0, len(ops))
+	from := 0 // the first op not yet applied
 	for k, op := range ops {
 		i, j := c.Route(op)
 		if i == j {
-			table[i].ops = append(table[i].ops, op)
-			table[i].origin = append(table[i].origin, k)
 			continue
 		}
-		err := flush()
+		err := c.applyRun(ops, from, k, res, out, sub, &st)
 		if err == nil {
 			var ust core.QueryStats
 			res[k], ust, err = c.crossUpdate(i, j, op)
@@ -565,10 +546,49 @@ func (c *Column) ApplyOps(ops []delta.Op) ([]bool, core.QueryStats, error) {
 			c.snapshot(&st)
 			return res, st, err
 		}
+		from = k + 1
 	}
-	err := flush()
+	err := c.applyRun(ops, from, len(ops), res, out, sub, &st)
 	c.snapshot(&st)
 	return res, st, err
+}
+
+// applyRun applies ops[from:to], a run holding no cross-shard update,
+// shard by shard in ascending order: a shard's ops are gathered into sub
+// in arrival order and applied under one version (core's ApplyStamped),
+// and its answers, written to out, are scattered back into res by
+// routing the run again. Each gathering pass also finds the next shard
+// the run touches, so untouched shards cost nothing.
+func (c *Column) applyRun(ops []delta.Op, from, to int, res, out []bool, sub []delta.Op, st *core.QueryStats) error {
+	owner := func(op delta.Op) int { i, _ := c.Route(op); return i }
+	for i := 0; i >= 0; {
+		next := -1
+		sub = sub[:0]
+		for _, op := range ops[from:to] {
+			switch o := owner(op); {
+			case o == i:
+				sub = append(sub, op)
+			case o > i && (next < 0 || o < next):
+				next = o
+			}
+		}
+		if len(sub) > 0 {
+			sst, err := c.shards[i].ApplyStamped(0, sub, out[:len(sub)])
+			st.Add(sst)
+			j := 0
+			for k := from; k < to; k++ {
+				if owner(ops[k]) == i {
+					res[k] = out[j]
+					j++
+				}
+			}
+			if err != nil {
+				return err
+			}
+		}
+		i = next
+	}
+	return nil
 }
 
 // crossUpdate applies a cross-shard update as its stamped pair under
@@ -578,11 +598,12 @@ func (c *Column) crossUpdate(i, j int, op delta.Op) (bool, core.QueryStats, erro
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
 	ver := c.clock.Next()
-	ok, st, err := c.shards[i].ApplyStamped(ver, []delta.Op{{Kind: delta.OpDelete, V: op.V}})
+	var ok [1]bool
+	st, err := c.shards[i].ApplyStamped(ver, []delta.Op{{Kind: delta.OpDelete, V: op.V}}, ok[:])
 	if !ok[0] || err != nil {
 		return false, st, err
 	}
-	_, ist, err := c.shards[j].ApplyStamped(ver, []delta.Op{{Kind: delta.OpInsert, V: op.New}})
+	ist, err := c.shards[j].ApplyStamped(ver, []delta.Op{{Kind: delta.OpInsert, V: op.New}}, ok[:])
 	st.Add(ist)
 	return true, st, err
 }
