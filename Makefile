@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sql/ -run '^$$' -fuzz FuzzParseStmt -fuzztime 30s
 	$(GO) test ./internal/sql/ -run '^$$' -fuzz FuzzNormalize -fuzztime 30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzCheckpointRead -fuzztime 30s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz FuzzCodecRange -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzWireEnvelope -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzPlanCache -fuzztime 30s

@@ -16,9 +16,11 @@ package selforg
 //     applies them with — and applies groups through durTarget.
 //   - New over a non-empty directory recovers: each shard rebuilds from
 //     its last checkpoint (or the initial load) and replays its log;
-//     Column.Recover does the same in place. Checkpoints piggy-back on
-//     delta merge-back and truncate the logs; Column.Checkpoint forces
-//     one.
+//     Column.Recover does the same in place. A checkpoint records each
+//     shard's segments, so a segmented shard recovers its layout. The
+//     committer checkpoints and truncates the logs once they together
+//     hold 64 KB, so recovery replays at most that much;
+//     Column.Checkpoint forces one.
 //
 // Bulk loads are not logged as point writes; instead BulkLoad on a
 // durable column checkpoint-fences itself — it returns only after a
@@ -29,10 +31,12 @@ import (
 	"fmt"
 	"time"
 
+	"selforg/internal/compress"
 	"selforg/internal/delta"
 	"selforg/internal/domain"
 	"selforg/internal/durable"
 	"selforg/internal/shard"
+	"selforg/internal/wal"
 )
 
 // Durability configures the write-ahead-log subsystem. Leaving Dir
@@ -74,14 +78,12 @@ func (t *durTarget) ApplyOps(ops []delta.Op) ([]bool, error) {
 	return res, nil
 }
 
-func (t *durTarget) MergeCount() int64 { return t.c.strat.DeltaStats().Merges }
-
 // CaptureShard captures shard i's full logical content (base plus
-// visible delta) through a pinned MVCC view — no adaptation, no stats.
-// The committer calls it between batches, so no cross-shard update holds
-// the pin sweep's lock.
-func (t *durTarget) CaptureShard(i int) []domain.Value {
-	return t.c.strat.Pin().SelectRope(t.c.strat.ShardRange(i)).Flatten()
+// visible delta), segment by segment, through a pinned MVCC view — no
+// adaptation, no stats. The committer calls it between batches, so no
+// cross-shard update holds the pin sweep's lock.
+func (t *durTarget) CaptureShard(i int) []wal.Segment {
+	return t.c.strat.Pin().Capture(i)
 }
 
 // newDurable is New's durable back half: the column keeps a copy of the
@@ -108,13 +110,21 @@ func durCfg(o Options) durable.Config {
 // logs, rebuild the strategy over checkpoint-or-initial content (vals
 // is consumed), replay the recovered batches through it in commit order
 // — after which it reflects every committed write — then start the
-// commit loop.
+// commit loop. A replay runs over unencoded shards, which are encoded
+// once it is done: encoding first would encode every segment a replayed
+// merge-back touches twice, and a replayed delete or update probes a
+// raw segment faster than an encoded one.
 func (c *Column) open(vals []domain.Value) error {
 	dur, rec, err := durable.Open(durCfg(c.opts), shard.NewRouter(c.extent, c.opts.Shards))
 	if err != nil {
 		return fmt.Errorf("selforg: durability: %w", err)
 	}
-	strat, err := shard.Build(c.opts.spec(), c.extent, vals, rec)
+	spec := c.opts.spec()
+	mode := spec.Compression
+	if len(rec.Batches) > 0 {
+		spec.Compression = compress.Off
+	}
+	strat, err := shard.Build(spec, c.extent, vals, rec)
 	if err != nil {
 		dur.Close()
 		return fmt.Errorf("selforg: %w", err)
@@ -129,15 +139,19 @@ func (c *Column) open(vals []domain.Value) error {
 		}
 		c.acct.add(qs)
 	}
+	if mode != spec.Compression {
+		strat.SetCompression(mode)
+	}
 	dur.CountReplayed(len(rec.Batches))
 	dur.Start(&durTarget{c})
 	return nil
 }
 
 // Checkpoint forces a full durability checkpoint: every shard's logical
-// content is captured and atomically written, and the logs truncate.
-// Checkpoints otherwise piggy-back on delta merge-back. Returns an
-// error when durability is not enabled.
+// content is captured segment by segment and atomically written, and
+// the logs truncate. Otherwise the committer checkpoints once the logs
+// together hold 64 KB; merge-backs do not checkpoint. Returns an error
+// when durability is not enabled.
 func (c *Column) Checkpoint() error {
 	if c.dur == nil {
 		return fmt.Errorf("selforg: durability is not enabled")

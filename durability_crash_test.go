@@ -19,12 +19,14 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"selforg"
+	"selforg/internal/wal"
 )
 
 const (
@@ -40,9 +42,11 @@ func crashOpts(strategy string, shards int, fsync bool, dir string) selforg.Opti
 	if strategy == "repl" {
 		o.Strategy = selforg.Replication
 	}
-	// A small merge threshold forces frequent merge-backs and therefore
-	// frequent piggy-backed checkpoints — the kill lands in every phase
-	// of the log/checkpoint/truncate cycle across runs.
+	// A small merge threshold forces frequent merge-backs. Checkpoints
+	// come from log volume (64 KB of log): the parent kills the helper
+	// only after two checkpoint generations committed, so across runs
+	// the kill lands in every phase of the log/checkpoint/truncate
+	// cycle.
 	o.DeltaMaxBytes = 4 * 1024
 	o.Durability = selforg.Durability{Dir: dir, Fsync: fsync}
 	return o
@@ -125,8 +129,10 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 
 			// Drain acks continuously (the reader must not stop before
 			// the kill lands — an unread ACK is still an ACK); kill once
-			// every writer has acks and the stream is deep enough to
-			// have crossed merge-backs and checkpoints.
+			// every writer has acks, the stream is deep enough to have
+			// crossed merge-backs, and the manifest shows two committed
+			// checkpoint generations, so the kill lands inside a later
+			// log/checkpoint/truncate cycle.
 			var mu sync.Mutex
 			acked := make([]int, crashWriters) // next unacked index per writer
 			total := 0
@@ -156,6 +162,10 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 					ready = ready && a > 0
 				}
 				mu.Unlock()
+				if ready {
+					gen, _, _, err := wal.ReadManifest(filepath.Join(dir, "CHECKPOINT"))
+					ready = err == nil && gen >= 2
+				}
 				if ready {
 					break
 				}

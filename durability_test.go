@@ -346,3 +346,113 @@ func TestDurableCheckpointCrashWindowReplaysOnce(t *testing.T) {
 		t.Fatalf("replayed %d batches the checkpoint covers", st.Replayed)
 	}
 }
+
+// TestCheckpointRecoverKeepsLayout: a checkpoint records each shard's
+// segments, so a segmented column recovers the layout its queries
+// taught: after MergeDeltas → Checkpoint → Recover, Layout() equals
+// Layout() before, and so does the content.
+func TestCheckpointRecoverKeepsLayout(t *testing.T) {
+	const lo, hi = 0, 99_999
+	for _, comp := range []selforg.Compression{selforg.CompressionOff, selforg.CompressionAuto} {
+		for _, shards := range []int{1, 4} {
+			for _, fsync := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v-shards%d-fsync%v", comp, shards, fsync), func(t *testing.T) {
+					opts := selforg.Options{Model: selforg.APM, Compression: comp, Shards: shards, DeltaMaxBytes: 1 << 10}
+					opts.Durability = selforg.Durability{Dir: t.TempDir(), Fsync: fsync}
+					col, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(7, 20_000, lo, hi), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer col.Close()
+					rnd := rand.New(rand.NewSource(11))
+					for i := 0; i < 300; i++ {
+						a := rnd.Int63n(hi)
+						col.Count(a, a+rnd.Int63n(3_000))
+						v := rnd.Int63n(hi + 1)
+						if _, err := col.Insert(v); err != nil {
+							t.Fatal(err)
+						}
+						if i%3 == 0 {
+							col.Delete(v)
+						}
+					}
+					if _, err := col.MergeDeltas(); err != nil {
+						t.Fatal(err)
+					}
+					layout, segs := col.Layout(), col.SegmentCount()
+					if segs <= shards {
+						t.Fatalf("queries left %d segments over %d shards: nothing to keep", segs, shards)
+					}
+					want, _ := col.Select(lo, hi)
+					if err := col.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if err := col.Recover(); err != nil {
+						t.Fatal(err)
+					}
+					if got := col.Layout(); got != layout {
+						t.Fatalf("layout after recover:\n%s\nwant:\n%s", got, layout)
+					}
+					got, _ := col.Select(lo, hi)
+					if !intsEq(sortInts(got), sortInts(want)) {
+						t.Fatalf("recover changed content: %d vs %d rows", len(got), len(want))
+					}
+					if err := col.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					// A recovery that replays a log (over unencoded shards,
+					// encoded after it) keeps the content and the encoding.
+					stored := col.StorageBytes()
+					for i := 0; i < 200; i++ {
+						v := rnd.Int63n(hi + 1)
+						if _, err := col.Insert(v); err != nil {
+							t.Fatal(err)
+						}
+						if i%2 == 0 {
+							col.Update(v, hi-v)
+						}
+					}
+					want, _ = col.Select(lo, hi)
+					if err := col.Recover(); err != nil {
+						t.Fatal(err)
+					}
+					if st, _ := col.WALStats(); st.Replayed == 0 {
+						t.Fatal("second recover replayed nothing")
+					}
+					got, _ = col.Select(lo, hi)
+					if !intsEq(sortInts(got), sortInts(want)) {
+						t.Fatalf("replaying recover changed content: %d vs %d rows", len(got), len(want))
+					}
+					if err := col.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					if comp == selforg.CompressionAuto && (stored >= col.UncompressedBytes() || col.StorageBytes() >= col.UncompressedBytes()) {
+						t.Fatalf("stored %d then %d bytes of %d: recovery left the column unencoded", stored, col.StorageBytes(), col.UncompressedBytes())
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCheckpointSkipsMergeBack: merge-backs alone do not checkpoint; a
+// checkpoint waits for the logs to reach their size cap.
+func TestCheckpointSkipsMergeBack(t *testing.T) {
+	const lo, hi = 0, 9_999
+	opts := selforg.Options{Model: selforg.APM, DeltaMaxBytes: 256}
+	opts.Durability = selforg.Durability{Dir: t.TempDir()}
+	col, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(5, 2_000, lo, hi), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	for v := int64(0); v < 200; v++ {
+		if _, err := col.Insert(v * 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _ := col.WALStats()
+	if m := col.DeltaStats().Merges; m == 0 || st.Checkpoints != 0 || st.WALSize == 0 {
+		t.Fatalf("%d merge-backs, WAL %+v: want merge-backs, no checkpoint and a non-empty log", m, st)
+	}
+}

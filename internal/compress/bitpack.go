@@ -18,25 +18,26 @@ type packed struct {
 	words []uint64
 }
 
-// pack builds the packed array of vals at the given width straight in the
-// block layout: code translates one block of input values into their
-// unsigned codes (FOR deltas, Dict indexes), which must fit in width
-// bits, and packBlock lays the block's words down — so no full-length
-// code array is ever built.
-func pack(vals []int64, width uint, code func(dst []uint64, src []int64)) packed {
-	p := packed{width: width, n: len(vals)}
-	if width == 0 || len(vals) == 0 {
-		return p
-	}
-	p.words = make([]uint64, (len(vals)+blockLen-1)/blockLen*int(width))
-	var buf [blockLen]uint64
-	for b := 0; b*blockLen < len(vals); b++ {
-		src := vals[b*blockLen : min((b+1)*blockLen, len(vals))]
-		code(buf[:len(src)], src)
-		clear(buf[len(src):]) // the last block's padding packs as zeros
-		p.packBlock(b, &buf)
+// newPacked allocates the packed array of n values at the given width,
+// which its encoder fills straight in the block layout: it codes each
+// block of input values into its unsigned codes (FOR deltas, Dict
+// indexes), which must fit in width bits, in a stack buffer and hands
+// it to put — so no full-length code array is ever built. The encoder
+// owns the buffer and its coding loop: a buffer handed to a coding func
+// value would escape to the heap.
+func newPacked(n int, width uint) packed {
+	p := packed{width: width, n: n}
+	if width > 0 && n > 0 {
+		p.words = make([]uint64, (n+blockLen-1)/blockLen*int(width))
 	}
 	return p
+}
+
+// put packs block b from the first n codes of buf; the rest of buf (the
+// last block's padding) packs as zeros.
+func (p *packed) put(b int, buf *[blockLen]uint64, n int) {
+	clear(buf[n:])
+	p.packBlock(b, buf)
 }
 
 // packBlock writes block b (values [64b, 64b+64)) from src — the walks'

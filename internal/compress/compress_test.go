@@ -259,11 +259,7 @@ func TestBitpack(t *testing.T) {
 			}
 			vals[i] = int64(v)
 		}
-		p := pack(vals, width, func(dst []uint64, src []int64) {
-			for i, v := range src {
-				dst[i] = uint64(v)
-			}
-		})
+		p := packCodes(vals, width)
 		if got := p.appendRange(0, math.MaxUint64, nil, func([]int64) {}); !reflect.DeepEqual(got, vals) {
 			t.Fatalf("width %d: unpacked %v, want %v", width, got, vals)
 		}

@@ -54,16 +54,20 @@ func NewDict(vals []int64, elemSize int64) *DictVector {
 	for i := range cache {
 		cache[i] = entry{vals[0], int64(c0)}
 	}
-	d.codes = pack(vals, bitsFor(uint64(len(dict)-1)), func(dst []uint64, src []int64) {
+	d.codes = newPacked(len(vals), bitsFor(uint64(len(dict)-1)))
+	var buf [blockLen]uint64
+	for b := 0; b*blockLen < len(vals); b++ {
+		src := vals[b*blockLen : min((b+1)*blockLen, len(vals))]
 		for i, v := range src {
 			e := &cache[cacheSlot(v, bits)]
 			if e.v != v {
 				c, _ := slices.BinarySearch(dict, v)
 				*e = entry{v, int64(c)}
 			}
-			dst[i] = uint64(e.code)
+			buf[i] = uint64(e.code)
 		}
-	})
+		d.codes.put(b, &buf, len(src))
+	}
 	return d
 }
 

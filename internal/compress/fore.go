@@ -40,11 +40,15 @@ func newFOR(vals []int64, lo, hi, elemSize int64) *FORVector {
 	f.ref, f.max = lo, hi
 	// Deltas in uint64 arithmetic so the full int64 span cannot overflow.
 	ref := uint64(lo)
-	f.deltas = pack(vals, bitsFor(uint64(hi)-ref), func(dst []uint64, src []int64) {
+	f.deltas = newPacked(len(vals), bitsFor(uint64(hi)-ref))
+	var buf [blockLen]uint64
+	for b := 0; b*blockLen < len(vals); b++ {
+		src := vals[b*blockLen : min((b+1)*blockLen, len(vals))]
 		for i, v := range src {
-			dst[i] = uint64(v) - ref
+			buf[i] = uint64(v) - ref
 		}
-	})
+		f.deltas.put(b, &buf, len(src))
+	}
 	return f
 }
 

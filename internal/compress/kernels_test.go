@@ -228,6 +228,32 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestEncodersAllocations pins what NewFOR and NewDict allocate: FOR
+// its vector and packed words; Dict besides those its value cache, its
+// candidate list (which grows by appending), the dictionary and its code
+// cache. The block buffer the codes are staged in stays on the stack.
+func TestEncodersAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	vals := make([]int64, 1000)
+	for i := range vals {
+		vals[i] = int64(i*7919%16) * 1000 // 16 distinct values, 4-bit codes
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want float64
+	}{
+		{"NewFOR", func() { NewFOR(vals, 8) }, 2},
+		{"NewDict", func() { NewDict(vals, 8) }, 9},
+	} {
+		if got := testing.AllocsPerRun(20, tc.f); got != tc.want {
+			t.Errorf("%s allocates %.0f times, want %.0f", tc.name, got, tc.want)
+		}
+	}
+}
+
 // packAll is the reference packer: every value written at its own bit
 // offset, one at a time. Values must fit in width bits.
 func packAll(vals []uint64, width uint) packed {
@@ -247,7 +273,7 @@ func packAll(vals []uint64, width uint) packed {
 	return p
 }
 
-// TestBlockPackerMatchesPackAll holds the block packer (pack/packBlock)
+// TestBlockPackerMatchesPackAll holds the block packer (put/packBlock)
 // to the reference packer word for word — padding included — across
 // every width and row counts around the block.
 func TestBlockPackerMatchesPackAll(t *testing.T) {
@@ -264,11 +290,7 @@ func TestBlockPackerMatchesPackAll(t *testing.T) {
 				vals[i] = int64(codes[i])
 			}
 			want := packAll(codes, w)
-			got := pack(vals, w, func(dst []uint64, src []int64) {
-				for i, v := range src {
-					dst[i] = uint64(v)
-				}
-			})
+			got := packCodes(vals, w)
 			if got.width != want.width || got.n != want.n || !reflect.DeepEqual(got.words, want.words) {
 				t.Fatalf("w%d n%d: block packer differs from packAll", w, n)
 			}
@@ -333,4 +355,19 @@ func FuzzCodecRange(f *testing.F) {
 		qs := append(kernelRanges(vals), [2]int64{lo, hi})
 		checkKernels(t, "fuzz", vals, qs)
 	})
+}
+
+// packCodes packs vals, each already a code that fits in w bits, through
+// the encoders' block path.
+func packCodes(vals []int64, w uint) packed {
+	p := newPacked(len(vals), w)
+	var buf [blockLen]uint64
+	for b := 0; b*blockLen < len(vals); b++ {
+		src := vals[b*blockLen : min((b+1)*blockLen, len(vals))]
+		for i, v := range src {
+			buf[i] = uint64(v)
+		}
+		p.put(b, &buf, len(src))
+	}
+	return p
 }

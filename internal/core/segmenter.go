@@ -85,18 +85,26 @@ type Segmenter struct {
 // covering extent and holding vals. elemSize is the accounted bytes per
 // value; tracer may be nil.
 func NewSegmenter(extent domain.Range, vals []domain.Value, elemSize int64, m model.Model, tracer Tracer) *Segmenter {
+	return NewSegmenterOver(segment.NewList(extent, vals, elemSize), m, tracer)
+}
+
+// NewSegmenterOver builds the strategy over an existing layout of
+// unencoded segments — the layout a checkpoint restored. The list's
+// extent and element size are the column's.
+func NewSegmenterOver(l *segment.List, m model.Model, tracer Tracer) *Segmenter {
 	if tracer == nil {
 		tracer = nopTracer{}
 	}
-	l := segment.NewList(extent, vals, elemSize)
 	s := &Segmenter{mod: m, tracer: tracer}
-	s.eng.initEngine(l, elemSize)
-	s.initWriter(s.eng.Delta, extent, elemSize, &s.totalBytes, &s.ob, s)
+	s.eng.initEngine(l, l.ElemSize())
+	s.initWriter(s.eng.Delta, l.Extent(), l.ElemSize(), &s.totalBytes, &s.ob, s)
 	s.totalBytes.Store(int64(l.TotalBytes()))
 	s.stored.Store(int64(l.TotalBytes()))
-	// The initial column is materialized storage the buffer layer should
-	// know about.
-	s.tracer.Materialize(l.Seg(0).ID, int64(l.TotalBytes()))
+	// The initial segments are materialized storage the buffer layer
+	// should know about.
+	for i := 0; i < l.Len(); i++ {
+		s.tracer.Materialize(l.Seg(i).ID, int64(l.Seg(i).Bytes(l.ElemSize())))
+	}
 	return s
 }
 

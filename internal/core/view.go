@@ -41,6 +41,20 @@ func (r *Replicator) Pin() *View {
 	return &View{root: root, dsnap: dsnap}
 }
 
+// Bounds returns the pinned base's segment ranges in domain order: one
+// per segment for segmentation, the whole extent for replication (its
+// replicas overlap; only the root tiles the column).
+func (v *View) Bounds() []domain.Range {
+	if v.list == nil {
+		return []domain.Range{v.root.seg.Rng}
+	}
+	out := make([]domain.Range, v.list.Len())
+	for i := range out {
+		out[i] = v.list.Seg(i).Rng
+	}
+	return out
+}
+
 // Watermark returns the version high-water mark pinned by the view:
 // writes stamped above it are invisible.
 func (v *View) Watermark() int64 { return v.dsnap.Watermark() }

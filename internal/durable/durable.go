@@ -5,9 +5,17 @@
 // applies the whole batch to the column under one version bump and one
 // snapshot publication per touched shard that accepted an op, and only
 // then acknowledges every writer in the batch. Recovery replays the logs
-// onto the last checkpoint; checkpoints piggy-back on delta merge-back
-// (when the write store drains into the base, the logs behind it become
-// redundant) and truncate the logs.
+// onto the last checkpoint.
+//
+// # Checkpoint trigger
+//
+// A checkpoint runs when the shard logs together hold ckptLogBytes or
+// more: the committer takes it after the batch that crosses the cap,
+// before acking that batch, and the logs rotate to empty. So recovery
+// replays at most ckptLogBytes of log plus one batch, onto shards that
+// the checkpoint rebuilds with their segment layout (wal.Segment).
+// Merge-backs do not trigger checkpoints: a merge-back makes the logs
+// behind it redundant, not urgent.
 //
 // # Commit protocol
 //
@@ -77,7 +85,6 @@ import (
 	"time"
 
 	"selforg/internal/delta"
-	"selforg/internal/domain"
 	"selforg/internal/obs"
 	"selforg/internal/wal"
 )
@@ -121,26 +128,29 @@ type Target interface {
 	// The error reports an apply-side failure (merge-back), not per-op
 	// refusals.
 	ApplyOps(ops []delta.Op) ([]bool, error)
-	// MergeCount returns the number of completed delta merge-backs; the
-	// committer checkpoints when it advances (the drained log prefix
-	// just became redundant).
-	MergeCount() int64
 	// CaptureShard returns shard i's full logical content (base plus
-	// visible delta). Called between batches, so the capture is exactly
-	// the content as of the last committed seq.
-	CaptureShard(i int) []domain.Value
+	// visible delta), segment by segment: the segments tile the shard's
+	// range in ascending order. Called between batches, so the capture
+	// is exactly the content as of the last committed seq.
+	CaptureShard(i int) []wal.Segment
 }
+
+// ckptLogBytes is the checkpoint trigger: once the shard logs together
+// hold this many bytes, the committer checkpoints and rotates them.
+// It bounds what recovery replays. At ~31 log bytes per write it is
+// one checkpoint per ~2 100 writes.
+const ckptLogBytes = 64 << 10
 
 // Recovered is the durable state found on disk at Open time: the
 // per-shard checkpoint contents plus the WAL batches to replay on top,
 // merged into global commit order and filtered to seq strictly above
 // each shard's checkpoint.
 type Recovered struct {
-	// CkptValues[i] is shard i's checkpointed content; HasCkpt[i]
-	// reports whether a checkpoint existed (absent = the shard starts
-	// from the column's initial build).
-	CkptValues [][]domain.Value
-	HasCkpt    []bool
+	// CkptSegments[i] is shard i's checkpointed content, segment by
+	// segment; HasCkpt[i] reports whether a checkpoint existed (absent =
+	// the shard starts from the column's initial build).
+	CkptSegments [][]wal.Segment
+	HasCkpt      []bool
 	// Batches is the replay input: one entry per commit seq, ops
 	// concatenated across shards (shard order — within a seq ops of
 	// different shards commute by the cross-shard barrier).
@@ -178,7 +188,8 @@ type Stats struct {
 	Appends int64
 	Fsyncs  int64
 	Bytes   int64
-	// Checkpoints counts checkpoints taken (piggy-backed and forced).
+	// Checkpoints counts checkpoints taken: by the log-volume trigger
+	// (ckptLogBytes) and forced (Checkpoint, BulkLoad's fence).
 	Checkpoints int64
 	// LastSeq is the last committed group's sequence number; WALSize the
 	// current total log bytes on disk; Replayed the batches recovery
@@ -218,7 +229,6 @@ type Committer struct {
 
 	target  Target
 	nextSeq uint64
-	merges  int64  // target.MergeCount at the last checkpoint
 	ckptGen uint64 // manifest-committed checkpoint generation
 
 	// broken, once set, halts the committer: the on-disk logs and the
@@ -282,8 +292,8 @@ func Open(cfg Config, router Router) (*Committer, *Recovered, error) {
 		return nil, nil, err
 	}
 	rec := &Recovered{
-		CkptValues: make([][]domain.Value, k),
-		HasCkpt:    make([]bool, k),
+		CkptSegments: make([][]wal.Segment, k),
+		HasCkpt:      make([]bool, k),
 	}
 	// The manifest decides which checkpoint generation — if any — is
 	// committed. Shard files from other generations are leftovers of a
@@ -309,7 +319,7 @@ func Open(cfg Config, router Router) (*Committer, *Recovered, error) {
 	var size int64
 	for i := 0; i < k; i++ {
 		if hasCkpt {
-			seq, vals, ok, err := wal.ReadCheckpoint(ckptPath(cfg.Dir, i, gen))
+			seq, segs, ok, err := wal.ReadCheckpoint(ckptPath(cfg.Dir, i, gen))
 			if err != nil {
 				closeAll()
 				return nil, nil, fmt.Errorf("durable: shard %d checkpoint: %w", i, err)
@@ -322,7 +332,7 @@ func Open(cfg Config, router Router) (*Committer, *Recovered, error) {
 				closeAll()
 				return nil, nil, fmt.Errorf("%w: shard %d checkpoint seq %d disagrees with manifest seq %d", wal.ErrCorrupt, i, seq, ckptSeq)
 			}
-			rec.CkptValues[i], rec.HasCkpt[i] = vals, true
+			rec.CkptSegments[i], rec.HasCkpt[i] = segs, true
 		}
 		l, batches, err := wal.Open(logPath(cfg.Dir, i))
 		if err != nil {
@@ -430,7 +440,6 @@ func (c *Committer) CountReplayed(n int) {
 func (c *Committer) Start(t Target) {
 	c.startOnce.Do(func() {
 		c.target = t
-		c.merges = t.MergeCount()
 		go c.loop()
 	})
 }
@@ -735,22 +744,20 @@ func (c *Committer) commit(batch []*request) {
 		// The batch is durably logged and WILL replay on recovery, but
 		// the live column rejected it: memory and log have diverged.
 		// Halt — committing further batches would compound the
-		// divergence, and a piggy-backed checkpoint would capture the
-		// diverged state and drop the logged batch for good. The writers
+		// divergence, and a checkpoint would capture the diverged state
+		// and drop the logged batch for good. The writers
 		// get the halt error (the write is durable and resurfaces after
 		// recovery), not a clean refusal.
 		c.broken = fmt.Errorf("durable: halted: batch seq %d durably logged but apply failed: %v; reopen or Recover to converge", seq, err)
 		fail(c.broken)
 		return
 	}
-	// Checkpoint piggy-back: a merge-back just drained the delta into
-	// the base — the logs up to this seq are redundant, capture and
-	// truncate. Runs before the acks so a writer that observes its ack
-	// also observes the checkpoint its merge produced.
-	if m := c.target.MergeCount(); m != c.merges {
-		if cerr := c.checkpoint(); cerr == nil {
-			c.merges = m
-		}
+	// Log-volume trigger: the logs reached the cap, so capture and
+	// rotate them. Runs before the acks so a writer that observes its
+	// ack also observes the checkpoint its batch triggered. A failed
+	// checkpoint leaves the logs whole; the next batch retries.
+	if c.walSize.Load() >= ckptLogBytes {
+		c.checkpoint()
 	}
 	for i, r := range batch {
 		r.res <- result{ok: i < len(res) && res[i]}
@@ -774,8 +781,7 @@ func (c *Committer) checkpoint() error {
 	seq := c.nextSeq - 1
 	gen := c.ckptGen + 1
 	for i := range c.logs {
-		vals := c.target.CaptureShard(i)
-		if err := wal.WriteCheckpoint(ckptPath(c.cfg.Dir, i, gen), seq, vals); err != nil {
+		if err := wal.WriteCheckpoint(ckptPath(c.cfg.Dir, i, gen), seq, c.target.CaptureShard(i)); err != nil {
 			return fmt.Errorf("durable: checkpoint shard %d: %w", i, err)
 		}
 	}

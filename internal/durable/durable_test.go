@@ -20,7 +20,6 @@ type fakeTarget struct {
 	mu      sync.Mutex
 	content map[domain.Value]int
 	batches [][]delta.Op
-	merges  int64
 	shards  int
 	width   domain.Value // per-shard domain width for CaptureShard
 	// failApply, when set, fails the next ApplyOps (one-shot) without
@@ -63,19 +62,16 @@ func (f *fakeTarget) ApplyOps(ops []delta.Op) ([]bool, error) {
 	return res, nil
 }
 
-func (f *fakeTarget) MergeCount() int64 { f.mu.Lock(); defer f.mu.Unlock(); return f.merges }
-
-func (f *fakeTarget) bumpMerges() { f.mu.Lock(); f.merges++; f.mu.Unlock() }
-
 func (f *fakeTarget) failNextApply(err error) { f.mu.Lock(); f.failApply = err; f.mu.Unlock() }
 
 func (f *fakeTarget) batchCount() int { f.mu.Lock(); defer f.mu.Unlock(); return len(f.batches) }
 
-func (f *fakeTarget) CaptureShard(i int) []domain.Value {
+// CaptureShard returns shard i's content as one segment over its range.
+func (f *fakeTarget) CaptureShard(i int) []wal.Segment {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	lo, hi := f.width*domain.Value(i), f.width*domain.Value(i+1)
-	var out []domain.Value
+	out := []domain.Value{}
 	for v, n := range f.content {
 		if v >= lo && v < hi {
 			for k := 0; k < n; k++ {
@@ -83,7 +79,7 @@ func (f *fakeTarget) CaptureShard(i int) []domain.Value {
 			}
 		}
 	}
-	return out
+	return []wal.Segment{{Rng: domain.Range{Lo: lo, Hi: hi - 1}, Vals: out}}
 }
 
 func (f *fakeTarget) snapshot() map[domain.Value]int {
@@ -258,8 +254,8 @@ func TestCheckpointTruncatesAndSkipsReplay(t *testing.T) {
 	if !rec.HasCkpt[0] || !rec.HasCkpt[1] {
 		t.Fatalf("checkpoints missing: %+v", rec.HasCkpt)
 	}
-	if len(rec.CkptValues[0]) != 10 {
-		t.Fatalf("shard 0 checkpoint carries %d values, want 10", len(rec.CkptValues[0]))
+	if segs := rec.CkptSegments[0]; len(segs) != 1 || len(segs[0].Vals) != 10 {
+		t.Fatalf("shard 0 checkpoint carries %v, want one segment of 10 values", segs)
 	}
 	if len(rec.Batches) != 2 {
 		t.Fatalf("replay has %d batches, want 2 post-checkpoint ones", len(rec.Batches))
@@ -271,30 +267,95 @@ func TestCheckpointTruncatesAndSkipsReplay(t *testing.T) {
 	}
 }
 
-// TestCheckpointPiggybacksOnMerge: when the target reports a completed
-// merge-back, the very next commit triggers a checkpoint.
-func TestCheckpointPiggybacksOnMerge(t *testing.T) {
-	dir := t.TempDir()
-	router := fakeRouter{shards: 1, width: 1 << 40}
-	c, _, err := Open(Config{Dir: dir}, router)
-	if err != nil {
-		t.Fatal(err)
+// TestCheckpointTrigger: a checkpoint runs when the logs together hold
+// ckptLogBytes — after the batch that reaches or crosses the cap, once,
+// leaving the logs empty — and never below it.
+func TestCheckpointTrigger(t *testing.T) {
+	const w = 1000 // per-shard width of the two-shard fake
+	ins := func(v domain.Value) delta.Op { return delta.Op{Kind: delta.OpInsert, V: v} }
+	upd := delta.Op{Kind: delta.OpUpdate, V: 1, New: 1}
+	frame := func(op delta.Op) int64 { return int64(len(wal.AppendFrame(nil, 1, []delta.Op{op}))) }
+	// exactly returns singleton writes whose frames total n bytes: inserts
+	// (alternating shards) and, to land on n, updates of value 1.
+	exactly := func(n int64) []delta.Op {
+		fi, fu := frame(ins(0)), frame(upd)
+		for u := int64(0); u*fu <= n; u++ {
+			if (n-u*fu)%fi == 0 {
+				var ops []delta.Op
+				for k := int64(0); k < (n-u*fu)/fi; k++ {
+					ops = append(ops, ins(domain.Value(k%2*w+2)))
+				}
+				for k := int64(0); k < u; k++ {
+					ops = append(ops, upd)
+				}
+				return ops
+			}
+		}
+		t.Fatalf("no write mix totals %d log bytes", n)
+		return nil
 	}
-	defer c.Close()
-	target := newFakeTarget(1, 1<<40)
-	c.Start(target)
-	if _, err := c.Submit(delta.Op{Kind: delta.OpInsert, V: 1}); err != nil {
-		t.Fatal(err)
+	type step struct {
+		ops   []delta.Op
+		force bool // an explicit Checkpoint after the writes
 	}
-	if st := c.Stats(); st.Checkpoints != 0 {
-		t.Fatalf("checkpoint before any merge: %+v", st)
-	}
-	target.bumpMerges()
-	if _, err := c.Submit(delta.Op{Kind: delta.OpInsert, V: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Checkpoints != 1 {
-		t.Fatalf("merge did not trigger checkpoint: %+v", st)
+	for _, tc := range []struct {
+		name     string
+		queued   int // inserts queued before Start, so they ride one batch
+		steps    []step
+		ckpts    int64
+		walBytes int64
+	}{
+		{name: "one write", steps: []step{{ops: exactly(frame(ins(0)))}}, ckpts: 0, walBytes: frame(ins(0))},
+		{name: "cap-1", steps: []step{{ops: exactly(ckptLogBytes - 1)}}, ckpts: 0, walBytes: ckptLogBytes - 1},
+		{name: "reaches cap", steps: []step{{ops: exactly(ckptLogBytes)}}, ckpts: 1, walBytes: 0},
+		{name: "crosses cap", steps: []step{{ops: exactly(ckptLogBytes - 1)}, {ops: []delta.Op{ins(3)}}}, ckpts: 1, walBytes: 0},
+		{name: "crosses twice", steps: []step{{ops: exactly(ckptLogBytes)}, {ops: exactly(ckptLogBytes - 1)}, {ops: []delta.Op{ins(3)}}}, ckpts: 2, walBytes: 0},
+		{name: "one batch far past cap", queued: ckptLogBytes / 6, ckpts: 1, walBytes: 0},
+		{name: "forced checkpoint restarts the count", steps: []step{{ops: exactly(ckptLogBytes - 1), force: true}, {ops: exactly(ckptLogBytes - 1)}}, ckpts: 1, walBytes: ckptLogBytes - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, _, err := Open(Config{Dir: dir, MaxBatch: 1 << 14}, fakeRouter{shards: 2, width: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			target := newFakeTarget(2, w)
+			target.content[1] = 1 // what the updates rewrite
+			var wg sync.WaitGroup
+			for k := 0; k < tc.queued; k++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					if _, err := c.Submit(ins(domain.Value(k % (2 * w)))); err != nil {
+						t.Error(err)
+					}
+				}(k)
+			}
+			for len(c.reqs) < tc.queued {
+				time.Sleep(time.Millisecond)
+			}
+			c.Start(target)
+			wg.Wait()
+			if tc.queued > 0 && target.batchCount() != 1 {
+				t.Fatalf("%d queued writes rode %d batches, want 1", tc.queued, target.batchCount())
+			}
+			for _, st := range tc.steps {
+				for _, op := range st.ops {
+					if ok, err := c.Submit(op); err != nil || !ok {
+						t.Fatalf("%+v: ok=%v err=%v", op, ok, err)
+					}
+				}
+				if st.force {
+					if err := c.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if st := c.Stats(); st.Checkpoints != tc.ckpts || st.WALSize != tc.walBytes {
+				t.Fatalf("checkpoints %d, WALSize %d; want %d, %d", st.Checkpoints, st.WALSize, tc.ckpts, tc.walBytes)
+			}
+		})
 	}
 }
 
@@ -522,7 +583,7 @@ func TestCheckpointCrashBeforeManifestRecovers(t *testing.T) {
 	// exists (with a seq that would wrongly skip the whole window were
 	// it loaded), shard 1's does not, and the manifest was never
 	// renamed.
-	if err := wal.WriteCheckpoint(ckptPath(dir, 0, 2), 999, nil); err != nil {
+	if err := wal.WriteCheckpoint(ckptPath(dir, 0, 2), 999, []wal.Segment{{Rng: domain.Range{Lo: 0, Hi: 999}}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -531,9 +592,11 @@ func TestCheckpointCrashBeforeManifestRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := newFakeTarget(2, 1000)
-	for _, vals := range rec.CkptValues {
-		for _, v := range vals {
-			got.content[v]++
+	for _, segs := range rec.CkptSegments {
+		for _, sg := range segs {
+			for _, v := range sg.Vals {
+				got.content[v]++
+			}
 		}
 	}
 	for _, b := range rec.Batches {
@@ -556,9 +619,10 @@ func TestCheckpointCrashBeforeManifestRecovers(t *testing.T) {
 	}
 }
 
-// TestCheckpointIntegrityFailsOpen: a corrupt manifest, or a manifest
-// whose committed generation is missing a shard's file, fails Open
-// loudly instead of recovering from half a checkpoint.
+// TestCheckpointIntegrityFailsOpen: a corrupt manifest, a version 1
+// checkpoint file, or a manifest whose committed generation is missing a
+// shard's file, fails Open loudly instead of recovering from half a
+// checkpoint.
 func TestCheckpointIntegrityFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	router := fakeRouter{shards: 2, width: 1000}
@@ -595,6 +659,16 @@ func TestCheckpointIntegrityFailsOpen(t *testing.T) {
 	if err := os.WriteFile(manifestPath(dir), good, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A version 1 checkpoint (one unsegmented value dump) is refused
+	// with an error naming the version, not read.
+	v1 := append([]byte("SOCKPT01"), make([]byte, 20)...)
+	if err := os.WriteFile(ckptPath(dir, 1, 1), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(Config{Dir: dir}, router); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version 1 checkpoint opened: %v", err)
+	}
+
 	if err := os.Remove(ckptPath(dir, 1, 1)); err != nil {
 		t.Fatal(err)
 	}

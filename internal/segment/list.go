@@ -32,13 +32,25 @@ type List struct {
 // segment"). elemSize is the accounting size of one element in bytes (the
 // paper's simulation uses 4-byte values).
 func NewList(extent domain.Range, vals []domain.Value, elemSize int64) *List {
+	return NewListOf([]*Segment{NewMaterialized(extent, vals)}, elemSize)
+}
+
+// NewListOf creates a list over segs, which must be non-empty and tile
+// one range in ascending adjacent order — a layout restored from a
+// checkpoint. The list takes ownership of segs.
+func NewListOf(segs []*Segment, elemSize int64) *List {
 	if elemSize < 1 {
 		panic("segment: elemSize must be positive")
 	}
-	return &List{
-		elemSize: elemSize,
-		segs:     []*Segment{NewMaterialized(extent, vals)},
+	if len(segs) == 0 {
+		panic("segment: NewListOf with no segments")
 	}
+	for j := 1; j < len(segs); j++ {
+		if !segs[j-1].Rng.Adjacent(segs[j].Rng) {
+			panic(fmt.Sprintf("segment: NewListOf pieces %v and %v not adjacent", segs[j-1].Rng, segs[j].Rng))
+		}
+	}
+	return &List{elemSize: elemSize, segs: segs}
 }
 
 // ElemSize returns the accounting size of one element in bytes.

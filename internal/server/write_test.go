@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"selforg"
 	"selforg/internal/domain"
 	"selforg/internal/sim"
+	"selforg/internal/wal"
 )
 
 // TestSQLWriteRoundTrip drives DML against the served (facade) table
@@ -286,7 +288,7 @@ func TestSQLCrashHelper(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Options.Shards = 3
-	cfg.Options.DeltaMaxBytes = 4 * 1024 // frequent merge-backs + checkpoints
+	cfg.Options.DeltaMaxBytes = 4 * 1024 // frequent merge-backs
 	cfg.Options.Durability = selforg.Durability{Dir: dir}
 	s := New(cfg)
 	srv := httptest.NewServer(s.Handler())
@@ -359,6 +361,9 @@ func TestSQLCrashRecoverySIGKILL(t *testing.T) {
 			mu.Unlock()
 		}
 	}()
+	// Kill once every writer has acks and the tenant's manifest shows
+	// two committed checkpoint generations (checkpoints come from log
+	// volume), so the kill lands inside a later log/checkpoint cycle.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		mu.Lock()
@@ -367,6 +372,14 @@ func TestSQLCrashRecoverySIGKILL(t *testing.T) {
 			ready = ready && a > 0
 		}
 		mu.Unlock()
+		if ready {
+			manifests, _ := filepath.Glob(filepath.Join(dir, "*", "CHECKPOINT"))
+			gen := uint64(0)
+			if len(manifests) == 1 {
+				gen, _, _, _ = wal.ReadManifest(manifests[0])
+			}
+			ready = gen >= 2
+		}
 		if ready {
 			break
 		}

@@ -8,6 +8,8 @@ import (
 	"selforg/internal/domain"
 	"selforg/internal/durable"
 	"selforg/internal/model"
+	"selforg/internal/segment"
+	"selforg/internal/wal"
 )
 
 // Strategy selects the self-organizing technique.
@@ -88,20 +90,50 @@ type Spec struct {
 // every column has the one routed shape. The values slice is consumed.
 // With restore non-nil (the durable rebuild), a shard that has a
 // checkpoint rebuilds from its checkpointed content instead of its
-// slice of vals; shards without one (a fresh directory, or a crash that
+// slice of vals — a Segmentation shard over the checkpointed segments,
+// with no split, a Replication shard as one segment of their values —
+// and shards without one (a fresh directory, or a crash that
 // interleaved with a checkpoint) keep the initial values and replay
-// their whole log.
+// their whole log. The checkpointed segments are consumed too.
 func Build(spec Spec, extent domain.Range, vals []domain.Value, restore *durable.Recovered) (*Column, error) {
 	// Partition clamps the shard count to the domain width; dividing by
 	// the requested count instead would silently shrink the column-wide
 	// budget (ceiling, so a positive budget never rounds to zero).
+	ranges := Partition(extent, spec.Shards)
 	budget := spec.MaxStorageBytes
-	if k := int64(len(Partition(extent, spec.Shards))); budget > 0 && k > 1 {
+	if k := int64(len(ranges)); budget > 0 && k > 1 {
 		budget = (budget + k - 1) / k
 	}
+	ckpt := func(idx int) []wal.Segment {
+		if restore == nil || idx >= len(restore.HasCkpt) || !restore.HasCkpt[idx] {
+			return nil
+		}
+		return restore.CkptSegments[idx]
+	}
+	restored := 0
+	for i, rng := range ranges {
+		segs := ckpt(i)
+		if segs == nil {
+			continue
+		}
+		// The checkpoint reader checked that a shard's segments tile one
+		// range; it must be this shard's.
+		if segs[0].Rng.Lo != rng.Lo || segs[len(segs)-1].Rng.Hi != rng.Hi {
+			return nil, fmt.Errorf("%w: shard %d checkpoint covers [%d, %d], shard range is %v",
+				wal.ErrCorrupt, i, segs[0].Rng.Lo, segs[len(segs)-1].Rng.Hi, rng)
+		}
+		restored++
+	}
+	if restored == len(ranges) {
+		vals = nil // every shard restores: partitioning the initial load would be wasted
+	}
 	build := func(idx int, rng domain.Range, svals []domain.Value) core.DeltaStrategy {
-		if restore != nil && idx < len(restore.HasCkpt) && restore.HasCkpt[idx] {
-			svals = append([]domain.Value(nil), restore.CkptValues[idx]...)
+		segs := ckpt(idx)
+		if segs != nil && spec.Strategy == Replication {
+			svals = nil // the initial slice may share its array with a neighbor
+			for _, sg := range segs {
+				svals = append(svals, sg.Vals...)
+			}
 		}
 		// One model instance per shard: models are stateful (GD owns a
 		// random stream, AutoAPM tunes its bounds).
@@ -121,7 +153,16 @@ func Build(spec Spec, extent domain.Range, vals []domain.Value, restore *durable
 			r.SetCompression(spec.Compression)
 			return r
 		}
-		s := core.NewSegmenter(rng, svals, spec.ElemSize, m, spec.Tracer)
+		var s *core.Segmenter
+		if segs != nil {
+			pieces := make([]*segment.Segment, len(segs))
+			for i, sg := range segs {
+				pieces[i] = segment.NewMaterialized(sg.Rng, sg.Vals)
+			}
+			s = core.NewSegmenterOver(segment.NewListOf(pieces, spec.ElemSize), m, spec.Tracer)
+		} else {
+			s = core.NewSegmenter(rng, svals, spec.ElemSize, m, spec.Tracer)
+		}
 		s.SetCompression(spec.Compression)
 		return s
 	}

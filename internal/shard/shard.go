@@ -45,7 +45,7 @@
 //     View) is stronger: its sweep runs under xmu's read half, so a
 //     pinned View observes a cross-shard update entirely or not at all.
 //   - Merge-back thresholds are evaluated per shard against that shard's
-//     own delta store and base size, so a hot shard checkpoints without
+//     own delta store and base size, so a hot shard merges back without
 //     stalling its siblings.
 package shard
 
@@ -56,6 +56,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"selforg/internal/compress"
 	"selforg/internal/core"
 	"selforg/internal/delta"
 	"selforg/internal/domain"
@@ -86,6 +87,7 @@ type shardStrategy interface {
 	ShareDeltaClock(c *delta.Clock)
 	ApplyStamped(ver int64, ops []delta.Op, res []bool) (core.QueryStats, error)
 	SetParallelism(n int)
+	SetCompression(mode compress.Mode)
 }
 
 // Router is a column's partition map — the extent and the shard
@@ -625,9 +627,18 @@ func (c *Column) MergeDeltas() (core.QueryStats, error) {
 	return st, nil
 }
 
+// SetCompression attaches mode's codec to every shard, which encodes
+// what it already holds. Recovery replays over unencoded shards and
+// encodes them once, after the replay.
+func (c *Column) SetCompression(mode compress.Mode) {
+	for _, s := range c.shards {
+		s.SetCompression(mode)
+	}
+}
+
 // SetDeltaPolicy implements core.DeltaStrategy. The thresholds trigger
 // per shard — a shard merges when ITS pending writes trip, so a hot
-// shard checkpoints without stalling its siblings — but maxBytes keeps
+// shard merges back without stalling its siblings — but maxBytes keeps
 // its column-level meaning: it is split evenly across the shards
 // (ceiling), so the column-wide pending bound (and the overlay volume
 // queries pay) stays comparable at every shard count. The ratio trigger

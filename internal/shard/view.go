@@ -4,6 +4,7 @@ import (
 	"selforg/internal/core"
 	"selforg/internal/domain"
 	"selforg/internal/result"
+	"selforg/internal/wal"
 )
 
 // View is a read-only MVCC view of a sharded column: one pinned view
@@ -44,6 +45,19 @@ func (v *View) SelectRope(q domain.Range) *result.Rope {
 		rope.Splice(v.views[i].SelectRope(q))
 	}
 	return rope
+}
+
+// Capture returns shard i's content as of its pin, segment by segment:
+// one wal.Segment per range of the pinned base's Bounds, holding that
+// range's values with the pinned delta overlaid.
+func (v *View) Capture(i int) []wal.Segment {
+	sv := v.views[i]
+	bounds := sv.Bounds()
+	out := make([]wal.Segment, len(bounds))
+	for j, rng := range bounds {
+		out[j] = wal.Segment{Rng: rng, Vals: sv.SelectRope(rng).Flatten()}
+	}
+	return out
 }
 
 // Count returns the cardinality of q as of the per-shard pins.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"selforg/internal/delta"
@@ -238,20 +239,30 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip: write → read is exact; missing file is a
-// clean "no checkpoint"; corruption is loud.
+// TestCheckpointRoundTrip: write → read is exact, segment table
+// included; missing file is a clean "no checkpoint"; corruption is
+// loud.
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard-0000.ckpt")
-	vals := []domain.Value{5, -3, 5, 1 << 50}
-	if err := WriteCheckpoint(path, 99, vals); err != nil {
+	segs := []Segment{
+		{Rng: domain.Range{Lo: -10, Hi: 9}, Vals: []domain.Value{5, -3, 5}},
+		{Rng: domain.Range{Lo: 10, Hi: 99}, Vals: []domain.Value{}},
+		{Rng: domain.Range{Lo: 100, Hi: 1 << 50}, Vals: []domain.Value{1 << 50, 100}},
+	}
+	if err := WriteCheckpoint(path, 99, segs); err != nil {
 		t.Fatal(err)
 	}
 	seq, got, ok, err := ReadCheckpoint(path)
 	if err != nil || !ok {
 		t.Fatalf("read: ok=%v err=%v", ok, err)
 	}
-	if seq != 99 || !reflect.DeepEqual(got, vals) {
-		t.Fatalf("round trip: seq=%d vals=%v", seq, got)
+	if seq != 99 || !reflect.DeepEqual(got, segs) {
+		t.Fatalf("round trip: seq=%d segs=%v", seq, got)
+	}
+	// Each segment's values are capped at its own length: growing one
+	// never overwrites the next.
+	if grown := append(got[0].Vals, 7); grown[3] != 7 || got[2].Vals[0] != 1<<50 {
+		t.Fatalf("segment values share spare capacity: %v", got)
 	}
 
 	_, _, ok, err = ReadCheckpoint(filepath.Join(t.TempDir(), "absent.ckpt"))
@@ -269,11 +280,76 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Empty-content checkpoint (all rows deleted) round-trips too.
-	if err := WriteCheckpoint(path, 7, nil); err != nil {
+	empty := []Segment{{Rng: domain.Range{Lo: 0, Hi: 9}, Vals: []domain.Value{}}}
+	if err := WriteCheckpoint(path, 7, empty); err != nil {
 		t.Fatal(err)
 	}
 	seq, got, ok, err = ReadCheckpoint(path)
-	if err != nil || !ok || seq != 7 || len(got) != 0 {
-		t.Fatalf("empty checkpoint: seq=%d vals=%v ok=%v err=%v", seq, got, ok, err)
+	if err != nil || !ok || seq != 7 || !reflect.DeepEqual(got, empty) {
+		t.Fatalf("empty checkpoint: seq=%d segs=%v ok=%v err=%v", seq, got, ok, err)
+	}
+}
+
+// resealed returns data with its trailing CRC recomputed, so a test can
+// reach the structural checks behind the CRC.
+func resealed(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(out[:len(out)-4], castagnoli))
+	return out
+}
+
+// TestCheckpointRejectsBadTable: a file whose CRC is valid but whose
+// count or boundary table is not is rejected, one case per check, and
+// so is a version 1 file.
+func TestCheckpointRejectsBadTable(t *testing.T) {
+	segs := []Segment{
+		{Rng: domain.Range{Lo: 0, Hi: 9}, Vals: []domain.Value{1, 2}},
+		{Rng: domain.Range{Lo: 10, Hi: 19}, Vals: []domain.Value{15}},
+	}
+	good := appendCheckpoint(nil, 3, segs)
+	if _, _, err := decodeCheckpoint(good); err != nil {
+		t.Fatalf("valid file rejected: %v", err)
+	}
+	u64 := func(off int, v uint64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[off:], v) }
+	}
+	entry := func(i, field int) int { return ckptHeader + ckptEntry*i + 8*field }
+	v1 := AppendFrame(nil, 1, nil) // any bytes behind the old magic
+	v1 = append(append([]byte("SOCKPT01"), make([]byte, 16)...), v1...)
+	for _, tc := range []struct {
+		name string
+		edit func([]byte)
+		raw  []byte // used instead of an edit of good
+		want string
+	}{
+		{name: "version 1", raw: v1, want: "version 1"},
+		{name: "short", raw: good[:ckptHeader], want: "bad header"},
+		{name: "crc", edit: func(b []byte) { b[len(b)-1] ^= 1 }, want: "crc"},
+		{name: "count high", edit: u64(16, 4), want: "disagree"},
+		{name: "count low", edit: u64(16, 2), want: "disagree"},
+		{name: "no segments", edit: u64(24, 0), want: "disagree"},
+		{name: "huge nseg", edit: u64(24, 1<<62), want: "disagree"},
+		{name: "empty range", edit: u64(entry(1, 1), 5), want: "empty range"},
+		{name: "not ascending", edit: func(b []byte) { u64(entry(1, 0), 0)(b); u64(entry(1, 1), 9)(b) }, want: "does not follow"},
+		{name: "gap", edit: u64(entry(1, 0), 11), want: "does not follow"},
+		{name: "overlap", edit: u64(entry(1, 0), 9), want: "does not follow"},
+		{name: "counts short", edit: u64(entry(1, 2), 0), want: "sum to 2"},
+		{name: "counts over", edit: u64(entry(1, 2), 2), want: "exceed"},
+		{name: "value outside", edit: u64(entry(0, 2), 1), want: "outside"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := tc.raw
+			if data == nil {
+				data = append([]byte(nil), good...)
+				tc.edit(data)
+				if tc.name != "crc" {
+					data = resealed(data)
+				}
+			}
+			_, _, err := decodeCheckpoint(data)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
