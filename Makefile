@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzCheckpointRead -fuzztime 30s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz FuzzCodecRange -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzWireEnvelope -fuzztime 30s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzWireInts -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzPlanCache -fuzztime 30s
 	$(GO) test ./internal/segment/ -run '^$$' -fuzz FuzzSplit -fuzztime 30s
 

@@ -1,5 +1,7 @@
 package compress
 
+import "math/bits"
+
 // The Advisor is the subsystem's decision maker: it profiles a segment's
 // values — run structure, cardinality, value span — and estimates, per
 // encoding, the accounted storage the segment would occupy, choosing the
@@ -57,16 +59,8 @@ func (a Advisor) Profile(vals []int64) Profile {
 		sample = vals[:s]
 		p.Sampled = true
 	}
-	distinct := make(map[int64]struct{}, len(sample))
-	runs := 0
-	for i, v := range sample {
-		if i == 0 || v != sample[i-1] {
-			runs++
-		}
-		distinct[v] = struct{}{}
-	}
-	p.Runs = runs
-	p.Distinct = len(distinct)
+	runs, distinct := sampleCounts(sample)
+	p.Runs, p.Distinct = runs, distinct
 	if p.Sampled {
 		// Scale the sampled run *boundaries* (a constant sample must stay
 		// one run).
@@ -75,14 +69,52 @@ func (a Advisor) Profile(vals []int64) Profile {
 		// sample (≤ half distinct) is taken at face value; a dense sample
 		// means high cardinality, which must scale with the full length or
 		// dictionaries look far cheaper than they are.
-		if len(distinct) > len(sample)/2 {
-			p.Distinct = len(distinct) * len(vals) / len(sample)
+		if distinct > len(sample)/2 {
+			p.Distinct = distinct * len(vals) / len(sample)
 			if p.Distinct > len(vals) {
 				p.Distinct = len(vals)
 			}
 		}
 	}
 	return p
+}
+
+// distinctSlots is the stack table sampleCounts uses for samples of up
+// to DefaultSampleSize values: twice as many slots as values, so the
+// table is never more than half full.
+const distinctSlots = 2 * DefaultSampleSize
+
+// sampleCounts returns the runs of equal adjacent values in sample and
+// its distinct values, counted exactly as a map would count them but in
+// a linear-probe hash table (Fibonacci hashing) of distinctSlots slots on
+// the stack; a sample beyond DefaultSampleSize gets a table twice its
+// size from the heap. A zero slot is empty, so 0 itself is counted apart.
+func sampleCounts(sample []int64) (runs, distinct int) {
+	var buf [distinctSlots]int64
+	table := buf[:]
+	if 2*len(sample) > distinctSlots {
+		table = make([]int64, 1<<bits.Len(uint(2*len(sample)-1)))
+	}
+	shift := 65 - uint(bits.Len(uint(len(table))))
+	mask, n, zero := uint64(len(table)-1), 0, 0
+	for i, v := range sample {
+		if i == 0 || v != sample[i-1] {
+			runs++
+		}
+		if v == 0 {
+			zero = 1
+			continue
+		}
+		h := uint64(v) * 0x9e3779b97f4a7c15 >> shift
+		for table[h] != 0 && table[h] != v {
+			h = (h + 1) & mask
+		}
+		if table[h] == 0 {
+			table[h] = v
+			n++
+		}
+	}
+	return runs, n + zero
 }
 
 // EstimateBytes returns the accounted storage vals would occupy under e,

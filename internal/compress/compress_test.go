@@ -285,3 +285,71 @@ func TestProfileSampling(t *testing.T) {
 		t.Errorf("scaled runs = %d, want ≈10000", p.Runs)
 	}
 }
+
+// mapProfile is Profile as it counted distinct values with a map: the
+// reference sampleCounts is held to.
+func mapProfile(a Advisor, vals []int64) Profile {
+	p := Profile{N: len(vals)}
+	if len(vals) == 0 {
+		return p
+	}
+	p.Min, p.Max = vals[0], vals[0]
+	for _, v := range vals {
+		p.Min, p.Max = min(p.Min, v), max(p.Max, v)
+	}
+	sample := vals
+	if s := a.sampleSize(); len(vals) > s {
+		sample, p.Sampled = vals[:s], true
+	}
+	distinct := make(map[int64]struct{})
+	runs := 0
+	for i, v := range sample {
+		if i == 0 || v != sample[i-1] {
+			runs++
+		}
+		distinct[v] = struct{}{}
+	}
+	p.Runs, p.Distinct = runs, len(distinct)
+	if p.Sampled {
+		p.Runs = (runs-1)*len(vals)/len(sample) + 1
+		if len(distinct) > len(sample)/2 {
+			p.Distinct = min(len(distinct)*len(vals)/len(sample), len(vals))
+		}
+	}
+	return p
+}
+
+// TestProfileMatchesMap holds the stack-table distinct count to the map
+// it replaced: every Profile field equal, so every encoding choice is
+// unchanged. Lengths straddle the default sample (1 023 / 1 024 /
+// 1 025), values run from all-equal through sparse to dense, negative
+// and at the int64 extremes, and the sample sizes cover a small table,
+// the default one and one from the heap.
+func TestProfileMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	shapes := map[string]func(i int) int64{
+		"all-equal":  func(int) int64 { return 7 },
+		"sparse":     func(int) int64 { return rng.Int63n(5) * 1_000_003 },
+		"half":       func(int) int64 { return rng.Int63n(600) },
+		"dense":      func(int) int64 { return rng.Int63() },
+		"sequential": func(i int) int64 { return int64(i) },
+		"negative":   func(int) int64 { return -rng.Int63n(1 << 20) },
+		"extremes": func(int) int64 {
+			return []int64{math.MinInt64, math.MaxInt64, 0, -1, math.MinInt64 + 1}[rng.Intn(5)]
+		},
+		"multiples": func(i int) int64 { return int64(i) << 40 }, // equal low bits
+	}
+	for _, n := range []int{1, 2, 100, 1023, 1024, 1025, 3000} {
+		for name, gen := range shapes {
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = gen(i)
+			}
+			for _, a := range []Advisor{{}, {SampleSize: 100}, {SampleSize: 5000}} {
+				if got, want := a.Profile(vals), mapProfile(a, vals); got != want {
+					t.Errorf("%s n=%d sample %d: Profile %+v, map reference %+v", name, n, a.SampleSize, got, want)
+				}
+			}
+		}
+	}
+}

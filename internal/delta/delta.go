@@ -273,23 +273,35 @@ func (s *Snapshot) visibleTombstone(e *Entry) bool {
 // for every count in dead (the multiset subtraction behind tombstone
 // masking). It decrements dead as it consumes it and returns the kept
 // prefix plus the number of values removed; leftover positive counts in
-// dead are tombstones that found no target.
+// dead are tombstones that found no target. A 64-bit filter with one
+// hashed bit per dead value keeps most values of a segment with a few
+// tombstones away from the map.
 func RemoveOccurrences(vals []domain.Value, dead map[domain.Value]int) ([]domain.Value, int64) {
 	if len(dead) == 0 {
 		return vals, 0
 	}
+	var filter uint64
+	for v := range dead {
+		filter |= 1 << filterBit(v)
+	}
 	kept := vals[:0]
 	var removed int64
 	for _, v := range vals {
-		if n := dead[v]; n > 0 {
-			dead[v] = n - 1
-			removed++
-			continue
+		if filter&(1<<filterBit(v)) != 0 {
+			if n := dead[v]; n > 0 {
+				dead[v] = n - 1
+				removed++
+				continue
+			}
 		}
 		kept = append(kept, v)
 	}
 	return kept, removed
 }
+
+// filterBit hashes v to a bit of RemoveOccurrences' filter (the top six
+// bits of a Fibonacci hash).
+func filterBit(v domain.Value) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 >> 58 }
 
 // Overlay merges the snapshot onto a base scan of query range q: visible
 // tombstones remove one occurrence of their value from base, visible

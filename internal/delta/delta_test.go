@@ -1,6 +1,9 @@
 package delta
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -261,4 +264,45 @@ func TestDeltaConcurrentWritersAndReaders(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
+}
+
+// TestRemoveOccurrencesMatchesMap holds the filtered multiset
+// subtraction to a plain map loop: the same kept values in the same
+// order, the same removed count and the same leftover tombstones, for
+// one to three tombstones and for enough to fill the filter.
+func TestRemoveOccurrencesMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, ndead := range []int{1, 2, 3, 200} {
+		for round := 0; round < 20; round++ {
+			vals := make([]domain.Value, 2000)
+			for i := range vals {
+				vals[i] = domain.Value(rng.Int63n(500)) - 250
+			}
+			vals[0], vals[1] = math.MinInt64, math.MaxInt64
+			dead := map[domain.Value]int{}
+			for i := 0; i < ndead; i++ {
+				dead[vals[rng.Intn(len(vals))]] += 1 + rng.Intn(2)
+			}
+			dead[1<<40]++ // a tombstone with no target
+			want := map[domain.Value]int{}
+			for v, n := range dead {
+				want[v] = n
+			}
+			var wantKept []domain.Value
+			var wantRemoved int64
+			for _, v := range vals {
+				if want[v] > 0 {
+					want[v]--
+					wantRemoved++
+					continue
+				}
+				wantKept = append(wantKept, v)
+			}
+			kept, removed := RemoveOccurrences(append([]domain.Value(nil), vals...), dead)
+			if removed != wantRemoved || !reflect.DeepEqual(kept, wantKept) || !reflect.DeepEqual(dead, want) {
+				t.Fatalf("%d tombstones: removed %d kept %d, want %d and %d (leftovers %v, want %v)",
+					ndead, removed, len(kept), wantRemoved, len(wantKept), dead, want)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -156,5 +157,38 @@ func BenchmarkServerSelectLarge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sql", strings.NewReader(stmt)))
+	}
+}
+
+// BenchmarkWireInts measures the streaming row encoder alone: 20 000
+// values (a scan_wide SELECT's worth) through wire.ints into a pooled
+// buffer flushed to a discarding writer, reported as ns per value.
+// Values below 2^20 are scan_wide's, 30-bit ones mixed_rw's; full is
+// full-range int64 (negatives and 19 digits).
+func BenchmarkWireInts(b *testing.B) {
+	rng := rand.New(rand.NewSource(47))
+	for _, c := range []struct {
+		name string
+		val  func() int64
+	}{
+		{"lt2^20", func() int64 { return rng.Int63n(1 << 20) }},
+		{"30bit", func() int64 { return rng.Int63n(1 << 30) }},
+		{"full", func() int64 { return int64(rng.Uint64()) }},
+	} {
+		vals := make([]int64, 20_000)
+		for i := range vals {
+			vals[i] = c.val()
+		}
+		b.Run(c.name, func(b *testing.B) {
+			e := wire{buf: make([]byte, 0, wireBufSize), w: &discardWriter{header: http.Header{}}}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.buf = append(e.buf[:0], '[')
+				n := 0
+				e.ints(vals, &n)
+				e.flush()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+		})
 	}
 }

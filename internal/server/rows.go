@@ -8,7 +8,8 @@ import (
 
 // Rows is the wire form of a single-column result set. On the serving
 // side it wraps the facade's chunked result (selforg.Rows), and the wire
-// encoder (wire.go) appends its digits straight out of the rope's chunks
+// encoder (wire.go) writes the digits straight out of the rope's chunks,
+// a buffer's worth of rows per call of the decimal kernel (decimal.go)
 // — the flat []int64 is never materialized, so a large SELECT costs one
 // pooled buffer, flushed as it fills, instead of a row slice. On the
 // client side (and in tests) it unmarshals back into a flat slice; the

@@ -8,11 +8,13 @@ import (
 	"unicode/utf8"
 )
 
-// The wire encoder: compact JSON appended by hand into a pooled buffer
-// (see the package comment for the Content-Length and flush rule).
+// The wire encoder: compact JSON appended by hand into a pooled buffer,
+// every integer through the block decimal kernel of decimal.go (see the
+// package comment for the Content-Length and flush rule).
 
-// wireSlack is the headroom a streaming buffer keeps so the next row
-// never grows it: the longest row, ",-9223372036854775808", is 21 bytes.
+// wireSlack is the headroom every checked write leaves in a streaming
+// buffer for the short constant bytes appended between checks ("]",
+// `,"truncated":true`, "}\n", ...), so they never grow it.
 const wireBufSize, wireSlack = 32 << 10, 32
 
 var wireBufs = sync.Pool{New: func() any { b := make([]byte, 0, wireBufSize); return &b }}
@@ -58,28 +60,52 @@ func (e *wire) flush() {
 	e.buf = e.buf[:0]
 }
 
+// reserve flushes a streaming buffer that lacks n bytes of room (plus
+// wireSlack). It reports false once the answer has failed.
+func (e *wire) reserve(n int) bool {
+	if e.w != nil && len(e.buf)+n > wireBufSize-wireSlack {
+		e.flush()
+	}
+	return e.err == nil
+}
+
 // ints appends vals as elements of an array that already holds *n of
-// them, flushing a full buffer when streaming. It reports false once
-// the answer has failed.
+// them: as many values as the buffer has room for at maxIntLen bytes
+// each in one appendInts call, then, when streaming, a flush once not
+// one more fits. It reports false once the answer has failed.
 func (e *wire) ints(vals []int64, n *int) bool {
-	for _, v := range vals {
-		if *n > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		*n++
-		e.buf = strconv.AppendInt(e.buf, v, 10)
-		if e.w != nil && len(e.buf) > wireBufSize-wireSlack {
-			if e.flush(); e.err != nil {
-				return false
+	for len(vals) > 0 {
+		k := len(vals)
+		if e.w != nil {
+			if k = min(k, (wireBufSize-wireSlack-len(e.buf))/maxIntLen); k <= 0 {
+				if e.flush(); e.err != nil {
+					return false
+				}
+				continue
 			}
 		}
+		if *n == 0 { // the array's first element takes no comma
+			e.buf = appendInt(e.buf, vals[0])
+			*n, vals, k = 1, vals[1:], k-1
+		}
+		e.buf = appendInts(e.buf, vals[:k])
+		*n += k
+		vals = vals[k:]
 	}
 	return true
 }
 
-func (e *wire) int(key string, v int64) { e.buf = strconv.AppendInt(append(e.buf, key...), v, 10) }
+func (e *wire) int(key string, v int64) {
+	e.reserve(len(key) + maxIntLen)
+	e.buf = appendInt(append(e.buf, key...), v)
+}
 
-func (e *wire) str(key, s string) { e.buf = appendString(append(e.buf, key...), s) }
+// str appends key and s as a JSON string, which is at most six bytes
+// per byte of s.
+func (e *wire) str(key, s string) {
+	e.reserve(len(key) + 6*len(s) + 2)
+	e.buf = appendString(append(e.buf, key...), s)
+}
 
 // appendJSON appends what POST /sql answers for res to dst: keys in
 // field order, "sum" exactly when op is sum, the optional ones when set.
@@ -104,18 +130,21 @@ func (res *Result) encode(e *wire) {
 		}
 	}
 	if len(res.Columns) > 0 {
-		e.buf = append(e.buf, `,"columns":[`...)
 		for i, c := range res.Columns {
-			if i > 0 {
-				e.buf = append(e.buf, ',')
+			sep := ","
+			if i == 0 {
+				sep = `,"columns":[`
 			}
-			e.buf = appendString(e.buf, c)
+			e.str(sep, c)
 		}
 		e.buf = append(e.buf, ']')
 	}
 	if len(res.Tuples) > 0 {
 		e.buf = append(e.buf, `,"tuples":[`...)
 		for i, t := range res.Tuples {
+			if !e.reserve(2) {
+				return
+			}
 			if i > 0 {
 				e.buf = append(e.buf, ',')
 			}
