@@ -1,6 +1,6 @@
 package selforg_test
 
-// Durability benchmarks for the bench-regression smoke set:
+// Durability benchmarks of the go-bench smoke set (make bench-smoke):
 //
 //   - WALAppend: the raw frame-append cost of the log layer.
 //   - GroupCommitThroughput: multi-writer insert throughput, durable
@@ -48,7 +48,7 @@ func BenchmarkGroupCommitThroughput(b *testing.B) {
 	// non-durable per-write path, for scale.
 	for _, mode := range []string{"group", "singleton", "memory"} {
 		b.Run(mode, func(b *testing.B) {
-			opts := selforg.Options{Model: selforg.APM, DeltaMaxBytes: -1, DeltaMaxRatio: -1}
+			opts := selforg.Options{Model: selforg.APM, DeltaMaxBytes: -1}
 			switch mode {
 			case "group":
 				opts.Durability = selforg.Durability{Dir: b.TempDir()}
@@ -78,7 +78,7 @@ func BenchmarkGroupCommitThroughput(b *testing.B) {
 
 func BenchmarkOverlayScanSortedRuns(b *testing.B) {
 	const lo, hi = 0, 99_999
-	opts := selforg.Options{Model: selforg.None, DeltaMaxBytes: -1, DeltaMaxRatio: -1}
+	opts := selforg.Options{Model: selforg.None, DeltaMaxBytes: -1}
 	col, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(2, 20_000, lo, hi), opts)
 	if err != nil {
 		b.Fatal(err)

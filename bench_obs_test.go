@@ -4,8 +4,8 @@ package selforg
 // obs subsystem's "cheap by default" contract. The same converged-column
 // scan is timed with the column detached from any observer, attached
 // with counters only (the default), and attached with full per-query
-// phase tracing. ScanObsOn vs ScanObsOff rides in the bench-regression
-// gate; the tracing variant is informational.
+// phase tracing. Their counted costs are TestCostTable's scan/observer_off,
+// scan/observer_on and scan/traced rows; these time them.
 
 import (
 	"math/rand"

@@ -73,7 +73,7 @@ func BenchmarkShardedWriters(b *testing.B) {
 
 // BenchmarkShardedMixedWorkload runs the sim mixed driver (4 clients,
 // 50% writes, auto merge-back) across shard counts — the writer-scaling
-// smoke benchmark the bench-regression CI job tracks. The small delta
+// smoke benchmark (make bench-smoke). The small delta
 // budget exercises merge churn; the large one exercises overlay reads,
 // where sharding pays even on one core (a query overlays only the
 // touched shards' pending writes, not the whole column's).

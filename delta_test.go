@@ -71,7 +71,6 @@ func TestDeltaMergeOverlayEquivalence(t *testing.T) {
 								APMMin:        512,
 								APMMax:        4 * 1024,
 								DeltaMaxBytes: -1,
-								DeltaMaxRatio: -1,
 							})
 						if err != nil {
 							t.Fatal(err)
@@ -169,7 +168,7 @@ func TestDeltaMergeOverlayEquivalence(t *testing.T) {
 // after them, invisible to views pinned before.
 func TestDeltaVisibilityAcrossViews(t *testing.T) {
 	col, err := selforg.New(selforg.Interval{Lo: 0, Hi: 999}, []int64{1, 2, 3},
-		selforg.Options{DeltaMaxBytes: -1, DeltaMaxRatio: -1})
+		selforg.Options{DeltaMaxBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,30 +292,5 @@ func TestDeltaAdaptiveParallelismEquivalence(t *testing.T) {
 	if adaptive.SegmentCount() != serial.SegmentCount() {
 		t.Fatalf("layouts diverged: %d vs %d segments",
 			adaptive.SegmentCount(), serial.SegmentCount())
-	}
-}
-
-// raceEnabled is set by race_test.go under -race, which changes what
-// allocates.
-var raceEnabled bool
-
-// TestPointWriteAllocations pins what BenchmarkDeltaInsert's in-memory
-// point write costs on the heap: the delta entry, its live-insert index
-// slot and the snapshot the store publishes, plus the router's result
-// slice and its one sub-batch buffer — at most 5 allocations a write,
-// with one write body per layer.
-func TestPointWriteAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under -race")
-	}
-	col := benchColumn(t, selforg.Options{DeltaMaxBytes: -1, DeltaMaxRatio: -1})
-	rnd := rand.New(rand.NewSource(2))
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := col.Insert(rnd.Int63n(1_000_000)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 5 {
-		t.Fatalf("a point insert makes %.0f allocations, want at most 5", allocs)
 	}
 }

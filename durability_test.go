@@ -141,7 +141,7 @@ func TestDurableRecoveryMatrix(t *testing.T) {
 func TestDurableCheckpointAndRecover(t *testing.T) {
 	const lo, hi = 0, 9_999
 	dir := t.TempDir()
-	opts := selforg.Options{Model: selforg.APM, Shards: 2, DeltaMaxBytes: -1, DeltaMaxRatio: -1}
+	opts := selforg.Options{Model: selforg.APM, Shards: 2, DeltaMaxBytes: -1}
 	opts.Durability = selforg.Durability{Dir: dir}
 	col, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(5, 2_000, lo, hi), opts)
 	if err != nil {
@@ -197,7 +197,7 @@ func TestDurableCheckpointAndRecover(t *testing.T) {
 // publications — one per committed group, not one per write.
 func TestDurableGroupCommitPublications(t *testing.T) {
 	const lo, hi = 0, 99_999
-	opts := selforg.Options{Model: selforg.APM, DeltaMaxBytes: -1, DeltaMaxRatio: -1}
+	opts := selforg.Options{Model: selforg.APM, DeltaMaxBytes: -1}
 	opts.Durability = selforg.Durability{Dir: t.TempDir()}
 	col, err := selforg.New(selforg.Interval{Lo: lo, Hi: hi}, seedVals(9, 1_000, lo, hi), opts)
 	if err != nil {
@@ -282,7 +282,7 @@ func TestDurableRefusedInsertNotLogged(t *testing.T) {
 // none of them, so every acked write is present exactly once.
 func TestDurableCheckpointCrashWindowReplaysOnce(t *testing.T) {
 	const lo, hi = 0, 9_999
-	opts := selforg.Options{Model: selforg.APM, Shards: 2, DeltaMaxBytes: -1, DeltaMaxRatio: -1}
+	opts := selforg.Options{Model: selforg.APM, Shards: 2, DeltaMaxBytes: -1}
 	durOpts := opts
 	dir := t.TempDir()
 	durOpts.Durability = selforg.Durability{Dir: dir}

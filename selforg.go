@@ -68,7 +68,7 @@
 //
 // Results are byte-identical to serial execution at every Parallelism
 // setting; see ARCHITECTURE.md for the precise guarantees and
-// examples/concurrent for a runnable multi-client demonstration.
+// Example_concurrent for a runnable multi-client demonstration.
 //
 // # Point writes (MVCC delta store)
 //
@@ -79,8 +79,8 @@
 // watermark) pair at start, so a write is visible exactly to the
 // queries started after it; View exposes the same pinned pair as a
 // long-lived read-only view. Accumulated writes are drained into the
-// base segments by a self-organizing merge-back (Options.DeltaMaxBytes
-// / DeltaMaxRatio), after which the ordinary reorganization loop
+// base segments by a self-organizing merge-back (Options.DeltaMaxBytes),
+// after which the ordinary reorganization loop
 // splits and re-encodes the merged rows:
 //
 //	col.Insert(205_117)
@@ -252,16 +252,13 @@ type Options struct {
 	// independently — one query never exceeds the configured budget.
 	Parallelism int
 	// DeltaMaxBytes triggers the self-organizing merge-back of the MVCC
-	// write store: a write that leaves more than this many bytes pending
-	// drains the store into the base inline (default 64 KB; < 0 disables
-	// the trigger).
+	// write store: a write that leaves more than this many bytes pending,
+	// or more than a tenth of the base's bytes, drains the store into the
+	// base inline (default 64 KB). A negative value disables both
+	// triggers: pending writes then stay in the delta store until
+	// MergeDeltas is called; queries stay correct either way — the
+	// overlay read path serves unmerged writes.
 	DeltaMaxBytes int64
-	// DeltaMaxRatio is the companion trigger on the pending-to-base
-	// ratio (default 0.10; < 0 disables the trigger). With both triggers
-	// disabled, pending writes stay in the delta store until MergeDeltas
-	// is called; queries stay correct either way — the overlay read path
-	// serves unmerged writes.
-	DeltaMaxRatio float64
 	// Shards range-partitions the column domain into this many
 	// independently locked shards (internal/shard), each owning its own
 	// segment list, model state, compression advisor and MVCC delta
@@ -361,9 +358,13 @@ func New(extent Interval, values []int64, opts Options) (*Column, error) {
 }
 
 // spec maps Options onto the strategy stack shard.Build constructs:
-// zero fields take their defaults, and a negative merge-back trigger
-// disables it.
+// zero fields take their defaults, and a negative DeltaMaxBytes disables
+// both merge-back triggers.
 func (o Options) spec() shard.Spec {
+	ratio := 0.10
+	if o.DeltaMaxBytes < 0 {
+		ratio = 0
+	}
 	return shard.Spec{
 		Strategy: o.Strategy, Model: o.Model, AutoTune: o.AutoTune,
 		APMMin: cmp.Or(o.APMMin, 3*1024), APMMax: cmp.Or(o.APMMax, 12*1024),
@@ -371,7 +372,7 @@ func (o Options) spec() shard.Spec {
 		Compression: o.Compression.mode(), Parallelism: o.Parallelism,
 		MaxStorageBytes: o.MaxStorageBytes, MaxTreeDepth: o.MaxTreeDepth, Shards: o.Shards,
 		DeltaMaxBytes: max(cmp.Or(o.DeltaMaxBytes, 64*1024), 0),
-		DeltaRatio:    max(cmp.Or(o.DeltaMaxRatio, 0.10), 0),
+		DeltaRatio:    ratio,
 	}
 }
 
@@ -568,7 +569,7 @@ func (c *Column) BulkLoad(values []int64) (Stats, error) {
 // Insert returns and invisible to queries already in flight; it reaches
 // the base segments at the next merge-back, where the self-organizing
 // loop absorbs it into the adaptive layout. The write may trigger that
-// merge-back inline (per Options.DeltaMaxBytes/DeltaMaxRatio), in which
+// merge-back inline (per Options.DeltaMaxBytes), in which
 // case its cost is folded into the returned stats.
 // With durability enabled the write joins a group commit instead: it
 // returns once its batch is logged (and fsynced, per Options.Durability)

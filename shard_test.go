@@ -143,7 +143,7 @@ func TestShardedFacadeEquivalence(t *testing.T) {
 		for _, m := range []Model{APM, GD} {
 			for _, comp := range []Compression{CompressionOff, CompressionAuto} {
 				t.Run(fmt.Sprintf("%v/%v/%v", strat, m, comp), func(t *testing.T) {
-					opts := Options{Strategy: strat, Model: m, Compression: comp, DeltaMaxBytes: -1, DeltaMaxRatio: -1}
+					opts := Options{Strategy: strat, Model: m, Compression: comp, DeltaMaxBytes: -1}
 					flat := shardTestColumn(t, opts, 1)
 					opts.Shards = 4
 					sharded := shardTestColumn(t, opts, 1)
@@ -198,7 +198,7 @@ func TestShardedFacadeEquivalence(t *testing.T) {
 // TestShardedFacadeSurface covers the facade inspection surface of a
 // sharded column: views, delta stats, encodings, gluing, bulk loads.
 func TestShardedFacadeSurface(t *testing.T) {
-	col := shardTestColumn(t, Options{Shards: 4, Compression: CompressionAuto, DeltaMaxBytes: -1, DeltaMaxRatio: -1}, 1)
+	col := shardTestColumn(t, Options{Shards: 4, Compression: CompressionAuto, DeltaMaxBytes: -1}, 1)
 	gen := workload.NewUniform(shardDom, 20_000, 2)
 	for q := 0; q < 60; q++ {
 		qq := gen.Next()

@@ -157,7 +157,7 @@ func TestWriteEntryPointsAgree(t *testing.T) {
 				// Manual merging: no merge-back (and so no checkpoint)
 				// resets the counters under comparison.
 				c, err := New(extent, base(), Options{
-					Strategy: strat, Shards: shards, DeltaMaxBytes: -1, DeltaMaxRatio: -1,
+					Strategy: strat, Shards: shards, DeltaMaxBytes: -1,
 					Durability:    Durability{Dir: dir},
 					Observability: Observability{Disable: true},
 				})
